@@ -213,6 +213,8 @@ def _cmd_descriptor(args) -> int:
     if args.kind == "tpc":
         if not args.image:
             raise CliError("descriptor tpc requires at least one --image")
+        if not args.r_max.is_integer():
+            raise CliError(f"descriptor tpc requires a whole-pixel --r-max, got {args.r_max!r}")
         for path in args.image:
             img = binarize_image(load_pgm(path), args.threshold)
             curve = compute_tpc(img, int(args.r_max), periodic=args.periodic)
@@ -281,7 +283,10 @@ def _cmd_fit(args) -> int:
         dm = build_design_matrices(ds, config, scores=fit.scores)
         np.savetxt(out / "design_omega.csv", dm.omega, delimiter=",",
                    header=",".join(dm.layout.names()), comments="")
-        np.savetxt(out / "design_lambda.csv", dm.lam, delimiter=",")
+        rows = np.column_stack([np.repeat(np.array(dm.unit_ids, dtype=object), dm.counts), dm.lam])
+        names = [f"gamma_l{level}" for level in dm.layout.levels]
+        np.savetxt(out / "design_lambda.csv", rows, delimiter=",", comments="",
+                   header=",".join(["unit_id", *names]), fmt=["%s"] + ["%.18e"] * len(names))
     return 0
 
 

@@ -97,6 +97,10 @@ class UnitRecord:
             raise ValueError(f"non-increasing times for unit {self.unit_id}")
         if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.responses)):
             raise ValueError(f"unit {self.unit_id}: non-finite measurement")
+        if not np.all(np.isfinite(self.scalars)):
+            raise ValueError(f"unit {self.unit_id}: non-finite scalar covariate")
+        if not np.all(np.isfinite(self.curves)):
+            raise ValueError(f"unit {self.unit_id}: non-finite functional covariate curve")
 
     @property
     def n_obs(self) -> int:

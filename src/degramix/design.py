@@ -1,4 +1,5 @@
-"""Per-unit and stacked regression designs for the coefficient-level model.
+"""Stacked regression designs and per-unit latent Gram blocks for the
+coefficient-level model.
 
 The observed design of unit i is the column block (latent | scalar |
 functional | interaction); blocks for switched-off model components are
@@ -154,35 +155,22 @@ def build_observed_design(
     return omega
 
 
-def stack_population(omegas, lambdas, ys):
-    """Row-stack observed designs, block-diagonal latent design, concat y."""
-    widths = {o.shape[1] for o in omegas}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent observed-design column counts: {sorted(widths)}")
-    omega = np.vstack(omegas)
-    y = np.concatenate(ys)
-    d = lambdas[0].shape[1]
-    total = sum(lam.shape[0] for lam in lambdas)
-    lam = np.zeros((total, d * len(lambdas)))
-    row = 0
-    for i, block in enumerate(lambdas):
-        lam[row:row + block.shape[0], i * d:(i + 1) * d] = block
-        row += block.shape[0]
-    return omega, lam, y
-
-
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Per-unit and stacked designs for one dataset under one layout."""
+    """Stacked designs for one dataset under one layout.
+
+    Rows are grouped by unit, ``counts[i]`` rows for unit i.  ``lam`` holds
+    each row's latent basis (n_obs, d) and ``lam_gram`` the per-unit blocks
+    Lambda_i^T Lambda_i (N, d, d).
+    """
 
     layout: ZetaLayout
     unit_ids: tuple
-    omega_units: tuple
-    lambda_units: tuple
-    y_units: tuple
     omega: np.ndarray
     lam: np.ndarray
     y: np.ndarray
+    counts: np.ndarray
+    lam_gram: np.ndarray
 
     @property
     def n_units(self) -> int:
@@ -191,6 +179,27 @@ class DesignMatrices:
     @property
     def n_obs(self) -> int:
         return self.y.size
+
+
+def unit_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum row-indexed values within each unit: (n_obs, ...) -> (N, ...)."""
+    return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
+
+
+def stack_population(layout: ZetaLayout, unit_ids, omegas, lambdas, ys) -> DesignMatrices:
+    """Row-stack per-unit designs and responses; form each Lambda_i^T Lambda_i once."""
+    widths = {o.shape[1] for o in omegas}
+    if len(widths) != 1:
+        raise ValueError(f"inconsistent observed-design column counts: {sorted(widths)}")
+    counts = np.array([o.shape[0] for o in omegas])
+    if np.any(counts < 1):
+        raise ValueError("every unit needs at least one observation")
+    lam = np.vstack(lambdas)
+    return DesignMatrices(
+        layout=layout, unit_ids=tuple(unit_ids), omega=np.vstack(omegas), lam=lam,
+        y=np.concatenate(ys).astype(float, copy=False), counts=counts,
+        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
+    )
 
 
 def _check_full_rank(omega: np.ndarray, layout: ZetaLayout) -> None:
@@ -212,7 +221,7 @@ def build_design_matrices(
     scores: np.ndarray | None = None,
     r_support: float | None = None,
 ) -> DesignMatrices:
-    """Assemble all per-unit designs and their stacked forms.
+    """Build every unit's observed and latent design and stack them.
 
     ``scores`` is the (N, S, K) score array; required when the functional
     component is active.  Raises on a rank-deficient stacked design unless
@@ -233,22 +242,18 @@ def build_design_matrices(
         r_support = ds.r_support
 
     layout = layout_for(config, ds.n_scalars, ds.n_functional, n_components)
-    omegas, lambdas, ys = [], [], []
-    for i, unit in enumerate(ds.units):
-        row = scores[i] if config.include_functional else None
-        omegas.append(build_observed_design(unit, config.basis, row, r_support, layout))
-        lambdas.append(build_latent_design(unit, config.basis, layout.levels))
-        ys.append(np.asarray(unit.responses, dtype=float))
-    omega, lam, y = stack_population(omegas, lambdas, ys)
-    if not config.ridge_jitter:
-        _check_full_rank(omega, layout)
-    return DesignMatrices(
-        layout=layout,
-        unit_ids=tuple(u.unit_id for u in ds.units),
-        omega_units=tuple(omegas),
-        lambda_units=tuple(lambdas),
-        y_units=tuple(ys),
-        omega=omega,
-        lam=lam,
-        y=y,
+    omegas = [
+        build_observed_design(unit, config.basis, scores[i] if config.include_functional else None,
+                              r_support, layout)
+        for i, unit in enumerate(ds.units)
+    ]
+    dm = stack_population(
+        layout,
+        [u.unit_id for u in ds.units],
+        omegas,
+        [build_latent_design(u, config.basis, layout.levels) for u in ds.units],
+        [u.responses for u in ds.units],
     )
+    if not config.ridge_jitter:
+        _check_full_rank(dm.omega, layout)
+    return dm

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fpca as fpca_mod
 from .data import DegradationDataset, ModelConfig
-from .design import DesignMatrices, ZetaLayout, build_design_matrices
+from .design import DesignMatrices, ZetaLayout, build_design_matrices, unit_sums
 
 _SIGMA_EPS_FLOOR = 1e-16
 _SIGMA_GAMMA_EIG_FLOOR = 1e-12  # relative to trace
@@ -121,36 +121,23 @@ def init_params(dm: DesignMatrices, config: ModelConfig) -> Parameters:
 
 
 def e_step(params: Parameters, dm: DesignMatrices) -> LatentPosterior:
-    """Conditional latent moments per unit.
+    """Conditional latent moments of every unit at once.
 
     V_i = (sigma_gamma^-1 + Lambda_i^T Lambda_i / sigma_eps2)^-1 and
     mu_i = V_i Lambda_i^T (y_i - Omega_i zeta) / sigma_eps2.
     """
-    n = dm.n_units
-    d = params.latent_dim
     sg_inv = _floored_sigma_gamma_inv(params.sigma_gamma)
-    mu = np.zeros((n, d))
-    v = np.zeros((n, d, d))
-    for i in range(n):
-        lam = dm.lambda_units[i]
-        precision = sg_inv + lam.T @ lam / params.sigma_eps2
-        vi = np.linalg.inv(precision)
-        vi = (vi + vi.T) / 2.0
-        resid = dm.y_units[i] - dm.omega_units[i] @ params.zeta
-        mu[i] = vi @ (lam.T @ resid) / params.sigma_eps2
-        v[i] = vi
+    v = np.linalg.inv(sg_inv + dm.lam_gram / params.sigma_eps2)
+    v = (v + np.swapaxes(v, 1, 2)) / 2.0
+    b = unit_sums(dm.lam * (dm.y - dm.omega @ params.zeta)[:, None], dm.counts)
+    mu = (v @ b[:, :, None])[:, :, 0] / params.sigma_eps2
     return LatentPosterior(mu=mu, v=v)
 
 
 def update_zeta(posterior: LatentPosterior, dm: DesignMatrices, ridge: bool = False) -> np.ndarray:
     """Coefficient update: least squares on the latent-adjusted response."""
-    adjusted = dm.y - _stacked_latent_mean(posterior, dm)
-    return _solve_zeta(dm, adjusted, ridge)
-
-
-def _stacked_latent_mean(posterior: LatentPosterior, dm: DesignMatrices) -> np.ndarray:
-    parts = [dm.lambda_units[i] @ posterior.mu[i] for i in range(dm.n_units)]
-    return np.concatenate(parts)
+    latent_mean = np.sum(dm.lam * np.repeat(posterior.mu, dm.counts, axis=0), axis=1)
+    return _solve_zeta(dm, dm.y - latent_mean, ridge)
 
 
 def update_sigma_gamma(posterior: LatentPosterior, constrain_diagonal: bool = False) -> np.ndarray:
@@ -163,64 +150,38 @@ def update_sigma_gamma(posterior: LatentPosterior, constrain_diagonal: bool = Fa
 
 
 def update_sigma_eps(posterior: LatentPosterior, zeta: np.ndarray, dm: DesignMatrices) -> float:
-    """Noise variance update from residuals and posterior latent moments."""
-    second = posterior.second_moments
-    total = 0.0
-    for i in range(dm.n_units):
-        resid = dm.y_units[i] - dm.omega_units[i] @ zeta
-        lam = dm.lambda_units[i]
-        total += float(resid @ resid)
-        total -= 2.0 * float(resid @ (lam @ posterior.mu[i]))
-        total += float(np.trace(lam.T @ lam @ second[i]))
+    """Noise variance update: (r^T r - 2 sum_i b_i . mu_i + sum_i tr(G_i E_i)) / n
+    with b_i = Lambda_i^T r_i, G_i = Lambda_i^T Lambda_i, E_i = E[gamma_i gamma_i^T]."""
+    resid = dm.y - dm.omega @ zeta
+    b = unit_sums(dm.lam * resid[:, None], dm.counts)
+    total = float(resid @ resid) - 2.0 * float(np.sum(b * posterior.mu))
+    total += float(np.einsum("nab,nba->", dm.lam_gram, posterior.second_moments))
     return max(total / dm.n_obs, _SIGMA_EPS_FLOOR)
 
 
 def marginal_loglik(params: Parameters, dm: DesignMatrices) -> float:
     """Sum over units of the Gaussian log density with covariance
-    Lambda_i Sigma_gamma Lambda_i^T + sigma_eps2 I."""
-    total = 0.0
-    d = params.latent_dim
-    for i in range(dm.n_units):
-        resid = dm.y_units[i] - dm.omega_units[i] @ params.zeta
-        m = resid.size
-        cov = params.sigma_eps2 * np.eye(m)
-        if d:
-            lam = dm.lambda_units[i]
-            cov = cov + lam @ params.sigma_gamma @ lam.T
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"non-PSD marginal covariance for unit {dm.unit_ids[i]}") from exc
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        white = np.linalg.solve(chol, resid)
-        total += -0.5 * (m * np.log(2.0 * np.pi) + logdet + float(white @ white))
-    return total
-
-
-def q_value(params: Parameters, posterior: LatentPosterior, dm: DesignMatrices) -> float:
-    """Expected complete-data log-likelihood (up to its additive constant).
-
-    The posterior moments must come from the E-step at the previous
-    parameter values; ``params`` is the point being evaluated.
-    """
-    second = posterior.second_moments
-    data_term = 0.0
-    for i in range(dm.n_units):
-        resid = dm.y_units[i] - dm.omega_units[i] @ params.zeta
-        lam = dm.lambda_units[i]
-        data_term += float(resid @ resid)
-        data_term += float(np.trace(lam.T @ lam @ second[i]))
-        data_term -= 2.0 * float(resid @ (lam @ posterior.mu[i]))
-    q = -0.5 * dm.n_obs * np.log(params.sigma_eps2) - data_term / (2.0 * params.sigma_eps2)
+    C_i = Lambda_i Sigma_gamma Lambda_i^T + sigma_eps2 I, through the d x d
+    matrices A_i = sigma_eps2 I + Sigma_gamma G_i: log|C_i| = log|A_i| +
+    (m_i - d) log sigma_eps2 (determinant lemma) and, by Woodbury,
+    r_i^T C_i^-1 r_i = (r_i^T r_i - b_i^T A_i^-1 Sigma_gamma b_i) / sigma_eps2."""
+    s2 = params.sigma_eps2
+    resid = dm.y - dm.omega @ params.zeta
+    logdet = dm.n_obs * np.log(s2)
+    quad = float(resid @ resid)
     d = params.latent_dim
     if d:
-        sign, logdet = np.linalg.slogdet(params.sigma_gamma)
-        if sign <= 0:
-            raise NumericalError("sigma_gamma must be positive definite in the Q function")
-        sg_inv = np.linalg.inv(params.sigma_gamma)
-        q += -0.5 * dm.n_units * logdet
-        q += -0.5 * float(np.einsum("ab,nab->", sg_inv, second))
-    return float(q)
+        a = s2 * np.eye(d) + params.sigma_gamma @ dm.lam_gram
+        # C_i is positive definite iff every (real) eigenvalue of A_i is positive;
+        # the determinant's sign alone misses an even number of negative ones
+        bad = np.flatnonzero(np.any(np.linalg.eigvals(a).real <= 0.0, axis=1))
+        if bad.size:
+            raise NumericalError(f"non-PSD marginal covariance for unit {dm.unit_ids[bad[0]]}")
+        logdet += float(np.sum(np.linalg.slogdet(a)[1])) - dm.n_units * d * np.log(s2)
+        b = unit_sums(dm.lam * resid[:, None], dm.counts)
+        sb = (b @ params.sigma_gamma.T)[:, :, None]
+        quad -= float(np.sum(b * np.linalg.solve(a, sb)[:, :, 0]))
+    return -0.5 * (dm.n_obs * np.log(2.0 * np.pi) + logdet + quad / s2)
 
 
 def _fit_scores(ds: DegradationDataset, config: ModelConfig):
@@ -267,31 +228,15 @@ def fit_em(
         scores = None
 
     dm = build_design_matrices(ds, config, scores=scores)
-    common = dict(
-        config=config,
-        layout=dm.layout,
-        unit_ids=dm.unit_ids,
-        r_support=ds.r_support,
-        scores=scores,
-        fpca_models=fpca_models,
-    )
+    common = dict(config=config, layout=dm.layout, unit_ids=dm.unit_ids,
+                  r_support=ds.r_support, scores=scores, fpca_models=fpca_models)
 
     if not config.include_latent:
-        zeta = _solve_zeta(dm, dm.y, config.ridge_jitter)
-        resid = dm.y - dm.omega @ zeta
-        sigma = max(float(resid @ resid) / dm.n_obs, _SIGMA_EPS_FLOOR)
-        params = Parameters(zeta, sigma, np.zeros((0, 0)))
+        ols = init_params(dm, config)
+        params = Parameters(ols.zeta, ols.sigma_eps2, np.zeros((0, 0)))
         posterior = LatentPosterior(np.zeros((dm.n_units, 0)), np.zeros((dm.n_units, 0, 0)))
-        ll = marginal_loglik(params, dm)
-        return FitResult(
-            params=params,
-            posterior=posterior,
-            loglik_trace=np.array([ll]),
-            iterations=0,
-            converged=True,
-            elapsed_seconds=time.perf_counter() - start,
-            **common,
-        )
+        return FitResult(params, posterior, np.array([marginal_loglik(params, dm)]), 0, True,
+                         elapsed_seconds=time.perf_counter() - start, **common)
 
     params = init if init is not None else init_params(dm, config)
     trace = [marginal_loglik(params, dm)]
@@ -314,13 +259,5 @@ def fit_em(
                 converged = True
                 break
 
-    posterior = e_step(params, dm)
-    return FitResult(
-        params=params,
-        posterior=posterior,
-        loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-        elapsed_seconds=time.perf_counter() - start,
-        **common,
-    )
+    return FitResult(params, e_step(params, dm), np.asarray(trace), iterations, converged,
+                     elapsed_seconds=time.perf_counter() - start, **common)

@@ -2,12 +2,14 @@
 
 Every function here recomputes a quantity by a route deliberately different
 from the library implementation: exhaustive enumeration, generic Gaussian
-conditioning, scalar search, or naive quadrature.
+conditioning, per-unit dense algebra, scalar search, or naive quadrature.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from degramix.estimator import NumericalError
 
 
 def tpc_pair_enumeration(mask: np.ndarray, r_max: int, periodic: bool = False) -> np.ndarray:
@@ -66,6 +68,55 @@ def gaussian_conditioning(lam, sigma_gamma, sigma_eps2, resid):
     mu = cross @ solve @ resid
     v = sigma_gamma - cross @ solve @ cross.T
     return mu, (v + v.T) / 2.0
+
+
+def split_units(dm):
+    """Per-unit (omegas, lambdas, ys) blocks of a stacked design."""
+    cuts = np.cumsum(dm.counts)[:-1]
+    return (np.split(dm.omega, cuts), np.split(dm.lam, cuts), np.split(dm.y, cuts))
+
+
+def cholesky_loglik(params, dm):
+    """Marginal log-likelihood unit by unit, from a Cholesky factor of the
+    dense covariance Lambda_i Sigma_gamma Lambda_i^T + sigma_eps2 I."""
+    total = 0.0
+    for uid, om, lam, y in zip(dm.unit_ids, *split_units(dm)):
+        resid = y - om @ params.zeta
+        m = resid.size
+        cov = params.sigma_eps2 * np.eye(m)
+        if params.latent_dim:
+            cov = cov + lam @ params.sigma_gamma @ lam.T
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"non-PSD marginal covariance for unit {uid}") from exc
+        white = np.linalg.solve(chol, resid)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        total += -0.5 * (m * np.log(2.0 * np.pi) + logdet + float(white @ white))
+    return total
+
+
+def q_value(params, posterior, dm) -> float:
+    """Expected complete-data log-likelihood (up to its additive constant).
+
+    The posterior moments must come from the E-step at the previous
+    parameter values; ``params`` is the point being evaluated.
+    """
+    second = posterior.second_moments
+    data_term = 0.0
+    for i, (om, lam, y) in enumerate(zip(*split_units(dm))):
+        resid = y - om @ params.zeta
+        data_term += float(resid @ resid)
+        data_term += float(np.trace(lam.T @ lam @ second[i]))
+        data_term -= 2.0 * float(resid @ (lam @ posterior.mu[i]))
+    q = -0.5 * dm.n_obs * np.log(params.sigma_eps2) - data_term / (2.0 * params.sigma_eps2)
+    if params.latent_dim:
+        sign, logdet = np.linalg.slogdet(params.sigma_gamma)
+        if sign <= 0:
+            raise NumericalError("sigma_gamma must be positive definite in the Q function")
+        q += -0.5 * dm.n_units * logdet
+        q += -0.5 * float(np.einsum("ab,nab->", np.linalg.inv(params.sigma_gamma), second))
+    return float(q)
 
 
 def noise_variance_q_profile(lambda_units, omega_units, y_units, mu, second_moments,

@@ -12,12 +12,11 @@ import pytest
 
 from degramix.cli import run as cli_run
 from degramix.descriptors import MicrostructureImage, ParticleSet, compute_rdf, compute_tpc
-from degramix.design import DesignMatrices, ZetaLayout, build_design_matrices, stack_population
+from degramix.design import ZetaLayout, build_design_matrices, stack_population
 from degramix.estimator import (
     Parameters,
     e_step,
     fit_em,
-    q_value,
     update_sigma_eps,
     update_sigma_gamma,
     update_zeta,
@@ -30,6 +29,8 @@ from _oracles import (
     gaussian_conditioning,
     golden_section_max,
     noise_variance_q_profile,
+    q_value,
+    split_units,
     tpc_pair_enumeration,
 )
 
@@ -44,12 +45,8 @@ def _assemble(omegas, lambdas, ys, d):
     layout = ZetaLayout(levels=tuple(range(d)), n_scalars=u - d, n_functional=0,
                         n_components=0, include_scalar=u > d,
                         include_functional=False, include_interaction=False)
-    omega, lam, y = stack_population(omegas, lambdas, ys)
-    return DesignMatrices(layout=layout,
-                          unit_ids=tuple(f"u{i}" for i in range(len(omegas))),
-                          omega_units=tuple(omegas), lambda_units=tuple(lambdas),
-                          y_units=tuple(np.asarray(v, float) for v in ys),
-                          omega=omega, lam=lam, y=y)
+    return stack_population(layout, [f"u{i}" for i in range(len(omegas))],
+                            omegas, lambdas, ys)
 
 
 def test_criterion_1_em_monotonicity():
@@ -141,7 +138,8 @@ def test_criterion_3_m_step_stationarity():
         worst_grad = max(worst_grad, abs(central_difference(
             q_log_sigma, float(np.log(se_hat)), 1e-5)))
 
-        profile = noise_variance_q_profile(dm.lambda_units, dm.omega_units, dm.y_units,
+        omegas, lambdas, ys = split_units(dm)
+        profile = noise_variance_q_profile(lambdas, omegas, ys,
                                            post.mu, post.second_moments, zeta_hat,
                                            s_ref=se_hat)
         s_star = golden_section_max(profile, se_hat / 10.0, se_hat * 10.0)
@@ -287,11 +285,11 @@ def test_criterion_8_effect_decomposition_identity():
                 row.population + row.scalar_effect + row.marginal_effect
                 + row.interaction_effect + row.latent_effect)
         dm = build_design_matrices(ds, spec.config, scores=fit.scores)
+        omegas, lambdas, _ = split_units(dm)
         for i, u in enumerate(ds.units):
             eta = np.array(eta_rows[u.unit_id])
             # independent route: the stacked design applied to the estimates
-            direct = dm.omega_units[i] @ fit.params.zeta \
-                + dm.lambda_units[i] @ fit.posterior.mu[i]
+            direct = omegas[i] @ fit.params.zeta + lambdas[i] @ fit.posterior.mu[i]
             phi = u.times[:, None] ** np.array(fit.layout.levels, float)[None, :]
             worst = max(worst, float(np.max(np.abs(phi @ eta - direct))))
             worst = max(worst, float(np.max(np.abs(

@@ -68,8 +68,17 @@ class TestSimulateFitPipeline:
         out = tmp_path / "fit"
         assert run(["fit", "--data", str(data), "--variant", "Model4", "--k", "2",
                     "--dump-design", "--out", str(out)]) == 0
-        assert (out / "design_omega.csv").exists()
-        assert (out / "design_lambda.csv").exists()
+        omega_lines = (out / "design_omega.csv").read_text().splitlines()
+        lam_lines = (out / "design_lambda.csv").read_text().splitlines()
+        # compact latent design: one row per observation, in design_omega.csv's row order
+        assert lam_lines[0] == "unit_id,gamma_l1"
+        assert len(lam_lines) == len(omega_lines) == 1 + 12 * 10
+        rows = [ln.split(",") for ln in lam_lines[1:]]
+        assert all(len(r) == 2 for r in rows)
+        response_ids = [ln.split(",")[0] for ln in (data / "responses.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == response_ids
+        omega_first = [ln.split(",")[0] for ln in omega_lines[1:]]
+        assert [float(r[1]) for r in rows] == [float(v) for v in omega_first]
 
     def test_evaluate_writes_metrics_and_effects(self, tmp_path):
         data = simulate_into(tmp_path, seed=6, n_units=14)
@@ -128,6 +137,15 @@ class TestDescriptor:
         assert code == 0
         lines = (out / "curves.csv").read_text().splitlines()
         assert len(lines) == 1 + 5
+
+    def test_tpc_rejects_fractional_r_max(self, tmp_path, capsys):
+        img = tmp_path / "a.pgm"
+        write_pgm(img, np.random.default_rng(3).integers(0, 256, size=(20, 20)))
+        out = tmp_path / "tpc"
+        assert run(["descriptor", "tpc", "--image", str(img), "--r-max", "2.5",
+                    "--out", str(out)]) == 1
+        assert "--r-max" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
     def test_rdf_requires_dr(self, tmp_path):
         assert run(["descriptor", "rdf", "--r-max", "0.1", "--out", str(tmp_path)]) == 1

@@ -89,6 +89,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_unit(times=(1.0, 2.0), responses=(1.0,))
 
+    def test_non_finite_scalars_rejected(self):
+        with pytest.raises(ValueError, match="unit u7: non-finite scalar"):
+            make_unit("u7", scalars=(1.0, np.nan))
+
+    def test_non_finite_curves_rejected(self):
+        curves = np.arange(5, dtype=float)[None, :]
+        curves[0, 2] = np.inf
+        with pytest.raises(ValueError, match="unit u8: non-finite functional"):
+            make_unit("u8", curves=curves)
+
     def test_ragged_grid_rejected(self):
         u1 = make_unit("u1", grid_size=5)
         u2 = make_unit("u2", grid_size=6)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from degramix.data import BasisFamily, DegradationDataset, ModelConfig, UnitRecord
 from degramix.design import (
+    ZetaLayout,
     build_design_matrices,
     build_latent_design,
     build_observed_design,
@@ -79,8 +80,7 @@ class TestObservedDesign:
         cfg = ModelConfig(center_baseline=False)
         scores = rng.normal(size=(ds.n_units, 1, 3))
         dm = build_design_matrices(ds, cfg, scores=scores)
-        for om, lam in zip(dm.omega_units, dm.lambda_units):
-            assert np.array_equal(om[:, :lam.shape[1]], lam)
+        assert np.array_equal(dm.omega[:, :dm.layout.latent_dim], dm.lam)
 
     def test_score_shape_mismatch(self):
         layout = layout_for(ModelConfig(center_baseline=False), 1, 1, 2)
@@ -89,49 +89,79 @@ class TestObservedDesign:
                                   np.array([[0.5]]), 10.0, layout)
 
 
+def stack(omegas, lambdas, ys):
+    d, u = lambdas[0].shape[1], omegas[0].shape[1]
+    layout = ZetaLayout(levels=tuple(range(d)), n_scalars=max(u - d, 0), n_functional=0,
+                        n_components=0, include_scalar=u > d,
+                        include_functional=False, include_interaction=False)
+    return stack_population(layout, [f"u{i}" for i in range(len(omegas))], omegas, lambdas, ys)
+
+
+def int_blocks(rng, sizes, width):
+    # integer entries keep every sum exact, so stacked and per-unit forms compare bitwise
+    return [rng.integers(-3, 4, size=(m, width)).astype(float) for m in sizes]
+
+
 class TestStacking:
     def test_shapes(self):
         rng = np.random.default_rng(1)
         omegas = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
         lambdas = [rng.normal(size=(2, 2)), rng.normal(size=(3, 2))]
         ys = [rng.normal(size=2), rng.normal(size=3)]
-        omega, lam, y = stack_population(omegas, lambdas, ys)
-        assert omega.shape == (5, 4)
-        assert lam.shape == (5, 4)
-        assert y.shape == (5,)
-        assert np.all(lam[:2, 2:] == 0.0) and np.all(lam[2:, :2] == 0.0)
+        dm = stack(omegas, lambdas, ys)
+        assert dm.omega.shape == (5, 4)
+        assert dm.lam.shape == (5, 2)
+        assert dm.y.shape == (5,)
+        assert np.array_equal(dm.counts, [2, 3])
+        assert dm.lam_gram.shape == (2, 2, 2)
+
+    def test_lam_gram_is_per_unit_gram(self):
+        rng = np.random.default_rng(5)
+        sizes = (1, 4, 2, 3)
+        lambdas = int_blocks(rng, sizes, 3)
+        dm = stack(int_blocks(rng, sizes, 4), lambdas, [np.zeros(m) for m in sizes])
+        for i, lam in enumerate(lambdas):
+            assert np.array_equal(dm.lam_gram[i], lam.T @ lam)
 
     def test_single_unit_identity(self):
         rng = np.random.default_rng(2)
         om = rng.normal(size=(3, 4))
         la = rng.normal(size=(3, 2))
         y = rng.normal(size=3)
-        omega, lam, yy = stack_population([om], [la], [y])
-        assert np.array_equal(omega, om)
-        assert np.array_equal(lam, la)
-        assert np.array_equal(yy, y)
+        dm = stack([om], [la], [y])
+        assert np.array_equal(dm.omega, om)
+        assert np.array_equal(dm.lam, la)
+        assert np.array_equal(dm.y, y)
+        assert np.array_equal(dm.counts, [3])
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(3)
         omegas = [rng.normal(size=(m, 3)) for m in (2, 4, 3)]
         lambdas = [rng.normal(size=(m, 2)) for m in (2, 4, 3)]
         ys = [rng.normal(size=m) for m in (2, 4, 3)]
-        omega, _, y = stack_population(omegas, lambdas, ys)
+        dm = stack(omegas, lambdas, ys)
         perm = [2, 0, 1]
-        omega_p, _, y_p = stack_population([omegas[i] for i in perm],
-                                           [lambdas[i] for i in perm],
-                                           [ys[i] for i in perm])
-        # permuting units permutes row blocks, nothing else
-        assert np.array_equal(np.vstack([omegas[i] for i in perm]), omega_p)
-        assert np.array_equal(np.concatenate([ys[i] for i in perm]), y_p)
-        assert sorted(map(tuple, omega)) == sorted(map(tuple, omega_p))
-        assert sorted(y) == sorted(y_p)
+        dm_p = stack([omegas[i] for i in perm], [lambdas[i] for i in perm],
+                     [ys[i] for i in perm])
+        # permuting units permutes row blocks, counts and Gram blocks, nothing else
+        assert np.array_equal(np.vstack([omegas[i] for i in perm]), dm_p.omega)
+        assert np.array_equal(np.vstack([lambdas[i] for i in perm]), dm_p.lam)
+        assert np.array_equal(np.concatenate([ys[i] for i in perm]), dm_p.y)
+        assert np.array_equal(dm.counts[perm], dm_p.counts)
+        assert np.array_equal(dm.lam_gram[perm], dm_p.lam_gram)
+        assert sorted(map(tuple, dm.omega)) == sorted(map(tuple, dm_p.omega))
+        assert sorted(dm.y) == sorted(dm_p.y)
 
     def test_inconsistent_columns_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="column counts"):
-            stack_population([rng.normal(size=(2, 3)), rng.normal(size=(2, 4))],
-                             [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
+            stack([rng.normal(size=(2, 3)), rng.normal(size=(2, 4))],
+                  [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
+
+    def test_empty_unit_rejected(self):
+        with pytest.raises(ValueError, match="at least one observation"):
+            stack([np.ones((2, 2)), np.ones((0, 2))], [np.ones((2, 1)), np.ones((0, 1))],
+                  [np.zeros(2), np.zeros(0)])
 
 
 class TestCoefficientIdentity:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from degramix.data import ModelConfig
-from degramix.design import ZetaLayout, build_design_matrices, stack_population, DesignMatrices
+from degramix.design import ZetaLayout, build_design_matrices, stack_population
 from degramix.estimator import (
     LatentPosterior,
     Parameters,
@@ -10,7 +10,6 @@ from degramix.estimator import (
     fit_em,
     init_params,
     marginal_loglik,
-    q_value,
     update_sigma_eps,
     update_sigma_gamma,
     update_zeta,
@@ -18,10 +17,13 @@ from degramix.estimator import (
 from degramix.simulate import default_spec, generate_dataset
 from _oracles import (
     central_difference,
+    cholesky_loglik,
     compound_symmetry_loglik,
     gaussian_conditioning,
     golden_section_max,
     noise_variance_q_profile,
+    q_value,
+    split_units,
 )
 
 CONFIG = ModelConfig(k=2)
@@ -34,14 +36,8 @@ def make_dm(omegas, lambdas, ys, latent_dim=None):
     layout = ZetaLayout(levels=tuple(range(d)), n_scalars=u - d, n_functional=0,
                         n_components=0, include_scalar=u > d,
                         include_functional=False, include_interaction=False)
-    omega, lam, y = stack_population(omegas, lambdas, ys)
-    return DesignMatrices(
-        layout=layout,
-        unit_ids=tuple(f"u{i}" for i in range(len(omegas))),
-        omega_units=tuple(omegas), lambda_units=tuple(lambdas),
-        y_units=tuple(np.asarray(v, dtype=float) for v in ys),
-        omega=omega, lam=lam, y=y,
-    )
+    return stack_population(layout, [f"u{i}" for i in range(len(omegas))],
+                            omegas, lambdas, ys)
 
 
 def synthetic_dm(seed=0, n_units=20, n_obs=10):
@@ -162,15 +158,14 @@ class TestZetaUpdate:
         params = random_params(rng, dm)
         post = e_step(params, dm)
         zeta = update_zeta(post, dm)
-        shifted_y = [y + lam @ mu for y, lam, mu in
-                     zip(dm.y_units, dm.lambda_units, post.mu)]
-        dm_shifted = make_dm(list(dm.omega_units), list(dm.lambda_units), shifted_y,
-                             latent_dim=dm.layout.latent_dim)
+        omegas, lambdas, ys = split_units(dm)
+        shifted_y = [y + lam @ mu for y, lam, mu in zip(ys, lambdas, post.mu)]
+        dm_shifted = make_dm(omegas, lambdas, shifted_y, latent_dim=dm.layout.latent_dim)
         zeta_shifted = update_zeta(post, dm_shifted)
         ols_on_y = np.linalg.lstsq(dm.omega, dm.y, rcond=None)[0]
         assert np.allclose(zeta_shifted, ols_on_y, atol=1e-10)
         adjusted = np.linalg.lstsq(dm.omega, dm.y - np.concatenate(
-            [lam @ mu for lam, mu in zip(dm.lambda_units, post.mu)]), rcond=None)[0]
+            [lam @ mu for lam, mu in zip(lambdas, post.mu)]), rcond=None)[0]
         assert np.allclose(zeta, adjusted, atol=1e-12)
 
 
@@ -207,9 +202,9 @@ class TestSigmaEpsUpdate:
     def test_perfect_fit_floors(self):
         dm, truth, _ = synthetic_dm(seed=11, n_units=8, n_obs=6)
         # exact response surface with no latent contribution
-        ys = [om @ truth.zeta for om in dm.omega_units]
-        dm2 = make_dm(list(dm.omega_units), list(dm.lambda_units), ys,
-                      latent_dim=dm.layout.latent_dim)
+        omegas, lambdas, _ = split_units(dm)
+        ys = [om @ truth.zeta for om in omegas]
+        dm2 = make_dm(omegas, lambdas, ys, latent_dim=dm.layout.latent_dim)
         d = dm.layout.latent_dim
         post = LatentPosterior(np.zeros((dm.n_units, d)), np.zeros((dm.n_units, d, d)))
         assert update_sigma_eps(post, truth.zeta, dm2) == pytest.approx(1e-16)
@@ -231,7 +226,8 @@ class TestSigmaEpsUpdate:
         post = e_step(params, dm)
         zeta_hat = update_zeta(post, dm)
         s_hat = update_sigma_eps(post, zeta_hat, dm)
-        profile = noise_variance_q_profile(dm.lambda_units, dm.omega_units, dm.y_units,
+        omegas, lambdas, ys = split_units(dm)
+        profile = noise_variance_q_profile(lambdas, omegas, ys,
                                            post.mu, post.second_moments, zeta_hat,
                                            s_ref=s_hat * 1.7)
         s_star = golden_section_max(profile, s_hat / 10.0, s_hat * 10.0)
@@ -272,12 +268,48 @@ class TestMarginalLoglik:
         rng = np.random.default_rng(16)
         params = random_params(rng, dm)
         perm = rng.permutation(dm.n_units)
-        dm_p = make_dm([dm.omega_units[i] for i in perm],
-                       [dm.lambda_units[i] for i in perm],
-                       [dm.y_units[i] for i in perm],
+        omegas, lambdas, ys = split_units(dm)
+        dm_p = make_dm([omegas[i] for i in perm],
+                       [lambdas[i] for i in perm],
+                       [ys[i] for i in perm],
                        latent_dim=dm.layout.latent_dim)
         assert marginal_loglik(params, dm) == pytest.approx(
             marginal_loglik(params, dm_p), rel=1e-13)
+
+
+    def test_matches_cholesky_oracle(self):
+        # full-rank, zero and rank-one latent covariances on random unit designs
+        for seed in range(20):
+            rng = np.random.default_rng(100 + seed)
+            d = int(rng.integers(2, 4))
+            omegas, lambdas, ys = [], [], []
+            for _ in range(int(rng.integers(2, 7))):
+                m = int(rng.integers(1, 8))
+                omegas.append(rng.normal(size=(m, 3)))
+                lambdas.append(rng.normal(size=(m, d)))
+                ys.append(rng.normal(size=m))
+            dm = make_dm(omegas, lambdas, ys, latent_dim=d)
+            a = rng.normal(size=(d, d))
+            v = rng.normal(size=(d, 1))
+            for sg in (a @ a.T + 0.1 * np.eye(d), np.zeros((d, d)), v @ v.T):
+                params = Parameters(rng.normal(size=3), float(rng.uniform(0.05, 2.0)), sg)
+                assert marginal_loglik(params, dm) == pytest.approx(
+                    cholesky_loglik(params, dm), rel=1e-10)
+
+    def test_non_psd_covariance_names_unit(self):
+        from degramix.estimator import NumericalError
+        dm = make_dm([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros((1, 1)), np.full((1, 1), 2.0)],
+                     [np.zeros(1), np.zeros(1)])
+        params = Parameters(np.zeros(1), 1.0, -np.eye(1))
+        with pytest.raises(NumericalError, match="unit u1"):
+            marginal_loglik(params, dm)
+        with pytest.raises(NumericalError, match="unit u1"):
+            cholesky_loglik(params, dm)
+        # two negative directions leave det(A_i) positive; still not a covariance
+        dm2 = make_dm([np.zeros((2, 1))], [np.eye(2)], [np.zeros(2)], latent_dim=2)
+        params2 = Parameters(np.zeros(1), 1.0, -10.0 * np.eye(2))
+        with pytest.raises(NumericalError, match="unit u0"):
+            marginal_loglik(params2, dm2)
 
 
 class TestQValue:
