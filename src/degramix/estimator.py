@@ -211,8 +211,17 @@ def fit_em(
     Per iteration: E-step, then the zeta, sigma_gamma and sigma_eps2 updates
     in that order.  Stops when the relative marginal log-likelihood change
     drops below ``tol`` (``tol=0`` disables early stopping) or at
-    ``max_iter``.  Passing ``scores`` skips the internal FPCA.
+    ``max_iter``.  Passing ``scores`` skips the internal FPCA.  A failure
+    inside numpy's linear algebra surfaces as ``NumericalError``, not as the
+    ``ValueError`` subclass numpy raises, so it is not taken for bad input.
     """
+    try:
+        return _fit_em(ds, config, max_iter, tol, scores, init)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"linear algebra failure: {exc}") from exc
+
+
+def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
     start = time.perf_counter()
     if isinstance(scores, fpca_mod.ScoreSet):
         scores = scores.values

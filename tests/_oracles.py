@@ -7,6 +7,8 @@ conditioning, per-unit dense algebra, scalar search, or naive quadrature.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from degramix.estimator import NumericalError
@@ -34,6 +36,57 @@ def tpc_pair_enumeration(mask: np.ndarray, r_max: int, periodic: bool = False) -
         pairs[r] = int(np.count_nonzero(sel))
         hits[r] = int(inphase[sel].sum())
     return hits / pairs
+
+
+def _shifted_overlap(mask: np.ndarray, dy: int, dx: int):
+    """In-window pixel pairs at displacement (dy, dx): (a, b) boolean views."""
+    h, w = mask.shape
+    ys = (slice(0, h - dy), slice(dy, h)) if dy >= 0 else (slice(-dy, h), slice(0, h + dy))
+    xs = (slice(0, w - dx), slice(dx, w)) if dx >= 0 else (slice(-dx, w), slice(0, w + dx))
+    return mask[ys[0], xs[0]], mask[ys[1], xs[1]]
+
+
+def tpc_counts_direct(mask, dys, dxs, periodic):
+    """(hit, pair) counts per displacement from one shifted sum each: the
+    direct route against which the library's FFT counts are checked."""
+    h, w = mask.shape
+    hit = np.zeros(dys.size, dtype=np.int64)
+    n_pairs = np.zeros(dys.size, dtype=np.int64)
+    for i, (dy, dx) in enumerate(zip(dys.tolist(), dxs.tolist())):
+        if periodic:
+            shifted = np.roll(mask, shift=(dy, dx), axis=(0, 1))
+            hit[i] = np.count_nonzero(mask & shifted)
+            n_pairs[i] = h * w
+        else:
+            a, b = _shifted_overlap(mask, dy, dx)
+            hit[i] = np.count_nonzero(a & b)
+            n_pairs[i] = (h - abs(dy)) * (w - abs(dx))
+    return hit, n_pairs
+
+
+def rdf_pair_enumeration(coords: np.ndarray, window, r_max: float, dr: float) -> np.ndarray:
+    """RDF by a plain loop over every (interior reference, other particle)
+    pair, with the library's per-pair arithmetic: np.hypot of the coordinate
+    difference, bin floor(d / dr), kept when below the bin count."""
+    coords = np.asarray(coords, dtype=float)
+    w, h = window
+    n_bins = int(np.floor(r_max / dr + 1e-9))
+    areas = np.pi * np.diff((np.arange(n_bins + 1) * dr) ** 2)
+    m = coords.shape[0]
+    counts = np.zeros(n_bins)
+    m_int = 0
+    for a in range(m):
+        xa, ya = coords[a]
+        if not (r_max <= xa <= w - r_max and r_max <= ya <= h - r_max):
+            continue
+        m_int += 1
+        for b in range(m):
+            if b == a:
+                continue
+            k = math.floor(np.hypot(xa - coords[b, 0], ya - coords[b, 1]) / dr)
+            if k < n_bins:
+                counts[k] += 1
+    return counts / (m_int * (m / (w * h)) * areas)
 
 
 def flood_fill_component_count(mask: np.ndarray) -> int:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from degramix import estimator
 from degramix.cli import run
 
 
@@ -35,6 +36,17 @@ class TestUsageAndErrors:
 
     def test_missing_data_dir_exits_one(self, tmp_path):
         assert run(["fit", "--data", str(tmp_path / "absent"), "--out", str(tmp_path)]) == 1
+
+    def test_linear_algebra_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        data = simulate_into(tmp_path)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(estimator.np.linalg, "inv", singular)
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--out", str(tmp_path / "fit")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestSimulateFitPipeline:

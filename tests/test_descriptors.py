@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from degramix.descriptors import (
     MicrostructureImage,
     ParticleSet,
+    _half_plane_displacements,
+    _tpc_counts_fft,
     binarize_image,
     compute_rdf,
     compute_tpc,
@@ -13,7 +18,12 @@ from degramix.descriptors import (
     load_particles_csv,
     load_pgm,
 )
-from _oracles import flood_fill_component_count, tpc_pair_enumeration
+from _oracles import (
+    flood_fill_component_count,
+    rdf_pair_enumeration,
+    tpc_counts_direct,
+    tpc_pair_enumeration,
+)
 
 
 def image_from_mask(mask):
@@ -123,6 +133,16 @@ class TestExtractParticles:
         mask = rng.random((12, 12)) < 0.35
         got = extract_particles(image_from_mask(mask)).n_particles
         assert got == flood_fill_component_count(mask)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_centroids_match_ndimage_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((40, 56)) < rng.uniform(0.2, 0.6)
+        labels, n = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        centers = ndimage.center_of_mass(mask, labels, range(1, n + 1))
+        expected = np.array([(col, row) for row, col in centers]).reshape(-1, 2)
+        assert np.array_equal(extract_particles(image_from_mask(mask)).coordinates, expected)
 
     def test_diagonal_pixels_are_separate(self):
         mask = np.zeros((4, 4), dtype=bool)
@@ -263,19 +283,209 @@ class TestTpcFftEquivalence:
             h, w = rng.integers(20, 70, size=2)
             mask = rng.random((h, w)) < rng.uniform(0.2, 0.8)
             r_max = int(min(h, w) // 2 - 1)
-            img = image_from_mask(mask)
-            direct = compute_tpc(img, r_max, periodic=periodic, method="direct")
-            fft = compute_tpc(img, r_max, periodic=periodic, method="fft")
-            assert np.array_equal(direct.values, fft.values)
+            dys, dxs, _ = _half_plane_displacements(r_max)
+            fft = _tpc_counts_fft(mask, dys, dxs, periodic, r_max)
+            direct = tpc_counts_direct(mask, dys, dxs, periodic)
+            assert np.array_equal(fft[0], direct[0])
+            assert np.array_equal(fft[1], direct[1])
 
-    def test_auto_picks_fft_for_large_work(self):
-        rng = np.random.default_rng(32)
-        mask = rng.random((256, 256)) < 0.3
-        img = image_from_mask(mask)
-        auto = compute_tpc(img, 60, method="auto")
-        fft = compute_tpc(img, 60, method="fft")
-        assert np.array_equal(auto.values, fft.values)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            compute_tpc(image_from_mask(np.ones((8, 8))), 2, method="magic")
+def rdf_matches_oracle(coords, window, r_max, dr):
+    ps = ParticleSet(coords, window)
+    got = compute_rdf(ps, r_max, dr)
+    assert not got.degenerate
+    expected = rdf_pair_enumeration(ps.coordinates, ps.window, r_max, dr)
+    assert np.array_equal(got.values, expected)
+    return got
+
+
+class TestRdfPairEnumeration:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_points_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        w, h = rng.uniform(5.0, 20.0, size=2)
+        m = int(rng.integers(40, 160))
+        coords = rng.random((m, 2)) * (w, h)
+        r_max = float(rng.uniform(0.1, 0.45)) * min(w, h)
+        dr = r_max / float(rng.uniform(3.0, 12.0))
+        rdf_matches_oracle(coords, (w, h), r_max, dr)
+
+    @pytest.mark.parametrize("dr", [1.0, 0.5, 0.25])
+    def test_integer_lattice_on_bin_edges(self, dr):
+        # lattice distances 1, 2, 3, 4 and the reach 5 itself are bin edges
+        ys, xs = np.mgrid[0:12, 0:12]
+        coords = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+        got = rdf_matches_oracle(coords, (11.0, 11.0), 5.0, dr)
+        assert np.count_nonzero(got.values) > 0
+
+    def test_coincident_particles(self):
+        rng = np.random.default_rng(7)
+        base = rng.random((50, 2)) * 10.0
+        coords = np.vstack([base, base[:20], base[:5]])
+        got = rdf_matches_oracle(coords, (10.0, 10.0), 2.0, 0.25)
+        assert got.values[0] > 0.0  # coincident copies land in the first bin
+
+    def test_references_exactly_r_max_from_edge(self):
+        r_max = 2.5
+        edge = [r_max, 10.0 - r_max]
+        refs = [[x, y] for x in edge for y in edge]
+        # partners at distance r_max and just inside it, out to the window edge
+        partners = [[0.0, r_max], [r_max, 0.0], [10.0, 10.0 - r_max], [r_max + 2.4999, r_max]]
+        rng = np.random.default_rng(3)
+        coords = np.vstack([refs, partners, rng.random((30, 2)) * 10.0])
+        rdf_matches_oracle(coords, (10.0, 10.0), r_max, 0.5)
+
+    @pytest.mark.parametrize("r_max, dr", [(1.0, 0.3), (0.7, 0.2), (0.9, 0.25)])
+    def test_dr_not_dividing_r_max(self, r_max, dr):
+        rng = np.random.default_rng(11)
+        coords = rng.random((150, 2)) * 4.0
+        got = rdf_matches_oracle(coords, (4.0, 4.0), r_max, dr)
+        assert got.values.size == int(np.floor(r_max / dr))
+
+    @pytest.mark.parametrize("r_max, dr, ref, other", [
+        # the tree's distance puts this pair just beyond n_bins * dr
+        (8.38293146591274, 1.1975616379875345,
+         [50.91057889880887, 50.86753147305248], [55.03630402089336, 43.5701393238535]),
+        # the tree's distance and np.hypot fall on different sides of a bin edge
+        (6.732655185893089, 1.3465310371786177,
+         [50.040973523936195, 50.016527635528526], [45.40735999373295, 45.13203467260489]),
+    ])
+    def test_pairs_within_ulps_of_an_edge(self, r_max, dr, ref, other):
+        rdf_matches_oracle(np.array([ref, other]), (100.0, 100.0), r_max, dr)
+
+    def test_memory_below_pair_squared(self):
+        # a dense M_int x M float64 distance array alone would be ~2.9 GB here,
+        # more than ten times the bound
+        rng = np.random.default_rng(20)
+        ps = ParticleSet(rng.random((20_000, 2)) * 2048.0, (2048.0, 2048.0))
+        tracemalloc.start()
+        try:
+            curve = compute_rdf(ps, 50.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2 ** 20
+        assert 0.8 < curve.values[10:].mean() < 1.2
+
+
+class TestNonFiniteInput:
+    def test_nan_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ParticleSet([[np.nan, 1.0], [2.0, 3.0]], (10.0, 10.0))
+
+    @pytest.mark.parametrize("window", [(np.nan, 10.0), (10.0, np.inf)])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="finite"):
+            ParticleSet([[1.0, 1.0]], window)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_intensity_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MicrostructureImage(np.array([[bad, 0.5], [0.1, 0.2]]))
+
+    def test_nan_row_in_particle_csv_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# window 10 10\nx,y\n1,2\nnan,2\n")
+        with pytest.raises(ValueError, match="finite") as err:
+            load_particles_csv(path)
+        assert str(path) in str(err.value)
+
+
+VALID_CSV = ["# window 10 10", "x,y", "1,2", "3.5,4", "9,9.5"]
+
+
+def assert_named_value_error(loader, path):
+    with pytest.raises(ValueError) as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
+def load_or_name_path(loader, path):
+    """Load ``path``; a failure must be a ValueError naming the file."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return None
+
+
+class TestMalformedInputNamesFile:
+    @pytest.mark.parametrize("lines", [
+        VALID_CSV[:2] + ["1,2,3"],
+        VALID_CSV[:2] + ["1,abc"],
+        ["# window ten 10"] + VALID_CSV[1:],
+        VALID_CSV + ["4"],
+        VALID_CSV + ["1,2", "3,4,5", "6,7"],
+        ["# window -1 10"] + VALID_CSV[1:],
+        VALID_CSV + ["11,1"],
+    ])
+    def test_particle_csv(self, tmp_path, lines):
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_named_value_error(load_particles_csv, path)
+
+    def test_particle_csv_names_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(VALID_CSV[:3] + ["", "1,abc"]) + "\n")
+        with pytest.raises(ValueError, match="line 5"):
+            load_particles_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "P2\n2 1\n255\n0 x\n",
+        "P2\nw 1\n255\n0 1\n",
+        "P2\n2 1\n25x\n0 1\n",
+        "P2\n2 1\n255\n0 300\n",
+        "P2\n2 1\n255\n0 nan\n",
+        "P7\n2 1\n255\n0 1\n",
+    ])
+    def test_pgm(self, tmp_path, text):
+        path = tmp_path / "img.pgm"
+        path.write_text(text)
+        assert_named_value_error(load_pgm, path)
+
+    @given(st.integers(2, len(VALID_CSV) - 1),
+           st.one_of(st.text(alphabet="0123456789.,-eax ", max_size=12)
+                     .filter(lambda t: t.count(",") != 1),
+                     st.tuples(st.sampled_from(["1", "", "x", "1e", "--1", "1,2"]),
+                               st.sampled_from(["abc", "", "1,2", "0x1", "1..2"]))
+                     .map(",".join)))
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_csv_row_property(self, tmp_path_factory, row, bad):
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        lines = list(VALID_CSV)
+        lines[row] = bad
+        path.write_text("\n".join(lines) + "\n")
+        if bad.strip():
+            assert_named_value_error(load_particles_csv, path)
+        else:  # a blank line is skipped
+            assert load_particles_csv(path).n_particles == len(VALID_CSV) - 3
+
+    @given(st.one_of(st.binary(max_size=80),
+                     st.lists(st.sampled_from(VALID_CSV + ["1,abc", "#", "x,y,z", "1e999,1",
+                                                          "# window 0 5"]),
+                              max_size=6).map(lambda ls: "\n".join(ls).encode())))
+    @settings(max_examples=120, deadline=None)
+    def test_any_csv_loads_or_names_file(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        path.write_bytes(content)
+        load_or_name_path(load_particles_csv, path)
+
+    @given(st.sampled_from(["P2", "P5", "P6", "p2"]),
+           st.lists(st.sampled_from(["2", "1", "0", "-3", "w", "255", "65536", "1e3", "#c\n"]),
+                    min_size=0, max_size=4),
+           st.binary(max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_any_pgm_loads_or_names_file(self, tmp_path_factory, magic, header, payload):
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        path.write_bytes(" ".join([magic] + header).encode() + b"\n" + payload)
+        load_or_name_path(load_pgm, path)
+
+    @given(st.lists(st.sampled_from(["0", "1", "255", "x", "-1", "1.5", "nan", "inf", "256"]),
+                    min_size=4, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_p2_samples_load_or_name_file(self, tmp_path_factory, samples):
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        path.write_text("P2\n2 2\n255\n" + " ".join(samples) + "\n")
+        img = load_or_name_path(load_pgm, path)
+        valid = all(s in ("0", "1", "255", "1.5") for s in samples)
+        assert (img is not None) == valid
