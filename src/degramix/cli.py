@@ -279,8 +279,7 @@ def _cmd_fit(args) -> int:
     out = _out_dir(args)
     _write_json(out / "fit_report.json", _fit_report(fit))
     if args.dump_design:
-        from .design import build_design_matrices
-        dm = build_design_matrices(ds, config, scores=fit.scores)
+        dm = fit.design
         np.savetxt(out / "design_omega.csv", dm.omega, delimiter=",",
                    header=",".join(dm.layout.names()), comments="")
         rows = np.column_stack([np.repeat(np.array(dm.unit_ids, dtype=object), dm.counts), dm.lam])

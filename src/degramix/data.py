@@ -243,48 +243,76 @@ def center_baseline(ds: DegradationDataset) -> DegradationDataset:
 # ---------------------------------------------------------------------------
 
 def _read_rows(path) -> list:
+    """Every CSV row as a list of fields; undecodable text raises ValueError
+    naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: unreadable CSV ({exc})") from None
+
+
+def _malformed(path, index, row, header) -> ValueError:
+    """The error for the ``index``-th row, which has the wrong field count or
+    a non-numeric field; it names the row's line, found by reading again
+    because a quoted field may span lines."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
+        reader = csv.reader(fh)
+        for _ in range(index + 1):
+            next(reader)
+    where = f"{path}: line {reader.line_num}"
+    if len(row) != len(header):
+        return ValueError(f"{where}: expected {len(header)} fields {','.join(header)}, "
+                          f"got {len(row)}")
+    return ValueError(f"{where}: non-numeric field in {','.join(row)!r}")
 
 
 def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDataset:
     """Load and cross-validate the three dataset CSVs.
 
     Units are returned sorted by unit id and observations sorted by time.
-    Raises ValueError on mismatched unit ids, ragged grids or duplicate
-    (unit, time) rows.
+    Raises ValueError on malformed rows (naming the file and line),
+    mismatched unit ids, ragged grids or duplicate (unit, time) rows.
     """
+    header = ["unit_id", "time", "y"]
     resp_rows = _read_rows(responses_file)
-    if not resp_rows or [c.strip() for c in resp_rows[0]] != ["unit_id", "time", "y"]:
+    if not resp_rows or [c.strip() for c in resp_rows[0]] != header:
         raise ValueError(f"{responses_file}: expected header unit_id,time,y")
     responses: dict = {}
-    for row in resp_rows[1:]:
-        if not row:
-            continue
-        uid, t, y = row[0], float(row[1]), float(row[2])
-        responses.setdefault(uid, []).append((t, y))
+    for index, row in enumerate(resp_rows[1:], 1):
+        if row:
+            try:
+                uid, t, y = row
+                responses.setdefault(uid, []).append((float(t), float(y)))
+            except ValueError:
+                raise _malformed(responses_file, index, row, header) from None
 
     scal_rows = _read_rows(scalars_file)
-    if not scal_rows or scal_rows[0][0].strip() != "unit_id":
+    header = scal_rows[0] if scal_rows else []
+    if not header or header[0].strip() != "unit_id":
         raise ValueError(f"{scalars_file}: expected header unit_id,x1,...")
-    n_scalars = len(scal_rows[0]) - 1
     scalars: dict = {}
-    for row in scal_rows[1:]:
-        if not row:
-            continue
-        if len(row) != n_scalars + 1:
-            raise ValueError(f"{scalars_file}: ragged scalar row for unit {row[0]}")
-        scalars[row[0]] = np.array([float(v) for v in row[1:]])
+    for index, row in enumerate(scal_rows[1:], 1):
+        if row:
+            if len(row) != len(header):
+                raise _malformed(scalars_file, index, row, header)
+            try:
+                scalars[row[0]] = np.array([float(v) for v in row[1:]])
+            except ValueError:
+                raise _malformed(scalars_file, index, row, header) from None
 
+    header = ["unit_id", "s", "r", "z"]
     curv_rows = _read_rows(curves_file)
-    if not curv_rows or [c.strip() for c in curv_rows[0]] != ["unit_id", "s", "r", "z"]:
+    if not curv_rows or [c.strip() for c in curv_rows[0]] != header:
         raise ValueError(f"{curves_file}: expected header unit_id,s,r,z")
     curve_points: dict = {}
-    for row in curv_rows[1:]:
-        if not row:
-            continue
-        uid, s, r, z = row[0], int(row[1]), float(row[2]), float(row[3])
-        curve_points.setdefault(uid, {}).setdefault(s, []).append((r, z))
+    for index, row in enumerate(curv_rows[1:], 1):
+        if row:
+            try:
+                uid, s, r, z = row
+                curve_points.setdefault(uid, {}).setdefault(int(s), []).append((float(r), float(z)))
+            except ValueError:
+                raise _malformed(curves_file, index, row, header) from None
 
     unit_ids = sorted(responses, key=_unit_sort_key)
     if not unit_ids:

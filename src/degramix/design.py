@@ -1,19 +1,23 @@
-"""Stacked regression designs and per-unit latent Gram blocks for the
-coefficient-level model.
+"""The covariate map of the coefficient-level model, and the stacked
+regression designs and per-unit latent Gram blocks built from it.
 
-The observed design of unit i is the column block (latent | scalar |
-functional | interaction); blocks for switched-off model components are
-omitted entirely so the coefficient count is unambiguous.
+Each unit's per-level coefficient is population + scalar + functional-marginal
++ interaction (+ latent).  ``ZetaLayout.features`` maps the covariates to one
+feature block per term, ``[1] | x | r c | x (x) r c``; the observed design
+multiplies each block by the time basis, and prediction and effect splits
+multiply it by the block's coefficients.  Blocks for switched-off model
+components are omitted entirely so the coefficient count is unambiguous.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
 
-from .data import BasisFamily, DegradationDataset, ModelConfig, UnitRecord, basis_columns
+from .data import DegradationDataset, ModelConfig, basis_columns
 from .fpca import ScoreSet
 
 
@@ -56,16 +60,13 @@ class ZetaLayout:
     def size(self) -> int:
         return sum(self._widths)
 
-    @property
+    @cached_property
     def offsets(self) -> dict:
-        w = self._widths
-        starts = np.concatenate([[0], np.cumsum(w)])
-        return {
-            "nu": (int(starts[0]), int(starts[1])),
-            "beta": (int(starts[1]), int(starts[2])),
-            "b": (int(starts[2]), int(starts[3])),
-            "b_int": (int(starts[3]), int(starts[4])),
-        }
+        out, start = {}, 0
+        for name, width in zip(("nu", "beta", "b", "b_int"), self._widths):
+            out[name] = (start, start + width)
+            start += width
+        return out
 
     def split(self, zeta: np.ndarray) -> dict:
         """View zeta as named coefficient arrays; absent blocks come back zero."""
@@ -87,6 +88,42 @@ class ZetaLayout:
         if self.include_interaction:
             out["b_int"] = zeta[off["b_int"][0]:off["b_int"][1]].reshape(nl, p, s, k)
         return out
+
+    def features(self, scalars: np.ndarray, scores: np.ndarray | None, r_support: float) -> dict:
+        """The covariate map: per unit, the features of every active segment,
+        ``[1] | x | r c | x (x) r c``, as (N, width / n_levels) arrays keyed
+        and ordered like ``offsets``.
+
+        ``scalars`` is (N, P); ``scores`` is the (N, S, K) score array the
+        functional segments need.
+        """
+        x = np.asarray(scalars, dtype=float)
+        n = x.shape[0]
+        if self.include_scalar and x.shape != (n, self.n_scalars):
+            raise ValueError(f"scalars shape {x.shape} does not match layout (P={self.n_scalars})")
+        out = {"nu": np.ones((n, 1))}
+        if self.include_scalar:
+            out["beta"] = x
+        if self.include_functional:
+            scores = np.asarray(scores, dtype=float)
+            if scores.shape != (n, self.n_functional, self.n_components):
+                raise ValueError(
+                    f"scores shape {scores.shape} does not match layout "
+                    f"(N={n}, S={self.n_functional}, K={self.n_components})"
+                )
+            out["b"] = r_support * scores.reshape(n, -1)
+        if self.include_interaction:
+            out["b_int"] = (x[:, :, None] * out["b"][:, None, :]).reshape(n, -1)
+        return out
+
+    def components(self, zeta: np.ndarray, features: dict) -> dict:
+        """Each segment's (N, n_levels) contribution to the per-level
+        coefficients: ``F_j @ zeta_j.reshape(L, w_j).T``."""
+        off = self.offsets
+        return {
+            name: f @ zeta[off[name][0]:off[name][1]].reshape(self.n_levels, -1).T
+            for name, f in features.items()
+        }
 
     def names(self) -> list:
         out = [f"nu_l{l}" for l in self.levels]
@@ -117,44 +154,6 @@ def layout_for(config: ModelConfig, n_scalars: int, n_functional: int, n_compone
     )
 
 
-def build_latent_design(unit: UnitRecord, basis: BasisFamily, levels) -> np.ndarray:
-    """Latent design: element (u, v) = phi_v(t_iu) over the active levels."""
-    return basis_columns(basis, unit.times, levels)
-
-
-def build_observed_design(
-    unit: UnitRecord,
-    basis: BasisFamily,
-    scores_row: np.ndarray | None,
-    r_support: float,
-    layout: ZetaLayout,
-) -> np.ndarray:
-    """Observed design (latent | scalar | functional | interaction) blocks."""
-    phi = basis_columns(basis, unit.times, layout.levels)
-    blocks = [phi]
-    x = unit.scalars
-    if layout.include_functional:
-        if scores_row is None:
-            raise ValueError(f"unit {unit.unit_id}: scores required for a functional design")
-        scores_row = np.asarray(scores_row, dtype=float)
-        if scores_row.shape != (layout.n_functional, layout.n_components):
-            raise ValueError(
-                f"unit {unit.unit_id}: scores shape {scores_row.shape} does not match "
-                f"layout (S={layout.n_functional}, K={layout.n_components})"
-            )
-        rc = r_support * scores_row.ravel()
-    if layout.include_scalar:
-        blocks += [phi[:, [li]] * x[None, :] for li in range(layout.n_levels)]
-    if layout.include_functional:
-        blocks += [phi[:, [li]] * rc[None, :] for li in range(layout.n_levels)]
-    if layout.include_interaction:
-        xrc = (x[:, None] * rc[None, :]).ravel()
-        blocks += [phi[:, [li]] * xrc[None, :] for li in range(layout.n_levels)]
-    omega = np.hstack(blocks)
-    assert omega.shape == (unit.n_obs, layout.size)
-    return omega
-
-
 @dataclass(frozen=True)
 class DesignMatrices:
     """Stacked designs for one dataset under one layout.
@@ -180,26 +179,16 @@ class DesignMatrices:
     def n_obs(self) -> int:
         return self.y.size
 
+    def latent_mean(self, mu: np.ndarray) -> np.ndarray:
+        """Lambda_i mu_i on every row; zero when ``mu`` (N, d) has no columns."""
+        if mu.shape[1] == 0:
+            return np.zeros(self.n_obs)
+        return np.sum(self.lam * np.repeat(mu, self.counts, axis=0), axis=1)
+
 
 def unit_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum row-indexed values within each unit: (n_obs, ...) -> (N, ...)."""
     return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
-
-
-def stack_population(layout: ZetaLayout, unit_ids, omegas, lambdas, ys) -> DesignMatrices:
-    """Row-stack per-unit designs and responses; form each Lambda_i^T Lambda_i once."""
-    widths = {o.shape[1] for o in omegas}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent observed-design column counts: {sorted(widths)}")
-    counts = np.array([o.shape[0] for o in omegas])
-    if np.any(counts < 1):
-        raise ValueError("every unit needs at least one observation")
-    lam = np.vstack(lambdas)
-    return DesignMatrices(
-        layout=layout, unit_ids=tuple(unit_ids), omega=np.vstack(omegas), lam=lam,
-        y=np.concatenate(ys).astype(float, copy=False), counts=counts,
-        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
-    )
 
 
 def _check_full_rank(omega: np.ndarray, layout: ZetaLayout) -> None:
@@ -221,11 +210,13 @@ def build_design_matrices(
     scores: np.ndarray | None = None,
     r_support: float | None = None,
 ) -> DesignMatrices:
-    """Build every unit's observed and latent design and stack them.
+    """Stack every unit's observed and latent design.
 
-    ``scores`` is the (N, S, K) score array; required when the functional
-    component is active.  Raises on a rank-deficient stacked design unless
-    the config enables the ridge jitter fallback.
+    Lambda is the time basis phi at each observation; each observed block is
+    phi times the block's covariate features (``ZetaLayout.features``) of the
+    row's unit.  ``scores`` is the (N, S, K) score array; required when the
+    functional component is active.  Raises on a rank-deficient stacked
+    design unless the config enables the ridge jitter fallback.
     """
     if config.include_functional:
         if scores is None:
@@ -242,18 +233,19 @@ def build_design_matrices(
         r_support = ds.r_support
 
     layout = layout_for(config, ds.n_scalars, ds.n_functional, n_components)
-    omegas = [
-        build_observed_design(unit, config.basis, scores[i] if config.include_functional else None,
-                              r_support, layout)
-        for i, unit in enumerate(ds.units)
-    ]
-    dm = stack_population(
-        layout,
-        [u.unit_id for u in ds.units],
-        omegas,
-        [build_latent_design(u, config.basis, layout.levels) for u in ds.units],
-        [u.responses for u in ds.units],
-    )
+    counts = np.array([u.n_obs for u in ds.units])
+    rows = np.repeat(np.arange(ds.n_units), counts)
+    lam = basis_columns(config.basis, np.concatenate([u.times for u in ds.units]), layout.levels)
+    features = layout.features(np.array([u.scalars for u in ds.units]), scores, r_support)
+    omega = np.empty((rows.size, layout.size))
+    offsets = layout.offsets
+    for name, f in features.items():
+        start, stop = offsets[name]
+        omega[:, start:stop] = (lam[:, :, None] * f[rows][:, None, :]).reshape(rows.size, -1)
     if not config.ridge_jitter:
-        _check_full_rank(dm.omega, layout)
-    return dm
+        _check_full_rank(omega, layout)
+    return DesignMatrices(
+        layout=layout, unit_ids=tuple(u.unit_id for u in ds.units), omega=omega, lam=lam,
+        y=np.concatenate([u.responses for u in ds.units]), counts=counts,
+        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
+    )

@@ -79,16 +79,17 @@ class FitResult:
     scores: np.ndarray | None
     fpca_models: tuple | None
     elapsed_seconds: float = 0.0
+    design: DesignMatrices | None = None  # what the fit ran on; None when read back from a report
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {uid: i for i, uid in enumerate(self.unit_ids)})
 
     @property
     def loglik(self) -> float:
         return float(self.loglik_trace[-1])
 
     def unit_index(self, unit_id: str) -> int | None:
-        try:
-            return self.unit_ids.index(unit_id)
-        except ValueError:
-            return None
+        return self._index.get(unit_id)
 
 
 def _floored_sigma_gamma_inv(sigma_gamma: np.ndarray) -> np.ndarray:
@@ -136,8 +137,7 @@ def e_step(params: Parameters, dm: DesignMatrices) -> LatentPosterior:
 
 def update_zeta(posterior: LatentPosterior, dm: DesignMatrices, ridge: bool = False) -> np.ndarray:
     """Coefficient update: least squares on the latent-adjusted response."""
-    latent_mean = np.sum(dm.lam * np.repeat(posterior.mu, dm.counts, axis=0), axis=1)
-    return _solve_zeta(dm, dm.y - latent_mean, ridge)
+    return _solve_zeta(dm, dm.y - dm.latent_mean(posterior.mu), ridge)
 
 
 def update_sigma_gamma(posterior: LatentPosterior, constrain_diagonal: bool = False) -> np.ndarray:
@@ -238,7 +238,7 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
 
     dm = build_design_matrices(ds, config, scores=scores)
     common = dict(config=config, layout=dm.layout, unit_ids=dm.unit_ids,
-                  r_support=ds.r_support, scores=scores, fpca_models=fpca_models)
+                  r_support=ds.r_support, scores=scores, fpca_models=fpca_models, design=dm)
 
     if not config.include_latent:
         ols = init_params(dm, config)

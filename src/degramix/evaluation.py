@@ -66,31 +66,41 @@ def table1_variants(k: int | None = None, fve_threshold: float = 0.95) -> dict:
     }
 
 
-def unit_scores(fit: FitResult, unit: UnitRecord) -> np.ndarray | None:
-    """Scores of one unit under the fit's basis: stored if trained, else projected."""
+def _unit_indices(fit: FitResult, units) -> np.ndarray:
+    """Each unit's row in the fit's per-unit arrays, -1 for units it did not see."""
+    found = (fit.unit_index(u.unit_id) for u in units)
+    return np.array([-1 if i is None else i for i in found], dtype=int)
+
+
+def _unit_scores(fit: FitResult, units) -> np.ndarray | None:
+    """(N, S, K) scores under the fit's basis: stored for trained units,
+    projected on the fit's FPCA basis for the others."""
     if not fit.config.include_functional:
         return None
-    idx = fit.unit_index(unit.unit_id)
-    if idx is not None and fit.scores is not None:
-        return fit.scores[idx]
-    if fit.fpca_models is None:
-        raise ValueError(f"missing scores for unit {unit.unit_id}: fit carries no FPCA basis")
-    return np.vstack([
-        project_scores(m, unit.curves[s])[0] for s, m in enumerate(fit.fpca_models)
-    ])
+    idx = _unit_indices(fit, units)
+    known = idx >= 0
+    out = np.empty((len(units), fit.layout.n_functional, fit.layout.n_components))
+    out[known] = fit.scores[idx[known]]
+    if not known.all():
+        new = [u for u, k in zip(units, known) if not k]
+        if fit.fpca_models is None:
+            raise ValueError(f"missing scores for unit {new[0].unit_id}: fit carries no FPCA basis")
+        out[~known] = np.stack([project_scores(m, np.vstack([u.curves[s] for u in new]))
+                                for s, m in enumerate(fit.fpca_models)], axis=1)
+    return out
+
+
+def _coefficient_terms(fit: FitResult, units) -> dict:
+    """Each term's (N, L) contribution to the units' fitted coefficients,
+    keyed by layout segment, from the layout's covariate map."""
+    features = fit.layout.features(np.array([u.scalars for u in units]),
+                                   _unit_scores(fit, units), fit.r_support)
+    return fit.layout.components(fit.params.zeta, features)
 
 
 def coefficient_levels(fit: FitResult, unit: UnitRecord, use_latent: bool = True) -> np.ndarray:
     """Fitted per-level coefficients eta_hat for one unit."""
-    layout = fit.layout
-    parts = layout.split(fit.params.zeta)
-    c = unit_scores(fit, unit)
-    x = unit.scalars
-    eta = parts["nu"].copy()
-    eta += parts["beta"] @ x
-    if c is not None:
-        eta += fit.r_support * np.einsum("lsk,sk->l", parts["b"], c)
-        eta += fit.r_support * np.einsum("lpsk,p,sk->l", parts["b_int"], x, c)
+    eta = sum(_coefficient_terms(fit, (unit,)).values())[0]
     if use_latent and fit.params.latent_dim:
         idx = fit.unit_index(unit.unit_id)
         if idx is None:
@@ -198,12 +208,9 @@ def fit_and_score(ds: DegradationDataset, config: ModelConfig, split_fraction: f
     """Split, fit on train, and score one config; returns (Metrics, FitResult)."""
     train, test = temporal_split(ds, split_fraction)
     fit = fit_em(train, config, max_iter=max_iter, tol=tol)
-
-    y_train, yhat_train = [], []
-    for u in train.units:
-        y_train.append(u.responses)
-        yhat_train.append(predict_unit(fit, u, use_latent=True))
-    r2, mse_train = residual_metrics(np.concatenate(y_train), np.concatenate(yhat_train))
+    dm = fit.design
+    r2, mse_train = residual_metrics(
+        dm.y, dm.omega @ fit.params.zeta + dm.latent_mean(fit.posterior.mu))
 
     mse_test = np.nan
     if test is not None:
@@ -271,28 +278,16 @@ def effect_decomposition(fit: FitResult, ds: DegradationDataset) -> list:
     """Per unit and level: population, scalar, functional-marginal,
     interaction and latent contributions to the fitted coefficient."""
     layout = fit.layout
-    parts = layout.split(fit.params.zeta)
-    rows = []
-    for u in ds.units:
-        idx = fit.unit_index(u.unit_id)
-        c = unit_scores(fit, u)
-        x = u.scalars
-        for li, level in enumerate(layout.levels):
-            marginal = 0.0
-            interaction = 0.0
-            if c is not None:
-                marginal = fit.r_support * float(np.sum(parts["b"][li] * c))
-                interaction = fit.r_support * float(
-                    np.sum(x[:, None, None] * parts["b_int"][li] * c[None])
-                )
-            latent = float(fit.posterior.mu[idx][li]) if (fit.params.latent_dim and idx is not None) else 0.0
-            rows.append(EffectRow(
-                unit_id=u.unit_id,
-                level=level,
-                population=float(parts["nu"][li]),
-                scalar_effect=float(parts["beta"][li] @ x),
-                marginal_effect=marginal,
-                interaction_effect=interaction,
-                latent_effect=latent,
-            ))
-    return rows
+    terms = _coefficient_terms(fit, ds.units)
+    zero = np.zeros((ds.n_units, layout.n_levels))
+    latent = zero.copy()
+    if fit.params.latent_dim:
+        idx = _unit_indices(fit, ds.units)
+        latent[idx >= 0] = fit.posterior.mu[idx[idx >= 0]]
+    columns = [terms["nu"], terms.get("beta", zero), terms.get("b", zero),
+               terms.get("b_int", zero), latent]
+    return [
+        EffectRow(u.unit_id, level, *(float(c[i, li]) for c in columns))
+        for i, u in enumerate(ds.units)
+        for li, level in enumerate(layout.levels)
+    ]

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from degramix.data import basis_columns
+from degramix.design import DesignMatrices, unit_sums
 from degramix.estimator import NumericalError
 
 
@@ -121,6 +123,39 @@ def gaussian_conditioning(lam, sigma_gamma, sigma_eps2, resid):
     mu = cross @ solve @ resid
     v = sigma_gamma - cross @ solve @ cross.T
     return mu, (v + v.T) / 2.0
+
+
+def build_observed_design(unit, basis, scores_row, r_support, layout):
+    """One unit's observed design (latent | scalar | functional | interaction),
+    assembled column block by column block, one level at a time."""
+    phi = basis_columns(basis, unit.times, layout.levels)
+    blocks = [phi]
+    x = unit.scalars
+    if layout.include_functional:
+        scores_row = np.asarray(scores_row, dtype=float)
+        assert scores_row.shape == (layout.n_functional, layout.n_components)
+        rc = r_support * scores_row.ravel()
+    if layout.include_scalar:
+        blocks += [phi[:, [li]] * x[None, :] for li in range(layout.n_levels)]
+    if layout.include_functional:
+        blocks += [phi[:, [li]] * rc[None, :] for li in range(layout.n_levels)]
+    if layout.include_interaction:
+        xrc = (x[:, None] * rc[None, :]).ravel()
+        blocks += [phi[:, [li]] * xrc[None, :] for li in range(layout.n_levels)]
+    omega = np.hstack(blocks)
+    assert omega.shape == (unit.n_obs, layout.size)
+    return omega
+
+
+def stack_population(layout, unit_ids, omegas, lambdas, ys) -> DesignMatrices:
+    """Hand-assembled DesignMatrices: row-stacked per-unit blocks."""
+    counts = np.array([o.shape[0] for o in omegas])
+    lam = np.vstack(lambdas)
+    return DesignMatrices(
+        layout=layout, unit_ids=tuple(unit_ids), omega=np.vstack(omegas), lam=lam,
+        y=np.concatenate(ys).astype(float, copy=False), counts=counts,
+        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
+    )
 
 
 def split_units(dm):

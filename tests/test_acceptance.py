@@ -12,7 +12,7 @@ import pytest
 
 from degramix.cli import run as cli_run
 from degramix.descriptors import MicrostructureImage, ParticleSet, compute_rdf, compute_tpc
-from degramix.design import ZetaLayout, build_design_matrices, stack_population
+from degramix.design import ZetaLayout, build_design_matrices
 from degramix.estimator import (
     Parameters,
     e_step,
@@ -25,12 +25,14 @@ from degramix.evaluation import coefficient_levels, compare_models, effect_decom
 from degramix.fpca import fit_fpca, project_scores, reconstruct, select_k_by_fve, with_k
 from degramix.simulate import default_spec, generate_dataset
 from _oracles import (
+    build_observed_design,
     central_difference,
     gaussian_conditioning,
     golden_section_max,
     noise_variance_q_profile,
     q_value,
     split_units,
+    stack_population,
     tpc_pair_enumeration,
 )
 
@@ -284,13 +286,13 @@ def test_criterion_8_effect_decomposition_identity():
             eta_rows.setdefault(row.unit_id, []).append(
                 row.population + row.scalar_effect + row.marginal_effect
                 + row.interaction_effect + row.latent_effect)
-        dm = build_design_matrices(ds, spec.config, scores=fit.scores)
-        omegas, lambdas, _ = split_units(dm)
         for i, u in enumerate(ds.units):
             eta = np.array(eta_rows[u.unit_id])
-            # independent route: the stacked design applied to the estimates
-            direct = omegas[i] @ fit.params.zeta + lambdas[i] @ fit.posterior.mu[i]
+            # independent route: the per-unit column-block design applied to the estimates
+            omega = build_observed_design(u, spec.config.basis, fit.scores[i], ds.r_support,
+                                          fit.layout)
             phi = u.times[:, None] ** np.array(fit.layout.levels, float)[None, :]
+            direct = omega @ fit.params.zeta + phi @ fit.posterior.mu[i]
             worst = max(worst, float(np.max(np.abs(phi @ eta - direct))))
             worst = max(worst, float(np.max(np.abs(
                 eta - coefficient_levels(fit, u, use_latent=True)))))

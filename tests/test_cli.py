@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from degramix import estimator
+from degramix import design, estimator
 from degramix.cli import run
 
 
@@ -48,6 +48,13 @@ class TestUsageAndErrors:
                     "--out", str(tmp_path / "fit")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_short_response_row_exits_one(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        with open(data / "responses.csv", "a") as fh:
+            fh.write("u1,2.0\n")
+        assert run(["fit", "--data", str(data), "--out", str(tmp_path / "fit")]) == 1
+        assert f"{data / 'responses.csv'}: line 122:" in capsys.readouterr().err
+
 
 class TestSimulateFitPipeline:
     def test_end_to_end_fit_report(self, tmp_path):
@@ -91,6 +98,22 @@ class TestSimulateFitPipeline:
         assert [r[0] for r in rows] == response_ids
         omega_first = [ln.split(",")[0] for ln in omega_lines[1:]]
         assert [float(r[1]) for r in rows] == [float(v) for v in omega_first]
+
+    def test_dump_design_builds_design_once(self, tmp_path, monkeypatch):
+        data = simulate_into(tmp_path, seed=5)
+        calls = []
+        build = design.build_design_matrices
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        # every binding a caller could reach, so a second build by any route counts
+        monkeypatch.setattr(design, "build_design_matrices", counted)
+        monkeypatch.setattr(estimator, "build_design_matrices", counted)
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--dump-design", "--out", str(tmp_path / "fit")]) == 0
+        assert len(calls) == 1
 
     def test_evaluate_writes_metrics_and_effects(self, tmp_path):
         data = simulate_into(tmp_path, seed=6, n_units=14)

@@ -99,6 +99,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="unit u8: non-finite functional"):
             make_unit("u8", curves=curves)
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="unit u9: needs at least one measurement"):
+            make_unit("u9", times=(), responses=())
+
     def test_ragged_grid_rejected(self):
         u1 = make_unit("u1", grid_size=5)
         u2 = make_unit("u2", grid_size=6)
@@ -210,3 +214,78 @@ class TestMismatchedFiles:
             fh.write("ghost,1.0,2.0\n")
         with pytest.raises(ValueError, match="mismatched unit ids"):
             load_dataset(*paths)
+
+
+def saved_paths(directory):
+    paths = tuple(directory / n for n in ("responses.csv", "scalars.csv", "curves.csv"))
+    save_dataset(make_dataset(), *paths)
+    return paths
+
+
+def replace_line(path, index, text, insert=False):
+    lines = path.read_text().splitlines()
+    lines[index:index if insert else index + 1] = [text]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# fields that neither float() nor int() accepts
+BAD_NUMBERS = ["abc", "", " ", "1..2", "0x1", "--1", "1e", "x1"]
+
+
+class TestMalformedRowsNameFileAndLine:
+    @pytest.mark.parametrize("which,row", [
+        (0, "u1,2.0"),
+        (0, "u1,abc,1.0"),
+        (0, "u1,1.0,2.0,3.0"),
+        (1, "u1,1.0"),
+        (1, "u1,1.0,x"),
+        (2, "u1,1"),
+        (2, "u1,1.5,0.0,1.0"),
+        (2, "u1,1,0.0,abc"),
+    ])
+    def test_reproductions(self, tmp_path, which, row):
+        paths = saved_paths(tmp_path)
+        replace_line(paths[which], 2, "", insert=True)  # a blank line still counts
+        replace_line(paths[which], 3, row, insert=True)
+        with pytest.raises(ValueError) as err:
+            load_dataset(*paths)
+        assert f"{paths[which]}: line 4:" in str(err.value)
+
+    @given(st.integers(0, 2), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_corrupt_row_property(self, tmp_path_factory, which, data):
+        paths = saved_paths(tmp_path_factory.mktemp("csv"))
+        lines = paths[which].read_text().splitlines()
+        index = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[index].split(",")
+        how = data.draw(st.sampled_from(["drop", "extra", "token"]))
+        if how == "drop":
+            fields = fields[:data.draw(st.integers(1, len(fields) - 1))]
+        elif how == "extra":
+            fields.append(data.draw(st.sampled_from(["1", "", "x"])))
+        else:
+            fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(
+                st.sampled_from(BAD_NUMBERS))
+        replace_line(paths[which], index, ",".join(fields))
+        with pytest.raises(ValueError) as err:
+            load_dataset(*paths)
+        assert f"{paths[which]}: line {index + 1}:" in str(err.value)
+
+    @given(st.integers(0, 2), st.data(),
+           st.text(alphabet='u0123456789.,-eax "\n', max_size=16))
+    @settings(max_examples=120, deadline=None)
+    def test_any_row_loads_or_raises_value_error(self, tmp_path_factory, which, data, text):
+        paths = saved_paths(tmp_path_factory.mktemp("csv"))
+        n_lines = len(paths[which].read_text().splitlines())
+        replace_line(paths[which], data.draw(st.integers(1, n_lines - 1)), text)
+        try:
+            load_dataset(*paths)
+        except ValueError:
+            pass
+
+    def test_undecodable_bytes_name_file(self, tmp_path):
+        paths = saved_paths(tmp_path)
+        paths[1].write_bytes(paths[1].read_bytes() + b"u9,\xff\xfe\n")
+        with pytest.raises(ValueError, match="unreadable CSV") as err:
+            load_dataset(*paths)
+        assert str(paths[1]) in str(err.value)

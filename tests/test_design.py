@@ -1,17 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degramix.data import BasisFamily, DegradationDataset, ModelConfig, UnitRecord
-from degramix.design import (
-    ZetaLayout,
-    build_design_matrices,
-    build_latent_design,
-    build_observed_design,
-    layout_for,
-    stack_population,
-)
+from degramix.data import BasisFamily, DegradationDataset, ModelConfig, UnitRecord, basis_columns
+from degramix.design import build_design_matrices, layout_for
+from degramix.evaluation import table1_variants
+from degramix.simulate import default_spec, generate_dataset
+from _oracles import build_observed_design, stack_population
 
 
 def unit_with(times, scalars, uid="u1", grid_size=4):
@@ -31,48 +29,57 @@ def random_dataset(rng, n=14, m=5, p=2, s=1, grid_size=6):
     return DegradationDataset(tuple(units), np.linspace(0.0, 2.0, grid_size))
 
 
+def one_unit_design(unit, cfg, scores=None, r_support=10.0):
+    """The design of a one-unit dataset; a single unit's design is rank
+    deficient whenever it has more columns than rows, so skip the rank check."""
+    ds = DegradationDataset((unit,), np.arange(4.0))
+    return build_design_matrices(ds, replace(cfg, ridge_jitter=True),
+                                 scores=None if scores is None else np.asarray(scores)[None],
+                                 r_support=r_support)
+
+
+LATENT_ONLY = dict(include_scalar=False, include_functional=False, include_interaction=False)
+
+
 class TestLatentDesign:
     def test_order_one(self):
-        lam = build_latent_design(unit_with([1.0, 2.0], [0.0]), BasisFamily("polynomial", 1), (0, 1))
-        assert np.array_equal(lam, [[1.0, 1.0], [1.0, 2.0]])
+        cfg = ModelConfig(center_baseline=False, **LATENT_ONLY)
+        dm = one_unit_design(unit_with([1.0, 2.0], [0.0]), cfg)
+        assert np.array_equal(dm.lam, [[1.0, 1.0], [1.0, 2.0]])
 
     def test_order_two_at_zero(self):
-        lam = build_latent_design(unit_with([0.0], [0.0]), BasisFamily("polynomial", 2), (0, 1, 2))
-        assert np.array_equal(lam, [[1.0, 0.0, 0.0]])
+        cfg = ModelConfig(basis=BasisFamily("polynomial", 2), center_baseline=False, **LATENT_ONLY)
+        dm = one_unit_design(unit_with([0.0], [0.0]), cfg)
+        assert np.array_equal(dm.lam, [[1.0, 0.0, 0.0]])
 
     def test_centered_drops_constant_column(self):
-        lam = build_latent_design(unit_with([1.0, 2.0], [0.0]), BasisFamily("polynomial", 1), (1,))
-        assert np.array_equal(lam, [[1.0], [2.0]])
+        dm = one_unit_design(unit_with([1.0, 2.0], [0.0]), ModelConfig(**LATENT_ONLY))
+        assert np.array_equal(dm.lam, [[1.0], [2.0]])
 
 
 class TestObservedDesign:
     def test_symbolic_example(self):
         # L=1 (levels 0,1), P=1, S=1, K=1, x=2, c=0.5, R=10
-        layout = layout_for(ModelConfig(center_baseline=False), 1, 1, 1)
-        unit = unit_with([1.0, 2.0], [2.0])
-        omega = build_observed_design(unit, BasisFamily("polynomial", 1),
-                                      np.array([[0.5]]), 10.0, layout)
-        assert layout.size == 8
-        assert np.array_equal(omega, [
+        dm = one_unit_design(unit_with([1.0, 2.0], [2.0]), ModelConfig(center_baseline=False),
+                             np.array([[0.5]]), 10.0)
+        assert dm.layout.size == 8
+        assert np.array_equal(dm.omega, [
             [1.0, 1.0, 2.0, 2.0, 5.0, 5.0, 10.0, 10.0],
             [1.0, 2.0, 2.0, 4.0, 5.0, 10.0, 10.0, 20.0],
         ])
 
     def test_interaction_off_shrinks_layout(self):
         cfg = ModelConfig(include_interaction=False, center_baseline=False)
-        layout = layout_for(cfg, 1, 1, 1)
-        assert layout.size == 2 * (1 + 1 + 1)
-        omega = build_observed_design(unit_with([1.0, 2.0], [2.0]), cfg.basis,
-                                      np.array([[0.5]]), 10.0, layout)
-        assert omega.shape == (2, 6)
+        dm = one_unit_design(unit_with([1.0, 2.0], [2.0]), cfg, np.array([[0.5]]), 10.0)
+        assert dm.layout.size == 2 * (1 + 1 + 1)
+        assert dm.omega.shape == (2, 6)
 
     def test_zero_scalars_zero_blocks(self):
-        layout = layout_for(ModelConfig(center_baseline=False), 1, 1, 1)
-        omega = build_observed_design(unit_with([1.0, 2.0], [0.0]), BasisFamily("polynomial", 1),
-                                      np.array([[0.5]]), 10.0, layout)
-        off = layout.offsets
-        assert np.all(omega[:, off["beta"][0]:off["beta"][1]] == 0.0)
-        assert np.all(omega[:, off["b_int"][0]:off["b_int"][1]] == 0.0)
+        dm = one_unit_design(unit_with([1.0, 2.0], [0.0]), ModelConfig(center_baseline=False),
+                             np.array([[0.5]]), 10.0)
+        off = dm.layout.offsets
+        assert np.all(dm.omega[:, off["beta"][0]:off["beta"][1]] == 0.0)
+        assert np.all(dm.omega[:, off["b_int"][0]:off["b_int"][1]] == 0.0)
 
     def test_first_columns_equal_latent_design(self):
         rng = np.random.default_rng(0)
@@ -83,92 +90,114 @@ class TestObservedDesign:
         assert np.array_equal(dm.omega[:, :dm.layout.latent_dim], dm.lam)
 
     def test_score_shape_mismatch(self):
-        layout = layout_for(ModelConfig(center_baseline=False), 1, 1, 2)
+        # two covariates' scores for a dataset with one functional covariate
+        ds = random_dataset(np.random.default_rng(1), n=6)
         with pytest.raises(ValueError, match="scores shape"):
-            build_observed_design(unit_with([1.0], [1.0]), BasisFamily("polynomial", 1),
-                                  np.array([[0.5]]), 10.0, layout)
+            build_design_matrices(ds, ModelConfig(), scores=np.ones((6, 2, 1)))
 
 
-def stack(omegas, lambdas, ys):
-    d, u = lambdas[0].shape[1], omegas[0].shape[1]
-    layout = ZetaLayout(levels=tuple(range(d)), n_scalars=max(u - d, 0), n_functional=0,
-                        n_components=0, include_scalar=u > d,
-                        include_functional=False, include_interaction=False)
-    return stack_population(layout, [f"u{i}" for i in range(len(omegas))], omegas, lambdas, ys)
+def oracle_design(ds, cfg, scores):
+    """Per-unit designs from the column-block oracle, stacked."""
+    layout = layout_for(cfg, ds.n_scalars, ds.n_functional,
+                        scores.shape[2] if cfg.include_functional else 0)
+    return stack_population(
+        layout, [u.unit_id for u in ds.units],
+        [build_observed_design(u, cfg.basis, scores[i] if cfg.include_functional else None,
+                               ds.r_support, layout) for i, u in enumerate(ds.units)],
+        [basis_columns(cfg.basis, u.times, layout.levels) for u in ds.units],
+        [u.responses for u in ds.units],
+    )
 
 
-def int_blocks(rng, sizes, width):
-    # integer entries keep every sum exact, so stacked and per-unit forms compare bitwise
-    return [rng.integers(-3, 4, size=(m, width)).astype(float) for m in sizes]
+DESIGN_CASES = [(name, center, 1) for name in table1_variants() for center in (True, False)]
+DESIGN_CASES.append(("Model7", True, 2))
+
+
+class TestMatchesPerUnitOracle:
+    @pytest.mark.parametrize("name,center,order", DESIGN_CASES)
+    def test_bitwise(self, name, center, order):
+        spec = default_spec(seed=40 + order, n_units=15, n_obs=7)
+        ds, truth = generate_dataset(spec)
+        # ragged series: unit i keeps its first 3 + i % 5 observations
+        ds = DegradationDataset(tuple(
+            replace(u, times=u.times[:3 + i % 5], responses=u.responses[:3 + i % 5])
+            for i, u in enumerate(ds.units)), ds.r_grid)
+        cfg = table1_variants()[name].config
+        basis = BasisFamily("polynomial", max(order, cfg.basis.order))
+        cfg = replace(cfg, center_baseline=center, basis=basis)
+        scores = truth.scores if cfg.include_functional else None
+        dm = build_design_matrices(ds, cfg, scores=scores)
+        ref = oracle_design(ds, cfg, scores)
+        assert dm.layout == ref.layout and dm.unit_ids == ref.unit_ids
+        for field in ("omega", "lam", "y", "counts", "lam_gram"):
+            assert np.array_equal(getattr(dm, field), getattr(ref, field)), field
+
+
+def int_dataset(rng, sizes, p=2):
+    # integer times and scalars keep every product and sum exact
+    units = []
+    for i, m in enumerate(sizes):
+        times = np.sort(rng.choice(np.arange(0, 12), size=m, replace=False)).astype(float)
+        units.append(UnitRecord(f"u{i}", times, rng.integers(-5, 6, size=m),
+                                rng.integers(-3, 4, size=p), np.zeros((1, 4))))
+    return DegradationDataset(tuple(units), np.arange(4.0))
+
+
+# few units cannot span the scalar blocks, so these stacking checks skip the rank check
+SCALAR_ORDER2 = ModelConfig(basis=BasisFamily("polynomial", 2), include_functional=False,
+                            include_interaction=False, center_baseline=False,
+                            ridge_jitter=True)
 
 
 class TestStacking:
     def test_shapes(self):
-        rng = np.random.default_rng(1)
-        omegas = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
-        lambdas = [rng.normal(size=(2, 2)), rng.normal(size=(3, 2))]
-        ys = [rng.normal(size=2), rng.normal(size=3)]
-        dm = stack(omegas, lambdas, ys)
-        assert dm.omega.shape == (5, 4)
-        assert dm.lam.shape == (5, 2)
-        assert dm.y.shape == (5,)
-        assert np.array_equal(dm.counts, [2, 3])
-        assert dm.lam_gram.shape == (2, 2, 2)
+        ds = int_dataset(np.random.default_rng(1), (3, 4))
+        dm = build_design_matrices(ds, SCALAR_ORDER2)
+        assert dm.omega.shape == (7, 9)
+        assert dm.lam.shape == (7, 3)
+        assert dm.y.shape == (7,)
+        assert np.array_equal(dm.counts, [3, 4])
+        assert dm.lam_gram.shape == (2, 3, 3)
 
     def test_lam_gram_is_per_unit_gram(self):
-        rng = np.random.default_rng(5)
-        sizes = (1, 4, 2, 3)
-        lambdas = int_blocks(rng, sizes, 3)
-        dm = stack(int_blocks(rng, sizes, 4), lambdas, [np.zeros(m) for m in sizes])
-        for i, lam in enumerate(lambdas):
+        ds = int_dataset(np.random.default_rng(5), (3, 4, 5, 3))
+        dm = build_design_matrices(ds, SCALAR_ORDER2)
+        for i, u in enumerate(ds.units):
+            lam = basis_columns(SCALAR_ORDER2.basis, u.times, (0, 1, 2))
             assert np.array_equal(dm.lam_gram[i], lam.T @ lam)
 
     def test_single_unit_identity(self):
-        rng = np.random.default_rng(2)
-        om = rng.normal(size=(3, 4))
-        la = rng.normal(size=(3, 2))
-        y = rng.normal(size=3)
-        dm = stack([om], [la], [y])
-        assert np.array_equal(dm.omega, om)
-        assert np.array_equal(dm.lam, la)
-        assert np.array_equal(dm.y, y)
-        assert np.array_equal(dm.counts, [3])
+        ds = int_dataset(np.random.default_rng(2), (5,))
+        u = ds.units[0]
+        dm = build_design_matrices(ds, SCALAR_ORDER2)
+        basis = SCALAR_ORDER2.basis
+        assert np.array_equal(dm.omega, build_observed_design(u, basis, None, 1.0, dm.layout))
+        assert np.array_equal(dm.lam, basis_columns(basis, u.times, (0, 1, 2)))
+        assert np.array_equal(dm.y, u.responses)
+        assert np.array_equal(dm.counts, [5])
 
     def test_permutation_consistency(self):
-        rng = np.random.default_rng(3)
-        omegas = [rng.normal(size=(m, 3)) for m in (2, 4, 3)]
-        lambdas = [rng.normal(size=(m, 2)) for m in (2, 4, 3)]
-        ys = [rng.normal(size=m) for m in (2, 4, 3)]
-        dm = stack(omegas, lambdas, ys)
+        ds = int_dataset(np.random.default_rng(3), (3, 5, 4))
+        dm = build_design_matrices(ds, SCALAR_ORDER2)
         perm = [2, 0, 1]
-        dm_p = stack([omegas[i] for i in perm], [lambdas[i] for i in perm],
-                     [ys[i] for i in perm])
+        dm_p = build_design_matrices(
+            DegradationDataset(tuple(ds.units[i] for i in perm), ds.r_grid), SCALAR_ORDER2)
         # permuting units permutes row blocks, counts and Gram blocks, nothing else
-        assert np.array_equal(np.vstack([omegas[i] for i in perm]), dm_p.omega)
-        assert np.array_equal(np.vstack([lambdas[i] for i in perm]), dm_p.lam)
-        assert np.array_equal(np.concatenate([ys[i] for i in perm]), dm_p.y)
+        cuts = np.cumsum(dm.counts)[:-1]
+        for field in ("omega", "lam", "y"):
+            blocks = np.split(getattr(dm, field), cuts)
+            assert np.array_equal(np.concatenate([blocks[i] for i in perm]), getattr(dm_p, field))
         assert np.array_equal(dm.counts[perm], dm_p.counts)
         assert np.array_equal(dm.lam_gram[perm], dm_p.lam_gram)
-        assert sorted(map(tuple, dm.omega)) == sorted(map(tuple, dm_p.omega))
-        assert sorted(dm.y) == sorted(dm_p.y)
-
-    def test_inconsistent_columns_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError, match="column counts"):
-            stack([rng.normal(size=(2, 3)), rng.normal(size=(2, 4))],
-                  [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
-
-    def test_empty_unit_rejected(self):
-        with pytest.raises(ValueError, match="at least one observation"):
-            stack([np.ones((2, 2)), np.ones((0, 2))], [np.ones((2, 1)), np.ones((0, 1))],
-                  [np.zeros(2), np.zeros(0)])
+        assert dm_p.unit_ids == tuple(dm.unit_ids[i] for i in perm)
 
 
 class TestCoefficientIdentity:
     @given(st.integers(0, 10 ** 6), st.booleans(), st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_omega_zeta_reproduces_direct_formula(self, seed, scalar, functional, center):
-        # Omega_i zeta must equal sum_l eta_li phi_l(t) with eta built term by term
+        # Omega_i zeta and the layout's coefficient map must both equal
+        # sum_l eta_li phi_l(t) with eta built term by term
         rng = np.random.default_rng(seed)
         interaction = scalar and functional
         cfg = ModelConfig(
@@ -180,14 +209,14 @@ class TestCoefficientIdentity:
             center_baseline=center,
         )
         p, s, k = 2, 2, 2
-        layout = layout_for(cfg, p, s, k)
         times = np.sort(rng.uniform(0.1, 2.0, size=4))
         unit = UnitRecord("u1", times, np.zeros(4), rng.normal(size=p),
-                          rng.normal(size=(s, 5)))
+                          rng.normal(size=(s, 4)))
         scores = rng.normal(size=(s, k)) if functional else None
         r_support = 7.5
+        dm = one_unit_design(unit, cfg, scores, r_support)
+        layout = dm.layout
         zeta = rng.normal(size=layout.size)
-        omega = build_observed_design(unit, cfg.basis, scores, r_support, layout)
 
         parts = layout.split(zeta)
         eta = parts["nu"].copy()
@@ -199,7 +228,11 @@ class TestCoefficientIdentity:
             eta = eta + r_support * np.einsum("lpsk,p,sk->l", parts["b_int"],
                                               unit.scalars, scores)
         phi = np.power(times[:, None], np.array(cfg.levels, dtype=float)[None, :])
-        assert np.max(np.abs(omega @ zeta - phi @ eta)) <= 1e-12
+        assert np.max(np.abs(dm.omega @ zeta - phi @ eta)) <= 1e-12
+        features = layout.features(unit.scalars[None], None if scores is None else scores[None],
+                                   r_support)
+        mapped = sum(layout.components(zeta, features).values())[0]
+        assert np.max(np.abs(mapped - eta)) <= 1e-12
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
@@ -214,9 +247,11 @@ class TestCoefficientIdentity:
         nlev = len(cfg.levels)
         expected = nlev * (1 + p + s * k + (p * s * k if cfg.include_interaction else 0))
         assert layout.size == expected
-        unit = unit_with(np.sort(rng.uniform(0, 2, size=3)), rng.normal(size=p))
-        omega = build_observed_design(unit, cfg.basis, rng.normal(size=(s, k)), 5.0, layout)
-        assert omega.shape[1] == layout.size
+        unit = UnitRecord("u1", np.sort(rng.uniform(0, 2, size=3)), np.zeros(3),
+                          rng.normal(size=p), np.zeros((s, 4)))
+        dm = one_unit_design(unit, cfg, rng.normal(size=(s, k)), 5.0)
+        assert dm.layout == layout
+        assert dm.omega.shape[1] == layout.size
         assert len(layout.names()) == layout.size
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from degramix.data import ModelConfig
-from degramix.design import ZetaLayout, build_design_matrices, stack_population
+from degramix.design import ZetaLayout, build_design_matrices
 from degramix.estimator import (
     LatentPosterior,
     Parameters,
@@ -24,6 +24,7 @@ from _oracles import (
     noise_variance_q_profile,
     q_value,
     split_units,
+    stack_population,
 )
 
 CONFIG = ModelConfig(k=2)
@@ -448,6 +449,17 @@ class TestFitEm:
         assert fit.iterations == 7
         assert fit.loglik_trace.size == 8  # initialization plus each iteration
         assert not fit.converged
+
+    def test_unit_index_and_design(self):
+        spec = default_spec(seed=26, n_units=12, n_obs=5)
+        ds, truth = generate_dataset(spec)
+        fit = fit_em(ds, spec.config, scores=truth.scores)
+        assert [fit.unit_index(u.unit_id) for u in ds.units] == list(range(ds.n_units))
+        assert fit.unit_index("stranger") is None
+        # the fit carries the design it ran on
+        dm = build_design_matrices(ds, spec.config, scores=truth.scores)
+        assert np.array_equal(fit.design.omega, dm.omega)
+        assert fit.design.unit_ids == fit.unit_ids
 
 
 class TestErrorPaths:

@@ -70,6 +70,13 @@ class TestPredictUnit:
         with pytest.raises(ValueError, match="missing scores"):
             predict_unit(fit, stranger, use_latent=False)
 
+    def test_wrong_scalar_count_rejected(self):
+        spec, ds, truth, fit = fitted_instance(seed=4, n_units=6, n_obs=5)
+        from dataclasses import replace
+        extra = replace(ds.units[0], scalars=np.append(ds.units[0].scalars, 1.0))
+        with pytest.raises(ValueError, match="scalars shape"):
+            predict_unit(fit, extra)
+
     def test_unseen_unit_projects_scores(self):
         spec = default_spec(seed=5, n_units=12, n_obs=6)
         ds, _ = generate_dataset(spec)
