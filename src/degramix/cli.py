@@ -41,7 +41,6 @@ from .evaluation import (
     kfold_cv,
     predict_unit,
     table1_variants,
-    temporal_split,
 )
 from .fpca import fit_fpca, project_scores, select_k_by_fve, with_k
 from .simulate import default_spec, generate_dataset
@@ -387,7 +386,8 @@ def _cmd_evaluate(args) -> int:
         payload["cv_seed"] = args.seed
     out = _out_dir(args)
     _write_json(out / "metrics.json", payload)
-    rows = effect_decomposition(fit, temporal_split(ds, args.split)[0])
+    # effects read only ids, scalars and curves, which the train split keeps
+    rows = effect_decomposition(fit, ds)
     with open(out / "effects.csv", "w", newline="\n", encoding="utf-8") as fh:
         fh.write("unit_id,level,marginal_effect,interaction_effect,latent_effect\n")
         for r in rows:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 import numpy as np
 
@@ -267,99 +268,150 @@ def _malformed(path, index, row, header) -> ValueError:
     return ValueError(f"{where}: non-numeric field in {','.join(row)!r}")
 
 
+def _parses(text: str, kind) -> bool:
+    """Whether np.loadtxt reads ``text`` as ``kind`` (int or float): Python's
+    number syntax less '_' separators and non-ASCII digits, ints in int64."""
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        return False
+    try:
+        value = kind(text)
+    except ValueError:
+        return False
+    return kind is float or -2 ** 63 <= value < 2 ** 63
+
+
+def _read_table(path, header=None, kinds=()) -> np.ndarray:
+    """The data rows of one dataset CSV, parsed by one np.loadtxt call.
+
+    The file's header must be ``header`` (fields compared stripped); with no
+    header given, its first field must be unit_id and every later field is a
+    float.  The result is a structured array: field ``id`` holds the unit
+    ids as str, fields ``f1``, ``f2``, ... the numbers, int64 or float64 as
+    ``kinds`` says.  A row np.loadtxt rejects is found again with the csv
+    module, and the error names the file and the line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            found = next(csv.reader(iter(fh.readline, "")), [])
+            if header is None:
+                if not found or found[0].strip() != "unit_id":
+                    raise ValueError(f"{path}: expected header unit_id,x1,...")
+                header, kinds = found, (float,) * (len(found) - 1)
+            elif [c.strip() for c in found] != header:
+                raise ValueError(f"{path}: expected header {','.join(header)}")
+            dtype = np.dtype([("id", object)] + [
+                (f"f{i}", np.int64 if kind is int else np.float64)
+                for i, kind in enumerate(kinds, 1)])
+            start = fh.tell()
+            if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+                return np.empty(0, dtype)  # header only; loadtxt would warn
+            fh.seek(start)
+            try:
+                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', encoding="utf-8", ndmin=1)
+            except ValueError as exc:
+                error = exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: unreadable CSV ({exc})") from None
+    for index, row in enumerate(_read_rows(path)[1:], 1):
+        if row and (len(row) != len(header) or not all(map(_parses, row[1:], kinds))):
+            raise _malformed(path, index, row, header)
+    raise ValueError(f"{path}: {error}")
+
+
+def _check_units(unit_ids, found, in_file: str, what: str) -> None:
+    """Every unit of the responses file appears in ``found`` and no other."""
+    missing = next((u for u in unit_ids if u not in found), None)
+    if missing is not None:
+        raise ValueError(f"missing covariates for unit {missing}{in_file}")
+    extra = sorted(found.keys() - set(unit_ids), key=_unit_sort_key)
+    if extra:
+        raise ValueError(f"mismatched unit ids across files: {extra[0]} has {what} but no responses")
+
+
+def _codes(ids: np.ndarray, code: dict) -> np.ndarray:
+    return np.fromiter(map(code.__getitem__, ids.tolist()), dtype=np.intp, count=ids.size)
+
+
 def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDataset:
     """Load and cross-validate the three dataset CSVs.
 
     Units are returned sorted by unit id and observations sorted by time.
-    Raises ValueError on malformed rows (naming the file and line),
-    mismatched unit ids, ragged grids or duplicate (unit, time) rows.
+    Raises ValueError on malformed rows (naming the file and line), a unit
+    listed twice in the scalars file, mismatched unit ids, ragged grids or
+    duplicate (unit, time) rows.
     """
-    header = ["unit_id", "time", "y"]
-    resp_rows = _read_rows(responses_file)
-    if not resp_rows or [c.strip() for c in resp_rows[0]] != header:
-        raise ValueError(f"{responses_file}: expected header unit_id,time,y")
-    responses: dict = {}
-    for index, row in enumerate(resp_rows[1:], 1):
-        if row:
-            try:
-                uid, t, y = row
-                responses.setdefault(uid, []).append((float(t), float(y)))
-            except ValueError:
-                raise _malformed(responses_file, index, row, header) from None
+    resp = _read_table(responses_file, ["unit_id", "time", "y"], (float, float))
+    scal = _read_table(scalars_file)
+    scal_row = {uid: i for i, uid in enumerate(scal["id"].tolist())}
+    if len(scal_row) < scal.size:
+        twice = Counter(scal["id"].tolist())
+        dup = min((u for u, n in twice.items() if n > 1), key=_unit_sort_key)
+        raise ValueError(f"{scalars_file}: unit {dup} is listed more than once")
+    curv = _read_table(curves_file, ["unit_id", "s", "r", "z"], (int, float, float))
 
-    scal_rows = _read_rows(scalars_file)
-    header = scal_rows[0] if scal_rows else []
-    if not header or header[0].strip() != "unit_id":
-        raise ValueError(f"{scalars_file}: expected header unit_id,x1,...")
-    scalars: dict = {}
-    for index, row in enumerate(scal_rows[1:], 1):
-        if row:
-            if len(row) != len(header):
-                raise _malformed(scalars_file, index, row, header)
-            try:
-                scalars[row[0]] = np.array([float(v) for v in row[1:]])
-            except ValueError:
-                raise _malformed(scalars_file, index, row, header) from None
-
-    header = ["unit_id", "s", "r", "z"]
-    curv_rows = _read_rows(curves_file)
-    if not curv_rows or [c.strip() for c in curv_rows[0]] != header:
-        raise ValueError(f"{curves_file}: expected header unit_id,s,r,z")
-    curve_points: dict = {}
-    for index, row in enumerate(curv_rows[1:], 1):
-        if row:
-            try:
-                uid, s, r, z = row
-                curve_points.setdefault(uid, {}).setdefault(int(s), []).append((float(r), float(z)))
-            except ValueError:
-                raise _malformed(curves_file, index, row, header) from None
-
-    unit_ids = sorted(responses, key=_unit_sort_key)
+    unit_ids = sorted(dict.fromkeys(resp["id"].tolist()), key=_unit_sort_key)
     if not unit_ids:
         raise ValueError("responses file holds no measurements")
+    n = len(unit_ids)
+    code = {uid: i for i, uid in enumerate(unit_ids)}
+    _check_units(unit_ids, scal_row, "", "covariates")
+    columns = [scal[f] for f in scal.dtype.names[1:]]
+    x = np.column_stack(columns) if columns else np.zeros((scal.size, 0))
+    x = x[[scal_row[u] for u in unit_ids]]
 
-    missing_scalars = [u for u in unit_ids if u not in scalars]
-    if missing_scalars:
-        raise ValueError(f"missing covariates for unit {missing_scalars[0]}")
-    extra = sorted(set(scalars) - set(responses), key=_unit_sort_key)
-    if extra:
-        raise ValueError(f"mismatched unit ids across files: {extra[0]} has covariates but no responses")
+    # observations sorted by (unit, t, y); a step that does not rise is a
+    # non-increasing or duplicate time
+    obs = _codes(resp["id"], code)
+    order = np.lexsort((resp["f2"], resp["f1"], obs))
+    obs, t, y = obs[order], resp["f1"][order], resp["f2"][order]
+    del resp
+    obs_start = np.concatenate(([0], np.cumsum(np.bincount(obs, minlength=n))))
+    bad_times = np.zeros(n, dtype=bool)
+    bad_times[obs[1:][(obs[1:] == obs[:-1]) & ~(np.diff(t) > 0)]] = True
 
-    # an empty curves file (header only) yields S = 0 uniformly
-    s_indices: tuple = ()
-    r_grid = np.zeros(0)
-    if curve_points:
-        missing_curves = [u for u in unit_ids if u not in curve_points]
-        if missing_curves:
-            raise ValueError(f"missing covariates for unit {missing_curves[0]} in curves file")
-        extra_c = sorted(set(curve_points) - set(responses), key=_unit_sort_key)
-        if extra_c:
-            raise ValueError(f"mismatched unit ids across files: {extra_c[0]} has curves but no responses")
-        s_indices = tuple(sorted(curve_points[unit_ids[0]]))
-        if s_indices != tuple(range(1, len(s_indices) + 1)):
-            raise ValueError(f"curves file: covariate indices must be 1..S, got {s_indices}")
-        first = sorted(curve_points[unit_ids[0]][s_indices[0]])
-        r_grid = np.array([r for r, _ in first])
+    # an empty curves file (header only) yields S = 0 uniformly; otherwise
+    # unit 0's indices fix S and its s = 1 curve fixes the grid, and every
+    # (unit, s) curve, sorted by (r, z), must hold exactly that grid
+    n_s, n_r, r_grid, z = 0, 0, np.zeros(0), np.zeros(0)
+    grid = np.zeros((n, 0), dtype=int)  # per (unit, s): 0 ok, 1 missing, 2 ragged
+    if curv.size:
+        _check_units(unit_ids, dict.fromkeys(curv["id"].tolist()), " in curves file", "curves")
+        unit, s = _codes(curv["id"], code), curv["f1"]
+        s_first = np.unique(s[unit == 0])
+        n_s = s_first.size
+        if not np.array_equal(s_first, np.arange(1, n_s + 1)):
+            raise ValueError(f"curves file: covariate indices must be 1..S, got {tuple(s_first.tolist())}")
+        keep = (s >= 1) & (s <= n_s)  # other units' indices beyond 1..S are not read
+        group = unit[keep] * n_s + (s[keep] - 1)
+        r, z = curv["f2"][keep], curv["f3"][keep]
+        del curv, unit, s, keep
+        order = np.lexsort((z, r, group))
+        group, r, z = group[order], r[order], z[order]
+        counts = np.bincount(group, minlength=n * n_s)
+        start = np.cumsum(counts) - counts
+        n_r = int(counts[0])
+        r_grid = r[:n_r]
+        pos = np.arange(group.size) - start[group]
+        off_grid = (pos >= n_r) | (r != r_grid[np.minimum(pos, n_r - 1)])
+        ragged = (counts != n_r) | (np.bincount(group[off_grid], minlength=n * n_s) > 0)
+        grid = np.where(counts == 0, 1, np.where(ragged, 2, 0)).reshape(n, n_s)
 
-    units = []
-    for uid in unit_ids:
-        pairs = sorted(responses[uid])
-        times = np.array([t for t, _ in pairs])
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError(f"non-increasing times for unit {uid}")
-        ys = np.array([y for _, y in pairs])
-        curves = np.zeros((len(s_indices), r_grid.size))
-        for si, s in enumerate(s_indices):
-            if s not in curve_points.get(uid, {}):
-                raise ValueError(f"unit {uid}: ragged functional grid (missing covariate s={s})")
-            pts = sorted(curve_points[uid][s])
-            rs = np.array([r for r, _ in pts])
-            if rs.shape != r_grid.shape or not np.array_equal(rs, r_grid):
-                raise ValueError(f"unit {uid}: ragged functional grid for covariate s={s}")
-            curves[si] = [z for _, z in pts]
-        units.append(UnitRecord(uid, times, ys, scalars[uid], curves))
-
-    return DegradationDataset(units=tuple(units), r_grid=r_grid)
+    # checked unit by unit, in order, so the first bad unit is the one named;
+    # every unit before it holds S * G curve rows, which fixes its offset in z
+    units, size = [], n_s * n_r
+    for i, (uid, bad) in enumerate(zip(unit_ids, (bad_times | grid.any(axis=1)).tolist())):
+        if bad:
+            if bad_times[i]:
+                raise ValueError(f"non-increasing times for unit {uid}")
+            si = int(np.argmax(grid[i] != 0))
+            if grid[i, si] == 1:
+                raise ValueError(f"unit {uid}: ragged functional grid (missing covariate s={si + 1})")
+            raise ValueError(f"unit {uid}: ragged functional grid for covariate s={si + 1}")
+        a, b = obs_start[i], obs_start[i + 1]
+        units.append(UnitRecord(uid, t[a:b], y[a:b], x[i], z[i * size:(i + 1) * size].reshape(n_s, n_r)))
+    return DegradationDataset(units=units, r_grid=r_grid)
 
 
 def save_dataset(ds: DegradationDataset, responses_file, scalars_file, curves_file) -> None:

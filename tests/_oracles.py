@@ -2,7 +2,8 @@
 
 Every function here recomputes a quantity by a route deliberately different
 from the library implementation: exhaustive enumeration, generic Gaussian
-conditioning, per-unit dense algebra, scalar search, or naive quadrature.
+conditioning, per-unit dense algebra, scalar search, naive quadrature, or
+row-by-row CSV parsing.
 """
 
 from __future__ import annotations
@@ -11,7 +12,14 @@ import math
 
 import numpy as np
 
-from degramix.data import basis_columns
+from degramix.data import (
+    DegradationDataset,
+    UnitRecord,
+    _malformed,
+    _read_rows,
+    _unit_sort_key,
+    basis_columns,
+)
 from degramix.design import DesignMatrices, unit_sums
 from degramix.estimator import NumericalError
 
@@ -283,3 +291,99 @@ def random_small_design(rng, n_units=4, max_obs=6, max_levels=3):
     sigma_gamma = a @ a.T + 0.3 * np.eye(d)
     sigma_eps2 = float(rng.uniform(0.2, 2.0))
     return lams, resids, sigma_gamma, sigma_eps2
+
+
+def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationDataset:
+    """Load and cross-validate the three dataset CSVs row by row, with
+    Python's csv, float() and int(): the reference for ``load_dataset``.
+
+    Units are returned sorted by unit id and observations sorted by time.
+    Raises ValueError on malformed rows (naming the file and line),
+    mismatched unit ids, ragged grids or duplicate (unit, time) rows.
+    """
+    header = ["unit_id", "time", "y"]
+    resp_rows = _read_rows(responses_file)
+    if not resp_rows or [c.strip() for c in resp_rows[0]] != header:
+        raise ValueError(f"{responses_file}: expected header unit_id,time,y")
+    responses: dict = {}
+    for index, row in enumerate(resp_rows[1:], 1):
+        if row:
+            try:
+                uid, t, y = row
+                responses.setdefault(uid, []).append((float(t), float(y)))
+            except ValueError:
+                raise _malformed(responses_file, index, row, header) from None
+
+    scal_rows = _read_rows(scalars_file)
+    header = scal_rows[0] if scal_rows else []
+    if not header or header[0].strip() != "unit_id":
+        raise ValueError(f"{scalars_file}: expected header unit_id,x1,...")
+    scalars: dict = {}
+    for index, row in enumerate(scal_rows[1:], 1):
+        if row:
+            if len(row) != len(header):
+                raise _malformed(scalars_file, index, row, header)
+            try:
+                scalars[row[0]] = np.array([float(v) for v in row[1:]])
+            except ValueError:
+                raise _malformed(scalars_file, index, row, header) from None
+
+    header = ["unit_id", "s", "r", "z"]
+    curv_rows = _read_rows(curves_file)
+    if not curv_rows or [c.strip() for c in curv_rows[0]] != header:
+        raise ValueError(f"{curves_file}: expected header unit_id,s,r,z")
+    curve_points: dict = {}
+    for index, row in enumerate(curv_rows[1:], 1):
+        if row:
+            try:
+                uid, s, r, z = row
+                curve_points.setdefault(uid, {}).setdefault(int(s), []).append((float(r), float(z)))
+            except ValueError:
+                raise _malformed(curves_file, index, row, header) from None
+
+    unit_ids = sorted(responses, key=_unit_sort_key)
+    if not unit_ids:
+        raise ValueError("responses file holds no measurements")
+
+    missing_scalars = [u for u in unit_ids if u not in scalars]
+    if missing_scalars:
+        raise ValueError(f"missing covariates for unit {missing_scalars[0]}")
+    extra = sorted(set(scalars) - set(responses), key=_unit_sort_key)
+    if extra:
+        raise ValueError(f"mismatched unit ids across files: {extra[0]} has covariates but no responses")
+
+    # an empty curves file (header only) yields S = 0 uniformly
+    s_indices: tuple = ()
+    r_grid = np.zeros(0)
+    if curve_points:
+        missing_curves = [u for u in unit_ids if u not in curve_points]
+        if missing_curves:
+            raise ValueError(f"missing covariates for unit {missing_curves[0]} in curves file")
+        extra_c = sorted(set(curve_points) - set(responses), key=_unit_sort_key)
+        if extra_c:
+            raise ValueError(f"mismatched unit ids across files: {extra_c[0]} has curves but no responses")
+        s_indices = tuple(sorted(curve_points[unit_ids[0]]))
+        if s_indices != tuple(range(1, len(s_indices) + 1)):
+            raise ValueError(f"curves file: covariate indices must be 1..S, got {s_indices}")
+        first = sorted(curve_points[unit_ids[0]][s_indices[0]])
+        r_grid = np.array([r for r, _ in first])
+
+    units = []
+    for uid in unit_ids:
+        pairs = sorted(responses[uid])
+        times = np.array([t for t, _ in pairs])
+        if times.size > 1 and not np.all(np.diff(times) > 0):
+            raise ValueError(f"non-increasing times for unit {uid}")
+        ys = np.array([y for _, y in pairs])
+        curves = np.zeros((len(s_indices), r_grid.size))
+        for si, s in enumerate(s_indices):
+            if s not in curve_points.get(uid, {}):
+                raise ValueError(f"unit {uid}: ragged functional grid (missing covariate s={s})")
+            pts = sorted(curve_points[uid][s])
+            rs = np.array([r for r, _ in pts])
+            if rs.shape != r_grid.shape or not np.array_equal(rs, r_grid):
+                raise ValueError(f"unit {uid}: ragged functional grid for covariate s={s}")
+            curves[si] = [z for _, z in pts]
+        units.append(UnitRecord(uid, times, ys, scalars[uid], curves))
+
+    return DegradationDataset(units=tuple(units), r_grid=r_grid)

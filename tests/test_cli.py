@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from degramix import design, estimator
+from degramix import cli, design, estimator, evaluation
 from degramix.cli import run
 
 
@@ -126,6 +126,22 @@ class TestSimulateFitPipeline:
             assert key in metrics
         header = (out / "effects.csv").read_text().splitlines()[0]
         assert header == "unit_id,level,marginal_effect,interaction_effect,latent_effect"
+
+    def test_evaluate_splits_once(self, tmp_path, monkeypatch):
+        data = simulate_into(tmp_path, seed=6, n_units=14)
+        calls = []
+        split = evaluation.temporal_split
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return split(*args, **kwargs)
+
+        # every binding a caller could reach, so a second split by any route counts
+        monkeypatch.setattr(evaluation, "temporal_split", counted)
+        monkeypatch.setattr(cli, "temporal_split", counted, raising=False)
+        assert run(["evaluate", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--split", "0.8", "--folds", "0", "--out", str(tmp_path / "eval")]) == 0
+        assert len(calls) == 1
 
     def test_compare_writes_table(self, tmp_path):
         data = simulate_into(tmp_path, seed=7, n_units=16)

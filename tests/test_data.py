@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from _oracles import load_dataset_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +218,16 @@ class TestMismatchedFiles:
         with pytest.raises(ValueError, match="mismatched unit ids"):
             load_dataset(*paths)
 
+    def test_unit_listed_twice_in_scalars_rejected(self, tmp_path):
+        units = [make_unit(f"u{i:02d}", scalars=(float(i),)) for i in range(1, 4)]
+        paths = (tmp_path / "r.csv", tmp_path / "s.csv", tmp_path / "c.csv")
+        save_dataset(DegradationDataset(tuple(units), np.arange(5.0)), *paths)
+        with open(paths[1], "a") as fh:
+            fh.write("u01,99.0\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(*paths)
+        assert f"{paths[1]}: unit u01 is listed more than once" in str(err.value)
+
 
 def saved_paths(directory):
     paths = tuple(directory / n for n in ("responses.csv", "scalars.csv", "curves.csv"))
@@ -239,6 +252,7 @@ class TestMalformedRowsNameFileAndLine:
         (0, "u1,1.0,2.0,3.0"),
         (1, "u1,1.0"),
         (1, "u1,1.0,x"),
+        (1, "u1,1_000,2.0"),  # float() takes '_' separators, np.loadtxt does not
         (2, "u1,1"),
         (2, "u1,1.5,0.0,1.0"),
         (2, "u1,1,0.0,abc"),
@@ -289,3 +303,130 @@ class TestMalformedRowsNameFileAndLine:
         with pytest.raises(ValueError, match="unreadable CSV") as err:
             load_dataset(*paths)
         assert str(paths[1]) in str(err.value)
+
+
+# ids the row oracle and the columnar loader must read alike: natural order
+# (u2 before u10), quoted ids holding commas or doubled quotes, ids longer
+# than 32 characters and ids starting with '#'
+UNIT_IDS = st.one_of(
+    st.integers(0, 120).map(lambda k: f"u{k}"),
+    st.sampled_from(['a,b', 'say "hi"', '"q"', ',lead', 'x, "y", z']),
+    st.integers(33, 60).map(lambda n: "L" * n),
+    st.sampled_from(["#1", "#u2", "# note", "#"]),
+)
+
+
+# dataset edits and the tables (responses, scalars, curves) each may touch;
+# a repeated scalars row is left out, the one input the loaders differ on
+EDITS = {"drop": (0, 1, 2), "repeat": (0, 2), "drop_curve": (2,),
+         "stray": (2,),  # a curve point with a covariate index outside 1..S
+         "shift": (2,)}  # a curve point moved off the grid
+
+
+def _number(value, style):
+    return {"repr": repr(value), "e": f"{value:.6e}", "g": f"{value:.17g}",
+            "pad": f" {value!r} "}[style]
+
+
+@st.composite
+def dataset_files(draw, directory):
+    """Three dataset CSVs as text: ragged series, shuffled rows, blank lines,
+    CRLF or LF line ends, S in {0, 1, 2}; up to three edits to one unit's
+    rows (a row or a whole curve dropped, a row repeated, a curve point
+    moved off the grid or given a covariate index outside 1..S), so both
+    loaders must also reject alike."""
+    ids = draw(st.lists(UNIT_IDS, min_size=1, max_size=5, unique=True))
+    n_p, n_s, n_r = draw(st.integers(0, 2)), draw(st.sampled_from([0, 1, 2])), draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    style = st.sampled_from(["repr", "e", "g", "pad"])
+    r_style = draw(style)  # one grid text for every curve
+    grid = sorted(set(draw(st.lists(finite, min_size=n_r, max_size=n_r))))
+    responses, scalars, curves = [], [], []
+    for uid in ids:
+        times = sorted(set(draw(st.lists(finite, min_size=1, max_size=6))))
+        responses += [[uid, _number(t, draw(style)), _number(draw(finite), draw(style))]
+                      for t in times]
+        scalars.append([uid] + [_number(draw(finite), draw(style)) for _ in range(n_p)])
+        curves += [[uid, str(s), _number(r, r_style), _number(draw(finite), draw(style))]
+                   for s in range(1, n_s + 1) for r in grid]
+    tables = [responses, scalars, curves]
+    victim = draw(st.sampled_from(ids))  # every edit hits one unit, so errors combine
+    for edit in draw(st.lists(st.sampled_from(sorted(EDITS)), max_size=3)):
+        which = draw(st.sampled_from(EDITS[edit]))
+        own = [row for row in tables[which] if row[0] == victim]
+        if not own:
+            continue
+        row = draw(st.sampled_from(own))
+        if edit == "drop":
+            tables[which].remove(row)
+        elif edit == "drop_curve":
+            tables[which] = [r for r in tables[which] if r[:2] != row[:2]]
+        elif edit == "repeat":
+            tables[which].append(row)
+        elif edit == "stray":
+            tables[which].append([row[0], str(draw(st.sampled_from([0, n_s + 1]))), *row[2:]])
+        else:
+            tables[which].remove(row)
+            tables[which].append([*row[:2], repr(float(row[2]) + 0.5), row[3]])
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    headers = (["unit_id", "time", "y"], ["unit_id"] + [f"x{p}" for p in range(1, n_p + 1)],
+               ["unit_id", "s", "r", "z"])
+    paths = []
+    for name, header, rows in zip(("responses.csv", "scalars.csv", "curves.csv"), headers, tables):
+        rows = draw(st.permutations(rows))
+        blanks = draw(st.lists(st.integers(0, len(rows)), max_size=2))
+        path = directory / name
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator=ending)
+            writer.writerow(header)
+            for i, row in enumerate(rows):
+                fh.write(ending * blanks.count(i))
+                writer.writerow(row)
+            fh.write(ending * blanks.count(len(rows)))
+        paths.append(path)
+    return paths
+
+
+def _load(loader, paths):
+    try:
+        return loader(*paths)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_loaders_agree(paths):
+    """The columnar loader returns the row oracle's units bit for bit, or
+    both raise the same ValueError."""
+    new, old = _load(load_dataset, paths), _load(load_dataset_rows, paths)
+    if isinstance(old, str) or isinstance(new, str):
+        assert new == old
+        return
+    assert old.r_grid.tobytes() == new.r_grid.tobytes()
+    assert [u.unit_id for u in old.units] == [u.unit_id for u in new.units]
+    for a, b in zip(old.units, new.units):
+        for name in ("times", "responses", "scalars", "curves"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), (a.unit_id, name)
+
+
+class TestColumnarLoaderMatchesRowOracle:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_units_bit_identical_or_same_error(self, tmp_path_factory, data):
+        assert_loaders_agree(data.draw(dataset_files(tmp_path_factory.mktemp("csv"))))
+
+    @pytest.mark.parametrize("which,drop,add", [
+        (2, (), ["u2,3,1.0,0.5"]),                 # an index beyond 1..S on a later unit
+        (2, (), ["u2,0,1.0,0.5"]),                 # index 0
+        (2, ("u2,1,", "u2,2,0.0,"), []),           # u2: s=1 missing, s=2 short
+        (2, ("u3,2,1.0,",), ["u3,2,1.5,0.25"]),    # u3: a point off the grid
+        (2, ("u3,1,4.0,",), ["u3,1,3.0,0.25"]),    # u3: a grid point twice
+        (2, ("u1,2,",), []),                       # u1: a whole curve missing
+        (0, (), ["u2,2.5,0.0"]),                   # u2: a repeated time
+        (2, ("u",), []),                           # header only: S = 0, and no warning
+    ])
+    def test_edited_files(self, tmp_path, which, drop, add):
+        paths = saved_paths(tmp_path)
+        lines = [ln for ln in paths[which].read_text().splitlines() if not ln.startswith(drop)]
+        paths[which].write_text("\n".join(lines + add) + "\n")
+        assert_loaders_agree(paths)
