@@ -268,28 +268,39 @@ def _malformed(path, index, row, header) -> ValueError:
     return ValueError(f"{where}: non-numeric field in {','.join(row)!r}")
 
 
+def _ints(texts) -> np.ndarray:
+    """Integer fields as int64, each read as Python's int() reads it; a field
+    such as '1.5', '1.0' or 'nan', or one beyond int64, raises ValueError or
+    OverflowError."""
+    return np.asarray(texts, dtype=object).astype(np.int64)
+
+
 def _parses(text: str, kind) -> bool:
-    """Whether np.loadtxt reads ``text`` as ``kind`` (int or float): Python's
-    number syntax less '_' separators and non-ASCII digits, ints in int64."""
-    text = text.strip()
-    if "_" in text or not text.isascii():
-        return False
+    """Whether ``text`` reads as ``kind``: an int as ``_ints`` reads it, a
+    float as np.loadtxt does (Python's float syntax less '_' separators and
+    non-ASCII digits)."""
     try:
-        value = kind(text)
-    except ValueError:
+        if kind is int:
+            _ints([text])
+        elif "_" in text or not text.strip().isascii():
+            return False
+        else:
+            float(text.strip())
+    except (ValueError, OverflowError):
         return False
-    return kind is float or -2 ** 63 <= value < 2 ** 63
+    return True
 
 
-def _read_table(path, header=None, kinds=()) -> np.ndarray:
+def _read_table(path, header=None, kinds=()) -> tuple:
     """The data rows of one dataset CSV, parsed by one np.loadtxt call.
 
     The file's header must be ``header`` (fields compared stripped); with no
     header given, its first field must be unit_id and every later field is a
-    float.  The result is a structured array: field ``id`` holds the unit
-    ids as str, fields ``f1``, ``f2``, ... the numbers, int64 or float64 as
-    ``kinds`` says.  A row np.loadtxt rejects is found again with the csv
-    module, and the error names the file and the line.
+    float.  Returns the unit ids (an object array of str) and one array per
+    later field: float64 as np.loadtxt parses it, or, where ``kinds`` says
+    int, int64 from the field's text as ``_ints`` reads it.  A row either
+    rejects is found again with the csv module, and the error names the file
+    and the line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -301,19 +312,26 @@ def _read_table(path, header=None, kinds=()) -> np.ndarray:
             elif [c.strip() for c in found] != header:
                 raise ValueError(f"{path}: expected header {','.join(header)}")
             dtype = np.dtype([("id", object)] + [
-                (f"f{i}", np.int64 if kind is int else np.float64)
+                (f"f{i}", object if kind is int else np.float64)
                 for i, kind in enumerate(kinds, 1)])
             start = fh.tell()
             if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
-                return np.empty(0, dtype)  # header only; loadtxt would warn
-            fh.seek(start)
-            try:
-                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                  quotechar='"', encoding="utf-8", ndmin=1)
-            except ValueError as exc:
-                error = exc
+                table = np.empty(0, dtype)  # header only; loadtxt would warn
+            else:
+                fh.seek(start)
+                try:
+                    table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                       quotechar='"', encoding="utf-8", ndmin=1)
+                except ValueError as exc:
+                    table, error = None, exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: unreadable CSV ({exc})") from None
+    if table is not None:
+        try:
+            return table["id"], [_ints(table[f]) if kind is int else table[f]
+                                 for f, kind in zip(dtype.names[1:], kinds)]
+        except (ValueError, OverflowError) as exc:
+            error = exc
     for index, row in enumerate(_read_rows(path)[1:], 1):
         if row and (len(row) != len(header) or not all(map(_parses, row[1:], kinds))):
             raise _malformed(path, index, row, header)
@@ -342,31 +360,30 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     listed twice in the scalars file, mismatched unit ids, ragged grids or
     duplicate (unit, time) rows.
     """
-    resp = _read_table(responses_file, ["unit_id", "time", "y"], (float, float))
-    scal = _read_table(scalars_file)
-    scal_row = {uid: i for i, uid in enumerate(scal["id"].tolist())}
-    if len(scal_row) < scal.size:
-        twice = Counter(scal["id"].tolist())
+    resp_id, (t, y) = _read_table(responses_file, ["unit_id", "time", "y"], (float, float))
+    scal_id, columns = _read_table(scalars_file)
+    scal_row = {uid: i for i, uid in enumerate(scal_id.tolist())}
+    if len(scal_row) < scal_id.size:
+        twice = Counter(scal_id.tolist())
         dup = min((u for u, n in twice.items() if n > 1), key=_unit_sort_key)
         raise ValueError(f"{scalars_file}: unit {dup} is listed more than once")
-    curv = _read_table(curves_file, ["unit_id", "s", "r", "z"], (int, float, float))
+    curv_id, (s, r, z) = _read_table(curves_file, ["unit_id", "s", "r", "z"], (int, float, float))
 
-    unit_ids = sorted(dict.fromkeys(resp["id"].tolist()), key=_unit_sort_key)
+    unit_ids = sorted(dict.fromkeys(resp_id.tolist()), key=_unit_sort_key)
     if not unit_ids:
         raise ValueError("responses file holds no measurements")
     n = len(unit_ids)
     code = {uid: i for i, uid in enumerate(unit_ids)}
     _check_units(unit_ids, scal_row, "", "covariates")
-    columns = [scal[f] for f in scal.dtype.names[1:]]
-    x = np.column_stack(columns) if columns else np.zeros((scal.size, 0))
+    x = np.column_stack(columns) if columns else np.zeros((scal_id.size, 0))
     x = x[[scal_row[u] for u in unit_ids]]
 
     # observations sorted by (unit, t, y); a step that does not rise is a
     # non-increasing or duplicate time
-    obs = _codes(resp["id"], code)
-    order = np.lexsort((resp["f2"], resp["f1"], obs))
-    obs, t, y = obs[order], resp["f1"][order], resp["f2"][order]
-    del resp
+    obs = _codes(resp_id, code)
+    order = np.lexsort((y, t, obs))
+    obs, t, y = obs[order], t[order], y[order]
+    del resp_id
     obs_start = np.concatenate(([0], np.cumsum(np.bincount(obs, minlength=n))))
     bad_times = np.zeros(n, dtype=bool)
     bad_times[obs[1:][(obs[1:] == obs[:-1]) & ~(np.diff(t) > 0)]] = True
@@ -374,19 +391,19 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     # an empty curves file (header only) yields S = 0 uniformly; otherwise
     # unit 0's indices fix S and its s = 1 curve fixes the grid, and every
     # (unit, s) curve, sorted by (r, z), must hold exactly that grid
-    n_s, n_r, r_grid, z = 0, 0, np.zeros(0), np.zeros(0)
+    n_s, n_r, r_grid = 0, 0, np.zeros(0)
     grid = np.zeros((n, 0), dtype=int)  # per (unit, s): 0 ok, 1 missing, 2 ragged
-    if curv.size:
-        _check_units(unit_ids, dict.fromkeys(curv["id"].tolist()), " in curves file", "curves")
-        unit, s = _codes(curv["id"], code), curv["f1"]
+    if curv_id.size:
+        _check_units(unit_ids, dict.fromkeys(curv_id.tolist()), " in curves file", "curves")
+        unit = _codes(curv_id, code)
         s_first = np.unique(s[unit == 0])
         n_s = s_first.size
         if not np.array_equal(s_first, np.arange(1, n_s + 1)):
             raise ValueError(f"curves file: covariate indices must be 1..S, got {tuple(s_first.tolist())}")
         keep = (s >= 1) & (s <= n_s)  # other units' indices beyond 1..S are not read
         group = unit[keep] * n_s + (s[keep] - 1)
-        r, z = curv["f2"][keep], curv["f3"][keep]
-        del curv, unit, s, keep
+        r, z = r[keep], z[keep]
+        del curv_id, unit, s, keep
         order = np.lexsort((z, r, group))
         group, r, z = group[order], r[order], z[order]
         counts = np.bincount(group, minlength=n * n_s)

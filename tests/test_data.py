@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,24 @@ def replace_line(path, index, text, insert=False):
 BAD_NUMBERS = ["abc", "", " ", "1..2", "0x1", "--1", "1e", "x1"]
 
 
+def _truncating_loadtxt(loadtxt):
+    """np.loadtxt as numpy 1.23 to 1.26 reads int64 fields: through a float,
+    truncated, with a DeprecationWarning."""
+    def lenient(fname, dtype=float, **kwargs):
+        dtype = np.dtype(dtype)
+        ints = [name for name in dtype.names or () if dtype[name] == np.int64]
+        if not ints:
+            return loadtxt(fname, dtype=dtype, **kwargs)
+        as_float = np.dtype([(name, np.float64 if name in ints else dtype[name])
+                             for name in dtype.names])
+        table = loadtxt(fname, dtype=as_float, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        with np.errstate(invalid="ignore"):
+            return table.astype(dtype)
+    return lenient
+
+
 class TestMalformedRowsNameFileAndLine:
     @pytest.mark.parametrize("which,row", [
         (0, "u1,2.0"),
@@ -264,6 +283,25 @@ class TestMalformedRowsNameFileAndLine:
         with pytest.raises(ValueError) as err:
             load_dataset(*paths)
         assert f"{paths[which]}: line 4:" in str(err.value)
+
+    # numpy 1.23 to 1.26 np.loadtxt reads an int64 field such as '1.5' as 1
+    # and 'nan' as INT64_MIN, with only a DeprecationWarning; the loader must
+    # reject them under the default warning filters whichever numpy it runs on
+    @pytest.mark.filterwarnings("default")
+    @pytest.mark.parametrize("s", ["1.5", "2.0", "1e0", "nan", "inf", "-inf",
+                                   "9223372036854775808"])
+    @pytest.mark.parametrize("index", [1, 30])  # u1's first and u3's last curve row
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_non_integer_s_names_line(self, tmp_path, monkeypatch, s, index, lenient):
+        if lenient:
+            monkeypatch.setattr(np, "loadtxt", _truncating_loadtxt(np.loadtxt))
+        paths = saved_paths(tmp_path)
+        lines = paths[2].read_text().splitlines()
+        uid, _, r, z = lines[index].split(",")
+        replace_line(paths[2], index, f"{uid},{s},{r},{z}")
+        with pytest.raises(ValueError) as err:
+            load_dataset(*paths)
+        assert f"{paths[2]}: line {index + 1}: non-numeric field" in str(err.value)
 
     @given(st.integers(0, 2), st.data())
     @settings(max_examples=80, deadline=None)
@@ -323,6 +361,10 @@ EDITS = {"drop": (0, 1, 2), "repeat": (0, 2), "drop_curve": (2,),
          "shift": (2,)}  # a curve point moved off the grid
 
 
+# covariate index texts int() reads, so both loaders must take them alike
+S_TEXT = st.sampled_from(["{}", " {} ", "+{}", "0{}"])
+
+
 def _number(value, style):
     return {"repr": repr(value), "e": f"{value:.6e}", "g": f"{value:.17g}",
             "pad": f" {value!r} "}[style]
@@ -340,6 +382,7 @@ def dataset_files(draw, directory):
     finite = st.floats(-1e6, 1e6, allow_nan=False, width=64)
     style = st.sampled_from(["repr", "e", "g", "pad"])
     r_style = draw(style)  # one grid text for every curve
+    s_text = draw(S_TEXT)  # one index text, so edits keep whole curves apart
     grid = sorted(set(draw(st.lists(finite, min_size=n_r, max_size=n_r))))
     responses, scalars, curves = [], [], []
     for uid in ids:
@@ -347,7 +390,7 @@ def dataset_files(draw, directory):
         responses += [[uid, _number(t, draw(style)), _number(draw(finite), draw(style))]
                       for t in times]
         scalars.append([uid] + [_number(draw(finite), draw(style)) for _ in range(n_p)])
-        curves += [[uid, str(s), _number(r, r_style), _number(draw(finite), draw(style))]
+        curves += [[uid, s_text.format(s), _number(r, r_style), _number(draw(finite), draw(style))]
                    for s in range(1, n_s + 1) for r in grid]
     tables = [responses, scalars, curves]
     victim = draw(st.sampled_from(ids))  # every edit hits one unit, so errors combine
