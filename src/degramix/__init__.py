@@ -8,7 +8,6 @@ from .data import (
     ModelConfig,
     UnitRecord,
     center_baseline,
-    evaluate_basis,
     load_dataset,
     save_dataset,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "compute_tpc",
     "default_spec",
     "effect_decomposition",
-    "evaluate_basis",
     "extract_particles",
     "fit_em",
     "fit_fpca",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .data import (
     config_to_dict,
     load_dataset,
     save_dataset,
+    write_csv,
     write_curves_csv,
 )
 from .descriptors import (
@@ -75,10 +77,6 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _echo_config(name: str, payload: dict) -> None:
     print(f"[degramix {name}] " + json.dumps(_jsonable(payload), sort_keys=True),
           file=sys.stderr)
@@ -109,15 +107,8 @@ def _resolve_config(args) -> ModelConfig:
         config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
     else:
         config = ModelConfig()
-    updates = {}
-    if getattr(args, "k", None) is not None:
-        updates["k"] = args.k
-    if getattr(args, "fve", None) is not None:
-        updates["fve_threshold"] = args.fve
-    if updates:
-        from dataclasses import replace
-        config = replace(config, **updates)
-    return config
+    updates = {"k": getattr(args, "k", None), "fve_threshold": getattr(args, "fve", None)}
+    return replace(config, **{key: v for key, v in updates.items() if v is not None})
 
 
 def _fit_report(fit: FitResult) -> dict:
@@ -244,7 +235,7 @@ def _cmd_fpca(args) -> int:
     out = _out_dir(args)
     report = []
     for s in range(ds.n_functional):
-        curves = np.vstack([u.curves[s] for u in ds.units])
+        curves = ds.curves[:, s]
         model = fit_fpca(curves, ds.r_grid)
         k = args.k if args.k is not None else select_k_by_fve(model, args.fve or 0.95)
         model = with_k(model, min(k, model.eigenvalues.size))
@@ -254,7 +245,7 @@ def _cmd_fpca(args) -> int:
             "eigenvalues": model.eigenvalues,
             "fve_trace": model.fve_trace,
             "k": model.k,
-            "scores": {"unit_ids": [u.unit_id for u in ds.units], "values": scores},
+            "scores": {"unit_ids": list(ds.unit_ids), "values": scores},
             "mean_curve": model.mean_curve,
             "eigenfunctions": model.eigenfunctions[: model.k],
             "r_grid": model.r_grid,
@@ -289,22 +280,14 @@ def _cmd_fit(args) -> int:
 
 
 def _load_fit(path) -> FitResult:
-    from .design import ZetaLayout
+    from .design import layout_for
     from .estimator import LatentPosterior, Parameters
     from .fpca import FpcaModel
 
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     config = config_from_dict(payload["config"])
     lay = payload["layout"]
-    layout = ZetaLayout(
-        levels=tuple(lay["levels"]),
-        n_scalars=lay["n_scalars"],
-        n_functional=lay["n_functional"],
-        n_components=lay["n_components"],
-        include_scalar=config.include_scalar,
-        include_functional=config.include_functional,
-        include_interaction=config.include_interaction,
-    )
+    layout = layout_for(config, lay["n_scalars"], lay["n_functional"], lay["n_components"])
     mu = np.asarray(payload["latent_posterior"]["mu"], dtype=float)
     if mu.size == 0:
         mu = mu.reshape(len(payload["latent_posterior"]["unit_ids"]), 0)
@@ -351,14 +334,10 @@ def _cmd_predict(args) -> int:
     ds = _load_data(args)
     _echo_config("predict", {"fit": str(args.fit), "use_latent": args.use_latent})
     ds = _prepare(ds, fit.config, args)
-    out = _out_dir(args)
-    with open(out / "predictions.csv", "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("unit_id,time,y,y_hat\n")
-        for u in ds.units:
-            use_latent = args.use_latent and fit.unit_index(u.unit_id) is not None
-            pred = predict_unit(fit, u, use_latent=use_latent)
-            for t, y, yh in zip(u.times, u.responses, pred):
-                fh.write(f"{u.unit_id},{_fmt(t)},{_fmt(y)},{_fmt(yh)}\n")
+    pred = predict_unit(fit, ds, use_latent=args.use_latent)
+    ids = np.repeat(np.array(ds.unit_ids, dtype=object), ds.counts)
+    write_csv(_out_dir(args) / "predictions.csv", ["unit_id", "time", "y", "y_hat"],
+              zip(ids, ds.times.tolist(), ds.responses.tolist(), pred.tolist()))
     return 0
 
 
@@ -387,12 +366,10 @@ def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
     _write_json(out / "metrics.json", payload)
     # effects read only ids, scalars and curves, which the train split keeps
-    rows = effect_decomposition(fit, ds)
-    with open(out / "effects.csv", "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("unit_id,level,marginal_effect,interaction_effect,latent_effect\n")
-        for r in rows:
-            fh.write(f"{r.unit_id},{r.level},{_fmt(r.marginal_effect)},"
-                     f"{_fmt(r.interaction_effect)},{_fmt(r.latent_effect)}\n")
+    write_csv(out / "effects.csv",
+              ["unit_id", "level", "marginal_effect", "interaction_effect", "latent_effect"],
+              ((r.unit_id, r.level, r.marginal_effect, r.interaction_effect, r.latent_effect)
+               for r in effect_decomposition(fit, ds)))
     return 0
 
 
@@ -409,26 +386,20 @@ def _cmd_compare(args) -> int:
         col = args.micro_column - 1
         if not (0 <= col < ds.n_scalars):
             raise CliError(f"--micro-column {args.micro_column} out of range 1..{ds.n_scalars}")
-        micro = np.array([u.scalars[col] for u in ds.units])
-        from dataclasses import replace as _replace
-        keep = [p for p in range(ds.n_scalars) if p != col]
-        units = tuple(_replace(u, scalars=u.scalars[keep]) for u in ds.units)
-        from .data import DegradationDataset
-        ds = DegradationDataset(units, ds.r_grid)
+        micro = ds.scalars[:, col]
+        ds = replace(ds, scalars=np.delete(ds.scalars, col, axis=1))
     if any(registry[n].config.center_baseline for n in names):
         ds = center_baseline(ds)
     rows = compare_models(ds, [registry[n] for n in names], split_fraction=args.split,
                           micro_scalar=micro, max_iter=args.max_iter, tol=args.tol)
-    out = _out_dir(args)
-    with open(out / "comparison.csv", "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("model,r2,loglik,aic,bic,mse_train,mse_test\n")
-        for row in rows:
-            if row.error is not None:
-                print(f"[degramix compare] {row.model} failed: {row.error}", file=sys.stderr)
-                fh.write(f"{row.model},,,,,,\n")
-                continue
-            fh.write(f"{row.model},{_fmt(row.r2)},{_fmt(row.loglik)},{_fmt(row.aic)},"
-                     f"{_fmt(row.bic)},{_fmt(row.mse_train)},{_fmt(row.mse_test)}\n")
+    for row in rows:
+        if row.error is not None:
+            print(f"[degramix compare] {row.model} failed: {row.error}", file=sys.stderr)
+    write_csv(_out_dir(args) / "comparison.csv",
+              ["model", "r2", "loglik", "aic", "bic", "mse_train", "mse_test"],
+              ((r.model, *([""] * 6 if r.error is not None else
+                           map(float, (r.r2, r.loglik, r.aic, r.bic, r.mse_train, r.mse_test))))
+               for r in rows))
     return 0
 
 

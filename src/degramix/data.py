@@ -1,9 +1,11 @@
-"""Core dataset records, CSV ingestion, basis evaluation, and baseline centering.
+"""Core dataset arrays, CSV ingestion, the time basis, and baseline centering.
 
 A degradation dataset couples, per test unit, a time-stamped response series
 with scalar stress covariates and functional microstructure curves sampled on
-a grid shared by the whole dataset.  All record types are immutable after
-construction; file loading is the only side-effecting operation here.
+a grid shared by the whole dataset.  A dataset is one stack of arrays in the
+long layout of a mixed-model frame: all units' measurements one after the
+other, and one row of covariates per unit.  Every type here is immutable
+after construction; file loading is the only side-effecting operation.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from itertools import compress
+
 import numpy as np
 
 POLYNOMIAL = "polynomial"
@@ -21,11 +26,6 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal text for a float (bit-exact on reload)."""
-    return repr(float(value))
 
 
 def _unit_sort_key(unit_id: str):
@@ -50,13 +50,6 @@ class BasisFamily:
             raise ValueError("basis order must be nonnegative")
 
 
-def evaluate_basis(basis: BasisFamily, t: float) -> np.ndarray:
-    """Evaluate all basis functions at a single time, element l being t**l."""
-    if not np.isfinite(t):
-        raise ValueError("basis evaluation requires finite t")
-    return np.power(float(t), np.arange(basis.order + 1, dtype=float))
-
-
 def basis_columns(basis: BasisFamily, times: np.ndarray, levels) -> np.ndarray:
     """Matrix of phi_l(t) for the requested levels, one column per level."""
     t = np.asarray(times, dtype=float)
@@ -65,11 +58,9 @@ def basis_columns(basis: BasisFamily, times: np.ndarray, levels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitRecord:
-    """One test unit: response series, scalar covariates, functional curves.
-
-    ``curves`` has shape (S, G) holding each functional covariate sampled on
-    the dataset-wide grid.
-    """
+    """A read-only view of one unit of a dataset: its response series, scalar
+    covariates and (S, G) curves.  Built by ``DegradationDataset.units`` over
+    the dataset's arrays and not validated again."""
 
     unit_id: str
     times: np.ndarray
@@ -77,75 +68,100 @@ class UnitRecord:
     scalars: np.ndarray
     curves: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "unit_id", str(self.unit_id))
-        object.__setattr__(self, "times", _frozen_array(self.times))
-        object.__setattr__(self, "responses", _frozen_array(self.responses))
-        object.__setattr__(self, "scalars", _frozen_array(np.atleast_1d(self.scalars)))
-        curves = np.array(self.curves, dtype=float)
-        if curves.ndim == 1:
-            curves = curves[None, :]
-        if curves.ndim != 2:
-            raise ValueError(f"unit {self.unit_id}: curves must be a (S, G) array")
-        curves.setflags(write=False)
-        object.__setattr__(self, "curves", curves)
-
-        if self.times.ndim != 1 or self.times.shape != self.responses.shape:
-            raise ValueError(f"unit {self.unit_id}: times and responses must be equal-length vectors")
-        if self.times.size < 1:
-            raise ValueError(f"unit {self.unit_id}: needs at least one measurement")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError(f"non-increasing times for unit {self.unit_id}")
-        if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.responses)):
-            raise ValueError(f"unit {self.unit_id}: non-finite measurement")
-        if not np.all(np.isfinite(self.scalars)):
-            raise ValueError(f"unit {self.unit_id}: non-finite scalar covariate")
-        if not np.all(np.isfinite(self.curves)):
-            raise ValueError(f"unit {self.unit_id}: non-finite functional covariate curve")
-
     @property
     def n_obs(self) -> int:
         return self.times.size
 
 
+# per-unit rules in the order they are checked; a unit breaking several is
+# reported under the first
+_UNIT_RULES = (
+    "unit {}: needs at least one measurement",
+    "non-increasing times for unit {}",
+    "unit {}: non-finite measurement",
+    "unit {}: non-finite scalar covariate",
+    "unit {}: non-finite functional covariate curve",
+)
+
+
+def _check_unit_rules(unit_ids, counts, times, responses, scalars, curves) -> None:
+    """Raise for the first unit, in dataset order, that breaks a per-unit rule."""
+    n = len(unit_ids)
+    rows = np.repeat(np.arange(n), counts)
+    same_unit = rows[1:] == rows[:-1]
+    broken = np.stack([
+        counts < 1,
+        np.bincount(rows[1:][same_unit & ~(np.diff(times) > 0)], minlength=n) > 0,
+        np.bincount(rows[~(np.isfinite(times) & np.isfinite(responses))], minlength=n) > 0,
+        ~np.isfinite(scalars).all(axis=1),
+        ~np.isfinite(curves).all(axis=(1, 2)),
+    ])
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))
+        raise ValueError(_UNIT_RULES[int(np.argmax(broken[:, i]))].format(unit_ids[i]))
+
+
 @dataclass(frozen=True)
 class DegradationDataset:
-    """Validated collection of units sharing P, S and the descriptor grid."""
+    """Units sharing P, S and the descriptor grid, stacked in long layout.
 
-    units: tuple
+    Unit ``unit_ids[i]`` owns ``counts[i]`` consecutive rows of ``times`` and
+    ``responses`` (rows ``offsets[i]:offsets[i + 1]``), row i of ``scalars``
+    (N, P) and of ``curves`` (N, S, G), the curves sampled on ``r_grid``.
+    The arrays are copied, frozen and validated once, on construction.
+    """
+
+    unit_ids: tuple
+    counts: np.ndarray
+    times: np.ndarray
+    responses: np.ndarray
+    scalars: np.ndarray
+    curves: np.ndarray
     r_grid: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "units", tuple(self.units))
-        object.__setattr__(self, "r_grid", _frozen_array(self.r_grid))
-        if len(self.units) < 1:
+        object.__setattr__(self, "unit_ids", tuple(map(str, self.unit_ids)))
+        n = len(self.unit_ids)
+        if n < 1:
             raise ValueError("dataset needs at least one unit")
-        p0 = self.units[0].scalars.size
-        s0 = self.units[0].curves.shape[0]
-        for u in self.units:
-            if u.scalars.size != p0:
-                raise ValueError(f"unit {u.unit_id}: expected {p0} scalar covariates, got {u.scalars.size}")
-            if u.curves.shape != (s0, self.r_grid.size):
-                raise ValueError(f"unit {u.unit_id}: ragged functional grid")
-        if self.r_grid.size > 1 and not np.all(np.diff(self.r_grid) > 0):
+        for name, dtype, ndim in (("counts", np.int64, 1), ("times", float, 1),
+                                  ("responses", float, 1), ("scalars", float, 2),
+                                  ("curves", float, 3), ("r_grid", float, 1)):
+            arr = _frozen_array(getattr(self, name), dtype)
+            if arr.ndim != ndim:
+                raise ValueError(f"{name} must be a {ndim}-d array")
+            object.__setattr__(self, name, arr)
+        if self.times.shape != self.responses.shape:
+            raise ValueError("times and responses must be equal-length vectors")
+        if self.counts.size != n or self.scalars.shape[0] != n or self.curves.shape[0] != n:
+            raise ValueError("counts, scalars and curves need one entry per unit")
+        if np.any(self.counts < 0) or self.counts.sum() != self.times.size:
+            raise ValueError("counts must split the measurements into units")
+        _check_unit_rules(self.unit_ids, self.counts, self.times, self.responses,
+                          self.scalars, self.curves)
+        if self.curves.shape[2] != self.r_grid.size:
+            raise ValueError(f"unit {self.unit_ids[0]}: ragged functional grid")
+        if not np.all(np.diff(self.r_grid) > 0):
             raise ValueError("r_grid must be strictly increasing")
-        seen = set()
-        for u in self.units:
-            if u.unit_id in seen:
-                raise ValueError(f"duplicate unit id {u.unit_id}")
-            seen.add(u.unit_id)
+        if len(set(self.unit_ids)) < n:
+            dup = next(u for i, u in enumerate(self.unit_ids) if u in self.unit_ids[:i])
+            raise ValueError(f"duplicate unit id {dup}")
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return len(self.unit_ids)
+
+    @property
+    def n_obs(self) -> int:
+        return self.times.size
 
     @property
     def n_scalars(self) -> int:
-        return self.units[0].scalars.size
+        return self.scalars.shape[1]
 
     @property
     def n_functional(self) -> int:
-        return self.units[0].curves.shape[0]
+        return self.curves.shape[1]
 
     @property
     def r_support(self) -> float:
@@ -154,11 +170,32 @@ class DegradationDataset:
             return 1.0
         return float(self.r_grid[-1] - self.r_grid[0])
 
-    def unit(self, unit_id: str) -> UnitRecord:
-        for u in self.units:
-            if u.unit_id == unit_id:
-                return u
-        raise KeyError(unit_id)
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(N + 1,) row offsets: unit i's measurements are rows offsets[i]:offsets[i + 1]."""
+        return np.concatenate(([0], np.cumsum(self.counts)))
+
+    @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """(n_obs,) the position of each measurement's unit."""
+        return np.repeat(np.arange(self.n_units), self.counts)
+
+    @cached_property
+    def units(self) -> tuple:
+        """One unvalidated ``UnitRecord`` view per unit, in dataset order."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            UnitRecord(uid, self.times[a:b], self.responses[a:b], x, c)
+            for uid, a, b, x, c in zip(self.unit_ids, bounds, bounds[1:], self.scalars, self.curves)
+        )
+
+    def select(self, keep) -> DegradationDataset:
+        """The units where the (N,) boolean ``keep`` is set, in dataset order."""
+        keep = np.asarray(keep, dtype=bool)
+        rows = keep[self.unit_rows]
+        return DegradationDataset(tuple(compress(self.unit_ids, keep)), self.counts[keep],
+                                  self.times[rows], self.responses[rows], self.scalars[keep],
+                                  self.curves[keep], self.r_grid)
 
 
 @dataclass(frozen=True)
@@ -200,30 +237,19 @@ class ModelConfig:
         return tuple(range(start, self.basis.order + 1))
 
 
+# the ModelConfig fields a config dict holds as they are; the basis is
+# held as basis_kind and basis_order
+_CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "basis")
+
+
 def config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "basis_kind": config.basis.kind,
-        "basis_order": config.basis.order,
-        "k": config.k,
-        "fve_threshold": config.fve_threshold,
-        "include_scalar": config.include_scalar,
-        "include_functional": config.include_functional,
-        "include_interaction": config.include_interaction,
-        "include_latent": config.include_latent,
-        "center_baseline": config.center_baseline,
-        "constrain_sigma_gamma_diagonal": config.constrain_sigma_gamma_diagonal,
-        "ridge_jitter": config.ridge_jitter,
-    }
+    return {"basis_kind": config.basis.kind, "basis_order": config.basis.order,
+            **{key: getattr(config, key) for key in _CONFIG_KEYS}}
 
 
 def config_from_dict(payload: dict) -> ModelConfig:
     basis = BasisFamily(payload.get("basis_kind", POLYNOMIAL), int(payload.get("basis_order", 1)))
-    kwargs = {}
-    for key in ("k", "fve_threshold", "include_scalar", "include_functional",
-                "include_interaction", "include_latent", "center_baseline",
-                "constrain_sigma_gamma_diagonal", "ridge_jitter"):
-        if key in payload:
-            kwargs[key] = payload[key]
+    kwargs = {key: payload[key] for key in _CONFIG_KEYS if key in payload}
     if kwargs.get("k") is not None:
         kwargs["k"] = int(kwargs["k"])
     return ModelConfig(basis=basis, **kwargs)
@@ -231,10 +257,8 @@ def config_from_dict(payload: dict) -> ModelConfig:
 
 def center_baseline(ds: DegradationDataset) -> DegradationDataset:
     """Subtract each unit's first response from its whole series (idempotent)."""
-    units = tuple(
-        replace(u, responses=u.responses - u.responses[0]) for u in ds.units
-    )
-    return DegradationDataset(units=units, r_grid=ds.r_grid)
+    first = ds.responses[ds.offsets[:-1]]
+    return replace(ds, responses=ds.responses - np.repeat(first, ds.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +277,20 @@ def _read_rows(path) -> list:
         raise ValueError(f"{path}: unreadable CSV ({exc})") from None
 
 
-def _malformed(path, index, row, header) -> ValueError:
-    """The error for the ``index``-th row, which has the wrong field count or
-    a non-numeric field; it names the row's line, found by reading again
-    because a quoted field may span lines."""
+def _line(path, index) -> str:
+    """'<path>: line <n>' for the ``index``-th row (the header is row 0),
+    found by reading again because a quoted field may span lines."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for _ in range(index + 1):
             next(reader)
-    where = f"{path}: line {reader.line_num}"
+    return f"{path}: line {reader.line_num}"
+
+
+def _malformed(path, index, row, header) -> ValueError:
+    """The error for the ``index``-th row, which has the wrong field count or
+    a non-numeric field."""
+    where = _line(path, index)
     if len(row) != len(header):
         return ValueError(f"{where}: expected {len(header)} fields {','.join(header)}, "
                           f"got {len(row)}")
@@ -275,17 +304,14 @@ def _ints(texts) -> np.ndarray:
     return np.asarray(texts, dtype=object).astype(np.int64)
 
 
-def _parses(text: str, kind) -> bool:
-    """Whether ``text`` reads as ``kind``: an int as ``_ints`` reads it, a
-    float as np.loadtxt does (Python's float syntax less '_' separators and
-    non-ASCII digits)."""
+def _parses(fields, kinds) -> bool:
+    """Whether a row's numeric fields read as ``kinds`` says: an int field as
+    ``_ints`` reads it, the float fields as np.loadtxt itself reads them."""
+    floats = ['"' + f.replace('"', '""') + '"' for f, kind in zip(fields, kinds) if kind is float]
     try:
-        if kind is int:
-            _ints([text])
-        elif "_" in text or not text.strip().isascii():
-            return False
-        else:
-            float(text.strip())
+        _ints([f for f, kind in zip(fields, kinds) if kind is int])
+        if floats:
+            np.loadtxt([",".join(floats)], delimiter=",", comments=None, quotechar='"')
     except (ValueError, OverflowError):
         return False
     return True
@@ -333,7 +359,7 @@ def _read_table(path, header=None, kinds=()) -> tuple:
         except (ValueError, OverflowError) as exc:
             error = exc
     for index, row in enumerate(_read_rows(path)[1:], 1):
-        if row and (len(row) != len(header) or not all(map(_parses, row[1:], kinds))):
+        if row and (len(row) != len(header) or not _parses(row[1:], kinds)):
             raise _malformed(path, index, row, header)
     raise ValueError(f"{path}: {error}")
 
@@ -356,9 +382,9 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     """Load and cross-validate the three dataset CSVs.
 
     Units are returned sorted by unit id and observations sorted by time.
-    Raises ValueError on malformed rows (naming the file and line), a unit
-    listed twice in the scalars file, mismatched unit ids, ragged grids or
-    duplicate (unit, time) rows.
+    Raises ValueError on malformed rows or a covariate index outside 1..S
+    (naming the file and line), a unit listed twice in the scalars file,
+    mismatched unit ids, ragged grids or duplicate (unit, time) rows.
     """
     resp_id, (t, y) = _read_table(responses_file, ["unit_id", "time", "y"], (float, float))
     scal_id, columns = _read_table(scalars_file)
@@ -378,19 +404,17 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     x = np.column_stack(columns) if columns else np.zeros((scal_id.size, 0))
     x = x[[scal_row[u] for u in unit_ids]]
 
-    # observations sorted by (unit, t, y); a step that does not rise is a
-    # non-increasing or duplicate time
+    # sorted by (unit, t); rows tied on both, and curve points tied on
+    # (unit, s, r), are rejected whatever their order, so no key breaks ties
     obs = _codes(resp_id, code)
-    order = np.lexsort((y, t, obs))
-    obs, t, y = obs[order], t[order], y[order]
-    del resp_id
-    obs_start = np.concatenate(([0], np.cumsum(np.bincount(obs, minlength=n))))
-    bad_times = np.zeros(n, dtype=bool)
-    bad_times[obs[1:][(obs[1:] == obs[:-1]) & ~(np.diff(t) > 0)]] = True
+    order = np.lexsort((t, obs))
+    t, y = t[order], y[order]
+    counts = np.bincount(obs, minlength=n)
+    del resp_id, obs
 
     # an empty curves file (header only) yields S = 0 uniformly; otherwise
     # unit 0's indices fix S and its s = 1 curve fixes the grid, and every
-    # (unit, s) curve, sorted by (r, z), must hold exactly that grid
+    # (unit, s) curve, sorted by r, must hold exactly that grid
     n_s, n_r, r_grid = 0, 0, np.zeros(0)
     grid = np.zeros((n, 0), dtype=int)  # per (unit, s): 0 ok, 1 missing, 2 ragged
     if curv_id.size:
@@ -400,59 +424,68 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
         n_s = s_first.size
         if not np.array_equal(s_first, np.arange(1, n_s + 1)):
             raise ValueError(f"curves file: covariate indices must be 1..S, got {tuple(s_first.tolist())}")
-        keep = (s >= 1) & (s <= n_s)  # other units' indices beyond 1..S are not read
-        group = unit[keep] * n_s + (s[keep] - 1)
-        r, z = r[keep], z[keep]
-        del curv_id, unit, s, keep
-        order = np.lexsort((z, r, group))
+        if np.any((s < 1) | (s > n_s)):  # the first such row in the file is named
+            rows = _read_rows(curves_file)
+            i = next(i for i, row in enumerate(rows[1:], 1) if row and not 1 <= int(row[1]) <= n_s)
+            raise ValueError(f"{_line(curves_file, i)}: covariate index s={int(rows[i][1])} "
+                             f"outside 1..{n_s}")
+        group = unit * n_s + (s - 1)
+        del curv_id, unit, s
+        order = np.lexsort((r, group))
         group, r, z = group[order], r[order], z[order]
-        counts = np.bincount(group, minlength=n * n_s)
-        start = np.cumsum(counts) - counts
-        n_r = int(counts[0])
+        curve_counts = np.bincount(group, minlength=n * n_s)
+        start = np.cumsum(curve_counts) - curve_counts
+        n_r = int(curve_counts[0])
         r_grid = r[:n_r]
         pos = np.arange(group.size) - start[group]
         off_grid = (pos >= n_r) | (r != r_grid[np.minimum(pos, n_r - 1)])
-        ragged = (counts != n_r) | (np.bincount(group[off_grid], minlength=n * n_s) > 0)
-        grid = np.where(counts == 0, 1, np.where(ragged, 2, 0)).reshape(n, n_s)
+        ragged = (curve_counts != n_r) | (np.bincount(group[off_grid], minlength=n * n_s) > 0)
+        grid = np.where(curve_counts == 0, 1, np.where(ragged, 2, 0)).reshape(n, n_s)
 
-    # checked unit by unit, in order, so the first bad unit is the one named;
-    # every unit before it holds S * G curve rows, which fixes its offset in z
-    units, size = [], n_s * n_r
-    for i, (uid, bad) in enumerate(zip(unit_ids, (bad_times | grid.any(axis=1)).tolist())):
-        if bad:
-            if bad_times[i]:
-                raise ValueError(f"non-increasing times for unit {uid}")
-            si = int(np.argmax(grid[i] != 0))
-            if grid[i, si] == 1:
-                raise ValueError(f"unit {uid}: ragged functional grid (missing covariate s={si + 1})")
-            raise ValueError(f"unit {uid}: ragged functional grid for covariate s={si + 1}")
-        a, b = obs_start[i], obs_start[i + 1]
-        units.append(UnitRecord(uid, t[a:b], y[a:b], x[i], z[i * size:(i + 1) * size].reshape(n_s, n_r)))
-    return DegradationDataset(units=units, r_grid=r_grid)
+    # the first unit with a bad grid is named, unless a unit before it breaks
+    # a per-unit rule or its own times do not rise; each unit before it holds
+    # S * G curve rows, which fixes its offset in z
+    bad = np.flatnonzero(grid.any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        m, size = int(counts[:i].sum()), n_s * n_r
+        _check_unit_rules(unit_ids[:i], counts[:i], t[:m], y[:m], x[:i],
+                          z[:i * size].reshape(i, n_s, n_r))
+        if not np.all(np.diff(t[m:m + counts[i]]) > 0):
+            raise ValueError(f"non-increasing times for unit {unit_ids[i]}")
+        si = int(np.argmax(grid[i] != 0))
+        if grid[i, si] == 1:
+            raise ValueError(f"unit {unit_ids[i]}: ragged functional grid (missing covariate s={si + 1})")
+        raise ValueError(f"unit {unit_ids[i]}: ragged functional grid for covariate s={si + 1}")
+    return DegradationDataset(unit_ids, counts, t, y, x, z.reshape(n, n_s, n_r), r_grid)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV: the header, then one line per row, each value as str()
+    writes it; for a Python float that is its shortest round-trip text,
+    which reloads bit-exactly."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def save_dataset(ds: DegradationDataset, responses_file, scalars_file, curves_file) -> None:
     """Write the three CSVs; a reload reproduces the dataset bit-exactly."""
-    with open(responses_file, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("unit_id,time,y\n")
-        for u in ds.units:
-            for t, y in zip(u.times, u.responses):
-                fh.write(f"{u.unit_id},{_fmt(t)},{_fmt(y)}\n")
-    with open(scalars_file, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("unit_id," + ",".join(f"x{p}" for p in range(1, ds.n_scalars + 1)) + "\n")
-        for u in ds.units:
-            fh.write(u.unit_id + "," + ",".join(_fmt(v) for v in u.scalars) + "\n")
-    entries = []
-    for u in ds.units:
-        for si in range(ds.n_functional):
-            entries.append((u.unit_id, si + 1, ds.r_grid, u.curves[si]))
-    write_curves_csv(curves_file, entries)
+    ids = np.array(ds.unit_ids, dtype=object)
+    n, n_s, n_r = ds.curves.shape
+    write_csv(responses_file, ["unit_id", "time", "y"],
+              zip(np.repeat(ids, ds.counts), ds.times.tolist(), ds.responses.tolist()))
+    write_csv(scalars_file, ["unit_id", *(f"x{p}" for p in range(1, ds.n_scalars + 1))],
+              zip(ds.unit_ids, *ds.scalars.T.tolist()))
+    s = np.tile(np.repeat(np.arange(1, n_s + 1), n_r), n)
+    r = np.tile(ds.r_grid, n * n_s)
+    write_csv(curves_file, ["unit_id", "s", "r", "z"],
+              zip(np.repeat(ids, n_s * n_r), s.tolist(), r.tolist(), ds.curves.ravel().tolist()))
 
 
 def write_curves_csv(path, entries) -> None:
     """Write (unit_id, s, r_grid, values) tuples in the curves CSV schema."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("unit_id,s,r,z\n")
-        for unit_id, s, r_grid, values in entries:
-            for r, z in zip(r_grid, values):
-                fh.write(f"{unit_id},{int(s)},{_fmt(r)},{_fmt(z)}\n")
+    write_csv(path, ["unit_id", "s", "r", "z"], (
+        (unit_id, int(s), r, z) for unit_id, s, r_grid, values in entries
+        for r, z in zip(np.asarray(r_grid, dtype=float).tolist(),
+                        np.asarray(values, dtype=float).tolist())))

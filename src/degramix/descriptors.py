@@ -8,8 +8,9 @@ are pure functions over immutable inputs.
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft, ndimage
@@ -116,7 +117,11 @@ def binarize_image(img: MicrostructureImage, threshold: float = 0.5) -> Microstr
     """Set the phase mask to intensities >= threshold."""
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    return replace(img, phase_mask=img.intensities >= threshold)
+    mask = img.intensities >= threshold
+    mask.setflags(write=False)
+    binary = copy.copy(img)  # shares the intensities, validated when img was built
+    object.__setattr__(binary, "phase_mask", mask)
+    return binary
 
 
 def _half_plane_displacements(r_max: int):

@@ -118,10 +118,12 @@ class ZetaLayout:
 
     def components(self, zeta: np.ndarray, features: dict) -> dict:
         """Each segment's (N, n_levels) contribution to the per-level
-        coefficients: ``F_j @ zeta_j.reshape(L, w_j).T``."""
+        coefficients: ``F_j @ zeta_j.reshape(L, w_j).T``, taken one unit's
+        row at a time so a unit's value does not depend on the units
+        evaluated beside it."""
         off = self.offsets
         return {
-            name: f @ zeta[off[name][0]:off[name][1]].reshape(self.n_levels, -1).T
+            name: (f[:, None, :] @ zeta[off[name][0]:off[name][1]].reshape(self.n_levels, -1).T)[:, 0]
             for name, f in features.items()
         }
 
@@ -233,10 +235,9 @@ def build_design_matrices(
         r_support = ds.r_support
 
     layout = layout_for(config, ds.n_scalars, ds.n_functional, n_components)
-    counts = np.array([u.n_obs for u in ds.units])
-    rows = np.repeat(np.arange(ds.n_units), counts)
-    lam = basis_columns(config.basis, np.concatenate([u.times for u in ds.units]), layout.levels)
-    features = layout.features(np.array([u.scalars for u in ds.units]), scores, r_support)
+    rows = ds.unit_rows
+    lam = basis_columns(config.basis, ds.times, layout.levels)
+    features = layout.features(ds.scalars, scores, r_support)
     omega = np.empty((rows.size, layout.size))
     offsets = layout.offsets
     for name, f in features.items():
@@ -245,7 +246,6 @@ def build_design_matrices(
     if not config.ridge_jitter:
         _check_full_rank(omega, layout)
     return DesignMatrices(
-        layout=layout, unit_ids=tuple(u.unit_id for u in ds.units), omega=omega, lam=lam,
-        y=np.concatenate([u.responses for u in ds.units]), counts=counts,
-        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
+        layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=ds.responses,
+        counts=ds.counts, lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], ds.counts),
     )

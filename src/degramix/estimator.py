@@ -10,7 +10,6 @@ decrease.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +77,6 @@ class FitResult:
     r_support: float
     scores: np.ndarray | None
     fpca_models: tuple | None
-    elapsed_seconds: float = 0.0
     design: DesignMatrices | None = None  # what the fit ran on; None when read back from a report
 
     def __post_init__(self):
@@ -186,7 +184,7 @@ def marginal_loglik(params: Parameters, dm: DesignMatrices) -> float:
 
 def _fit_scores(ds: DegradationDataset, config: ModelConfig):
     """FPCA per functional covariate with a truncation shared across covariates."""
-    curves_by_s = [np.vstack([u.curves[s] for u in ds.units]) for s in range(ds.n_functional)]
+    curves_by_s = [ds.curves[:, s] for s in range(ds.n_functional)]
     models = [fpca_mod.fit_fpca(c, ds.r_grid) for c in curves_by_s]
     if config.k is not None:
         k = int(config.k)
@@ -222,7 +220,6 @@ def fit_em(
 
 
 def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
-    start = time.perf_counter()
     if isinstance(scores, fpca_mod.ScoreSet):
         scores = scores.values
     fpca_models = None
@@ -245,7 +242,7 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
         params = Parameters(ols.zeta, ols.sigma_eps2, np.zeros((0, 0)))
         posterior = LatentPosterior(np.zeros((dm.n_units, 0)), np.zeros((dm.n_units, 0, 0)))
         return FitResult(params, posterior, np.array([marginal_loglik(params, dm)]), 0, True,
-                         elapsed_seconds=time.perf_counter() - start, **common)
+                         **common)
 
     params = init if init is not None else init_params(dm, config)
     trace = [marginal_loglik(params, dm)]
@@ -269,4 +266,4 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
                 break
 
     return FitResult(params, e_step(params, dm), np.asarray(trace), iterations, converged,
-                     elapsed_seconds=time.perf_counter() - start, **common)
+                     **common)

@@ -7,10 +7,11 @@ has no latent posterior, so unit-level folds measure honest generalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
-from .data import BasisFamily, DegradationDataset, ModelConfig, UnitRecord, basis_columns
+from .data import BasisFamily, DegradationDataset, ModelConfig, basis_columns
 from .estimator import FitResult, NumericalError, fit_em
 from .fpca import project_scores
 
@@ -66,57 +67,59 @@ def table1_variants(k: int | None = None, fve_threshold: float = 0.95) -> dict:
     }
 
 
-def _unit_indices(fit: FitResult, units) -> np.ndarray:
+def _unit_indices(fit: FitResult, unit_ids) -> np.ndarray:
     """Each unit's row in the fit's per-unit arrays, -1 for units it did not see."""
-    found = (fit.unit_index(u.unit_id) for u in units)
-    return np.array([-1 if i is None else i for i in found], dtype=int)
+    return np.array([-1 if i is None else i for i in map(fit.unit_index, unit_ids)], dtype=int)
 
 
-def _unit_scores(fit: FitResult, units) -> np.ndarray | None:
+def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
     """(N, S, K) scores under the fit's basis: stored for trained units,
     projected on the fit's FPCA basis for the others."""
     if not fit.config.include_functional:
         return None
-    idx = _unit_indices(fit, units)
+    idx = _unit_indices(fit, ds.unit_ids)
     known = idx >= 0
-    out = np.empty((len(units), fit.layout.n_functional, fit.layout.n_components))
+    out = np.empty((ds.n_units, fit.layout.n_functional, fit.layout.n_components))
     out[known] = fit.scores[idx[known]]
     if not known.all():
-        new = [u for u, k in zip(units, known) if not k]
         if fit.fpca_models is None:
-            raise ValueError(f"missing scores for unit {new[0].unit_id}: fit carries no FPCA basis")
-        out[~known] = np.stack([project_scores(m, np.vstack([u.curves[s] for u in new]))
+            raise ValueError(f"missing scores for unit {ds.unit_ids[int(np.argmin(known))]}: "
+                             "fit carries no FPCA basis")
+        new = ds.curves[~known]
+        out[~known] = np.stack([project_scores(m, new[:, s])
                                 for s, m in enumerate(fit.fpca_models)], axis=1)
     return out
 
 
-def _coefficient_terms(fit: FitResult, units) -> dict:
+def _coefficient_terms(fit: FitResult, ds: DegradationDataset) -> dict:
     """Each term's (N, L) contribution to the units' fitted coefficients,
     keyed by layout segment, from the layout's covariate map."""
-    features = fit.layout.features(np.array([u.scalars for u in units]),
-                                   _unit_scores(fit, units), fit.r_support)
+    features = fit.layout.features(ds.scalars, _unit_scores(fit, ds), fit.r_support)
     return fit.layout.components(fit.params.zeta, features)
 
 
-def coefficient_levels(fit: FitResult, unit: UnitRecord, use_latent: bool = True) -> np.ndarray:
-    """Fitted per-level coefficients eta_hat for one unit."""
-    eta = sum(_coefficient_terms(fit, (unit,)).values())[0]
-    if use_latent and fit.params.latent_dim:
-        idx = fit.unit_index(unit.unit_id)
-        if idx is None:
-            raise ValueError(f"no latent posterior for unit {unit.unit_id}; "
-                             "predict with use_latent=False")
-        eta = eta + fit.posterior.mu[idx]
-    return eta
+def _latent_terms(fit: FitResult, ds: DegradationDataset) -> np.ndarray:
+    """(N, L) posterior mean latent term of each unit the fit saw, zero for
+    the others."""
+    latent = np.zeros((ds.n_units, fit.layout.n_levels))
+    if fit.params.latent_dim:
+        idx = _unit_indices(fit, ds.unit_ids)
+        latent[idx >= 0] = fit.posterior.mu[idx[idx >= 0]]
+    return latent
 
 
-def predict_unit(fit: FitResult, unit: UnitRecord, times=None, use_latent: bool = True) -> np.ndarray:
-    """Predicted responses sum_l eta_hat_l phi_l(t) at the requested times."""
-    if times is None:
-        times = unit.times
-    eta = coefficient_levels(fit, unit, use_latent=use_latent)
-    phi = basis_columns(fit.config.basis, np.asarray(times, dtype=float), fit.layout.levels)
-    return phi @ eta
+def predict_unit(fit: FitResult, ds: DegradationDataset, use_latent: bool = True) -> np.ndarray:
+    """Predicted responses sum_l eta_hat_l phi_l(t) of every unit of ``ds``,
+    one n_obs vector in dataset row order.
+
+    ``use_latent`` adds the posterior mean latent term of each unit the fit
+    saw; a unit it did not see gets no latent term.
+    """
+    eta = sum(_coefficient_terms(fit, ds).values())
+    if use_latent:
+        eta = eta + _latent_terms(fit, ds)
+    phi = basis_columns(fit.config.basis, ds.times, fit.layout.levels)
+    return np.einsum("nl,nl->n", phi, eta[ds.unit_rows])
 
 
 def residual_metrics(y, y_hat):
@@ -151,19 +154,25 @@ def count_parameters(fit: FitResult) -> int:
 
 
 def temporal_split(ds: DegradationDataset, fraction: float):
-    """Per unit, first floor(fraction * m_i) observations train, rest test."""
+    """Per unit, the first floor(fraction * m_i) observations train and the
+    rest test; a unit with no test observation is left out of the test set,
+    which is None when no unit has one."""
     if not (0.0 < fraction < 1.0):
         raise ValueError("split fraction must lie in (0, 1)")
-    train_units, test_units = [], []
-    for u in ds.units:
-        n_train = int(np.floor(fraction * u.n_obs))
-        if n_train < 1:
-            raise ValueError(f"unit {u.unit_id}: empty train split at fraction {fraction}")
-        train_units.append(replace(u, times=u.times[:n_train], responses=u.responses[:n_train]))
-        if n_train < u.n_obs:
-            test_units.append(replace(u, times=u.times[n_train:], responses=u.responses[n_train:]))
-    train = DegradationDataset(tuple(train_units), ds.r_grid)
-    test = DegradationDataset(tuple(test_units), ds.r_grid) if test_units else None
+    n_train = np.floor(fraction * ds.counts).astype(np.int64)
+    if np.any(n_train < 1):
+        uid = ds.unit_ids[int(np.argmax(n_train < 1))]
+        raise ValueError(f"unit {uid}: empty train split at fraction {fraction}")
+    rows = ds.unit_rows
+    train_rows = np.arange(ds.n_obs) - ds.offsets[rows] < n_train[rows]
+    train = replace(ds, counts=n_train, times=ds.times[train_rows],
+                    responses=ds.responses[train_rows])
+    tested = n_train < ds.counts
+    if not tested.any():
+        return train, None
+    test = DegradationDataset(tuple(compress(ds.unit_ids, tested)), (ds.counts - n_train)[tested],
+                              ds.times[~train_rows], ds.responses[~train_rows],
+                              ds.scalars[tested], ds.curves[tested], ds.r_grid)
     return train, test
 
 
@@ -174,20 +183,16 @@ def kfold_cv(ds: DegradationDataset, config: ModelConfig, k: int, seed: int,
     if not (2 <= k <= n):
         raise ValueError("folds must satisfy 2 <= k <= n_units")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    folds = np.array_split(order, k)
+    folds = np.array_split(rng.permutation(n), k)
     total = 0.0
     for fold in folds:
         if fold.size == 0:
             raise ValueError("empty cross-validation fold")
-        held = set(int(i) for i in fold)
-        train_units = tuple(u for i, u in enumerate(ds.units) if i not in held)
-        fit = fit_em(DegradationDataset(train_units, ds.r_grid), config,
-                     max_iter=max_iter, tol=tol)
-        for i in sorted(held):
-            unit = ds.units[i]
-            pred = predict_unit(fit, unit, use_latent=False)
-            total += float(np.sum((unit.responses - pred) ** 2))
+        held = np.zeros(n, dtype=bool)
+        held[fold] = True
+        fit = fit_em(ds.select(~held), config, max_iter=max_iter, tol=tol)
+        test = ds.select(held)
+        total += float(np.sum((test.responses - predict_unit(fit, test, use_latent=False)) ** 2))
     return total
 
 
@@ -196,11 +201,8 @@ def _with_micro_scalar(ds: DegradationDataset, micro: np.ndarray) -> Degradation
     micro = np.asarray(micro, dtype=float)
     if micro.shape != (ds.n_units,):
         raise ValueError("micro_scalar must hold one value per unit")
-    units = []
-    for u, m in zip(ds.units, micro):
-        augmented = np.concatenate([u.scalars, [m], u.scalars * m])
-        units.append(replace(u, scalars=augmented))
-    return DegradationDataset(tuple(units), ds.r_grid)
+    x = ds.scalars
+    return replace(ds, scalars=np.column_stack([x, micro, x * micro[:, None]]))
 
 
 def fit_and_score(ds: DegradationDataset, config: ModelConfig, split_fraction: float = 0.8,
@@ -214,12 +216,7 @@ def fit_and_score(ds: DegradationDataset, config: ModelConfig, split_fraction: f
 
     mse_test = np.nan
     if test is not None:
-        y_test, yhat_test = [], []
-        for u in test.units:
-            y_test.append(u.responses)
-            yhat_test.append(predict_unit(fit, u, use_latent=True))
-        y_test = np.concatenate(y_test)
-        mse_test = float(np.mean((y_test - np.concatenate(yhat_test)) ** 2))
+        mse_test = float(np.mean((test.responses - predict_unit(fit, test, use_latent=True)) ** 2))
 
     ll = fit.loglik
     p = count_parameters(fit)
@@ -278,16 +275,12 @@ def effect_decomposition(fit: FitResult, ds: DegradationDataset) -> list:
     """Per unit and level: population, scalar, functional-marginal,
     interaction and latent contributions to the fitted coefficient."""
     layout = fit.layout
-    terms = _coefficient_terms(fit, ds.units)
+    terms = _coefficient_terms(fit, ds)
     zero = np.zeros((ds.n_units, layout.n_levels))
-    latent = zero.copy()
-    if fit.params.latent_dim:
-        idx = _unit_indices(fit, ds.units)
-        latent[idx >= 0] = fit.posterior.mu[idx[idx >= 0]]
     columns = [terms["nu"], terms.get("beta", zero), terms.get("b", zero),
-               terms.get("b_int", zero), latent]
+               terms.get("b_int", zero), _latent_terms(fit, ds)]
     return [
-        EffectRow(u.unit_id, level, *(float(c[i, li]) for c in columns))
-        for i, u in enumerate(ds.units)
+        EffectRow(uid, level, *(float(c[i, li]) for c in columns))
+        for i, uid in enumerate(ds.unit_ids)
         for li, level in enumerate(layout.levels)
     ]

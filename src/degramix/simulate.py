@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import BasisFamily, DegradationDataset, ModelConfig, UnitRecord, basis_columns
+from .data import BasisFamily, DegradationDataset, ModelConfig, basis_columns
 from .design import ZetaLayout, layout_for
 from .fpca import trapezoid_weights
 
@@ -186,18 +186,15 @@ def generate_dataset(spec: SyntheticSpec):
     phi = basis_columns(spec.basis, spec.times, layout.levels)
     noise = rng.normal(0.0, np.sqrt(spec.sigma_eps2), size=(spec.n_units, spec.n_obs))
     width = len(str(spec.n_units))
-    units = []
-    for i in range(spec.n_units):
-        y = phi @ eta[i] + noise[i]
-        units.append(UnitRecord(
-            unit_id=f"u{i + 1:0{width}d}",
-            times=spec.times,
-            responses=y,
-            scalars=scalars[i],
-            curves=curves[i],
-        ))
-
-    ds = DegradationDataset(units=tuple(units), r_grid=spec.r_grid)
+    ds = DegradationDataset(
+        unit_ids=tuple(f"u{i:0{width}d}" for i in range(1, spec.n_units + 1)),
+        counts=np.full(spec.n_units, spec.n_obs),
+        times=np.tile(spec.times, spec.n_units),
+        responses=(eta @ phi.T + noise).ravel(),
+        scalars=scalars,
+        curves=curves,
+        r_grid=spec.r_grid,
+    )
     truth = TruthRecord(
         zeta=spec.zeta.copy(),
         sigma_eps2=spec.sigma_eps2,

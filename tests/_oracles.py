@@ -15,6 +15,7 @@ import numpy as np
 from degramix.data import (
     DegradationDataset,
     UnitRecord,
+    _line,
     _malformed,
     _read_rows,
     _unit_sort_key,
@@ -131,6 +132,43 @@ def gaussian_conditioning(lam, sigma_gamma, sigma_eps2, resid):
     mu = cross @ solve @ resid
     v = sigma_gamma - cross @ solve @ cross.T
     return mu, (v + v.T) / 2.0
+
+
+def stack_units(units, r_grid) -> DegradationDataset:
+    """The dataset holding ``units`` in order (``UnitRecord``s or anything
+    with their fields), built by stacking their arrays into the array
+    constructor, which then validates them."""
+    units = tuple(units)
+    return DegradationDataset(
+        unit_ids=[u.unit_id for u in units],
+        counts=[np.size(u.times) for u in units],
+        times=np.concatenate([np.ravel(u.times) for u in units] + [np.zeros(0)]),
+        responses=np.concatenate([np.ravel(u.responses) for u in units] + [np.zeros(0)]),
+        scalars=np.array([np.ravel(u.scalars) for u in units], dtype=float),
+        curves=np.array([np.atleast_2d(u.curves) for u in units], dtype=float),
+        r_grid=r_grid,
+    )
+
+
+def coefficient_levels(fit, unit) -> np.ndarray:
+    """One unit's fitted per-level coefficients, term by term from the split
+    coefficient vector: nu + beta x + R b.c + R b_int.(x c), plus the
+    latent posterior mean when the fit has one; the unit must be one the fit
+    saw."""
+    i = fit.unit_index(unit.unit_id)
+    parts = fit.layout.split(fit.params.zeta)
+    x = np.asarray(unit.scalars, dtype=float)
+    eta = parts["nu"].copy()
+    if fit.layout.include_scalar:
+        eta += parts["beta"] @ x
+    if fit.layout.include_functional:
+        c = fit.scores[i]
+        eta += fit.r_support * np.einsum("lsk,sk->l", parts["b"], c)
+        if fit.layout.include_interaction:
+            eta += fit.r_support * np.einsum("lpsk,p,sk->l", parts["b_int"], x, c)
+    if fit.params.latent_dim:
+        eta += fit.posterior.mu[i]
+    return eta
 
 
 def build_observed_design(unit, basis, scores_row, r_support, layout):
@@ -298,8 +336,9 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
     Python's csv, float() and int(): the reference for ``load_dataset``.
 
     Units are returned sorted by unit id and observations sorted by time.
-    Raises ValueError on malformed rows (naming the file and line),
-    mismatched unit ids, ragged grids or duplicate (unit, time) rows.
+    Raises ValueError on malformed rows or a covariate index outside 1..S
+    (naming the file and line), mismatched unit ids, ragged grids, duplicate
+    (unit, time) rows or non-finite values.
     """
     header = ["unit_id", "time", "y"]
     resp_rows = _read_rows(responses_file)
@@ -333,11 +372,13 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
     if not curv_rows or [c.strip() for c in curv_rows[0]] != header:
         raise ValueError(f"{curves_file}: expected header unit_id,s,r,z")
     curve_points: dict = {}
+    first_row: dict = {}  # covariate index -> the first row holding it
     for index, row in enumerate(curv_rows[1:], 1):
         if row:
             try:
                 uid, s, r, z = row
                 curve_points.setdefault(uid, {}).setdefault(int(s), []).append((float(r), float(z)))
+                first_row.setdefault(int(s), index)
             except ValueError:
                 raise _malformed(curves_file, index, row, header) from None
 
@@ -365,6 +406,11 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
         s_indices = tuple(sorted(curve_points[unit_ids[0]]))
         if s_indices != tuple(range(1, len(s_indices) + 1)):
             raise ValueError(f"curves file: covariate indices must be 1..S, got {s_indices}")
+        stray = {i: s for s, i in first_row.items() if s not in s_indices}
+        if stray:
+            index = min(stray)
+            raise ValueError(f"{_line(curves_file, index)}: covariate index s={stray[index]} "
+                             f"outside 1..{len(s_indices)}")
         first = sorted(curve_points[unit_ids[0]][s_indices[0]])
         r_grid = np.array([r for r, _ in first])
 
@@ -384,6 +430,12 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
             if rs.shape != r_grid.shape or not np.array_equal(rs, r_grid):
                 raise ValueError(f"unit {uid}: ragged functional grid for covariate s={s}")
             curves[si] = [z for _, z in pts]
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(ys))):
+            raise ValueError(f"unit {uid}: non-finite measurement")
+        if not np.all(np.isfinite(scalars[uid])):
+            raise ValueError(f"unit {uid}: non-finite scalar covariate")
+        if not np.all(np.isfinite(curves)):
+            raise ValueError(f"unit {uid}: non-finite functional covariate curve")
         units.append(UnitRecord(uid, times, ys, scalars[uid], curves))
 
-    return DegradationDataset(units=tuple(units), r_grid=r_grid)
+    return stack_units(units, r_grid)

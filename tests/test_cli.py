@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from degramix import cli, design, estimator, evaluation
+from degramix import cli, data, design, estimator, evaluation
 from degramix.cli import run
 
 
@@ -252,3 +252,30 @@ class TestConfigFile:
         assert run(["fit", "--data", str(data), "--variant", "Model99",
                     "--out", str(tmp_path / "x")]) == 1
         assert "Model1..Model7" in capsys.readouterr().err
+
+
+class TestNoPerUnitRecords:
+    def test_commands_never_build_unit_records(self, tmp_path, monkeypatch):
+        # every command works on the dataset's stacked arrays: building a
+        # UnitRecord or reading ds.units anywhere on these paths fails the run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-unit record built on a CLI path")
+
+        monkeypatch.setattr(data.UnitRecord, "__init__", forbidden)
+        monkeypatch.setattr(data.DegradationDataset, "units", property(forbidden), raising=False)
+        d = str(simulate_into(tmp_path, n_units=15, n_obs=8))
+        out = str(tmp_path)
+        commands = [
+            ["fit", "--data", d, "--variant", "Model7", "--k", "2", "--out", out + "/fit"],
+            ["predict", "--fit", out + "/fit/fit_report.json", "--data", d, "--out", out + "/p"],
+            ["evaluate", "--data", d, "--variant", "Model7", "--k", "2", "--folds", "3",
+             "--out", out + "/ev"],
+            ["compare", "--data", d, "--k", "2", "--out", out + "/cmp",
+             *(a for v in ("Model1", "Model2", "Model3", "Model4", "Model5", "Model7")
+               for a in ("--variant", v))],
+            ["compare", "--data", d, "--k", "2", "--variant", "Model6", "--micro-column", "1",
+             "--out", out + "/cmp6"],
+            ["fpca", "--data", d, "--out", out + "/fpca"],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv[0]

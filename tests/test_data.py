@@ -1,9 +1,10 @@
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import load_dataset_rows
+from _oracles import load_dataset_rows, stack_units
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +13,10 @@ from degramix.data import (
     DegradationDataset,
     ModelConfig,
     UnitRecord,
+    basis_columns,
     center_baseline,
     config_from_dict,
     config_to_dict,
-    evaluate_basis,
     load_dataset,
     save_dataset,
 )
@@ -37,44 +38,57 @@ def make_dataset(n=3, grid_size=5):
                   curves=rng.normal(size=(2, grid_size)))
         for i in range(1, n + 1)
     ]
-    return DegradationDataset(tuple(units), np.linspace(0.0, 4.0, grid_size))
+    return stack_units(units, np.linspace(0.0, 4.0, grid_size))
+
+
+def full_basis(order, times):
+    return basis_columns(BasisFamily("polynomial", order), np.asarray(times, dtype=float),
+                         range(order + 1))
 
 
 class TestEvaluateBasis:
+    """The time basis phi_l(t) = t**l as ``basis_columns`` evaluates it: one
+    row per time, one column per level."""
+
     def test_order_one(self):
-        assert np.array_equal(evaluate_basis(BasisFamily("polynomial", 1), 3.0), [1.0, 3.0])
+        assert np.array_equal(full_basis(1, [3.0, -1.5]), [[1.0, 3.0], [1.0, -1.5]])
 
     def test_order_two(self):
-        assert np.array_equal(evaluate_basis(BasisFamily("polynomial", 2), 2.0), [1.0, 2.0, 4.0])
+        assert np.array_equal(full_basis(2, [2.0, 0.5]), [[1.0, 2.0, 4.0], [1.0, 0.5, 0.25]])
 
     def test_zero_time(self):
-        assert np.array_equal(evaluate_basis(BasisFamily("polynomial", 1), 0.0), [1.0, 0.0])
+        assert np.array_equal(full_basis(1, [0.0]), [[1.0, 0.0]])
+        assert np.array_equal(basis_columns(BasisFamily("polynomial", 2), [0.0, 2.0], (1, 2)),
+                              [[0.0, 0.0], [2.0, 4.0]])
 
-    @given(st.floats(-100.0, 100.0), st.integers(0, 5))
-    def test_first_element_is_one(self, t, order):
-        assert evaluate_basis(BasisFamily("polynomial", order), t)[0] == 1.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            evaluate_basis(BasisFamily(), np.inf)
+    @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=4), st.integers(0, 5))
+    def test_first_element_is_one(self, times, order):
+        assert np.all(full_basis(order, times)[:, 0] == 1.0)
 
 
 class TestCenterBaseline:
     def test_subtracts_first_response(self):
-        ds = DegradationDataset((make_unit(responses=(5.0, 7.0, 10.0)),), np.arange(5.0))
+        ds = stack_units((make_unit(responses=(5.0, 7.0, 10.0)),), np.arange(5.0))
         centered = center_baseline(ds)
         assert np.array_equal(centered.units[0].responses, [0.0, 2.0, 5.0])
 
     def test_single_observation(self):
-        ds = DegradationDataset((make_unit(times=(1.0,), responses=(4.0,)),), np.arange(5.0))
+        ds = stack_units((make_unit(times=(1.0,), responses=(4.0,)),), np.arange(5.0))
         assert np.array_equal(center_baseline(ds).units[0].responses, [0.0])
+
+    def test_each_unit_from_its_own_first_response(self):
+        ds = stack_units((make_unit("u1", times=(1.0,), responses=(4.0,)),
+                          make_unit("u2", responses=(5.0, 7.0, 10.0)),
+                          make_unit("u3", times=(0.0, 2.0), responses=(-1.0, 1.5))),
+                         np.arange(5.0))
+        assert np.array_equal(center_baseline(ds).responses, [0.0, 0.0, 2.0, 5.0, 0.0, 2.5])
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 8))
-        ds = DegradationDataset(
+        ds = stack_units(
             (make_unit(times=np.arange(m, dtype=float), responses=rng.normal(size=m)),),
             np.arange(5.0),
         )
@@ -84,42 +98,92 @@ class TestCenterBaseline:
         assert once.units[0].responses[0] == 0.0
 
 
+def stack_one(*args, **kwargs):
+    return stack_units((make_unit(*args, **kwargs),), np.arange(5.0))
+
+
 class TestValidation:
     def test_non_increasing_times_rejected(self):
         with pytest.raises(ValueError, match="non-increasing times"):
-            make_unit(times=(1.0, 1.0, 2.0))
+            stack_one(times=(1.0, 1.0, 2.0))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            make_unit(times=(1.0, 2.0), responses=(1.0,))
+            stack_one(times=(1.0, 2.0), responses=(1.0,))
 
     def test_non_finite_scalars_rejected(self):
         with pytest.raises(ValueError, match="unit u7: non-finite scalar"):
-            make_unit("u7", scalars=(1.0, np.nan))
+            stack_one("u7", scalars=(1.0, np.nan))
 
     def test_non_finite_curves_rejected(self):
         curves = np.arange(5, dtype=float)[None, :]
         curves[0, 2] = np.inf
         with pytest.raises(ValueError, match="unit u8: non-finite functional"):
-            make_unit("u8", curves=curves)
+            stack_one("u8", curves=curves)
+
+    @pytest.mark.parametrize("field,value", [("times", np.inf), ("responses", np.nan)])
+    def test_non_finite_measurement_rejected(self, field, value):
+        arrays = dict(unit_ids=("u1", "u2", "u3"), counts=[2, 2, 2],
+                      times=np.tile([0.0, 1.0], 3), responses=np.zeros(6),
+                      scalars=np.zeros((3, 1)), curves=np.zeros((3, 1, 5)),
+                      r_grid=np.arange(5.0))
+        arrays[field][3] = value  # u2's last time, so its times still rise
+        with pytest.raises(ValueError, match="^unit u2: non-finite measurement$"):
+            DegradationDataset(**arrays)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="unit u9: needs at least one measurement"):
-            make_unit("u9", times=(), responses=())
+            stack_one("u9", times=(), responses=())
 
     def test_ragged_grid_rejected(self):
-        u1 = make_unit("u1", grid_size=5)
+        u1 = make_unit("u1", grid_size=6)
         u2 = make_unit("u2", grid_size=6)
-        with pytest.raises(ValueError, match="ragged"):
-            DegradationDataset((u1, u2), np.arange(5.0))
+        with pytest.raises(ValueError, match="unit u1: ragged"):
+            stack_units((u1, u2), np.arange(5.0))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            DegradationDataset((), np.arange(5.0))
+            stack_units((), np.arange(5.0))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            DegradationDataset((make_unit("u1"), make_unit("u1")), np.arange(5.0))
+            stack_units((make_unit("u1"), make_unit("u1")), np.arange(5.0))
+
+    def test_first_bad_unit_named_with_its_first_broken_rule(self):
+        units = [make_unit("u1"), make_unit("u2", scalars=(np.nan,)),
+                 make_unit("u3", times=(2.0, 1.0, 3.0))]
+        with pytest.raises(ValueError, match="^unit u2: non-finite scalar"):
+            stack_units(units, np.arange(5.0))
+        units[1] = make_unit("u2", times=(1.0, 1.0, 2.0), responses=(np.nan, 1.0, 2.0),
+                             scalars=(np.nan,))
+        with pytest.raises(ValueError, match="^non-increasing times for unit u2$"):
+            stack_units(units, np.arange(5.0))
+
+    def test_fields_frozen(self):
+        ds = make_dataset()
+        for name in ("counts", "times", "responses", "scalars", "curves", "r_grid"):
+            with pytest.raises(ValueError):
+                getattr(ds, name)[0] = 0
+
+
+class TestStackedLayout:
+    def test_units_view_the_arrays(self):
+        units = [make_unit("u1", times=(0.0, 1.0), responses=(1.0, 2.0), scalars=(3.0, 4.0)),
+                 make_unit("u2", times=(0.5,), responses=(5.0,), scalars=(6.0, 7.0))]
+        ds = stack_units(units, np.arange(5.0))
+        assert ds.unit_ids == ("u1", "u2") and ds.counts.tolist() == [2, 1]
+        assert ds.offsets.tolist() == [0, 2, 3] and ds.unit_rows.tolist() == [0, 0, 1]
+        assert ds.n_obs == 3 and ds.curves.shape == (2, 1, 5)
+        for a, b in zip(ds.units, units):
+            for name in ("unit_id", "times", "responses", "scalars"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_select_keeps_units_in_order(self):
+        ds = make_dataset(n=4)
+        part = ds.select([True, False, False, True])
+        assert part.unit_ids == ("u1", "u4")
+        assert np.array_equal(part.times, np.concatenate([ds.units[0].times, ds.units[3].times]))
+        assert np.array_equal(part.curves, ds.curves[[0, 3]])
 
 
 class TestModelConfig:
@@ -167,7 +231,7 @@ class TestCsvRoundTrip:
                       curves=rng.normal(size=(1, 5)))
             for i in range(1, 13)
         ]
-        ds = DegradationDataset(tuple(units), np.arange(5.0))
+        ds = stack_units(units, np.arange(5.0))
         paths = (tmp_path / "r.csv", tmp_path / "s.csv", tmp_path / "c.csv")
         save_dataset(ds, *paths)
         loaded = load_dataset(*paths)
@@ -201,6 +265,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="ragged"):
             load_dataset(*paths)
 
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_non_finite_measurement_rejected(self, tmp_path, column):
+        paths = saved_paths(tmp_path)
+        lines = paths[0].read_text().splitlines()
+        fields = lines[6].split(",")  # u2's last measurement
+        assert fields[0] == "u2"
+        fields[column] = "inf" if column == 1 else "nan"
+        replace_line(paths[0], 6, ",".join(fields))
+        with pytest.raises(ValueError, match="^unit u2: non-finite measurement$"):
+            load_dataset(*paths)
+
     def test_units_sorted_numerically(self, tmp_path):
         ds = make_dataset(n=11)
         paths = (tmp_path / "r.csv", tmp_path / "s.csv", tmp_path / "c.csv")
@@ -222,7 +297,7 @@ class TestMismatchedFiles:
     def test_unit_listed_twice_in_scalars_rejected(self, tmp_path):
         units = [make_unit(f"u{i:02d}", scalars=(float(i),)) for i in range(1, 4)]
         paths = (tmp_path / "r.csv", tmp_path / "s.csv", tmp_path / "c.csv")
-        save_dataset(DegradationDataset(tuple(units), np.arange(5.0)), *paths)
+        save_dataset(stack_units(units, np.arange(5.0)), *paths)
         with open(paths[1], "a") as fh:
             fh.write("u01,99.0\n")
         with pytest.raises(ValueError) as err:
@@ -334,6 +409,22 @@ class TestMalformedRowsNameFileAndLine:
             load_dataset(*paths)
         except ValueError:
             pass
+
+    @pytest.mark.parametrize("rows,line,s", [
+        (["u2,3,1.0,0.5", "u3,0,1.0,0.5"], 32, 3),
+        (["u3,0,1.0,0.5"], 32, 0),
+        (["u1,1,9.0,0.5", "u3,+03,1.0,0.5"], 33, 3),  # u1's stray point is a grid error
+    ])
+    def test_covariate_index_outside_1_to_s_names_line(self, tmp_path, rows, line, s):
+        # a later unit's curve row with an index outside the 1..S that the
+        # first unit fixes (S = 2 here) is rejected, not dropped
+        paths = saved_paths(tmp_path)
+        with open(paths[2], "a") as fh:
+            fh.write("\n".join(rows) + "\n")
+        for loader in (load_dataset, load_dataset_rows):
+            with pytest.raises(ValueError) as err:
+                loader(*paths)
+            assert str(err.value) == f"{paths[2]}: line {line}: covariate index s={s} outside 1..2"
 
     def test_undecodable_bytes_name_file(self, tmp_path):
         paths = saved_paths(tmp_path)
@@ -459,8 +550,8 @@ class TestColumnarLoaderMatchesRowOracle:
         assert_loaders_agree(data.draw(dataset_files(tmp_path_factory.mktemp("csv"))))
 
     @pytest.mark.parametrize("which,drop,add", [
-        (2, (), ["u2,3,1.0,0.5"]),                 # an index beyond 1..S on a later unit
-        (2, (), ["u2,0,1.0,0.5"]),                 # index 0
+        (2, (), ["u2,3,1.0,0.5"]),                 # an index beyond 1..S on a later unit: rejected
+        (2, (), ["u2,0,1.0,0.5"]),                 # index 0: rejected
         (2, ("u2,1,", "u2,2,0.0,"), []),           # u2: s=1 missing, s=2 short
         (2, ("u3,2,1.0,",), ["u3,2,1.5,0.25"]),    # u3: a point off the grid
         (2, ("u3,1,4.0,",), ["u3,1,3.0,0.25"]),    # u3: a grid point twice

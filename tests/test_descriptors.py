@@ -49,6 +49,18 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize_image(MicrostructureImage(np.zeros((2, 2))), 1.0)
 
+    def test_keeps_validated_intensities_without_checking_again(self, monkeypatch):
+        img = MicrostructureImage(np.array([[0.2, 0.8], [0.5, 0.1]]))
+
+        def checked_again(self):
+            raise AssertionError("intensities validated a second time")
+
+        monkeypatch.setattr(MicrostructureImage, "__post_init__", checked_again)
+        binary = binarize_image(img, 0.5)
+        assert binary.intensities is img.intensities and img.phase_mask is None
+        assert binary.phase_mask.tolist() == [[False, True], [True, False]]
+        assert not binary.phase_mask.flags.writeable
+
 
 class TestTpc:
     def test_all_true_saturates(self):

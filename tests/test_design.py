@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degramix.data import BasisFamily, DegradationDataset, ModelConfig, UnitRecord, basis_columns
+from degramix.data import BasisFamily, ModelConfig, UnitRecord, basis_columns
 from degramix.design import build_design_matrices, layout_for
 from degramix.evaluation import table1_variants
 from degramix.simulate import default_spec, generate_dataset
-from _oracles import build_observed_design, stack_population
+from _oracles import build_observed_design, stack_population, stack_units
 
 
 def unit_with(times, scalars, uid="u1", grid_size=4):
@@ -26,13 +26,13 @@ def random_dataset(rng, n=14, m=5, p=2, s=1, grid_size=6):
             times = np.sort(rng.uniform(0.0, 3.0, size=m))
         units.append(UnitRecord(f"u{i + 1}", times, rng.normal(size=m),
                                 rng.normal(size=p), rng.normal(size=(s, grid_size))))
-    return DegradationDataset(tuple(units), np.linspace(0.0, 2.0, grid_size))
+    return stack_units(units, np.linspace(0.0, 2.0, grid_size))
 
 
 def one_unit_design(unit, cfg, scores=None, r_support=10.0):
     """The design of a one-unit dataset; a single unit's design is rank
     deficient whenever it has more columns than rows, so skip the rank check."""
-    ds = DegradationDataset((unit,), np.arange(4.0))
+    ds = stack_units((unit,), np.arange(4.0))
     return build_design_matrices(ds, replace(cfg, ridge_jitter=True),
                                  scores=None if scores is None else np.asarray(scores)[None],
                                  r_support=r_support)
@@ -119,7 +119,7 @@ class TestMatchesPerUnitOracle:
         spec = default_spec(seed=40 + order, n_units=15, n_obs=7)
         ds, truth = generate_dataset(spec)
         # ragged series: unit i keeps its first 3 + i % 5 observations
-        ds = DegradationDataset(tuple(
+        ds = stack_units((
             replace(u, times=u.times[:3 + i % 5], responses=u.responses[:3 + i % 5])
             for i, u in enumerate(ds.units)), ds.r_grid)
         cfg = table1_variants()[name].config
@@ -140,7 +140,7 @@ def int_dataset(rng, sizes, p=2):
         times = np.sort(rng.choice(np.arange(0, 12), size=m, replace=False)).astype(float)
         units.append(UnitRecord(f"u{i}", times, rng.integers(-5, 6, size=m),
                                 rng.integers(-3, 4, size=p), np.zeros((1, 4))))
-    return DegradationDataset(tuple(units), np.arange(4.0))
+    return stack_units(units, np.arange(4.0))
 
 
 # few units cannot span the scalar blocks, so these stacking checks skip the rank check
@@ -181,7 +181,7 @@ class TestStacking:
         dm = build_design_matrices(ds, SCALAR_ORDER2)
         perm = [2, 0, 1]
         dm_p = build_design_matrices(
-            DegradationDataset(tuple(ds.units[i] for i in perm), ds.r_grid), SCALAR_ORDER2)
+            stack_units((ds.units[i] for i in perm), ds.r_grid), SCALAR_ORDER2)
         # permuting units permutes row blocks, counts and Gram blocks, nothing else
         cuts = np.cumsum(dm.counts)[:-1]
         for field in ("omega", "lam", "y"):
@@ -263,7 +263,7 @@ class TestRankCheck:
             x = rng.normal()
             units.append(UnitRecord(f"u{i}", np.arange(1.0, 5.0), rng.normal(size=4),
                                     np.array([x, x]), np.zeros((1, 4))))
-        ds = DegradationDataset(tuple(units), np.arange(4.0))
+        ds = stack_units(units, np.arange(4.0))
         cfg = ModelConfig(include_functional=False, include_interaction=False)
         with pytest.raises(ValueError, match="rank-deficient.*beta"):
             build_design_matrices(ds, cfg)
@@ -275,7 +275,7 @@ class TestRankCheck:
             x = rng.normal()
             units.append(UnitRecord(f"u{i}", np.arange(1.0, 5.0), rng.normal(size=4),
                                     np.array([x, x]), np.zeros((1, 4))))
-        ds = DegradationDataset(tuple(units), np.arange(4.0))
+        ds = stack_units(units, np.arange(4.0))
         cfg = ModelConfig(include_functional=False, include_interaction=False,
                           ridge_jitter=True)
         dm = build_design_matrices(ds, cfg)

@@ -430,11 +430,7 @@ class TestFitEm:
         spec = default_spec(seed=24, n_units=12, n_obs=8)
         ds, truth = generate_dataset(spec)
         c = 2.0
-        scaled_units = tuple(
-            dc_replace(u, responses=u.responses * c) for u in ds.units
-        )
-        from degramix.data import DegradationDataset
-        ds_scaled = DegradationDataset(scaled_units, ds.r_grid)
+        ds_scaled = dc_replace(ds, responses=ds.responses * c)
         fit = fit_em(ds, spec.config, scores=truth.scores, max_iter=25, tol=0.0)
         fit_scaled = fit_em(ds_scaled, spec.config, scores=truth.scores, max_iter=25, tol=0.0)
         assert fit_scaled.iterations == fit.iterations
@@ -454,7 +450,7 @@ class TestFitEm:
         spec = default_spec(seed=26, n_units=12, n_obs=5)
         ds, truth = generate_dataset(spec)
         fit = fit_em(ds, spec.config, scores=truth.scores)
-        assert [fit.unit_index(u.unit_id) for u in ds.units] == list(range(ds.n_units))
+        assert [fit.unit_index(uid) for uid in ds.unit_ids] == list(range(ds.n_units))
         assert fit.unit_index("stranger") is None
         # the fit carries the design it ran on
         dm = build_design_matrices(ds, spec.config, scores=truth.scores)

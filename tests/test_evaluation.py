@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from _oracles import coefficient_levels, stack_units
 
-from degramix.data import DegradationDataset, ModelConfig
+from degramix.data import ModelConfig
 from degramix.estimator import fit_em
 from degramix.evaluation import (
     EffectRow,
     compare_models,
-    coefficient_levels,
     effect_decomposition,
     fit_and_score,
     information_criteria,
@@ -26,54 +28,57 @@ def fitted_instance(seed=0, n_units=25, n_obs=12, **spec_overrides):
     return spec, ds, truth, fit
 
 
+def renamed(ds, index):
+    """The one-unit dataset of unit ``index`` under an id no fit has seen."""
+    return stack_units((replace(ds.units[index], unit_id="stranger"),), ds.r_grid)
+
+
 class TestPredictUnit:
     def test_zero_parameters_predict_zero(self):
         spec, ds, truth, fit = fitted_instance(seed=1, n_units=8, n_obs=5)
-        from dataclasses import replace
         from degramix.estimator import Parameters, LatentPosterior
         zero = replace(
             fit,
             params=Parameters(np.zeros_like(fit.params.zeta), 1.0, fit.params.sigma_gamma),
             posterior=LatentPosterior(np.zeros_like(fit.posterior.mu), fit.posterior.v),
         )
-        assert np.array_equal(predict_unit(zero, ds.units[0]), np.zeros(5))
+        assert np.array_equal(predict_unit(zero, ds), np.zeros(ds.n_obs))
 
     def test_noiseless_training_points_recovered(self):
         spec, ds, truth, fit = fitted_instance(seed=2, n_units=20, n_obs=10,
                                                sigma_eps2=1e-12)
-        for u in ds.units[:5]:
-            pred = predict_unit(fit, u, use_latent=True)
-            assert np.max(np.abs(pred - u.responses)) <= 1e-4
+        pred = predict_unit(fit, ds, use_latent=True)
+        assert pred.shape == ds.responses.shape
+        assert np.max(np.abs(pred - ds.responses)) <= 1e-4
 
     def test_latent_toggle_adds_exactly_latent_path(self):
         spec, ds, truth, fit = fitted_instance(seed=3, n_units=10, n_obs=6)
-        u = ds.units[2]
-        idx = fit.unit_index(u.unit_id)
-        with_lat = predict_unit(fit, u, use_latent=True)
-        without = predict_unit(fit, u, use_latent=False)
-        phi = u.times[:, None] ** np.array(fit.layout.levels, dtype=float)[None, :]
-        assert np.allclose(with_lat - without, phi @ fit.posterior.mu[idx], atol=1e-12)
+        with_lat = predict_unit(fit, ds, use_latent=True)
+        without = predict_unit(fit, ds, use_latent=False)
+        phi = ds.times[:, None] ** np.array(fit.layout.levels, dtype=float)[None, :]
+        mu = fit.posterior.mu[[fit.unit_index(uid) for uid in ds.unit_ids]]
+        latent = np.sum(phi * mu[ds.unit_rows], axis=1)
+        assert np.allclose(with_lat - without, latent, atol=1e-12)
 
-    def test_unseen_unit_with_latent_rejected(self):
+    def test_unseen_unit_gets_no_latent_term(self):
         spec = default_spec(seed=4, n_units=8, n_obs=5)
         ds, _ = generate_dataset(spec)
         fit = fit_em(ds, spec.config)
-        from dataclasses import replace
-        stranger = replace(ds.units[0], unit_id="stranger")
-        with pytest.raises(ValueError, match="latent posterior"):
-            predict_unit(fit, stranger, use_latent=True)
+        mixed = stack_units((ds.units[1], replace(ds.units[0], unit_id="stranger")), ds.r_grid)
+        with_lat = predict_unit(fit, mixed, use_latent=True)
+        without = predict_unit(fit, mixed, use_latent=False)
+        seen = mixed.unit_rows == 0
+        assert np.array_equal(with_lat[~seen], without[~seen])
+        assert not np.array_equal(with_lat[seen], without[seen])
 
     def test_scores_unavailable_without_fpca_basis(self):
         spec, ds, truth, fit = fitted_instance(seed=4, n_units=6, n_obs=5)
-        from dataclasses import replace
-        stranger = replace(ds.units[0], unit_id="stranger")
-        with pytest.raises(ValueError, match="missing scores"):
-            predict_unit(fit, stranger, use_latent=False)
+        with pytest.raises(ValueError, match="missing scores for unit stranger"):
+            predict_unit(fit, renamed(ds, 0), use_latent=False)
 
     def test_wrong_scalar_count_rejected(self):
         spec, ds, truth, fit = fitted_instance(seed=4, n_units=6, n_obs=5)
-        from dataclasses import replace
-        extra = replace(ds.units[0], scalars=np.append(ds.units[0].scalars, 1.0))
+        extra = replace(ds, scalars=np.column_stack([ds.scalars, np.ones(ds.n_units)]))
         with pytest.raises(ValueError, match="scalars shape"):
             predict_unit(fit, extra)
 
@@ -81,11 +86,21 @@ class TestPredictUnit:
         spec = default_spec(seed=5, n_units=12, n_obs=6)
         ds, _ = generate_dataset(spec)
         fit = fit_em(ds, spec.config)  # internal FPCA keeps the basis
-        from dataclasses import replace
-        stranger = replace(ds.units[3], unit_id="stranger")
+        stranger = renamed(ds, 3)
         pred = predict_unit(fit, stranger, use_latent=False)
         assert pred.shape == stranger.times.shape
         assert np.all(np.isfinite(pred))
+
+    @pytest.mark.parametrize("name", ["Model5", "Model7"])
+    def test_batch_matches_each_unit_alone(self, name):
+        # a unit's predictions do not depend on the units predicted with it
+        spec = default_spec(seed=6, n_units=9, n_obs=7)
+        ds, _ = generate_dataset(spec)
+        fit = fit_em(ds, table1_variants(k=2)[name].config)
+        pred = predict_unit(fit, ds)
+        alone = [predict_unit(fit, ds.select(np.arange(ds.n_units) == i))
+                 for i in range(ds.n_units)]
+        assert pred.tobytes() == np.concatenate(alone).tobytes()
 
 
 class TestResidualMetrics:
@@ -182,9 +197,8 @@ class TestKfoldCv:
     def test_identical_units_make_folds_exchangeable(self):
         spec = default_spec(seed=12, n_units=2, n_obs=8)
         ds, _ = generate_dataset(spec)
-        from dataclasses import replace
-        clones = tuple(replace(ds.units[0], unit_id=f"c{i}") for i in range(8))
-        clones_ds = DegradationDataset(clones, ds.r_grid)
+        clones_ds = stack_units((replace(ds.units[0], unit_id=f"c{i}") for i in range(8)),
+                                ds.r_grid)
         # identical curves degenerate FPCA and identical scalars collapse the
         # scalar block, so keep only the latent component
         cfg = ModelConfig(include_scalar=False, include_functional=False,
@@ -246,7 +260,6 @@ class TestCompareModels:
 class TestEffectDecomposition:
     def test_zero_functional_coefficients_zero_marginal(self):
         spec, ds, truth, fit = fitted_instance(seed=19, n_units=8, n_obs=6)
-        from dataclasses import replace
         from degramix.estimator import Parameters
         zeta = fit.params.zeta.copy()
         off = fit.layout.offsets["b"]
@@ -258,17 +271,15 @@ class TestEffectDecomposition:
 
     def test_doubling_scalar_doubles_interaction(self):
         spec, ds, truth, fit = fitted_instance(seed=20, n_units=8, n_obs=6)
-        from dataclasses import replace
         u = ds.units[0]
         doubled = replace(u, scalars=u.scalars * 2.0)
-        base = effect_decomposition(fit, DegradationDataset((u,), ds.r_grid))[0]
-        twice = effect_decomposition(fit, DegradationDataset((doubled,), ds.r_grid))[0]
+        base = effect_decomposition(fit, stack_units((u,), ds.r_grid))[0]
+        twice = effect_decomposition(fit, stack_units((doubled,), ds.r_grid))[0]
         assert twice.interaction_effect == pytest.approx(2.0 * base.interaction_effect, rel=1e-12)
 
     def test_hand_marginal_effect(self):
         # b = [0.1, -0.2], c = [1, 0.5], R = 10 -> marginal 10*(0.1 - 0.1) = 0
         spec, ds, truth, fit = fitted_instance(seed=21, n_units=8, n_obs=6)
-        from dataclasses import replace
         from degramix.estimator import Parameters
         zeta = fit.params.zeta.copy()
         off = fit.layout.offsets["b"]
@@ -288,7 +299,7 @@ class TestEffectDecomposition:
         for r in rows:
             by_unit.setdefault(r.unit_id, []).append(r.eta)
         for u in ds.units:
-            eta_direct = coefficient_levels(fit, u, use_latent=True)
+            eta_direct = coefficient_levels(fit, u)
             assert np.max(np.abs(np.array(by_unit[u.unit_id]) - eta_direct)) <= 1e-12
 
 

@@ -87,12 +87,11 @@ class TestGeneratorPredictorAgreement:
         fit = FitResult(
             params=params, posterior=posterior, loglik_trace=np.zeros(1),
             iterations=0, converged=True, config=spec.config, layout=truth.layout,
-            unit_ids=tuple(u.unit_id for u in ds.units), r_support=truth.r_support,
+            unit_ids=ds.unit_ids, r_support=truth.r_support,
             scores=truth.scores, fpca_models=None,
         )
-        for u in ds.units:
-            pred = predict_unit(fit, u, use_latent=True)
-            assert np.max(np.abs(pred - u.responses)) <= 1e-12
+        pred = predict_unit(fit, ds, use_latent=True)
+        assert np.max(np.abs(pred - ds.responses)) <= 1e-12
 
     def test_recovery_improves_with_size(self):
         errs = []
