@@ -21,7 +21,14 @@ from .descriptors import (
     extract_particles,
 )
 from .design import DesignMatrices, ZetaLayout, build_design_matrices
-from .estimator import FitResult, LatentPosterior, NumericalError, Parameters, fit_em
+from .estimator import (
+    ConvergenceWarning,
+    FitResult,
+    LatentPosterior,
+    NumericalError,
+    Parameters,
+    fit_em,
+)
 from .evaluation import (
     Metrics,
     ModelVariant,
@@ -39,6 +46,7 @@ from .simulate import SyntheticSpec, default_spec, generate_dataset
 
 __all__ = [
     "BasisFamily",
+    "ConvergenceWarning",
     "DegradationDataset",
     "DescriptorCurve",
     "DesignMatrices",

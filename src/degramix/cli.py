@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .descriptors import (
     load_particles_csv,
     load_pgm,
 )
-from .estimator import FitResult, NumericalError, fit_em
+from .estimator import ConvergenceWarning, FitResult, NumericalError, fit_em
 from .evaluation import (
     count_parameters,
     effect_decomposition,
@@ -140,6 +141,7 @@ def _fit_report(fit: FitResult) -> dict:
         "loglik_trace": fit.loglik_trace,
         "iterations": fit.iterations,
         "converged": fit.converged,
+        "stop_reason": fit.stop_reason,
         "r_support": fit.r_support,
     }
     if fit.scores is not None:
@@ -311,6 +313,7 @@ def _load_fit(path) -> FitResult:
             )
             for m in payload["fpca"]
         )
+    stop_reason = payload.get("stop_reason")  # reports from before the field lack it
     scores = None
     if "scores" in payload:
         scores = np.asarray(payload["scores"]["values"], dtype=float)
@@ -319,7 +322,7 @@ def _load_fit(path) -> FitResult:
         posterior=posterior,
         loglik_trace=np.asarray(payload["loglik_trace"], dtype=float),
         iterations=payload["iterations"],
-        converged=payload["converged"],
+        converged=payload["converged"] if stop_reason is None else stop_reason == "converged",
         config=config,
         layout=layout,
         unit_ids=tuple(payload["latent_posterior"]["unit_ids"]),
@@ -486,6 +489,17 @@ _COMMANDS = {
 }
 
 
+def _stderr_line(command: str, show):
+    """A ``warnings.showwarning`` that prints each ConvergenceWarning as one
+    ``[degramix <command>]`` stderr line and hands other warnings to ``show``."""
+    def showwarning(message, category, *args, **kwargs):
+        if issubclass(category, ConvergenceWarning):
+            print(f"[degramix {command}] {message}", file=sys.stderr)
+        else:
+            show(message, category, *args, **kwargs)
+    return showwarning
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -493,7 +507,10 @@ def run(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", ConvergenceWarning)
+            warnings.showwarning = _stderr_line(args.command, warnings.showwarning)
+            return _COMMANDS[args.command](args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

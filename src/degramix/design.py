@@ -162,7 +162,10 @@ class DesignMatrices:
 
     Rows are grouped by unit, ``counts[i]`` rows for unit i.  ``lam`` holds
     each row's latent basis (n_obs, d) and ``lam_gram`` the per-unit blocks
-    Lambda_i^T Lambda_i (N, d, d).
+    Lambda_i^T Lambda_i (N, d, d).  ``omega_qr`` is the pivoted QR
+    (q, r, piv) of ``omega`` that the rank check computed, so a fit factors
+    Omega once; it is None on the ridge path and for designs assembled by
+    hand.
     """
 
     layout: ZetaLayout
@@ -172,6 +175,7 @@ class DesignMatrices:
     y: np.ndarray
     counts: np.ndarray
     lam_gram: np.ndarray
+    omega_qr: tuple | None = None
 
     @property
     def n_units(self) -> int:
@@ -193,8 +197,10 @@ def unit_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
 
 
-def _check_full_rank(omega: np.ndarray, layout: ZetaLayout) -> None:
-    _, rdiag, piv = sla.qr(omega, mode="economic", pivoting=True)
+def _check_full_rank(omega: np.ndarray, layout: ZetaLayout) -> tuple:
+    """The pivoted QR (q, r, piv) of a full-rank ``omega``; raises naming the
+    dependent columns otherwise."""
+    q, rdiag, piv = sla.qr(omega, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rdiag))
     tol = max(omega.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.count_nonzero(diag > tol))
@@ -204,6 +210,7 @@ def _check_full_rank(omega: np.ndarray, layout: ZetaLayout) -> None:
         raise ValueError(
             "rank-deficient observed design; dependent columns: " + ", ".join(offending)
         )
+    return q, rdiag, piv
 
 
 def build_design_matrices(
@@ -243,9 +250,8 @@ def build_design_matrices(
     for name, f in features.items():
         start, stop = offsets[name]
         omega[:, start:stop] = (lam[:, :, None] * f[rows][:, None, :]).reshape(rows.size, -1)
-    if not config.ridge_jitter:
-        _check_full_rank(omega, layout)
     return DesignMatrices(
         layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=ds.responses,
         counts=ds.counts, lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], ds.counts),
+        omega_qr=None if config.ridge_jitter else _check_full_rank(omega, layout),
     )

@@ -3,27 +3,43 @@
 Treating the per-unit latent vectors as missing data makes every update
 closed form: the E-step is Gaussian conditioning per unit, the M-step is a
 least-squares solve for the regression coefficients followed by moment
-updates for the two variance components.  The convergence trace records the
-marginal log-likelihood, which each full iteration provably does not
-decrease.
+updates for the two variance components.
+
+The fit runs parameter-expanded EM (PX-EM, Liu, Rubin & Wu 1998): each step
+also solves for a d x d working parameter that rescales the latent vectors,
+which keeps EM from crawling when a latent variance sits near zero.  SQUAREM
+(Varadhan & Roland 2008) extrapolates along two PX steps and falls back to
+the plain second step whenever the extrapolated point is not a covariance or
+lowers the marginal log-likelihood, so the convergence trace never
+decreases.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg as sla
 
 from . import fpca as fpca_mod
 from .data import DegradationDataset, ModelConfig
 from .design import DesignMatrices, ZetaLayout, build_design_matrices, unit_sums
 
 _SIGMA_EPS_FLOOR = 1e-16
-_SIGMA_GAMMA_EIG_FLOOR = 1e-12  # relative to trace
+_SIGMA_GAMMA_EIG_FLOOR = 1e-12  # relative to trace (E-step) or to the noise scale (fit)
+# SQUAREM: the step length's cap starts at 1 and moves by this factor; no
+# extrapolation once a cycle moves the scaled parameters less than _MIN_STEP
+_STEP_FACTOR = 4.0
+_MIN_STEP = 1e-8
 
 
 class NumericalError(RuntimeError):
     """Raised when an update or likelihood evaluation loses finiteness."""
+
+
+class ConvergenceWarning(UserWarning):
+    """Issued when a fit with early stopping enabled runs to ``max_iter``."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,7 @@ class FitResult:
     posterior: LatentPosterior
     loglik_trace: np.ndarray
     iterations: int
-    converged: bool
+    converged: bool  # False when the fit ran to max_iter
     config: ModelConfig
     layout: ZetaLayout
     unit_ids: tuple
@@ -85,6 +101,11 @@ class FitResult:
     @property
     def loglik(self) -> float:
         return float(self.loglik_trace[-1])
+
+    @property
+    def stop_reason(self) -> str:
+        """Why EM stopped: ``"converged"`` or ``"max_iter"``."""
+        return "converged" if self.converged else "max_iter"
 
     def unit_index(self, unit_id: str) -> int | None:
         return self._index.get(unit_id)
@@ -101,12 +122,27 @@ def _floored_sigma_gamma_inv(sigma_gamma: np.ndarray) -> np.ndarray:
     return (evecs / evals[None, :]) @ evecs.T
 
 
+def _ridge_gram(dm: DesignMatrices) -> np.ndarray:
+    """Omega^T Omega plus a trace-relative jitter: the ridge path's normal matrix."""
+    gram = dm.omega.T @ dm.omega
+    return gram + 1e-8 * np.trace(gram) / dm.layout.size * np.eye(dm.layout.size)
+
+
+def _omega_qr(dm: DesignMatrices) -> tuple:
+    """Pivoted QR (q, r, piv) of Omega: the one the rank check computed, or
+    a fresh one for a design assembled by hand."""
+    if dm.omega_qr is not None:
+        return dm.omega_qr
+    return sla.qr(dm.omega, mode="economic", pivoting=True)
+
+
 def _solve_zeta(dm: DesignMatrices, rhs: np.ndarray, ridge: bool) -> np.ndarray:
     if ridge:
-        gram = dm.omega.T @ dm.omega
-        jitter = 1e-8 * np.trace(gram) / dm.layout.size
-        return np.linalg.solve(gram + jitter * np.eye(dm.layout.size), dm.omega.T @ rhs)
-    return np.linalg.lstsq(dm.omega, rhs, rcond=None)[0]
+        return np.linalg.solve(_ridge_gram(dm), dm.omega.T @ rhs)
+    q, r, piv = _omega_qr(dm)
+    zeta = np.empty(dm.layout.size)
+    zeta[piv] = sla.solve_triangular(r, q.T @ rhs)
+    return zeta
 
 
 def init_params(dm: DesignMatrices, config: ModelConfig) -> Parameters:
@@ -159,26 +195,39 @@ def update_sigma_eps(posterior: LatentPosterior, zeta: np.ndarray, dm: DesignMat
 
 def marginal_loglik(params: Parameters, dm: DesignMatrices) -> float:
     """Sum over units of the Gaussian log density with covariance
-    C_i = Lambda_i Sigma_gamma Lambda_i^T + sigma_eps2 I, through the d x d
-    matrices A_i = sigma_eps2 I + Sigma_gamma G_i: log|C_i| = log|A_i| +
-    (m_i - d) log sigma_eps2 (determinant lemma) and, by Woodbury,
-    r_i^T C_i^-1 r_i = (r_i^T r_i - b_i^T A_i^-1 Sigma_gamma b_i) / sigma_eps2."""
+    C_i = Lambda_i Sigma_gamma Lambda_i^T + sigma_eps2 I, through d x d
+    matrices: log|C_i| = log|A_i| + (m_i - d) log sigma_eps2 with
+    A_i = sigma_eps2 I + Sigma_gamma G_i (determinant lemma) and, by Woodbury,
+    r_i^T C_i^-1 r_i = (r_i^T r_i - b_i^T A_i^-1 Sigma_gamma b_i) / sigma_eps2.
+
+    When Sigma_gamma = L L^T is positive semidefinite, one batched Cholesky
+    factor K_i of the symmetric B_i = sigma_eps2 I + L^T G_i L, which has
+    A_i's determinant, gives both terms: b_i^T A_i^-1 Sigma_gamma b_i is
+    |K_i^-1 L^T b_i|^2.  Otherwise C_i is positive definite iff every (real)
+    eigenvalue of A_i is positive."""
     s2 = params.sigma_eps2
     resid = dm.y - dm.omega @ params.zeta
     logdet = dm.n_obs * np.log(s2)
     quad = float(resid @ resid)
     d = params.latent_dim
     if d:
-        a = s2 * np.eye(d) + params.sigma_gamma @ dm.lam_gram
-        # C_i is positive definite iff every (real) eigenvalue of A_i is positive;
-        # the determinant's sign alone misses an even number of negative ones
-        bad = np.flatnonzero(np.any(np.linalg.eigvals(a).real <= 0.0, axis=1))
-        if bad.size:
-            raise NumericalError(f"non-PSD marginal covariance for unit {dm.unit_ids[bad[0]]}")
-        logdet += float(np.sum(np.linalg.slogdet(a)[1])) - dm.n_units * d * np.log(s2)
         b = unit_sums(dm.lam * resid[:, None], dm.counts)
-        sb = (b @ params.sigma_gamma.T)[:, :, None]
-        quad -= float(np.sum(b * np.linalg.solve(a, sb)[:, :, 0]))
+        evals, evecs = np.linalg.eigh(params.sigma_gamma)
+        if evals.min() >= 0.0:
+            root = evecs * np.sqrt(evals)
+            chol = np.linalg.cholesky(s2 * np.eye(d) + root.T @ dm.lam_gram @ root)
+            logdet += 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
+            quad -= float(np.sum(np.linalg.solve(chol, (b @ root)[:, :, None]) ** 2))
+        else:
+            a = s2 * np.eye(d) + params.sigma_gamma @ dm.lam_gram
+            # the determinant's sign alone misses an even number of negative eigenvalues
+            bad = np.flatnonzero(np.any(np.linalg.eigvals(a).real <= 0.0, axis=1))
+            if bad.size:
+                raise NumericalError(f"non-PSD marginal covariance for unit {dm.unit_ids[bad[0]]}")
+            logdet += float(np.sum(np.linalg.slogdet(a)[1]))
+            sb = (b @ params.sigma_gamma.T)[:, :, None]
+            quad -= float(np.sum(b * np.linalg.solve(a, sb)[:, :, 0]))
+        logdet -= dm.n_units * d * np.log(s2)
     return -0.5 * (dm.n_obs * np.log(2.0 * np.pi) + logdet + quad / s2)
 
 
@@ -206,17 +255,147 @@ def fit_em(
 ) -> FitResult:
     """Fit the model by EM (or by direct least squares when no latent term).
 
-    Per iteration: E-step, then the zeta, sigma_gamma and sigma_eps2 updates
-    in that order.  Stops when the relative marginal log-likelihood change
-    drops below ``tol`` (``tol=0`` disables early stopping) or at
-    ``max_iter``.  Passing ``scores`` skips the internal FPCA.  A failure
-    inside numpy's linear algebra surfaces as ``NumericalError``, not as the
-    ``ValueError`` subclass numpy raises, so it is not taken for bad input.
+    Each iteration is one SQUAREM cycle over PX-EM steps (E-step, working
+    parameter, then the zeta, sigma_gamma and sigma_eps2 updates).  EM stops
+    when the relative marginal log-likelihood change is below ``tol`` and
+    the relative parameter change is below sqrt(``tol``); ``tol=0`` disables
+    early stopping.  A fit that reaches ``max_iter`` with early stopping
+    enabled issues a ``ConvergenceWarning``.  Passing ``scores`` skips the
+    internal FPCA.  A failure inside numpy's linear algebra surfaces as
+    ``NumericalError``, not as the ``ValueError`` subclass numpy raises, so
+    it is not taken for bad input.
     """
     try:
-        return _fit_em(ds, config, max_iter, tol, scores, init)
+        fit = _fit_em(ds, config, max_iter, tol, scores, init)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear algebra failure: {exc}") from exc
+    if tol > 0 and not fit.converged:
+        warnings.warn(f"EM stopped at max_iter={max_iter} without converging",
+                      ConvergenceWarning, stacklevel=2)
+    return fit
+
+
+def _px_sums(dm: DesignMatrices, ridge: bool) -> tuple:
+    """Per-unit sums the working-parameter solve reads, built once per fit:
+    Lambda_i^T y_i (N, d), Lambda_i^T B_i (N, d, p) and B^T y (p,), where
+    B B^T projects on Omega's columns: B = Q of Omega's QR, or on the ridge
+    path Omega K^-T with K K^T the jittered normal matrix."""
+    if ridge:
+        chol = np.linalg.cholesky(_ridge_gram(dm))
+        basis = sla.solve_triangular(chol, dm.omega.T, lower=True).T
+    else:
+        basis = _omega_qr(dm)[0]
+    lam_b = unit_sums(dm.lam[:, :, None] * basis[:, None, :], dm.counts)
+    return unit_sums(dm.lam * dm.y[:, None], dm.counts), lam_b, basis.T @ dm.y
+
+
+def _working_parameter(posterior: LatentPosterior, dm: DesignMatrices, sums: tuple,
+                       diagonal: bool) -> np.ndarray:
+    """The d x d working parameter A of PX-EM: the expected least-squares
+    regression of y on Lambda_i A gamma_i with Omega projected out.  A is
+    diagonal under the diagonal constraint, which Sigma_gamma then keeps."""
+    lam_y, lam_b, b_y = sums
+    d = posterior.mu.shape[1]
+    # regressor of A[a, c] on a row of unit i: Lambda_i[:, a] gamma_i[c]
+    gram = np.einsum("nab,ncd->acbd", dm.lam_gram, posterior.second_moments).reshape(d * d, -1)
+    cross = np.einsum("nak,nc->ack", lam_b, posterior.mu).reshape(d * d, -1)
+    lhs = gram - cross @ cross.T
+    rhs = np.einsum("na,nc->ac", lam_y, posterior.mu).reshape(-1) - cross @ b_y
+    if diagonal:
+        keep = np.arange(d) * (d + 1)
+        return np.diag(np.linalg.solve(lhs[np.ix_(keep, keep)], rhs[keep]))
+    return np.linalg.solve(lhs, rhs).reshape(d, d)
+
+
+def _noise_floored(sigma_gamma: np.ndarray, floor: float, diagonal: bool) -> np.ndarray:
+    """Sigma_gamma with its eigenvalues raised to ``floor``, so a component
+    shrinking to its zero boundary never reaches an exactly singular 0."""
+    if diagonal:
+        return np.diag(np.maximum(np.diag(sigma_gamma), floor))
+    evals, evecs = np.linalg.eigh(sigma_gamma)
+    if evals.min() >= floor:
+        return sigma_gamma
+    sg = (evecs * np.maximum(evals, floor)) @ evecs.T
+    return (sg + sg.T) / 2.0
+
+
+def _px_step(params: Parameters, dm: DesignMatrices, config: ModelConfig, sums: tuple,
+             g_bar: float) -> Parameters:
+    """One PX-EM step: E-step, working parameter A, then the M-step updates
+    on the posterior rescaled to mu_i -> A mu_i, V_i -> A V_i A^T."""
+    diagonal = config.constrain_sigma_gamma_diagonal
+    posterior = e_step(params, dm)
+    a = _working_parameter(posterior, dm, sums, diagonal)
+    posterior = LatentPosterior(posterior.mu @ a.T, a @ posterior.v @ a.T)
+    zeta = update_zeta(posterior, dm, ridge=config.ridge_jitter)
+    sigma_gamma = update_sigma_gamma(posterior, diagonal)
+    sigma_eps2 = update_sigma_eps(posterior, zeta, dm)
+    floor = _SIGMA_GAMMA_EIG_FLOOR * sigma_eps2 / g_bar
+    return Parameters(zeta, sigma_eps2, _noise_floored(sigma_gamma, floor, diagonal))
+
+
+def _scaled(params: Parameters, sigma0: float) -> np.ndarray:
+    """The parameters as one vector free of the response scale:
+    (zeta / sqrt(sigma0), sigma_eps2 / sigma0, Sigma_gamma / sigma0)."""
+    return np.concatenate([params.zeta / np.sqrt(sigma0), [params.sigma_eps2 / sigma0],
+                           params.sigma_gamma.ravel() / sigma0])
+
+
+def _extrapolate(p0: Parameters, p1: Parameters, p2: Parameters, alpha: float):
+    """SQUAREM's point p0 + 2 alpha r + alpha^2 v with r = p1 - p0 and
+    v = p2 - 2 p1 + p0, or None when it is not a valid parameter set."""
+    def at(x0, x1, x2):
+        return x0 + 2.0 * alpha * (x1 - x0) + alpha ** 2 * (x2 - 2.0 * x1 + x0)
+
+    sigma_eps2 = at(p0.sigma_eps2, p1.sigma_eps2, p2.sigma_eps2)
+    sigma_gamma = at(p0.sigma_gamma, p1.sigma_gamma, p2.sigma_gamma)
+    if not (sigma_eps2 > 0.0 and np.linalg.eigvalsh(sigma_gamma).min() > 0.0):
+        return None
+    return Parameters(at(p0.zeta, p1.zeta, p2.zeta), sigma_eps2, sigma_gamma)
+
+
+def _squarem_cycle(params: Parameters, ll: float, step_max: float, px, loglik,
+                   sigma0: float) -> tuple:
+    """One SQUAREM cycle from ``params`` (log-likelihood ``ll``).
+
+    Two PX steps give r and v; the extrapolation's step length |r| / |v|,
+    measured on ``_scaled`` parameters, is clamped to [1, step_max] and its
+    point gets one stabilising PX step.  If that point is not a covariance
+    or lowers the log-likelihood, the cycle falls back to the second PX
+    step.  The cap grows after a step accepted at it and shrinks after a
+    fall back from it.  Returns (params, ll, step_max).
+    """
+    p1 = px(params)
+    p2 = px(p1)
+    t0, t1, t2 = (_scaled(p, sigma0) for p in (params, p1, p2))
+    r_norm = float(np.linalg.norm(t1 - t0))
+    if r_norm > _MIN_STEP:
+        v_norm = float(np.linalg.norm(t2 - 2.0 * t1 + t0))
+        alpha = min(max(r_norm / v_norm, 1.0), step_max) if v_norm > 0.0 else step_max
+        accepted = alpha == 1.0
+        if not accepted:
+            candidate = _extrapolate(params, p1, p2, alpha)
+            if candidate is not None:
+                candidate = px(candidate)
+                ll_new = loglik(candidate)
+                accepted = ll_new >= ll
+        if alpha == step_max:
+            step_max = step_max * _STEP_FACTOR if accepted else max(step_max / _STEP_FACTOR, 1.0)
+        if accepted and alpha > 1.0:
+            return candidate, ll_new, step_max
+    return p2, loglik(p2), step_max
+
+
+def _relative_change(old: Parameters, new: Parameters, g_bar: float) -> float:
+    """Largest relative change of zeta, sigma_eps2 and Sigma_gamma; the last
+    on the response scale, relative to |Sigma_gamma| g_bar + sigma_eps2, so a
+    component shrinking to zero counts as stopped once it no longer moves
+    the fitted responses."""
+    zeta = np.linalg.norm(new.zeta - old.zeta) / max(np.linalg.norm(new.zeta), 1e-300)
+    noise = abs(new.sigma_eps2 - old.sigma_eps2) / new.sigma_eps2
+    latent = (np.linalg.norm(new.sigma_gamma - old.sigma_gamma) * g_bar
+              / (np.linalg.norm(new.sigma_gamma) * g_bar + new.sigma_eps2))
+    return float(max(zeta, noise, latent))
 
 
 def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
@@ -245,23 +424,30 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
                          **common)
 
     params = init if init is not None else init_params(dm, config)
-    trace = [marginal_loglik(params, dm)]
+    sums = _px_sums(dm, config.ridge_jitter)
+    g_bar = float(np.trace(dm.lam_gram.sum(axis=0))) / dm.n_obs  # mean |lambda_row|^2
+
+    def px(p):
+        return _px_step(p, dm, config, sums, g_bar)
+
+    def loglik(p):
+        return marginal_loglik(p, dm)
+
+    trace = [loglik(params)]
+    sigma0 = params.sigma_eps2
+    step_max = 1.0
     converged = False
     iterations = 0
     for tau in range(1, max_iter + 1):
-        posterior = e_step(params, dm)
-        zeta = update_zeta(posterior, dm, ridge=config.ridge_jitter)
-        sigma_gamma = update_sigma_gamma(posterior, config.constrain_sigma_gamma_diagonal)
-        sigma_eps2 = update_sigma_eps(posterior, zeta, dm)
-        params = Parameters(zeta, sigma_eps2, sigma_gamma)
-        ll = marginal_loglik(params, dm)
+        new, ll, step_max = _squarem_cycle(params, trace[-1], step_max, px, loglik, sigma0)
         if not np.isfinite(ll):
             raise NumericalError(f"non-finite log-likelihood at iteration {tau}")
         trace.append(ll)
         iterations = tau
+        params, old = new, params
         if tol > 0:
             rel = abs(trace[-1] - trace[-2]) / max(abs(trace[-1]), 1e-12)
-            if rel < tol:
+            if rel < tol and _relative_change(old, params, g_bar) < np.sqrt(tol):
                 converged = True
                 break
 

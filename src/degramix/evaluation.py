@@ -74,7 +74,8 @@ def _unit_indices(fit: FitResult, unit_ids) -> np.ndarray:
 
 def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
     """(N, S, K) scores under the fit's basis: stored for trained units,
-    projected on the fit's FPCA basis for the others."""
+    projected on the fit's FPCA basis for the others, one unit's curve at a
+    time so its scores do not depend on the units projected beside it."""
     if not fit.config.include_functional:
         return None
     idx = _unit_indices(fit, ds.unit_ids)
@@ -86,7 +87,7 @@ def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
             raise ValueError(f"missing scores for unit {ds.unit_ids[int(np.argmin(known))]}: "
                              "fit carries no FPCA basis")
         new = ds.curves[~known]
-        out[~known] = np.stack([project_scores(m, new[:, s])
+        out[~known] = np.stack([project_scores(m, new[:, s, None])[:, 0]
                                 for s, m in enumerate(fit.fpca_models)], axis=1)
     return out
 

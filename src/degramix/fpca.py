@@ -143,9 +143,12 @@ def with_k(model: FpcaModel, k: int) -> FpcaModel:
 
 
 def project_scores(model: FpcaModel, curves: np.ndarray) -> np.ndarray:
-    """Scores of curves against the leading k eigenfunctions, shape (N, k)."""
+    """Scores of curves against the leading k eigenfunctions, shape (N, k).
+
+    A stacked (N, 1, G) input gives (N, 1, k): one product per curve, so a
+    curve's scores do not depend on the curves projected beside it."""
     x = np.atleast_2d(np.asarray(curves, dtype=float))
-    if x.shape[1] != model.r_grid.size:
+    if x.shape[-1] != model.r_grid.size:
         raise ValueError("grid mismatch: curves do not match the fitted grid")
     weighted_psi = model.eigenfunctions[: model.k] * model.inner_weights[None, :]
     return (x - model.mean_curve) @ weighted_psi.T

@@ -22,7 +22,14 @@ from degramix.data import (
     basis_columns,
 )
 from degramix.design import DesignMatrices, unit_sums
-from degramix.estimator import NumericalError
+from degramix.estimator import (
+    NumericalError,
+    Parameters,
+    e_step,
+    update_sigma_eps,
+    update_sigma_gamma,
+    update_zeta,
+)
 
 
 def tpc_pair_enumeration(mask: np.ndarray, r_max: int, periodic: bool = False) -> np.ndarray:
@@ -230,6 +237,75 @@ def cholesky_loglik(params, dm):
     return total
 
 
+def lemma_loglik(params, dm):
+    """Marginal log-likelihood through the non-symmetric A_i = sigma_eps2 I +
+    Sigma_gamma G_i: log|C_i| = log|A_i| + (m_i - d) log sigma_eps2 and
+    r_i^T C_i^-1 r_i = (r_i^T r_i - b_i^T A_i^-1 Sigma_gamma b_i) / sigma_eps2."""
+    s2, d = params.sigma_eps2, params.latent_dim
+    resid = dm.y - dm.omega @ params.zeta
+    a = s2 * np.eye(d) + params.sigma_gamma @ dm.lam_gram
+    b = unit_sums(dm.lam * resid[:, None], dm.counts)
+    sb = (b @ params.sigma_gamma.T)[:, :, None]
+    logdet = (dm.n_obs * np.log(s2) + float(np.sum(np.linalg.slogdet(a)[1]))
+              - dm.n_units * d * np.log(s2))
+    quad = float(resid @ resid) - float(np.sum(b * np.linalg.solve(a, sb)[:, :, 0]))
+    return -0.5 * (dm.n_obs * np.log(2.0 * np.pi) + logdet + quad / s2)
+
+
+def profiled_fit(dm, theta: float) -> tuple:
+    """(log-likelihood, sigma_eps^2, zeta) of ``profiled_loglik`` at theta."""
+    omegas, lambdas, ys = split_units(dm)
+    p = dm.omega.shape[1]
+    gram, rhs, logdet = np.zeros((p, p)), np.zeros(p), 0.0
+    inverses = []
+    for om, lam, y in zip(omegas, lambdas, ys):
+        v = np.eye(y.size) + theta * lam @ lam.T
+        v_inv = np.linalg.inv(v)
+        inverses.append(v_inv)
+        gram += om.T @ v_inv @ om
+        rhs += om.T @ v_inv @ y
+        logdet += np.linalg.slogdet(v)[1]
+    zeta = np.linalg.solve(gram, rhs)
+    n = dm.n_obs
+    sigma2 = sum(float((y - om @ zeta) @ v_inv @ (y - om @ zeta))
+                 for om, y, v_inv in zip(omegas, ys, inverses)) / n
+    return -0.5 * (n * np.log(2.0 * np.pi * sigma2) + n + logdet), sigma2, zeta
+
+
+def profiled_loglik(dm, theta: float) -> float:
+    """Marginal log-likelihood of a one-level latent model (d = 1) at
+    theta = sigma_gamma^2 / sigma_eps^2, with zeta (GLS) and sigma_eps^2
+    profiled out, unit by unit with dense covariances: the lme4 profiled
+    deviance (Bates et al. 2015)."""
+    return profiled_fit(dm, theta)[0]
+
+
+def profiled_max(dm, log_theta_bounds=(-40.0, 5.0)) -> tuple:
+    """(ll*, sigma_gamma^2*) maximising ``profiled_loglik`` over log theta
+    with scipy's bounded scalar search; the zero boundary wins when its
+    value is at least the interior's."""
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(lambda t: -profiled_loglik(dm, math.exp(t)), bounds=log_theta_bounds,
+                          method="bounded", options={"xatol": 1e-10, "maxiter": 2000})
+    theta = math.exp(res.x)
+    ll, sigma2, _ = profiled_fit(dm, theta)
+    boundary = profiled_loglik(dm, 0.0)
+    return (boundary, 0.0) if boundary >= ll else (ll, theta * sigma2)
+
+
+def plain_em(dm, init, iterations: int, diagonal: bool = False):
+    """Parameters after ``iterations`` plain EM steps (E-step, then the zeta,
+    sigma_gamma and sigma_eps2 updates, no working parameter or
+    extrapolation) from ``init``."""
+    params = init
+    for _ in range(iterations):
+        post = e_step(params, dm)
+        zeta = update_zeta(post, dm)
+        params = Parameters(zeta, update_sigma_eps(post, zeta, dm), update_sigma_gamma(post, diagonal))
+    return params
+
+
 def q_value(params, posterior, dm) -> float:
     """Expected complete-data log-likelihood (up to its additive constant).
 
@@ -261,7 +337,9 @@ def noise_variance_q_profile(lambda_units, omega_units, y_units, mu, second_mome
     The shift removes the large additive constant so the maximizer can be
     located past the float resolution of the unshifted function; it does not
     move the argmax.  Evaluation runs in relative coordinates u = s/s_ref - 1
-    via log1p, keeping the curvature resolvable near the optimum.
+    via log1p, in extended precision: near the optimum the profile is flat
+    to second order, so float64 values would place its argmax only to about
+    1e-8 relative.
     """
     n_obs = sum(y.size for y in y_units)
     data_term = 0.0
@@ -272,7 +350,7 @@ def noise_variance_q_profile(lambda_units, omega_units, y_units, mu, second_mome
         data_term -= 2.0 * float(resid @ (lam @ m))
 
     def profile(s: float) -> float:
-        u = (s - s_ref) / s_ref
+        u = (np.longdouble(s) - s_ref) / s_ref
         return -0.5 * n_obs * np.log1p(u) + 0.5 * (data_term / s_ref) * u / (1.0 + u)
 
     return profile

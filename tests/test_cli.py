@@ -163,6 +163,46 @@ class TestSimulateFitPipeline:
         assert len(cov["scores"]["values"]) == 12
 
 
+class TestStopReason:
+    def test_report_records_and_reloads_stop_reason(self, tmp_path, capsys):
+        data = simulate_into(tmp_path, seed=9)
+        for name, extra, reason in (("done", [], "converged"),
+                                    ("capped", ["--max-iter", "1"], "max_iter")):
+            out = tmp_path / name
+            assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                        *extra, "--out", str(out)]) == 0
+            report = json.loads((out / "fit_report.json").read_text())
+            assert report["stop_reason"] == reason
+            assert report["converged"] is (reason == "converged")
+            assert cli._load_fit(out / "fit_report.json").stop_reason == reason
+            # a report written before the field existed derives it from converged
+            del report["stop_reason"]
+            (out / "old.json").write_text(json.dumps(report))
+            assert cli._load_fit(out / "old.json").stop_reason == reason
+        assert capsys.readouterr().out == ""
+
+    def test_each_capped_fit_warns_on_stderr(self, tmp_path, capsys):
+        data = simulate_into(tmp_path, seed=10, n_units=14)
+        line = "EM stopped at max_iter=1 without converging"
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--max-iter", "1", "--out", str(tmp_path / "fit")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err.count(f"[degramix fit] {line}") == 1
+        # the temporal-split fit and one per fold
+        assert run(["evaluate", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--max-iter", "1", "--folds", "3", "--out", str(tmp_path / "eval")]) == 0
+        assert capsys.readouterr().err.splitlines().count(f"[degramix evaluate] {line}") == 4
+        # only the latent variant iterates
+        assert run(["compare", "--data", str(data), "--k", "2", "--variant", "Model1",
+                    "--variant", "Model7", "--max-iter", "1", "--out", str(tmp_path / "cmp")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines().count(f"[degramix compare] {line}") == 1
+        assert captured.out == ""
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--out", str(tmp_path / "fit2")]) == 0
+        assert "max_iter" not in capsys.readouterr().err
+
+
 class TestDescriptor:
     def test_tpc_row_count(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import degramix.estimator as estimator
 from degramix.data import ModelConfig
 from degramix.design import ZetaLayout, build_design_matrices
 from degramix.estimator import (
+    ConvergenceWarning,
     LatentPosterior,
     Parameters,
     e_step,
@@ -14,6 +16,7 @@ from degramix.estimator import (
     update_sigma_gamma,
     update_zeta,
 )
+from degramix.evaluation import table1_variants
 from degramix.simulate import default_spec, generate_dataset
 from _oracles import (
     central_difference,
@@ -21,7 +24,12 @@ from _oracles import (
     compound_symmetry_loglik,
     gaussian_conditioning,
     golden_section_max,
+    lemma_loglik,
     noise_variance_q_profile,
+    plain_em,
+    profiled_fit,
+    profiled_loglik,
+    profiled_max,
     q_value,
     split_units,
     stack_population,
@@ -297,6 +305,28 @@ class TestMarginalLoglik:
                 assert marginal_loglik(params, dm) == pytest.approx(
                     cholesky_loglik(params, dm), rel=1e-10)
 
+    def test_cholesky_route_matches_determinant_lemma(self):
+        # positive semidefinite sigma_gamma: full rank, zero, rank one, and fitted
+        for seed in range(20):
+            rng = np.random.default_rng(200 + seed)
+            d = int(rng.integers(1, 4))
+            omegas, lambdas, ys = [], [], []
+            for _ in range(int(rng.integers(2, 9))):
+                m = int(rng.integers(1, 8))
+                omegas.append(rng.normal(size=(m, 3)))
+                lambdas.append(rng.normal(size=(m, d)))
+                ys.append(rng.normal(size=m))
+            dm = make_dm(omegas, lambdas, ys, latent_dim=d)
+            a = rng.normal(size=(d, d))
+            for sg in (a @ a.T + 0.1 * np.eye(d), np.zeros((d, d)), np.diag(np.arange(d) * 0.5)):
+                params = Parameters(rng.normal(size=3), float(rng.uniform(0.05, 2.0)), sg)
+                assert marginal_loglik(params, dm) == pytest.approx(
+                    lemma_loglik(params, dm), rel=1e-12)
+        spec = default_spec(seed=27, n_units=40, n_obs=10)
+        ds, truth = generate_dataset(spec)
+        fit = fit_em(ds, spec.config, scores=truth.scores)
+        assert fit.loglik == pytest.approx(lemma_loglik(fit.params, fit.design), rel=1e-12)
+
     def test_non_psd_covariance_names_unit(self):
         from degramix.estimator import NumericalError
         dm = make_dm([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros((1, 1)), np.full((1, 1), 2.0)],
@@ -458,6 +488,25 @@ class TestFitEm:
         assert fit.design.unit_ids == fit.unit_ids
 
 
+    def test_ridge_path_fits_a_rank_deficient_design(self):
+        # a duplicated scalar column: the ridge path's working-parameter
+        # solve projects on Omega through the jittered normal matrix
+        from dataclasses import replace as dc_replace
+        spec = default_spec(seed=32, n_units=30, n_obs=10)
+        ds, truth = generate_dataset(spec)
+        config = dc_replace(spec.config, include_functional=False, include_interaction=False)
+        ridge = dc_replace(config, ridge_jitter=True)
+        doubled = dc_replace(ds, scalars=np.column_stack([ds.scalars, ds.scalars]))
+        with pytest.raises(ValueError, match="rank-deficient"):
+            fit_em(doubled, config)
+        fit = fit_em(doubled, ridge)
+        full = fit_em(ds, config)
+        assert fit.converged and np.diff(fit.loglik_trace).min() >= -1e-8
+        assert fit.loglik == pytest.approx(full.loglik, rel=1e-8)
+        assert fit.params.sigma_gamma[0, 0] == pytest.approx(
+            full.params.sigma_gamma[0, 0], rel=1e-4)
+
+
 class TestErrorPaths:
     def test_singular_sigma_gamma_after_flooring(self):
         dm, _, _ = synthetic_dm(seed=30, n_units=8, n_obs=4)
@@ -474,3 +523,118 @@ class TestErrorPaths:
         a = fit_em(ds, spec.config, scores=ScoreSet(truth.scores))
         b = fit_em(ds, spec.config, scores=truth.scores)
         assert np.array_equal(a.params.zeta, b.params.zeta)
+
+
+BOUNDARY_CONFIG = table1_variants(k=2)["Model7"].config
+
+
+def boundary_dataset(seed):
+    """A desk-scale dataset whose latent variance is zero."""
+    return generate_dataset(default_spec(seed=seed, n_units=60, sigma_gamma=np.zeros((1, 1))))[0]
+
+
+class TestVarianceBoundary:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_profiled_likelihood_oracle(self, seed):
+        # seed 0 has an interior maximum at a tiny sigma_gamma^2, seed 1 its
+        # maximum on the zero boundary
+        fit = fit_em(boundary_dataset(seed), BOUNDARY_CONFIG)
+        assert fit.converged and fit.stop_reason == "converged"
+        assert fit.iterations <= 40
+        ll_star, sg_star = profiled_max(fit.design)
+        assert fit.loglik >= ll_star - 1e-8 * abs(ll_star)
+        if seed == 0:
+            assert fit.params.sigma_gamma[0, 0] == pytest.approx(sg_star, rel=1e-3)
+
+    def test_profiled_oracle_is_the_marginal_likelihood(self):
+        # at its GLS zeta and profiled noise variance, the dense per-unit
+        # profile equals the library's marginal log-likelihood
+        dm = fit_em(boundary_dataset(0), BOUNDARY_CONFIG).design
+        for theta in (0.0, 1e-3, 0.5):
+            ll, sigma2, zeta = profiled_fit(dm, theta)
+            params = Parameters(zeta, sigma2, theta * sigma2 * np.eye(1))
+            assert marginal_loglik(params, dm) == pytest.approx(ll, rel=1e-12)
+            assert profiled_loglik(dm, theta) == ll
+
+    def test_collapsing_variance_returns_a_fit(self):
+        # noiseless responses with no latent term: the latent variance
+        # collapses in one step, and stays on the noise-scale floor
+        for seed in range(4):
+            spec = default_spec(seed=seed, n_units=15, n_obs=8, sigma_eps2=0.0,
+                                sigma_gamma=np.zeros((1, 1)))
+            ds, truth = generate_dataset(spec)
+            fit = fit_em(ds, spec.config, scores=truth.scores)
+            assert fit.converged
+            assert np.max(np.abs(fit.params.zeta - truth.zeta)) <= 1e-8
+            assert 0.0 < fit.params.sigma_gamma[0, 0] <= 1e-12 * fit.params.sigma_eps2
+
+
+class TestTwoLevel:
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_converges_above_plain_em(self, diagonal, monkeypatch):
+        config = ModelConfig(k=2, center_baseline=False, constrain_sigma_gamma_diagonal=diagonal)
+        visited = []
+
+        def recording_e_step(params, dm):
+            visited.append(params.sigma_gamma)
+            return e_step(params, dm)
+
+        monkeypatch.setattr(estimator, "e_step", recording_e_step)
+        for seed in range(4):
+            ds, _ = generate_dataset(default_spec(seed=seed, n_units=60, n_obs=20))
+            fit = fit_em(ds, config)
+            assert fit.converged and fit.iterations < 500
+            dm = fit.design
+            plain = plain_em(dm, init_params(dm, config), 500, diagonal)
+            assert fit.loglik >= marginal_loglik(plain, dm)
+        assert len(visited) > 8
+        if diagonal:
+            assert all(sg[0, 1] == sg[1, 0] == 0.0 for sg in visited)
+
+
+class TestStopping:
+    def test_stop_reason_and_warning(self):
+        spec = default_spec(seed=28, n_units=12, n_obs=6)
+        ds, truth = generate_dataset(spec)
+        fit = fit_em(ds, spec.config, scores=truth.scores)
+        assert fit.converged and fit.stop_reason == "converged"
+        with pytest.warns(ConvergenceWarning, match="EM stopped at max_iter=1 without converging"):
+            capped = fit_em(ds, spec.config, scores=truth.scores, max_iter=1)
+        assert not capped.converged and capped.stop_reason == "max_iter"
+        # tol=0 asks for exactly max_iter iterations: no warning
+        fixed = fit_em(ds, spec.config, scores=truth.scores, max_iter=2, tol=0.0)
+        assert fixed.stop_reason == "max_iter" and fixed.iterations == 2
+
+    def test_flat_loglik_stops_only_when_parameters_stop(self, monkeypatch):
+        # the log-likelihood test alone would stop after the first iteration
+        spec = default_spec(seed=29, n_units=30, n_obs=10)
+        ds, truth = generate_dataset(spec)
+        monkeypatch.setattr(estimator, "marginal_loglik", lambda params, dm: -1.0)
+        fit = fit_em(ds, spec.config, scores=truth.scores)
+        assert fit.converged and fit.iterations > 1
+        step = fit_em(ds, spec.config, scores=truth.scores, init=fit.params, max_iter=1, tol=0.0)
+        assert np.linalg.norm(step.params.zeta - fit.params.zeta) <= 1e-4 * np.linalg.norm(
+            fit.params.zeta)
+        assert step.params.sigma_eps2 == pytest.approx(fit.params.sigma_eps2, rel=1e-4)
+
+    def test_shrinking_component_counts_as_stopped(self):
+        # on the zero boundary sigma_gamma^2 shrinks by a steady factor per
+        # iteration; measured on the response scale the change is below the
+        # bound long before the component reaches the noise-scale floor
+        fit = fit_em(boundary_dataset(1), BOUNDARY_CONFIG)
+        lam_gram = fit.design.lam_gram
+        g_bar = np.trace(lam_gram.sum(axis=0)) / fit.design.n_obs
+        floor = 1e-12 * fit.params.sigma_eps2 / g_bar
+        assert fit.converged
+        assert fit.params.sigma_gamma[0, 0] > 1e3 * floor
+
+    def test_converged_fit_has_stopped_moving(self):
+        # twenty more iterations from a converged fit's estimates move
+        # sigma_gamma^2 by under 0.1% and zeta by under 1e-4 relative
+        ds = boundary_dataset(0)
+        fit = fit_em(ds, BOUNDARY_CONFIG)
+        again = fit_em(ds, BOUNDARY_CONFIG, init=fit.params, max_iter=20, tol=0.0)
+        sg, sg2 = fit.params.sigma_gamma[0, 0], again.params.sigma_gamma[0, 0]
+        assert abs(sg2 - sg) <= 1e-3 * sg
+        assert np.linalg.norm(again.params.zeta - fit.params.zeta) <= 1e-4 * np.linalg.norm(
+            fit.params.zeta)

@@ -93,13 +93,24 @@ class TestPredictUnit:
 
     @pytest.mark.parametrize("name", ["Model5", "Model7"])
     def test_batch_matches_each_unit_alone(self, name):
-        # a unit's predictions do not depend on the units predicted with it
+        # a unit's predictions do not depend on the units predicted with it,
+        # whether the fit saw the unit or projects its curves afresh
+        config = table1_variants(k=2)[name].config
         spec = default_spec(seed=6, n_units=9, n_obs=7)
         ds, _ = generate_dataset(spec)
-        fit = fit_em(ds, table1_variants(k=2)[name].config)
+        fit = fit_em(ds, config)
         pred = predict_unit(fit, ds)
         alone = [predict_unit(fit, ds.select(np.arange(ds.n_units) == i))
                  for i in range(ds.n_units)]
+        assert pred.tobytes() == np.concatenate(alone).tobytes()
+
+        ds, _ = generate_dataset(default_spec(seed=6, n_units=120, n_obs=7))
+        first_half = np.arange(ds.n_units) < ds.n_units // 2
+        fit = fit_em(ds.select(first_half), config)
+        unseen = ds.select(~first_half)
+        pred = predict_unit(fit, unseen)
+        alone = [predict_unit(fit, unseen.select(np.arange(unseen.n_units) == i))
+                 for i in range(unseen.n_units)]
         assert pred.tobytes() == np.concatenate(alone).tobytes()
 
 
