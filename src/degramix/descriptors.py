@@ -22,6 +22,8 @@ _N4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # one PGM header token, after any whitespace and '#' comments before it; a
 # comment runs to its newline, so no token can start inside one
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+# working set of one TPC row or column block: it stays in a core's cache
+_TPC_BLOCK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,18 @@ class MicrostructureImage:
     """Grayscale micrograph with an optional two-phase mask.
 
     ``intensities`` is (height, width) with values in [0, 1]; ``phase_mask``
-    marks pixels belonging to the phase of interest.
+    marks pixels belonging to the phase of interest.  A read-only float64
+    array that owns its data is kept as given; any other input is copied.
     """
 
     intensities: np.ndarray
     phase_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.array(self.intensities, dtype=float)
+        arr = self.intensities
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 2:
             raise ValueError("intensities must be a 2-D grid")
         if arr.size == 0:
@@ -133,20 +139,35 @@ def _half_plane_displacements(r_max: int):
     return dy[keep], dx[keep], rr[keep]
 
 
-def _tpc_counts_fft(mask, dys, dxs, periodic, r_max):
-    # circular autocorrelation; with >= r_max zero padding the wrap-free
-    # region reproduces the windowed sums.  Counts are integers and the FFT
-    # error is far below 0.5, so rounding recovers them exactly.  One axis at
-    # a time, the row transforms skip the padding rows going forward and run
-    # only for the half-plane rows dy = 0..r_max coming back.
-    h, w = mask.shape
+def _tpc_plane(h: int, w: int, r_max: int, periodic: bool) -> tuple:
+    """(sh, sw, block): the transform's plane and the rows or columns one
+    block of the autocorrelation holds, about _TPC_BLOCK_BYTES of complex."""
     if periodic:
         sh, sw = h, w
     else:
         sh, sw = fft.next_fast_len(h + r_max), fft.next_fast_len(w + r_max)
-    spec = fft.fft(fft.rfft(mask.astype(float), n=sw, axis=1), n=sh, axis=0, overwrite_x=True)
-    spec *= np.conj(spec)
-    rows = fft.ifft(spec, axis=0, overwrite_x=True)[:r_max + 1]
+    return sh, sw, max(1, _TPC_BLOCK_BYTES // (16 * max(sh, sw)))
+
+
+def _tpc_counts_fft(mask, dys, dxs, periodic, r_max):
+    # circular autocorrelation; with >= r_max zero padding the wrap-free
+    # region reproduces the windowed sums.  Counts are integers and the FFT
+    # error is far below 0.5, so rounding recovers them exactly.  Row blocks
+    # fill one (h, sw//2+1) half-spectrum, the padding rows never built; each
+    # column block then goes through its y transform, the power and a real
+    # inverse (the power is real, so its y inverse is Hermitian) while it is
+    # in cache, keeping only the half-plane rows dy = 0..r_max.
+    h, w = mask.shape
+    sh, sw, block = _tpc_plane(h, w, r_max, periodic)
+    half = np.empty((h, sw // 2 + 1), dtype=complex)
+    for r0 in range(0, h, block):
+        half[r0:r0 + block] = fft.rfft(mask[r0:r0 + block], n=sw, axis=1)
+    rows = np.empty((r_max + 1, half.shape[1]), dtype=complex)
+    for c0 in range(0, half.shape[1], block):
+        spec = fft.fft(half[:, c0:c0 + block], n=sh, axis=0)
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        rows[:, c0:c0 + block] = fft.ihfft(power, axis=0)[:r_max + 1]
     corr = fft.irfft(rows, n=sw, axis=1)
     hit = np.rint(corr[dys, dxs % sw]).astype(np.int64)
     if periodic:
@@ -166,7 +187,10 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
 
     Hit counts come from an FFT autocorrelation rounded to exact integers,
     so the result is bit-for-bit reproducible against a direct pair
-    enumeration.
+    enumeration.  The autocorrelation runs in row and then column blocks
+    that stay in cache, with a real inverse of the power spectrum; its peak
+    memory is one (height, sw/2+1) complex half-spectrum, sw the padded
+    width.
     """
     if img.phase_mask is None:
         raise ValueError("compute_tpc requires a phase mask (binarize first)")
@@ -296,12 +320,12 @@ def load_pgm(path) -> MicrostructureImage:
     else:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        raw = data[pos:pos + width * height * dtype.itemsize]
-        if len(raw) != width * height * dtype.itemsize:
+        if len(data) - pos < width * height * dtype.itemsize:
             raise ValueError(f"{path}: truncated PGM payload")
-        values = np.frombuffer(raw, dtype=dtype)
+        values = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
 
-    grid = (values / maxval).reshape(height, width)
+    grid = values.reshape(height, width) / maxval
+    grid.setflags(write=False)  # handed over, so the image keeps it uncopied
     try:
         return MicrostructureImage(grid)
     except ValueError as exc:

@@ -11,7 +11,7 @@ components are omitted entirely so the coefficient count is unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -162,10 +162,10 @@ class DesignMatrices:
 
     Rows are grouped by unit, ``counts[i]`` rows for unit i.  ``lam`` holds
     each row's latent basis (n_obs, d) and ``lam_gram`` the per-unit blocks
-    Lambda_i^T Lambda_i (N, d, d).  ``omega_qr`` is the pivoted QR
-    (q, r, piv) of ``omega`` that the rank check computed, so a fit factors
-    Omega once; it is None on the ridge path and for designs assembled by
-    hand.
+    Lambda_i^T Lambda_i (N, d, d).  ``rank_qr`` passes in the pivoted QR
+    (q, r, piv) of ``omega`` that the rank check computed; ``omega_qr`` and
+    ``ridge_gram`` are each built at most once per design, so a fit factors
+    Omega once.
     """
 
     layout: ZetaLayout
@@ -175,7 +175,23 @@ class DesignMatrices:
     y: np.ndarray
     counts: np.ndarray
     lam_gram: np.ndarray
-    omega_qr: tuple | None = None
+    rank_qr: InitVar[tuple | None] = None
+
+    def __post_init__(self, rank_qr):
+        if rank_qr is not None:
+            self.__dict__["omega_qr"] = rank_qr  # where cached_property keeps its value
+
+    @cached_property
+    def omega_qr(self) -> tuple:
+        """Pivoted QR (q, r, piv) of Omega: the rank check's, or one factored
+        on first use (the ridge path and designs assembled by hand)."""
+        return sla.qr(self.omega, mode="economic", pivoting=True)
+
+    @cached_property
+    def ridge_gram(self) -> np.ndarray:
+        """Omega^T Omega plus a trace-relative jitter: the ridge path's normal matrix."""
+        gram = self.omega.T @ self.omega
+        return gram + 1e-8 * np.trace(gram) / self.layout.size * np.eye(self.layout.size)
 
     @property
     def n_units(self) -> int:
@@ -253,5 +269,5 @@ def build_design_matrices(
     return DesignMatrices(
         layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=ds.responses,
         counts=ds.counts, lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], ds.counts),
-        omega_qr=None if config.ridge_jitter else _check_full_rank(omega, layout),
+        rank_qr=None if config.ridge_jitter else _check_full_rank(omega, layout),
     )

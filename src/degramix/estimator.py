@@ -122,24 +122,10 @@ def _floored_sigma_gamma_inv(sigma_gamma: np.ndarray) -> np.ndarray:
     return (evecs / evals[None, :]) @ evecs.T
 
 
-def _ridge_gram(dm: DesignMatrices) -> np.ndarray:
-    """Omega^T Omega plus a trace-relative jitter: the ridge path's normal matrix."""
-    gram = dm.omega.T @ dm.omega
-    return gram + 1e-8 * np.trace(gram) / dm.layout.size * np.eye(dm.layout.size)
-
-
-def _omega_qr(dm: DesignMatrices) -> tuple:
-    """Pivoted QR (q, r, piv) of Omega: the one the rank check computed, or
-    a fresh one for a design assembled by hand."""
-    if dm.omega_qr is not None:
-        return dm.omega_qr
-    return sla.qr(dm.omega, mode="economic", pivoting=True)
-
-
 def _solve_zeta(dm: DesignMatrices, rhs: np.ndarray, ridge: bool) -> np.ndarray:
     if ridge:
-        return np.linalg.solve(_ridge_gram(dm), dm.omega.T @ rhs)
-    q, r, piv = _omega_qr(dm)
+        return np.linalg.solve(dm.ridge_gram, dm.omega.T @ rhs)
+    q, r, piv = dm.omega_qr
     zeta = np.empty(dm.layout.size)
     zeta[piv] = sla.solve_triangular(r, q.T @ rhs)
     return zeta
@@ -281,10 +267,10 @@ def _px_sums(dm: DesignMatrices, ridge: bool) -> tuple:
     B B^T projects on Omega's columns: B = Q of Omega's QR, or on the ridge
     path Omega K^-T with K K^T the jittered normal matrix."""
     if ridge:
-        chol = np.linalg.cholesky(_ridge_gram(dm))
+        chol = np.linalg.cholesky(dm.ridge_gram)
         basis = sla.solve_triangular(chol, dm.omega.T, lower=True).T
     else:
-        basis = _omega_qr(dm)[0]
+        basis = dm.omega_qr[0]
     lam_b = unit_sums(dm.lam[:, :, None] * basis[:, None, :], dm.counts)
     return unit_sums(dm.lam * dm.y[:, None], dm.counts), lam_b, basis.T @ dm.y
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import fft
 
 from degramix.data import (
     DegradationDataset,
@@ -79,6 +80,27 @@ def tpc_counts_direct(mask, dys, dxs, periodic):
             a, b = _shifted_overlap(mask, dy, dx)
             hit[i] = np.count_nonzero(a & b)
             n_pairs[i] = (h - abs(dy)) * (w - abs(dx))
+    return hit, n_pairs
+
+
+def tpc_counts_full_fft(mask, dys, dxs, periodic, r_max):
+    """(hit, pair) counts per displacement from an unblocked autocorrelation:
+    whole-plane transforms, a complex power plane and a complex inverse,
+    the route the library's blocked pass replaced."""
+    h, w = mask.shape
+    if periodic:
+        sh, sw = h, w
+    else:
+        sh, sw = fft.next_fast_len(h + r_max), fft.next_fast_len(w + r_max)
+    spec = fft.fft(fft.rfft(mask.astype(float), n=sw, axis=1), n=sh, axis=0, overwrite_x=True)
+    spec *= np.conj(spec)
+    rows = fft.ifft(spec, axis=0, overwrite_x=True)[:r_max + 1]
+    corr = fft.irfft(rows, n=sw, axis=1)
+    hit = np.rint(corr[dys, dxs % sw]).astype(np.int64)
+    if periodic:
+        n_pairs = np.full(dys.size, h * w, dtype=np.int64)
+    else:
+        n_pairs = (h - np.abs(dys)) * (w - np.abs(dxs))
     return hit, n_pairs
 
 

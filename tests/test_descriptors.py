@@ -11,6 +11,7 @@ from degramix.descriptors import (
     ParticleSet,
     _half_plane_displacements,
     _tpc_counts_fft,
+    _tpc_plane,
     binarize_image,
     compute_rdf,
     compute_tpc,
@@ -22,6 +23,7 @@ from _oracles import (
     flood_fill_component_count,
     rdf_pair_enumeration,
     tpc_counts_direct,
+    tpc_counts_full_fft,
     tpc_pair_enumeration,
 )
 
@@ -60,6 +62,29 @@ class TestBinarize:
         assert binary.intensities is img.intensities and img.phase_mask is None
         assert binary.phase_mask.tolist() == [[False, True], [True, False]]
         assert not binary.phase_mask.flags.writeable
+
+
+class TestIntensityOwnership:
+    def test_writable_caller_array_is_copied(self):
+        grid = np.array([[0.2, 0.8], [0.5, 0.1]])
+        img = MicrostructureImage(grid)
+        grid[0, 0] = 0.9
+        assert img.intensities[0, 0] == 0.2
+        assert not img.intensities.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        # the view does not own its data: its writable base could change it
+        base = np.array([[0.2, 0.8], [0.5, 0.1]])
+        view = base[:, :]
+        view.setflags(write=False)
+        img = MicrostructureImage(view)
+        base[0, 0] = 0.9
+        assert img.intensities[0, 0] == 0.2
+
+    def test_owned_read_only_grid_is_kept(self):
+        grid = np.array([[0.2, 0.8], [0.5, 0.1]])
+        grid.setflags(write=False)
+        assert MicrostructureImage(grid).intensities is grid
 
 
 class TestTpc:
@@ -263,6 +288,23 @@ class TestFileFormats:
         assert img.intensities[0, 1] == 1.0
         assert img.intensities[1, 0] == pytest.approx(32768 / 65535)
 
+    def test_load_p5_2048_holds_one_float_grid(self, tmp_path):
+        # the image keeps load_pgm's grid; a second float copy would peak at
+        # two grids plus the payload
+        path = tmp_path / "big.pgm"
+        side = 2048
+        pixels = np.random.default_rng(8).integers(0, 256, size=(side, side), dtype=np.uint8)
+        path.write_bytes(b"P5\n2048 2048\n255\n" + pixels.tobytes())
+        grid_bytes = side * side * 8
+        tracemalloc.start()
+        try:
+            img = load_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grid_bytes
+        assert np.array_equal(img.intensities, pixels / 255)
+
     def test_p2_p5_agree(self, tmp_path):
         rng = np.random.default_rng(13)
         vals = rng.integers(0, 256, size=(4, 5))
@@ -300,6 +342,45 @@ class TestTpcFftEquivalence:
             direct = tpc_counts_direct(mask, dys, dxs, periodic)
             assert np.array_equal(fft[0], direct[0])
             assert np.array_equal(fft[1], direct[1])
+
+
+class TestTpcBlocks:
+    # 400 x 530 spans several row and column blocks, the last one partial,
+    # at both radii and on both the padded and the periodic plane
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("r_max", [30, 199])
+    def test_blocked_matches_full_plane_bitwise(self, periodic, r_max):
+        h, w = 400, 530
+        sh, sw, block = _tpc_plane(h, w, r_max, periodic)
+        for n in (h, sw // 2 + 1):
+            assert n > 2 * block and n % block
+        rng = np.random.default_rng(r_max)
+        mask = ndimage.gaussian_filter(rng.standard_normal((h, w)), 2.0) > 0.3
+        dys, dxs, _ = _half_plane_displacements(r_max)
+        got = _tpc_counts_fft(mask, dys, dxs, periodic, r_max)
+        full = tpc_counts_full_fft(mask, dys, dxs, periodic, r_max)
+        assert np.array_equal(got[0], full[0])
+        assert np.array_equal(got[1], full[1])
+        if r_max == 30:
+            assert np.array_equal(got[0], tpc_counts_direct(mask, dys, dxs, periodic)[0])
+
+    def test_small_tile_is_one_block(self):
+        sh, sw, block = _tpc_plane(128, 128, 20, False)
+        assert block >= max(128, sw // 2 + 1)
+
+    def test_memory_is_one_half_spectrum(self):
+        # the full-plane route peaks near 104 MiB here: a padded float plane,
+        # a complex spectrum and its power; one half-spectrum is ~35 MiB
+        rng = np.random.default_rng(21)
+        img = image_from_mask(rng.random((2048, 2048)) < 0.4)
+        tracemalloc.start()
+        try:
+            curve = compute_tpc(img, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert curve.values[0] == np.count_nonzero(img.phase_mask) / img.phase_mask.size
 
 
 def rdf_matches_oracle(coords, window, r_max, dr):
@@ -394,6 +475,12 @@ class TestNonFiniteInput:
     def test_non_finite_intensity_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             MicrostructureImage(np.array([[bad, 0.5], [0.1, 0.2]]))
+
+    def test_non_finite_intensity_rejected_when_kept_uncopied(self):
+        grid = np.array([[np.nan, 0.5], [0.1, 0.2]])
+        grid.setflags(write=False)
+        with pytest.raises(ValueError, match="finite"):
+            MicrostructureImage(grid)
 
     def test_nan_row_in_particle_csv_rejected(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -506,6 +506,35 @@ class TestFitEm:
         assert fit.params.sigma_gamma[0, 0] == pytest.approx(
             full.params.sigma_gamma[0, 0], rel=1e-4)
 
+    def test_ridge_fit_builds_its_gram_once(self, monkeypatch):
+        # every zeta update and the working-parameter sums read one Gram
+        from dataclasses import replace as dc_replace
+        from functools import cached_property
+
+        from degramix.design import DesignMatrices
+        built = []
+        gram = DesignMatrices.ridge_gram.func
+        counted = cached_property(lambda dm: built.append(dm) or gram(dm))
+        counted.__set_name__(DesignMatrices, "ridge_gram")
+        monkeypatch.setattr(DesignMatrices, "ridge_gram", counted)
+        spec = default_spec(seed=32, n_units=30, n_obs=10)
+        ds, truth = generate_dataset(spec)
+        fit = fit_em(ds, dc_replace(spec.config, ridge_jitter=True), scores=truth.scores)
+        assert fit.iterations > 1
+        assert len(built) == 1 and built[0] is fit.design
+
+    def test_hand_built_design_factors_omega_once(self, monkeypatch):
+        from degramix import design
+        dm, _, _ = synthetic_dm(seed=33, n_units=10, n_obs=6)
+        dm = stack_population(dm.layout, dm.unit_ids, *split_units(dm))
+        factored = []
+        qr = design.sla.qr
+        monkeypatch.setattr(design.sla, "qr", lambda *a, **k: factored.append(1) or qr(*a, **k))
+        posterior = e_step(init_params(dm, CONFIG), dm)
+        first = update_zeta(posterior, dm)
+        assert np.array_equal(update_zeta(posterior, dm), first)
+        assert len(factored) == 1
+
 
 class TestErrorPaths:
     def test_singular_sigma_gamma_after_flooring(self):
