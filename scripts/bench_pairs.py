@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Alternated benchmark pairs: a parent revision against the working tree.
 
-    python3 scripts/bench_pairs.py --parent HEAD --pr 8 --pairs 10 --seconds 15
+    python3 scripts/bench_pairs.py --parent HEAD --pr 8
 
 Exports ``--parent`` with ``git archive`` into a temporary directory.  Then,
-for each workload and each seed, it runs ``benchmark/run.py`` once in that
+for every workload in BENCHMARK.json and each seed 0-9, it runs
+``benchmark/run.py`` for BENCHMARK.json's ``run_seconds`` once in that
 checkout and once in the working tree (uncommitted edits included), the
 parent first on even seeds.  Each side runs the benchmark files of its own
 checkout.  Every run's details and result lines go to ``BENCH_<pr>.json`` at
-the repository root, rewritten after each pair, with a summary per workload
-and end-to-end metric: each side's median and quartiles and the number of
-pairs the change won (ties count for neither side).
+the repository root, rewritten after each pair, with a summary per workload:
+the pairs attempted, the runs that crashed and the operations that failed on
+each side, and per end-to-end metric each side's median and quartiles over
+the complete pairs and the number of them the change won (ties count for
+neither side).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(10)
+SIDES = ("parent", "change")
 
 
 def _git(*args) -> str:
@@ -53,25 +58,32 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per workload and metric: each side's median and quartiles over the
-    complete pairs, and the pairs in which the change read better."""
+    """Per workload: pairs attempted, crashed runs and failed operations per
+    side, and per metric each side's median and quartiles over the complete
+    pairs with the pairs in which the change read better."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
         pairs = {}
-        for r in runs:
-            if r["workload"] == workload and r["result"] is not None:
+        for r in mine:
+            if r["result"] is not None:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
         both = [p for p in pairs.values() if len(p) == 2]
         rows = out[workload] = {
-            "pairs": len(both),
-            "failed": {side: sum(p[side]["failed"] for p in both) for side in ("parent", "change")},
+            "pairs": len({r["seed"] for r in mine}),
+            "complete_pairs": len(both),
+            "crashed": {side: sum(r["side"] == side and r["result"] is None for r in mine)
+                        for side in SIDES},
+            "failed": {side: sum(r["result"]["failed"] for r in mine
+                                 if r["side"] == side and r["result"] is not None)
+                       for side in SIDES},
         }
         if len(both) < 2:
             continue
         for m in metrics:
             sign = 1.0 if m["better"] == "lower" else -1.0
             values = {side: [p[side]["metrics"][m["name"]]["value"] for p in both]
-                      for side in ("parent", "change")}
+                      for side in SIDES}
             row = rows[m["name"]] = {"unit": m["unit"], "better": m["better"], "change_wins": sum(
                 sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))}
             for side, v in values.items():
@@ -82,30 +94,26 @@ def summarize(runs: list, metrics: list) -> dict:
 
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
-    ap.add_argument("--workloads", nargs="+", choices=names, default=names)
     args = ap.parse_args(argv)
+    seconds = float(bench["run_seconds"])
 
     parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     out_path = ROOT / f"BENCH_{args.pr}.json"
     report = {"parent": parent_sha, "change": f"working tree on {_git('rev-parse', 'HEAD')}",
-              "seconds": args.seconds, "runs": []}
+              "seconds": seconds, "runs": []}
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         parent_dir = Path(tmp)
         export(parent_sha, parent_dir)
-        for workload in args.workloads:
-            for seed in range(args.first_seed, args.first_seed + args.pairs):
-                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+        for workload in (w["name"] for w in bench["workloads"]):
+            for seed in SEEDS:
+                order = SIDES if seed % 2 == 0 else SIDES[::-1]
                 for side in order:
                     checkout = parent_dir if side == "parent" else ROOT
-                    run = run_once(checkout, workload, seed, args.seconds)
+                    run = run_once(checkout, workload, seed, seconds)
                     report["runs"].append({"workload": workload, "seed": seed, "side": side, **run})
                     print(json.dumps({k: report["runs"][-1][k]
                                       for k in ("workload", "seed", "side", "result")}), flush=True)

@@ -31,18 +31,33 @@ class MicrostructureImage:
     """Grayscale micrograph with an optional two-phase mask.
 
     ``intensities`` is (height, width) with values in [0, 1]; ``phase_mask``
-    marks pixels belonging to the phase of interest.  A read-only float64
-    array that owns its data is kept as given; any other input is copied.
+    marks pixels belonging to the phase of interest.  The image keeps its own
+    read-only copy of both.
     """
 
     intensities: np.ndarray
     phase_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = self.intensities
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=float)
+        self._set_intensities(np.array(self.intensities, dtype=float))
+        if self.phase_mask is not None:
+            mask = np.array(self.phase_mask, dtype=bool)
+            if mask.shape != self.intensities.shape:
+                raise ValueError("phase_mask shape must match intensities")
+            mask.setflags(write=False)
+            object.__setattr__(self, "phase_mask", mask)
+
+    @classmethod
+    def _adopt(cls, grid: np.ndarray) -> MicrostructureImage:
+        """An image without a mask that keeps the float64 ``grid`` itself,
+        uncopied: ``load_pgm``'s route for the fresh grid it built, which no
+        caller holds."""
+        img = cls.__new__(cls)
+        object.__setattr__(img, "phase_mask", None)
+        img._set_intensities(grid)
+        return img
+
+    def _set_intensities(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError("intensities must be a 2-D grid")
         if arr.size == 0:
@@ -52,12 +67,6 @@ class MicrostructureImage:
             raise ValueError("intensities must be finite and lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "intensities", arr)
-        if self.phase_mask is not None:
-            mask = np.array(self.phase_mask, dtype=bool)
-            if mask.shape != arr.shape:
-                raise ValueError("phase_mask shape must match intensities")
-            mask.setflags(write=False)
-            object.__setattr__(self, "phase_mask", mask)
 
     @property
     def width(self) -> int:
@@ -324,10 +333,8 @@ def load_pgm(path) -> MicrostructureImage:
             raise ValueError(f"{path}: truncated PGM payload")
         values = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
 
-    grid = values.reshape(height, width) / maxval
-    grid.setflags(write=False)  # handed over, so the image keeps it uncopied
     try:
-        return MicrostructureImage(grid)
+        return MicrostructureImage._adopt(values.reshape(height, width) / maxval)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

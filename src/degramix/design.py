@@ -11,7 +11,7 @@ components are omitted entirely so the coefficient count is unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -162,10 +162,8 @@ class DesignMatrices:
 
     Rows are grouped by unit, ``counts[i]`` rows for unit i.  ``lam`` holds
     each row's latent basis (n_obs, d) and ``lam_gram`` the per-unit blocks
-    Lambda_i^T Lambda_i (N, d, d).  ``rank_qr`` passes in the pivoted QR
-    (q, r, piv) of ``omega`` that the rank check computed; ``omega_qr`` and
-    ``ridge_gram`` are each built at most once per design, so a fit factors
-    Omega once.
+    Lambda_i^T Lambda_i (N, d, d).  ``omega_qr`` and ``ridge_gram`` are each
+    built at most once per design, so a fit factors Omega once.
     """
 
     layout: ZetaLayout
@@ -175,17 +173,11 @@ class DesignMatrices:
     y: np.ndarray
     counts: np.ndarray
     lam_gram: np.ndarray
-    rank_qr: InitVar[tuple | None] = None
-
-    def __post_init__(self, rank_qr):
-        if rank_qr is not None:
-            self.__dict__["omega_qr"] = rank_qr  # where cached_property keeps its value
 
     @cached_property
     def omega_qr(self) -> tuple:
-        """Pivoted QR (q, r, piv) of Omega: the rank check's, or one factored
-        on first use (the ridge path and designs assembled by hand)."""
-        return sla.qr(self.omega, mode="economic", pivoting=True)
+        """Pivoted QR (q, r, piv) of Omega; raises if Omega is rank-deficient."""
+        return _check_full_rank(self.omega, self.layout)
 
     @cached_property
     def ridge_gram(self) -> np.ndarray:
@@ -266,8 +258,10 @@ def build_design_matrices(
     for name, f in features.items():
         start, stop = offsets[name]
         omega[:, start:stop] = (lam[:, :, None] * f[rows][:, None, :]).reshape(rows.size, -1)
-    return DesignMatrices(
+    dm = DesignMatrices(
         layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=ds.responses,
         counts=ds.counts, lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], ds.counts),
-        rank_qr=None if config.ridge_jitter else _check_full_rank(omega, layout),
     )
+    if not config.ridge_jitter:
+        dm.omega_qr  # the rank check: a rank-deficient design fails here, not mid-fit
+    return dm

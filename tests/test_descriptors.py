@@ -81,10 +81,14 @@ class TestIntensityOwnership:
         base[0, 0] = 0.9
         assert img.intensities[0, 0] == 0.2
 
-    def test_owned_read_only_grid_is_kept(self):
+    def test_owned_read_only_grid_is_copied(self):
+        # its owner may make it writable again and overwrite checked values
         grid = np.array([[0.2, 0.8], [0.5, 0.1]])
         grid.setflags(write=False)
-        assert MicrostructureImage(grid).intensities is grid
+        img = MicrostructureImage(grid)
+        grid.setflags(write=True)
+        grid[0, 0] = 0.9
+        assert img.intensities[0, 0] == 0.2
 
 
 class TestTpc:
@@ -304,6 +308,7 @@ class TestFileFormats:
             tracemalloc.stop()
         assert peak < 1.5 * grid_bytes
         assert np.array_equal(img.intensities, pixels / 255)
+        assert not img.intensities.flags.writeable
 
     def test_p2_p5_agree(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -476,11 +481,9 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             MicrostructureImage(np.array([[bad, 0.5], [0.1, 0.2]]))
 
-    def test_non_finite_intensity_rejected_when_kept_uncopied(self):
-        grid = np.array([[np.nan, 0.5], [0.1, 0.2]])
-        grid.setflags(write=False)
+    def test_non_finite_intensity_rejected_when_adopted(self):
         with pytest.raises(ValueError, match="finite"):
-            MicrostructureImage(grid)
+            MicrostructureImage._adopt(np.array([[np.nan, 0.5], [0.1, 0.2]]))
 
     def test_nan_row_in_particle_csv_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
