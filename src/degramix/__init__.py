@@ -41,7 +41,7 @@ from .evaluation import (
     table1_variants,
     temporal_split,
 )
-from .fpca import FpcaModel, ScoreSet, fit_fpca, project_scores, reconstruct, select_k_by_fve
+from .fpca import FpcaModel, fit_fpca, fit_scores, project_scores, reconstruct, select_k_by_fve
 from .simulate import SyntheticSpec, default_spec, generate_dataset
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "NumericalError",
     "Parameters",
     "ParticleSet",
-    "ScoreSet",
     "SyntheticSpec",
     "UnitRecord",
     "ZetaLayout",
@@ -75,6 +74,7 @@ __all__ = [
     "extract_particles",
     "fit_em",
     "fit_fpca",
+    "fit_scores",
     "generate_dataset",
     "information_criteria",
     "kfold_cv",

@@ -45,7 +45,7 @@ from .evaluation import (
     predict_unit,
     table1_variants,
 )
-from .fpca import fit_fpca, project_scores, select_k_by_fve, with_k
+from .fpca import fit_scores
 from .simulate import default_spec, generate_dataset
 
 _DATA_FILES = ("responses.csv", "scalars.csv", "curves.csv")
@@ -112,6 +112,17 @@ def _resolve_config(args) -> ModelConfig:
     return replace(config, **{key: v for key, v in updates.items() if v is not None})
 
 
+def _fpca_record(model) -> dict:
+    return {
+        "r_grid": model.r_grid,
+        "mean_curve": model.mean_curve,
+        "eigenfunctions": model.eigenfunctions[: model.k],
+        "eigenvalues": model.eigenvalues,
+        "fve_trace": model.fve_trace,
+        "k": model.k,
+    }
+
+
 def _fit_report(fit: FitResult) -> dict:
     layout = fit.layout
     parts = layout.split(fit.params.zeta)
@@ -147,17 +158,7 @@ def _fit_report(fit: FitResult) -> dict:
     if fit.scores is not None:
         report["scores"] = {"unit_ids": list(fit.unit_ids), "values": fit.scores}
     if fit.fpca_models is not None:
-        report["fpca"] = [
-            {
-                "r_grid": m.r_grid,
-                "mean_curve": m.mean_curve,
-                "eigenfunctions": m.eigenfunctions[: m.k],
-                "eigenvalues": m.eigenvalues,
-                "fve_trace": m.fve_trace,
-                "k": m.k,
-            }
-            for m in fit.fpca_models
-        ]
+        report["fpca"] = [_fpca_record(m) for m in fit.fpca_models]
     return report
 
 
@@ -200,6 +201,8 @@ def _cmd_descriptor(args) -> int:
         "kind": args.kind, "r_max": args.r_max, "dr": args.dr,
         "threshold": args.threshold, "periodic": args.periodic,
     })
+    if args.s < 1:
+        raise CliError(f"descriptor requires --s >= 1, got {args.s}")
     out = _out_dir(args)
     entries = []
     if args.kind == "tpc":
@@ -233,25 +236,15 @@ def _cmd_descriptor(args) -> int:
 
 def _cmd_fpca(args) -> int:
     ds = _load_data(args)
-    _echo_config("fpca", {"k": args.k, "fve": args.fve, "data": str(args.data)})
+    config = _resolve_config(args)
+    _echo_config("fpca", {"k": config.k, "fve": config.fve_threshold, "data": str(args.data)})
     out = _out_dir(args)
     report = []
-    for s in range(ds.n_functional):
-        curves = ds.curves[:, s]
-        model = fit_fpca(curves, ds.r_grid)
-        k = args.k if args.k is not None else select_k_by_fve(model, args.fve or 0.95)
-        model = with_k(model, min(k, model.eigenvalues.size))
-        scores = project_scores(model, curves)
-        report.append({
-            "s": s + 1,
-            "eigenvalues": model.eigenvalues,
-            "fve_trace": model.fve_trace,
-            "k": model.k,
-            "scores": {"unit_ids": list(ds.unit_ids), "values": scores},
-            "mean_curve": model.mean_curve,
-            "eigenfunctions": model.eigenfunctions[: model.k],
-            "r_grid": model.r_grid,
-        })
+    if ds.n_functional:
+        models, scores = fit_scores(ds.curves, ds.r_grid, config.k, config.fve_threshold)
+        report = [{**_fpca_record(m), "s": s + 1,
+                   "scores": {"unit_ids": list(ds.unit_ids), "values": scores[:, s]}}
+                  for s, m in enumerate(models)]
     _write_json(out / "fpca_report.json", {"covariates": report})
     return 0
 
@@ -313,7 +306,6 @@ def _load_fit(path) -> FitResult:
             )
             for m in payload["fpca"]
         )
-    stop_reason = payload.get("stop_reason")  # reports from before the field lack it
     scores = None
     if "scores" in payload:
         scores = np.asarray(payload["scores"]["values"], dtype=float)
@@ -322,7 +314,7 @@ def _load_fit(path) -> FitResult:
         posterior=posterior,
         loglik_trace=np.asarray(payload["loglik_trace"], dtype=float),
         iterations=payload["iterations"],
-        converged=payload["converged"] if stop_reason is None else stop_reason == "converged",
+        converged=payload["converged"],
         config=config,
         layout=layout,
         unit_ids=tuple(payload["latent_posterior"]["unit_ids"]),
@@ -378,7 +370,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_compare(args) -> int:
     ds = _load_data(args)
-    registry = table1_variants(k=args.k, fve_threshold=args.fve or 0.95)
+    registry = table1_variants(k=args.k, fve_threshold=args.fve)
     names = args.variant or [n for n in registry if n != "Model6"]
     unknown = [n for n in names if n not in registry]
     if unknown:

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import linalg as sla
 
 from .data import DegradationDataset, ModelConfig, basis_columns
-from .fpca import ScoreSet
 
 
 @dataclass(frozen=True)
@@ -238,8 +237,6 @@ def build_design_matrices(
     if config.include_functional:
         if scores is None:
             raise ValueError("functional component active but no scores supplied")
-        if isinstance(scores, ScoreSet):
-            scores = scores.values
         scores = np.asarray(scores, dtype=float)
         if scores.ndim != 3 or scores.shape[0] != ds.n_units:
             raise ValueError("scores must have shape (n_units, S, K)")

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from . import fpca as fpca_mod
 from .data import DegradationDataset, ModelConfig
 from .design import DesignMatrices, ZetaLayout, build_design_matrices, unit_sums
+from .fpca import fit_scores
 
 _SIGMA_EPS_FLOOR = 1e-16
 _SIGMA_GAMMA_EIG_FLOOR = 1e-12  # relative to trace (E-step) or to the noise scale (fit)
@@ -217,20 +217,6 @@ def marginal_loglik(params: Parameters, dm: DesignMatrices) -> float:
     return -0.5 * (dm.n_obs * np.log(2.0 * np.pi) + logdet + quad / s2)
 
 
-def _fit_scores(ds: DegradationDataset, config: ModelConfig):
-    """FPCA per functional covariate with a truncation shared across covariates."""
-    curves_by_s = [ds.curves[:, s] for s in range(ds.n_functional)]
-    models = [fpca_mod.fit_fpca(c, ds.r_grid) for c in curves_by_s]
-    if config.k is not None:
-        k = int(config.k)
-    else:
-        k = max(fpca_mod.select_k_by_fve(m, config.fve_threshold) for m in models)
-    k = min(k, min(m.eigenvalues.size for m in models))
-    models = [fpca_mod.with_k(m, k) for m in models]
-    scores = np.stack([fpca_mod.project_scores(m, c) for m, c in zip(models, curves_by_s)], axis=1)
-    return tuple(models), scores
-
-
 def fit_em(
     ds: DegradationDataset,
     config: ModelConfig,
@@ -385,14 +371,13 @@ def _relative_change(old: Parameters, new: Parameters, g_bar: float) -> float:
 
 
 def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
-    if isinstance(scores, fpca_mod.ScoreSet):
-        scores = scores.values
     fpca_models = None
     if config.include_functional:
         if ds.n_functional < 1:
             raise ValueError("config includes functional covariates but dataset has none")
         if scores is None:
-            fpca_models, scores = _fit_scores(ds, config)
+            fpca_models, scores = fit_scores(ds.curves, ds.r_grid, config.k,
+                                             config.fve_threshold)
         else:
             scores = np.asarray(scores, dtype=float)
     else:

@@ -36,21 +36,21 @@ class Metrics:
     bic: float = np.nan
     mse_train: float = np.nan
     mse_test: float = np.nan
-    cv_error: float | None = None
     error: str | None = None
 
 
-def table1_variants(k: int | None = None, fve_threshold: float = 0.95) -> dict:
+def table1_variants(k: int | None = None, fve_threshold: float | None = None) -> dict:
     """The seven-model comparison family, keyed by name.
 
     Model 6 swaps the functional microstructure covariate for a user-supplied
     scalar one (plus its products with the other scalars), so its interaction
-    lives entirely in the scalar block.
+    lives entirely in the scalar block.  An ``fve_threshold`` left at None
+    takes the ``ModelConfig`` default.
     """
+    fve = {} if fve_threshold is None else {"fve_threshold": fve_threshold}
+
     def cfg(**kw):
-        base = dict(k=k, fve_threshold=fve_threshold, center_baseline=True)
-        base.update(kw)
-        return ModelConfig(**base)
+        return ModelConfig(k=k, center_baseline=True, **fve, **kw)
 
     return {
         "Model1": ModelVariant("Model1", cfg(include_functional=False, include_interaction=False,
@@ -187,8 +187,6 @@ def kfold_cv(ds: DegradationDataset, config: ModelConfig, k: int, seed: int,
     folds = np.array_split(rng.permutation(n), k)
     total = 0.0
     for fold in folds:
-        if fold.size == 0:
-            raise ValueError("empty cross-validation fold")
         held = np.zeros(n, dtype=bool)
         held[fold] = True
         fit = fit_em(ds.select(~held), config, max_iter=max_iter, tol=tol)

@@ -52,33 +52,13 @@ class FpcaModel:
         return trapezoid_weights(self.r_grid) / self.r_support
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Functional principal component scores, shape (N, S, K)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 3:
-            raise ValueError("scores must have shape (n_units, S, K)")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scores must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[2]
-
-
 def fit_fpca(curves: np.ndarray, r_grid: np.ndarray) -> FpcaModel:
     """Eigendecompose the sample covariance of curves sampled on a shared grid.
 
     The pointwise sample mean is removed, trapezoid weights are folded in
     symmetrically, and eigenvalues below zero from solver noise are clamped.
     Returns all eigenpairs with ``k`` preset to the count of positive
-    eigenvalues; callers narrow ``k`` via :func:`select_k_by_fve`.
+    eigenvalues; :func:`fit_scores` narrows ``k``.
     """
     x = np.asarray(curves, dtype=float)
     if x.ndim != 2:
@@ -152,6 +132,25 @@ def project_scores(model: FpcaModel, curves: np.ndarray) -> np.ndarray:
         raise ValueError("grid mismatch: curves do not match the fitted grid")
     weighted_psi = model.eigenfunctions[: model.k] * model.inner_weights[None, :]
     return (x - model.mean_curve) @ weighted_psi.T
+
+
+def fit_scores(curves: np.ndarray, r_grid: np.ndarray, k: int | None,
+               fve_threshold: float) -> tuple:
+    """FPCA of each functional covariate with one truncation K shared by all.
+
+    ``curves`` is (N, S, G).  K is ``k`` when given, else the largest
+    :func:`select_k_by_fve` choice over the covariates; either way it is
+    capped by the fewest eigenpairs any covariate has.  Returns the S fitted
+    models, each truncated to K, and their (N, S, K) scores.
+    """
+    curves_by_s = [curves[:, s] for s in range(curves.shape[1])]
+    models = [fit_fpca(c, r_grid) for c in curves_by_s]
+    if k is None:
+        k = max(select_k_by_fve(m, fve_threshold) for m in models)
+    k = min(int(k), min(m.eigenvalues.size for m in models))
+    models = [with_k(m, k) for m in models]
+    scores = np.stack([project_scores(m, c) for m, c in zip(models, curves_by_s)], axis=1)
+    return tuple(models), scores
 
 
 def reconstruct(model: FpcaModel, scores: np.ndarray, k: int | None = None) -> np.ndarray:

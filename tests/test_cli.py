@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from degramix import cli, data, design, estimator, evaluation
 from degramix.cli import run
+from degramix.data import load_dataset, save_dataset
+from degramix.fpca import fit_fpca, select_k_by_fve
 
 
 def write_pgm(path, values, maxval=255):
@@ -48,12 +51,34 @@ class TestUsageAndErrors:
                     "--out", str(tmp_path / "fit")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_zero_fve_exits_one(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        for command in ("fit", "fpca", "compare"):
+            assert run([command, "--data", str(data), "--fve", "0",
+                        "--out", str(tmp_path / command)]) == 1
+            assert "fve_threshold must lie in (0, 1]" in capsys.readouterr().err
+
     def test_short_response_row_exits_one(self, tmp_path, capsys):
         data = simulate_into(tmp_path)
         with open(data / "responses.csv", "a") as fh:
             fh.write("u1,2.0\n")
         assert run(["fit", "--data", str(data), "--out", str(tmp_path / "fit")]) == 1
         assert f"{data / 'responses.csv'}: line 122:" in capsys.readouterr().err
+
+
+def assert_fpca_matches_fit(tmp_path, data, fpca_report):
+    """Each covariate's K, eigenfunctions and scores in ``fpca_report`` are
+    those of a Model7 fit at the same FVE threshold."""
+    out = tmp_path / "fit_for_fpca"
+    assert run(["fit", "--data", str(data), "--variant", "Model7", "--fve", "0.95",
+                "--out", str(out)]) == 0
+    fit = json.loads((out / "fit_report.json").read_text())
+    assert len(fpca_report["covariates"]) == len(fit["fpca"])
+    for s, (cov, model) in enumerate(zip(fpca_report["covariates"], fit["fpca"])):
+        assert cov["k"] == model["k"]
+        assert cov["eigenfunctions"] == model["eigenfunctions"]
+        assert cov["scores"]["unit_ids"] == fit["scores"]["unit_ids"]
+        assert cov["scores"]["values"] == [unit[s] for unit in fit["scores"]["values"]]
 
 
 class TestSimulateFitPipeline:
@@ -161,6 +186,28 @@ class TestSimulateFitPipeline:
         cov = report["covariates"][0]
         assert cov["k"] >= 1
         assert len(cov["scores"]["values"]) == 12
+        assert_fpca_matches_fit(tmp_path, data, report)
+
+    def test_fpca_shares_the_fits_truncation(self, tmp_path):
+        """The second covariate alone would stop at K=1; the fit keeps the
+        first covariate's K=2 for both, and so does the fpca report."""
+        data = simulate_into(tmp_path, seed=8, n_units=20)
+        ds = load_dataset(*(data / n for n in cli._DATA_FILES))
+        rng = np.random.default_rng(5)
+        r = ds.r_grid / ds.r_grid[-1]
+        second = (1.0 + np.outer(rng.normal(size=ds.n_units), np.sin(2.0 * np.pi * r))
+                  + 0.01 * np.outer(rng.normal(size=ds.n_units), np.cos(2.0 * np.pi * r)))
+        ds = replace(ds, curves=np.stack([ds.curves[:, 0], second], axis=1))
+        save_dataset(ds, *(data / n for n in cli._DATA_FILES))
+        second_alone = fit_fpca(second, ds.r_grid)
+        assert select_k_by_fve(second_alone, 0.95) == 1
+
+        out = tmp_path / "fp"
+        assert run(["fpca", "--data", str(data), "--fve", "0.95", "--out", str(out)]) == 0
+        report = json.loads((out / "fpca_report.json").read_text())
+        assert [c["k"] for c in report["covariates"]] == [2, 2]
+        assert [c["s"] for c in report["covariates"]] == [1, 2]
+        assert_fpca_matches_fit(tmp_path, data, report)
 
 
 class TestStopReason:
@@ -240,6 +287,15 @@ class TestDescriptor:
 
     def test_rdf_requires_dr(self, tmp_path):
         assert run(["descriptor", "rdf", "--r-max", "0.1", "--out", str(tmp_path)]) == 1
+
+    def test_rejects_covariate_index_below_one(self, tmp_path, capsys):
+        img = tmp_path / "a.pgm"
+        write_pgm(img, np.random.default_rng(3).integers(0, 256, size=(20, 20)))
+        out = tmp_path / "tpc"
+        assert run(["descriptor", "tpc", "--image", str(img), "--r-max", "4", "--s", "0",
+                    "--out", str(out)]) == 1
+        assert "--s" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
 
 class TestDeterminism:

@@ -545,14 +545,6 @@ class TestErrorPaths:
         with pytest.raises(NumericalError, match="singular sigma_gamma"):
             e_step(params, dm)
 
-    def test_score_set_accepted_by_fit(self):
-        from degramix.fpca import ScoreSet
-        spec = default_spec(seed=31, n_units=12, n_obs=6)
-        ds, truth = generate_dataset(spec)
-        a = fit_em(ds, spec.config, scores=ScoreSet(truth.scores))
-        b = fit_em(ds, spec.config, scores=truth.scores)
-        assert np.array_equal(a.params.zeta, b.params.zeta)
-
 
 BOUNDARY_CONFIG = table1_variants(k=2)["Model7"].config
 
