@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft, ndimage
@@ -22,59 +23,75 @@ _N4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # one PGM header token, after any whitespace and '#' comments before it; a
 # comment runs to its newline, so no token can start inside one
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+# a byte that is neither a decimal digit nor the whitespace bytes.split() cuts at
+_P2_NON_DIGIT = re.compile(rb"[^\s0-9]")
 # working set of one TPC row or column block: it stays in a core's cache
 _TPC_BLOCK_BYTES = 2 ** 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MicrostructureImage:
     """Grayscale micrograph with an optional two-phase mask.
 
-    ``intensities`` is (height, width) with values in [0, 1]; ``phase_mask``
-    marks pixels belonging to the phase of interest.  The image keeps its own
-    read-only copy of both.
+    The image keeps one read-only (height, width) grid of pixels: the
+    integer samples of a PGM with their ``maxval`` (``load_pgm``), or float
+    intensities in [0, 1] copied from the caller (``maxval`` None).
+    ``intensities`` is the float grid in [0, 1]; for samples it is
+    ``samples / maxval``, built on first access and kept.  ``width``,
+    ``height`` and ``binarize_image`` read the pixels and never build it.
+    ``phase_mask`` marks pixels belonging to the phase of interest.
     """
 
-    intensities: np.ndarray
-    phase_mask: np.ndarray | None = None
+    pixels: np.ndarray
+    maxval: int | None
+    phase_mask: np.ndarray | None
 
-    def __post_init__(self):
-        self._set_intensities(np.array(self.intensities, dtype=float))
-        if self.phase_mask is not None:
-            mask = np.array(self.phase_mask, dtype=bool)
-            if mask.shape != self.intensities.shape:
-                raise ValueError("phase_mask shape must match intensities")
-            mask.setflags(write=False)
-            object.__setattr__(self, "phase_mask", mask)
-
-    @classmethod
-    def _adopt(cls, grid: np.ndarray) -> MicrostructureImage:
-        """An image without a mask that keeps the float64 ``grid`` itself,
-        uncopied: ``load_pgm``'s route for the fresh grid it built, which no
-        caller holds."""
-        img = cls.__new__(cls)
-        object.__setattr__(img, "phase_mask", None)
-        img._set_intensities(grid)
-        return img
-
-    def _set_intensities(self, arr: np.ndarray) -> None:
-        if arr.ndim != 2:
+    def __init__(self, intensities, phase_mask=None):
+        grid = np.array(intensities, dtype=float)
+        if grid.ndim != 2:
             raise ValueError("intensities must be a 2-D grid")
-        if arr.size == 0:
+        if grid.size == 0:
             raise ValueError("empty image")
         # min and max propagate NaN, and NaN fails both comparisons
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        if not (grid.min() >= 0.0 and grid.max() <= 1.0):
             raise ValueError("intensities must be finite and lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "intensities", arr)
+        if phase_mask is not None:
+            phase_mask = np.array(phase_mask, dtype=bool)
+            if phase_mask.shape != grid.shape:
+                raise ValueError("phase_mask shape must match intensities")
+            phase_mask.setflags(write=False)
+        self._set(grid, None, phase_mask)
+
+    @classmethod
+    def _from_samples(cls, samples: np.ndarray, maxval: int) -> MicrostructureImage:
+        """An image without a mask over the integer ``samples`` (2-D, each in
+        0..``maxval``), kept uncopied: ``load_pgm``'s route for the samples it
+        read, which no caller holds."""
+        img = cls.__new__(cls)
+        img._set(samples, maxval, None)
+        return img
+
+    def _set(self, pixels, maxval, phase_mask) -> None:
+        pixels.setflags(write=False)
+        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "maxval", maxval)
+        object.__setattr__(self, "phase_mask", phase_mask)
+
+    @cached_property
+    def intensities(self) -> np.ndarray:
+        if self.maxval is None:
+            return self.pixels
+        grid = self.pixels / self.maxval
+        grid.setflags(write=False)
+        return grid
 
     @property
     def width(self) -> int:
-        return self.intensities.shape[1]
+        return self.pixels.shape[1]
 
     @property
     def height(self) -> int:
-        return self.intensities.shape[0]
+        return self.pixels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -129,12 +146,25 @@ class DescriptorCurve:
 
 
 def binarize_image(img: MicrostructureImage, threshold: float = 0.5) -> MicrostructureImage:
-    """Set the phase mask to intensities >= threshold."""
+    """Set the phase mask to intensities >= threshold.
+
+    A sample-backed image is thresholded on its samples, without the float
+    grid: level i is in the phase when i / maxval >= threshold, the same
+    IEEE division that builds ``intensities``, so every mask bit equals the
+    float test's.  i / maxval never falls as i rises, so that (maxval + 1)
+    table is False up to its first True level and True from there, and the
+    mask is one comparison of the samples with that level.
+    """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    mask = img.intensities >= threshold
+    if img.maxval is None:
+        mask = img.pixels >= threshold
+    else:
+        # level maxval is 1.0 >= threshold, so the table has a True level
+        levels = np.arange(img.maxval + 1) / img.maxval >= threshold
+        mask = img.pixels >= int(np.argmax(levels))
     mask.setflags(write=False)
-    binary = copy.copy(img)  # shares the intensities, validated when img was built
+    binary = copy.copy(img)  # shares the pixels, validated when img was built
     object.__setattr__(binary, "phase_mask", mask)
     return binary
 
@@ -298,7 +328,14 @@ def compute_rdf(ps: ParticleSet, r_max: float, dr: float) -> DescriptorCurve:
 # ---------------------------------------------------------------------------
 
 def load_pgm(path) -> MicrostructureImage:
-    """Read an 8- or 16-bit grayscale PGM, normalizing intensities to [0, 1]."""
+    """Read an 8- or 16-bit grayscale PGM into a sample-backed image.
+
+    The image keeps the file's integer samples (``u1`` for maxval <= 255,
+    else ``u2``) and ``maxval``; P5 samples stay a view of the bytes read.
+    Each sample must lie in 0..maxval, and each P2 sample must be an
+    unsigned decimal integer.  ``intensities`` (samples / maxval) is built
+    only when it is read.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -318,29 +355,35 @@ def load_pgm(path) -> MicrostructureImage:
         raise ValueError(f"{path}: non-integer PGM header field in {tokens[1:]}") from None
     if width <= 0 or height <= 0 or not (0 < maxval <= 65535):
         raise ValueError(f"{path}: invalid PGM dimensions")
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
 
     if magic == "P2":
+        # int() would also take a sign or '_' separators
+        if _P2_NON_DIGIT.search(data, pos):
+            raise ValueError(f"{path}: P2 samples must be unsigned decimal integers")
         try:
-            values = np.array(data[pos:].split(), dtype=float)
-        except ValueError:
-            raise ValueError(f"{path}: non-numeric P2 sample") from None
-        if values.size != width * height:
-            raise ValueError(f"{path}: expected {width * height} samples, got {values.size}")
+            samples = np.array(data[pos:].split(), dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{path}: PGM sample above maxval {maxval}") from None
+        if samples.size != width * height:
+            raise ValueError(f"{path}: expected {width * height} samples, got {samples.size}")
     else:
         pos += 1  # single whitespace byte after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         if len(data) - pos < width * height * dtype.itemsize:
             raise ValueError(f"{path}: truncated PGM payload")
-        values = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
+        samples = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
 
-    try:
-        return MicrostructureImage._adopt(values.reshape(height, width) / maxval)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    if samples.max() > maxval:
+        raise ValueError(f"{path}: PGM sample above maxval {maxval}")
+    return MicrostructureImage._from_samples(
+        samples.astype(dtype, copy=False).reshape(height, width), maxval)
 
 
 def _floats(fields, path, lineno, what) -> list:
     try:
+        # float() also reads '_' digit separators; the dataset CSVs reject them
+        if any("_" in f for f in fields):
+            raise ValueError
         return [float(f) for f in fields]
     except ValueError:
         raise ValueError(f"{path}: line {lineno}: non-numeric {what} {fields!r}") from None

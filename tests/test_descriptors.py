@@ -54,14 +54,39 @@ class TestBinarize:
     def test_keeps_validated_intensities_without_checking_again(self, monkeypatch):
         img = MicrostructureImage(np.array([[0.2, 0.8], [0.5, 0.1]]))
 
-        def checked_again(self):
+        def checked_again(self, *args, **kwargs):
             raise AssertionError("intensities validated a second time")
 
-        monkeypatch.setattr(MicrostructureImage, "__post_init__", checked_again)
+        monkeypatch.setattr(MicrostructureImage, "__init__", checked_again)
         binary = binarize_image(img, 0.5)
         assert binary.intensities is img.intensities and img.phase_mask is None
         assert binary.phase_mask.tolist() == [[False, True], [True, False]]
         assert not binary.phase_mask.flags.writeable
+
+
+def threshold_cases(maxval, levels):
+    """k / maxval for each level k and its neighbouring doubles, inside (0, 1)."""
+    ts = np.concatenate([[k / maxval, np.nextafter(k / maxval, 0.0), np.nextafter(k / maxval, 1.0)]
+                         for k in levels])
+    return ts[(ts > 0.0) & (ts < 1.0)]
+
+
+class TestSampleThreshold:
+    @pytest.mark.parametrize("maxval", [1, 255, 65535])
+    def test_matches_float_threshold_at_every_level(self, tmp_path, maxval):
+        dtype = ">u2" if maxval > 255 else "u1"
+        levels = np.arange(maxval + 1)
+        path = tmp_path / "levels.pgm"
+        path.write_bytes(f"P5\n{maxval + 1} 1\n{maxval}\n".encode() + levels.astype(dtype).tobytes())
+        img = load_pgm(path)
+        ks = levels
+        if maxval == 65535:  # every level costs too long; the ends and a sample
+            ks = np.union1d(np.random.default_rng(0).choice(levels, 300, replace=False),
+                            [0, 1, 2, 32767, 32768, 65533, 65534, 65535])
+        for t in threshold_cases(maxval, ks):
+            expected = levels / maxval >= t
+            assert np.array_equal(binarize_image(img, t).phase_mask[0], expected), t
+        assert "intensities" not in vars(img)
 
 
 class TestIntensityOwnership:
@@ -292,23 +317,61 @@ class TestFileFormats:
         assert img.intensities[0, 1] == 1.0
         assert img.intensities[1, 0] == pytest.approx(32768 / 65535)
 
-    def test_load_p5_2048_holds_one_float_grid(self, tmp_path):
-        # the image keeps load_pgm's grid; a second float copy would peak at
-        # two grids plus the payload
+    def test_load_p5_2048_builds_no_float_grid(self, tmp_path):
+        # the image keeps the samples as a view of the bytes read; a float
+        # grid would be 8 times the payload
         path = tmp_path / "big.pgm"
-        side = 2048
-        pixels = np.random.default_rng(8).integers(0, 256, size=(side, side), dtype=np.uint8)
+        pixels = np.random.default_rng(8).integers(0, 256, size=(2048, 2048), dtype=np.uint8)
         path.write_bytes(b"P5\n2048 2048\n255\n" + pixels.tobytes())
-        grid_bytes = side * side * 8
         tracemalloc.start()
         try:
             img = load_pgm(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * grid_bytes
-        assert np.array_equal(img.intensities, pixels / 255)
-        assert not img.intensities.flags.writeable
+        assert peak < 2 * pixels.nbytes
+        assert np.array_equal(img.pixels, pixels) and img.maxval == 255
+
+    def test_width_height_and_binarize_build_no_float_grid(self, tmp_path):
+        path = tmp_path / "big.pgm"
+        pixels = np.random.default_rng(9).integers(0, 256, size=(2048, 2048), dtype=np.uint8)
+        path.write_bytes(b"P5\n2048 2048\n255\n" + pixels.tobytes())
+        img = load_pgm(path)
+        tracemalloc.start()
+        try:
+            assert (img.width, img.height) == (2048, 2048)
+            binary = binarize_image(img, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pixels.nbytes  # the mask is one payload; the grid is eight
+        assert np.array_equal(binary.phase_mask, pixels / 255 >= 0.5)
+
+    @pytest.mark.parametrize("maxval, dtype", [(255, "u1"), (65535, ">u2")])
+    def test_intensities_built_on_access(self, tmp_path, maxval, dtype):
+        path = tmp_path / "img.pgm"
+        pixels = np.random.default_rng(maxval).integers(0, maxval + 1, size=(6, 7)).astype(dtype)
+        path.write_bytes(f"P5\n7 6\n{maxval}\n".encode() + pixels.tobytes())
+        img = load_pgm(path)
+        grid = img.intensities
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == (pixels / maxval).tobytes()
+        assert not grid.flags.writeable and img.intensities is grid
+
+    def test_tpc_pipeline_at_2048_peaks_below_64_mib(self, tmp_path):
+        # with a float grid alive through compute_tpc the peak is ~83 MiB
+        path = tmp_path / "big.pgm"
+        rng = np.random.default_rng(10)
+        pixels = np.where(rng.random((2048, 2048)) < 0.4, 220, 30).astype(np.uint8)
+        path.write_bytes(b"P5\n2048 2048\n255\n" + pixels.tobytes())
+        tracemalloc.start()
+        try:
+            curve = compute_tpc(binarize_image(load_pgm(path), 0.5), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert curve.values[0] == np.count_nonzero(pixels == 220) / pixels.size
 
     def test_p2_p5_agree(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -318,7 +381,9 @@ class TestFileFormats:
             " ".join(str(v) for v in row) for row in vals) + "\n")
         bin_path = tmp_path / "b.pgm"
         bin_path.write_bytes(b"P5\n5 4\n255\n" + vals.astype("u1").tobytes())
-        assert np.array_equal(load_pgm(ascii_path).intensities, load_pgm(bin_path).intensities)
+        p2, p5 = load_pgm(ascii_path), load_pgm(bin_path)
+        assert p2.pixels.dtype == p5.pixels.dtype and np.array_equal(p2.pixels, p5.pixels)
+        assert np.array_equal(p2.intensities, p5.intensities)
 
     def test_particles_csv(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -481,10 +546,6 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             MicrostructureImage(np.array([[bad, 0.5], [0.1, 0.2]]))
 
-    def test_non_finite_intensity_rejected_when_adopted(self):
-        with pytest.raises(ValueError, match="finite"):
-            MicrostructureImage._adopt(np.array([[np.nan, 0.5], [0.1, 0.2]]))
-
     def test_nan_row_in_particle_csv_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("# window 10 10\nx,y\n1,2\nnan,2\n")
@@ -532,6 +593,18 @@ class TestMalformedInputNamesFile:
         with pytest.raises(ValueError, match="line 5"):
             load_particles_csv(path)
 
+    @pytest.mark.parametrize("lines, lineno", [
+        (["# window 1_0 10"] + VALID_CSV[1:], 1),
+        (VALID_CSV[:3] + ["0_5,2"], 4),
+    ])
+    def test_particle_csv_rejects_digit_separators(self, tmp_path, lines, lineno):
+        # float() reads '0_5' as 5.0 and '1_0' as 10.0; the dataset CSVs reject both
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {lineno}: non-numeric") as err:
+            load_particles_csv(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("text", [
         "P2\n2 1\n255\n0 x\n",
         "P2\nw 1\n255\n0 1\n",
@@ -539,6 +612,9 @@ class TestMalformedInputNamesFile:
         "P2\n2 1\n255\n0 300\n",
         "P2\n2 1\n255\n0 nan\n",
         "P7\n2 1\n255\n0 1\n",
+        "P2\n2 1\n255\n0 3.5\n",
+        "P2\n2 1\n255\n0 -0\n",
+        "P2\n2 1\n255\n0 1e2\n",
     ])
     def test_pgm(self, tmp_path, text):
         path = tmp_path / "img.pgm"
@@ -589,5 +665,5 @@ class TestMalformedInputNamesFile:
         path = tmp_path_factory.mktemp("pgm") / "img.pgm"
         path.write_text("P2\n2 2\n255\n" + " ".join(samples) + "\n")
         img = load_or_name_path(load_pgm, path)
-        valid = all(s in ("0", "1", "255", "1.5") for s in samples)
+        valid = all(s in ("0", "1", "255") for s in samples)
         assert (img is not None) == valid
