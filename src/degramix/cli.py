@@ -105,7 +105,10 @@ def _resolve_config(args) -> ModelConfig:
             raise CliError(f"unknown variant {args.variant!r}; expected Model1..Model7")
         config = variant.config
     elif getattr(args, "config", None):
-        config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        try:
+            config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise CliError(f"{args.config}: {exc}") from None
     else:
         config = ModelConfig()
     updates = {"k": getattr(args, "k", None), "fve_threshold": getattr(args, "fve", None)}
@@ -503,7 +506,7 @@ def run(argv=None) -> int:
             warnings.simplefilter("always", ConvergenceWarning)
             warnings.showwarning = _stderr_line(args.command, warnings.showwarning)
             return _COMMANDS[args.command](args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # an OSError's text names its path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -248,6 +248,12 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> ModelConfig:
+    """The config ``config_to_dict`` wrote; an unknown key raises ValueError naming it."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - {"basis_kind", "basis_order", *_CONFIG_KEYS})
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
     basis = BasisFamily(payload.get("basis_kind", POLYNOMIAL), int(payload.get("basis_order", 1)))
     kwargs = {key: payload[key] for key in _CONFIG_KEYS if key in payload}
     if kwargs.get("k") is not None:

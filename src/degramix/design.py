@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
 
 from .data import DegradationDataset, ModelConfig, basis_columns
 
@@ -204,10 +203,44 @@ def unit_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
 
 
+def _pivoted_qr(omega: np.ndarray) -> tuple:
+    """Economic QR with column pivoting, ``omega[:, piv] = q @ r``, with
+    ``|diag r|`` non-increasing up to rounding.
+
+    Omega's unpivoted QR leaves a small triangular factor with Omega's
+    column norms and inner products; Householder steps on it, each taking
+    the remaining column of largest norm first (Businger & Golub 1965), give
+    ``r`` and the rotation ``q1``, and ``q = q0 @ q1``.  Costs one QR of the
+    tall Omega plus O(p^3) on the p columns.
+    """
+    q0, r = np.linalg.qr(omega)
+    m, p = r.shape
+    piv = np.arange(p)
+    q1 = np.eye(m)
+    for j in range(min(m, p)):
+        sq_norms = np.einsum("ij,ij->j", r[j:, j:], r[j:, j:])
+        # of norms equal to rounding, the column first in Omega goes first,
+        # so a duplicated column is the one reported as dependent
+        ties = np.flatnonzero(sq_norms >= (1.0 - 1e-12) * sq_norms.max())
+        k = j + int(ties[np.argmin(piv[j + ties])])
+        r[:, [j, k]] = r[:, [k, j]]
+        piv[[j, k]] = piv[[k, j]]
+        v = r[j:, j].copy()
+        v[0] += np.copysign(np.linalg.norm(v), v[0])
+        norm = np.linalg.norm(v)
+        if norm == 0.0:  # every remaining column is zero
+            break
+        v /= norm
+        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
+        q1[:, j:] -= 2.0 * np.outer(q1[:, j:] @ v, v)
+        r[j + 1:, j] = 0.0
+    return q0 @ q1, r, piv
+
+
 def _check_full_rank(omega: np.ndarray, layout: ZetaLayout) -> tuple:
     """The pivoted QR (q, r, piv) of a full-rank ``omega``; raises naming the
     dependent columns otherwise."""
-    q, rdiag, piv = sla.qr(omega, mode="economic", pivoting=True)
+    q, rdiag, piv = _pivoted_qr(omega)
     diag = np.abs(np.diag(rdiag))
     tol = max(omega.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.count_nonzero(diag > tol))

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .data import DegradationDataset, ModelConfig
 from .design import DesignMatrices, ZetaLayout, build_design_matrices, unit_sums
@@ -127,7 +126,9 @@ def _solve_zeta(dm: DesignMatrices, rhs: np.ndarray, ridge: bool) -> np.ndarray:
         return np.linalg.solve(dm.ridge_gram, dm.omega.T @ rhs)
     q, r, piv = dm.omega_qr
     zeta = np.empty(dm.layout.size)
-    zeta[piv] = sla.solve_triangular(r, q.T @ rhs)
+    # LU with partial pivoting swaps no rows of an upper-triangular r, so this
+    # is a back substitution
+    zeta[piv] = np.linalg.solve(r, q.T @ rhs)
     return zeta
 
 
@@ -254,7 +255,9 @@ def _px_sums(dm: DesignMatrices, ridge: bool) -> tuple:
     path Omega K^-T with K K^T the jittered normal matrix."""
     if ridge:
         chol = np.linalg.cholesky(dm.ridge_gram)
-        basis = sla.solve_triangular(chol, dm.omega.T, lower=True).T
+        # reversing rows and columns makes chol upper triangular, which LU
+        # solves by substitution without swapping rows
+        basis = np.linalg.solve(chol[::-1, ::-1], dm.omega.T[::-1])[::-1].T
     else:
         basis = dm.omega_qr[0]
     lam_b = unit_sums(dm.lam[:, :, None] * basis[:, None, :], dm.counts)

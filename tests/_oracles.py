@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import fft
+from scipy import fft, linalg
 
 from degramix.data import (
     DegradationDataset,
@@ -127,6 +127,11 @@ def rdf_pair_enumeration(coords: np.ndarray, window, r_max: float, dr: float) ->
             if k < n_bins:
                 counts[k] += 1
     return counts / (m_int * (m / (w * h)) * areas)
+
+
+def lapack_pivoted_qr(omega: np.ndarray) -> tuple:
+    """LAPACK's column-pivoted QR (geqp3), economic: (q, r, piv)."""
+    return linalg.qr(omega, mode="economic", pivoting=True)
 
 
 def flood_fill_component_count(mask: np.ndarray) -> int:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +43,14 @@ class TestUsageAndErrors:
 
     def test_missing_data_dir_exits_one(self, tmp_path):
         assert run(["fit", "--data", str(tmp_path / "absent"), "--out", str(tmp_path)]) == 1
+
+    def test_unwritable_out_exits_one_naming_path(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "fit"
+        assert run(["fit", "--data", str(data), "--variant", "Model1",
+                    "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
 
     def test_linear_algebra_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         data = simulate_into(tmp_path)
@@ -343,11 +355,78 @@ class TestConfigFile:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["config"]["k"] == 2
 
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+        data = simulate_into(tmp_path, seed=23)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"k": 2, "bogus": 1}))
+        assert run(["fit", "--data", str(data), "--config", str(cfg),
+                    "--out", str(tmp_path / "fit")]) == 1
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and str(cfg) in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_missing_config_exits_one(self, tmp_path, capsys):
+        data = simulate_into(tmp_path, seed=23)
+        cfg = tmp_path / "absent.json"
+        assert run(["fit", "--data", str(data), "--config", str(cfg),
+                    "--out", str(tmp_path / "fit")]) == 1
+        assert str(cfg) in capsys.readouterr().err
+
     def test_unknown_variant_exits_one(self, tmp_path, capsys):
         data = simulate_into(tmp_path, seed=22)
         assert run(["fit", "--data", str(data), "--variant", "Model99",
                     "--out", str(tmp_path / "x")]) == 1
         assert "Model1..Model7" in capsys.readouterr().err
+
+
+COLD_START = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+from degramix.cli import run
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert not scipy_modules(), f"import degramix.cli loaded {scipy_modules()[:3]}"
+root = Path(sys.argv[1])
+spec = root / "spec.json"
+spec.write_text(json.dumps({"n_units": 20, "n_obs": 10, "times": list(np.linspace(0, 3, 10))}))
+data, fit = str(root / "data"), str(root / "fit")
+for argv in (
+    ["simulate", "--spec", str(spec), "--seed", "4", "--out", data],
+    ["fpca", "--data", data, "--out", str(root / "fpca")],
+    ["fit", "--data", data, "--variant", "Model7", "--k", "2", "--out", fit],
+    ["predict", "--fit", fit + "/fit_report.json", "--data", data, "--out", str(root / "pred")],
+    ["evaluate", "--data", data, "--variant", "Model7", "--k", "2", "--folds", "3",
+     "--out", str(root / "eval")],
+    ["compare", "--data", data, "--k", "2", "--out", str(root / "cmp")],
+):
+    assert run(argv) == 0, argv
+    assert not scipy_modules(), f"{argv[0]} loaded {scipy_modules()[:3]}"
+pgm = root / "img.pgm"
+pgm.write_bytes(b"P5\\n16 16\\n255\\n" + bytes(range(256)))
+assert run(["descriptor", "tpc", "--image", str(pgm), "--r-max", "3",
+            "--out", str(root / "tpc")]) == 0
+assert "scipy.fft" in sys.modules
+"""
+
+
+class TestColdStart:
+    def test_model_commands_load_no_scipy(self, tmp_path):
+        # one fresh interpreter: the six model commands leave no scipy module
+        # in sys.modules, and a descriptor call after them loads it
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "tpc" / "curves.csv").exists()
 
 
 class TestNoPerUnitRecords:

@@ -615,6 +615,10 @@ class TestMalformedInputNamesFile:
         "P2\n2 1\n255\n0 3.5\n",
         "P2\n2 1\n255\n0 -0\n",
         "P2\n2 1\n255\n0 1e2\n",
+        # int() reads this header as a 2 x 10 image with maxval 255
+        "P2\n+2 1_0\n2_55\n" + "0 " * 20 + "\n",
+        "P2\n+2 1\n255\n0 1\n",
+        "P5\n2 1\n2_55\n\x00\x01",
     ])
     def test_pgm(self, tmp_path, text):
         path = tmp_path / "img.pgm"

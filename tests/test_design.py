@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degramix.data import BasisFamily, ModelConfig, UnitRecord, basis_columns
-from degramix.design import build_design_matrices, layout_for
+from degramix.design import _pivoted_qr, build_design_matrices, layout_for
 from degramix.evaluation import table1_variants
 from degramix.simulate import default_spec, generate_dataset
-from _oracles import build_observed_design, stack_population, stack_units
+from _oracles import build_observed_design, lapack_pivoted_qr, stack_population, stack_units
 
 
 def unit_with(times, scalars, uid="u1", grid_size=4):
@@ -265,7 +265,7 @@ class TestRankCheck:
                                     np.array([x, x]), np.zeros((1, 4))))
         ds = stack_units(units, np.arange(4.0))
         cfg = ModelConfig(include_functional=False, include_interaction=False)
-        with pytest.raises(ValueError, match="rank-deficient.*beta"):
+        with pytest.raises(ValueError, match="rank-deficient.*dependent columns: beta_l1_p2$"):
             build_design_matrices(ds, cfg)
 
     def test_ridge_jitter_bypasses_rank_check(self):
@@ -280,3 +280,51 @@ class TestRankCheck:
                           ridge_jitter=True)
         dm = build_design_matrices(ds, cfg)
         assert dm.omega.shape[1] == dm.layout.size
+
+
+def _qr_rank(omega, r):
+    """The rank ``_check_full_rank`` reads off a pivoted QR's diagonal."""
+    diag = np.abs(np.diag(r))
+    return int(np.count_nonzero(diag > max(omega.shape) * np.finfo(float).eps * diag[0]))
+
+
+_RNG = np.random.default_rng(40)
+_TALL = _RNG.normal(size=(60, 7))
+QR_CASES = {
+    "tall": _TALL,
+    "wide": _RNG.normal(size=(5, 9)),
+    "square": _RNG.normal(size=(6, 6)),
+    "graded": _TALL * np.logspace(-6.0, 6.0, 7),
+    "duplicated": np.column_stack([_TALL, _TALL[:, 2], _TALL[:, 5]]),
+    "zero": np.column_stack([_TALL[:, :3], np.zeros(60), _TALL[:, 3:]]),
+    "rescaled": np.column_stack([_TALL, 1e3 * _TALL[:, 1], -0.5 * _TALL[:, 4]]),
+}
+
+
+class TestPivotedQr:
+    @pytest.mark.parametrize("name", QR_CASES)
+    def test_matches_lapack(self, name):
+        omega = QR_CASES[name]
+        q, r, piv = _pivoted_qr(omega)
+        q_ref, r_ref, piv_ref = lapack_pivoted_qr(omega)
+        assert q.shape == q_ref.shape and r.shape == r_ref.shape
+        rank = _qr_rank(omega, r)
+        assert rank == _qr_rank(omega, r_ref)
+        assert sorted(piv) == list(range(omega.shape[1]))
+        assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
+        assert np.abs(omega[:, piv] - q @ r).max() <= 1e-12 * np.abs(omega).max()
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+        diag = np.abs(np.diag(r))
+        assert np.all(diag[1:] <= diag[:-1] * (1.0 + 1e-12))
+        if name != "duplicated":  # with exact copies, which one LAPACK drops is rounding
+            assert sorted(piv[rank:]) == sorted(piv_ref[rank:])
+
+    @pytest.mark.parametrize("name, dependent", [
+        ("duplicated", [7, 8]), ("zero", [3]), ("rescaled", [1, 8]),
+    ])
+    def test_names_dependent_columns(self, name, dependent):
+        # a copy is dependent on the column before it; of two rescaled
+        # columns, the one of smaller norm is dependent
+        omega = QR_CASES[name]
+        q, r, piv = _pivoted_qr(omega)
+        assert sorted(piv[_qr_rank(omega, r):]) == dependent
