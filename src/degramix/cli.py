@@ -61,25 +61,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+def _json_default(obj):
+    """What ``json`` cannot write itself: arrays and numpy scalars.  (An
+    ``np.float64`` is a ``float`` and never reaches this hook.)"""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
                     encoding="utf-8")
 
 
 def _echo_config(name: str, payload: dict) -> None:
-    print(f"[degramix {name}] " + json.dumps(_jsonable(payload), sort_keys=True),
+    print(f"[degramix {name}] " + json.dumps(payload, sort_keys=True, default=_json_default),
           file=sys.stderr)
 
 
@@ -165,19 +161,25 @@ def _fit_report(fit: FitResult) -> dict:
     return report
 
 
+_SPEC_KEYS = ("n_units", "n_obs", "sigma_eps2", "seed", "scalar_ranges")
+_SPEC_ARRAYS = ("zeta", "sigma_gamma", "score_variances", "times", "r_grid", "mean_curve",
+                "modes")
+
+
 def _cmd_simulate(args) -> int:
     overrides = {}
     if args.spec:
         payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        for key in ("n_units", "n_obs", "sigma_eps2", "seed"):
-            if key in payload:
-                overrides[key] = payload[key]
-        for key in ("zeta", "sigma_gamma", "score_variances", "times", "r_grid",
-                    "mean_curve", "modes"):
-            if key in payload:
-                overrides[key] = np.asarray(payload[key], dtype=float)
-        if "scalar_ranges" in payload:
-            overrides["scalar_ranges"] = tuple(tuple(r) for r in payload["scalar_ranges"])
+        if not isinstance(payload, dict):
+            raise CliError(f"{args.spec}: spec must be a JSON object, "
+                           f"got {type(payload).__name__}")
+        unknown = sorted(set(payload) - {*_SPEC_KEYS, *_SPEC_ARRAYS})
+        if unknown:
+            raise CliError(f"{args.spec}: unknown spec key {unknown[0]!r}")
+        overrides = {key: np.asarray(value, dtype=float) if key in _SPEC_ARRAYS else value
+                     for key, value in payload.items()}
+        if "scalar_ranges" in overrides:
+            overrides["scalar_ranges"] = tuple(tuple(r) for r in overrides["scalar_ranges"])
     if args.seed is not None:
         overrides["seed"] = args.seed
     spec = default_spec(**overrides)
@@ -431,8 +433,9 @@ def build_parser() -> _Parser:
 
     def fit_args(p):
         p.add_argument("--data", required=True)
-        p.add_argument("--config")
-        p.add_argument("--variant")
+        model = p.add_mutually_exclusive_group()
+        model.add_argument("--config")
+        model.add_argument("--variant")
         p.add_argument("--k", type=int)
         p.add_argument("--fve", type=float)
         p.add_argument("--tol", type=float, default=1e-8)

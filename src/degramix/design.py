@@ -11,6 +11,8 @@ components are omitted entirely so the coefficient count is unambiguous.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,11 +21,21 @@ import numpy as np
 from .data import DegradationDataset, ModelConfig, basis_columns
 
 
+# zeta's segments in order: (key, name prefix, index axes after the level,
+# the layout flag that switches the segment on, or None when always on).  An
+# index axis is p (scalar), s (functional covariate) or k (FPCA component).
+_SEGMENTS = (
+    ("nu", "nu", "", None),
+    ("beta", "beta", "p", "include_scalar"),
+    ("b", "b", "sk", "include_functional"),
+    ("b_int", "bint", "psk", "include_interaction"),
+)
+
+
 @dataclass(frozen=True)
 class ZetaLayout:
-    """Segment offsets of the stacked coefficient vector.
-
-    Order: nu per level, then beta per (level, scalar), b per (level,
+    """Segment offsets of the stacked coefficient vector, in ``_SEGMENTS``
+    order: nu per level, then beta per (level, scalar), b per (level,
     covariate, component), b_int per (level, scalar, covariate, component).
     """
 
@@ -43,49 +55,35 @@ class ZetaLayout:
     def latent_dim(self) -> int:
         return self.n_levels
 
-    @property
-    def _widths(self) -> tuple:
-        nl, p = self.n_levels, self.n_scalars
-        sk = self.n_functional * self.n_components
-        return (
-            nl,
-            nl * p if self.include_scalar else 0,
-            nl * sk if self.include_functional else 0,
-            nl * p * sk if self.include_interaction else 0,
-        )
-
-    @property
-    def size(self) -> int:
-        return sum(self._widths)
+    @cached_property
+    def _segments(self) -> tuple:
+        """(key, name prefix, axes, shape, active) of each segment."""
+        dims = {"p": self.n_scalars, "s": self.n_functional, "k": self.n_components}
+        return tuple((key, prefix, axes, (self.n_levels, *(dims[a] for a in axes)),
+                      flag is None or getattr(self, flag))
+                     for key, prefix, axes, flag in _SEGMENTS)
 
     @cached_property
     def offsets(self) -> dict:
+        """(start, stop) of each segment in zeta; a switched-off one is empty."""
         out, start = {}, 0
-        for name, width in zip(("nu", "beta", "b", "b_int"), self._widths):
-            out[name] = (start, start + width)
-            start += width
+        for key, _, _, shape, active in self._segments:
+            stop = start + (math.prod(shape) if active else 0)
+            out[key] = (start, stop)
+            start = stop
         return out
+
+    @property
+    def size(self) -> int:
+        return max(stop for _, stop in self.offsets.values())
 
     def split(self, zeta: np.ndarray) -> dict:
         """View zeta as named coefficient arrays; absent blocks come back zero."""
         zeta = np.asarray(zeta, dtype=float)
         if zeta.shape != (self.size,):
             raise ValueError(f"zeta must have length {self.size}, got {zeta.shape}")
-        nl, p, s, k = self.n_levels, self.n_scalars, self.n_functional, self.n_components
-        off = self.offsets
-        out = {
-            "nu": zeta[off["nu"][0]:off["nu"][1]].copy(),
-            "beta": np.zeros((nl, p)),
-            "b": np.zeros((nl, s, k)),
-            "b_int": np.zeros((nl, p, s, k)),
-        }
-        if self.include_scalar:
-            out["beta"] = zeta[off["beta"][0]:off["beta"][1]].reshape(nl, p)
-        if self.include_functional:
-            out["b"] = zeta[off["b"][0]:off["b"][1]].reshape(nl, s, k)
-        if self.include_interaction:
-            out["b_int"] = zeta[off["b_int"][0]:off["b_int"][1]].reshape(nl, p, s, k)
-        return out
+        return {key: zeta[slice(*self.offsets[key])].reshape(shape) if active
+                else np.zeros(shape) for key, _, _, shape, active in self._segments}
 
     def features(self, scalars: np.ndarray, scores: np.ndarray | None, r_support: float) -> dict:
         """The covariate map: per unit, the features of every active segment,
@@ -126,20 +124,11 @@ class ZetaLayout:
         }
 
     def names(self) -> list:
-        out = [f"nu_l{l}" for l in self.levels]
-        if self.include_scalar:
-            out += [f"beta_l{l}_p{p}" for l in self.levels
-                    for p in range(1, self.n_scalars + 1)]
-        if self.include_functional:
-            out += [f"b_l{l}_s{s}_k{k}" for l in self.levels
-                    for s in range(1, self.n_functional + 1)
-                    for k in range(1, self.n_components + 1)]
-        if self.include_interaction:
-            out += [f"bint_l{l}_p{p}_s{s}_k{k}" for l in self.levels
-                    for p in range(1, self.n_scalars + 1)
-                    for s in range(1, self.n_functional + 1)
-                    for k in range(1, self.n_components + 1)]
-        return out
+        """One name per zeta entry: the prefix, the level, then each index axis."""
+        return [f"{prefix}_l{level}" + "".join(f"_{a}{i}" for a, i in zip(axes, index))
+                for _, prefix, axes, shape, active in self._segments if active
+                for level in self.levels
+                for index in itertools.product(*(range(1, n + 1) for n in shape[1:]))]
 
 
 def layout_for(config: ModelConfig, n_scalars: int, n_functional: int, n_components: int) -> ZetaLayout:
@@ -160,8 +149,8 @@ class DesignMatrices:
 
     Rows are grouped by unit, ``counts[i]`` rows for unit i.  ``lam`` holds
     each row's latent basis (n_obs, d) and ``lam_gram`` the per-unit blocks
-    Lambda_i^T Lambda_i (N, d, d).  ``omega_qr`` and ``ridge_gram`` are each
-    built at most once per design, so a fit factors Omega once.
+    Lambda_i^T Lambda_i (N, d, d).  ``ridge_jitter`` picks how ``omega_factor``,
+    built at most once per design, factors Omega.
     """
 
     layout: ZetaLayout
@@ -171,17 +160,31 @@ class DesignMatrices:
     y: np.ndarray
     counts: np.ndarray
     lam_gram: np.ndarray
+    ridge_jitter: bool = False
 
     @cached_property
-    def omega_qr(self) -> tuple:
-        """Pivoted QR (q, r, piv) of Omega; raises if Omega is rank-deficient."""
-        return _check_full_rank(self.omega, self.layout)
+    def omega_factor(self) -> tuple:
+        """(b, t, piv) with b b^T the projection on Omega's columns and
+        ``zeta[piv] = t^-1 b^T rhs`` the least-squares solve.
 
-    @cached_property
-    def ridge_gram(self) -> np.ndarray:
-        """Omega^T Omega plus a trace-relative jitter: the ridge path's normal matrix."""
+        Without the ridge this is Omega's pivoted QR (q, r, piv), which raises
+        if Omega is rank-deficient.  With it, K K^T = Omega^T Omega plus a
+        trace-relative jitter, b = Omega K^-T, t = K^T and piv the identity.
+        """
+        if not self.ridge_jitter:
+            return _check_full_rank(self.omega, self.layout)
+        p = self.layout.size
         gram = self.omega.T @ self.omega
-        return gram + 1e-8 * np.trace(gram) / self.layout.size * np.eye(self.layout.size)
+        chol = np.linalg.cholesky(gram + 1e-8 * np.trace(gram) / p * np.eye(p))
+        # reversing rows and columns makes chol upper triangular, which LU
+        # solves by substitution without swapping rows
+        b = np.linalg.solve(chol[::-1, ::-1], self.omega.T[::-1])[::-1].T
+        return b, chol.T, np.arange(p)
+
+    def residual(self, zeta: np.ndarray) -> tuple:
+        """r = y - Omega zeta on every row and Lambda_i^T r_i (N, d) per unit."""
+        r = self.y - self.omega @ zeta
+        return r, unit_sums(self.lam * r[:, None], self.counts)
 
     @property
     def n_units(self) -> int:
@@ -291,7 +294,8 @@ def build_design_matrices(
     dm = DesignMatrices(
         layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=ds.responses,
         counts=ds.counts, lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], ds.counts),
+        ridge_jitter=config.ridge_jitter,
     )
     if not config.ridge_jitter:
-        dm.omega_qr  # the rank check: a rank-deficient design fails here, not mid-fit
+        dm.omega_factor  # the rank check: a rank-deficient design fails here, not mid-fit
     return dm

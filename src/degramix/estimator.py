@@ -121,21 +121,19 @@ def _floored_sigma_gamma_inv(sigma_gamma: np.ndarray) -> np.ndarray:
     return (evecs / evals[None, :]) @ evecs.T
 
 
-def _solve_zeta(dm: DesignMatrices, rhs: np.ndarray, ridge: bool) -> np.ndarray:
-    if ridge:
-        return np.linalg.solve(dm.ridge_gram, dm.omega.T @ rhs)
-    q, r, piv = dm.omega_qr
+def _solve_zeta(dm: DesignMatrices, rhs: np.ndarray) -> np.ndarray:
+    b, t, piv = dm.omega_factor
     zeta = np.empty(dm.layout.size)
-    # LU with partial pivoting swaps no rows of an upper-triangular r, so this
+    # LU with partial pivoting swaps no rows of an upper-triangular t, so this
     # is a back substitution
-    zeta[piv] = np.linalg.solve(r, q.T @ rhs)
+    zeta[piv] = np.linalg.solve(t, b.T @ rhs)
     return zeta
 
 
-def init_params(dm: DesignMatrices, config: ModelConfig) -> Parameters:
+def init_params(dm: DesignMatrices) -> Parameters:
     """OLS start: zeta from least squares, residual variance, 0.1-scaled prior."""
-    zeta0 = _solve_zeta(dm, dm.y, config.ridge_jitter)
-    resid = dm.y - dm.omega @ zeta0
+    zeta0 = _solve_zeta(dm, dm.y)
+    resid = dm.residual(zeta0)[0]
     sigma0 = float(resid @ resid) / dm.n_obs
     d = dm.layout.latent_dim
     sigma_gamma0 = 0.1 * max(sigma0, _SIGMA_EPS_FLOOR) * np.eye(d)
@@ -151,14 +149,14 @@ def e_step(params: Parameters, dm: DesignMatrices) -> LatentPosterior:
     sg_inv = _floored_sigma_gamma_inv(params.sigma_gamma)
     v = np.linalg.inv(sg_inv + dm.lam_gram / params.sigma_eps2)
     v = (v + np.swapaxes(v, 1, 2)) / 2.0
-    b = unit_sums(dm.lam * (dm.y - dm.omega @ params.zeta)[:, None], dm.counts)
+    b = dm.residual(params.zeta)[1]
     mu = (v @ b[:, :, None])[:, :, 0] / params.sigma_eps2
     return LatentPosterior(mu=mu, v=v)
 
 
-def update_zeta(posterior: LatentPosterior, dm: DesignMatrices, ridge: bool = False) -> np.ndarray:
+def update_zeta(posterior: LatentPosterior, dm: DesignMatrices) -> np.ndarray:
     """Coefficient update: least squares on the latent-adjusted response."""
-    return _solve_zeta(dm, dm.y - dm.latent_mean(posterior.mu), ridge)
+    return _solve_zeta(dm, dm.y - dm.latent_mean(posterior.mu))
 
 
 def update_sigma_gamma(posterior: LatentPosterior, constrain_diagonal: bool = False) -> np.ndarray:
@@ -173,8 +171,7 @@ def update_sigma_gamma(posterior: LatentPosterior, constrain_diagonal: bool = Fa
 def update_sigma_eps(posterior: LatentPosterior, zeta: np.ndarray, dm: DesignMatrices) -> float:
     """Noise variance update: (r^T r - 2 sum_i b_i . mu_i + sum_i tr(G_i E_i)) / n
     with b_i = Lambda_i^T r_i, G_i = Lambda_i^T Lambda_i, E_i = E[gamma_i gamma_i^T]."""
-    resid = dm.y - dm.omega @ zeta
-    b = unit_sums(dm.lam * resid[:, None], dm.counts)
+    resid, b = dm.residual(zeta)
     total = float(resid @ resid) - 2.0 * float(np.sum(b * posterior.mu))
     total += float(np.einsum("nab,nba->", dm.lam_gram, posterior.second_moments))
     return max(total / dm.n_obs, _SIGMA_EPS_FLOOR)
@@ -193,12 +190,11 @@ def marginal_loglik(params: Parameters, dm: DesignMatrices) -> float:
     |K_i^-1 L^T b_i|^2.  Otherwise C_i is positive definite iff every (real)
     eigenvalue of A_i is positive."""
     s2 = params.sigma_eps2
-    resid = dm.y - dm.omega @ params.zeta
+    resid, b = dm.residual(params.zeta)
     logdet = dm.n_obs * np.log(s2)
     quad = float(resid @ resid)
     d = params.latent_dim
     if d:
-        b = unit_sums(dm.lam * resid[:, None], dm.counts)
         evals, evecs = np.linalg.eigh(params.sigma_gamma)
         if evals.min() >= 0.0:
             root = evecs * np.sqrt(evals)
@@ -248,18 +244,11 @@ def fit_em(
     return fit
 
 
-def _px_sums(dm: DesignMatrices, ridge: bool) -> tuple:
+def _px_sums(dm: DesignMatrices) -> tuple:
     """Per-unit sums the working-parameter solve reads, built once per fit:
     Lambda_i^T y_i (N, d), Lambda_i^T B_i (N, d, p) and B^T y (p,), where
-    B B^T projects on Omega's columns: B = Q of Omega's QR, or on the ridge
-    path Omega K^-T with K K^T the jittered normal matrix."""
-    if ridge:
-        chol = np.linalg.cholesky(dm.ridge_gram)
-        # reversing rows and columns makes chol upper triangular, which LU
-        # solves by substitution without swapping rows
-        basis = np.linalg.solve(chol[::-1, ::-1], dm.omega.T[::-1])[::-1].T
-    else:
-        basis = dm.omega_qr[0]
+    B B^T projects on Omega's columns (``DesignMatrices.omega_factor``)."""
+    basis = dm.omega_factor[0]
     lam_b = unit_sums(dm.lam[:, :, None] * basis[:, None, :], dm.counts)
     return unit_sums(dm.lam * dm.y[:, None], dm.counts), lam_b, basis.T @ dm.y
 
@@ -302,7 +291,7 @@ def _px_step(params: Parameters, dm: DesignMatrices, config: ModelConfig, sums: 
     posterior = e_step(params, dm)
     a = _working_parameter(posterior, dm, sums, diagonal)
     posterior = LatentPosterior(posterior.mu @ a.T, a @ posterior.v @ a.T)
-    zeta = update_zeta(posterior, dm, ridge=config.ridge_jitter)
+    zeta = update_zeta(posterior, dm)
     sigma_gamma = update_sigma_gamma(posterior, diagonal)
     sigma_eps2 = update_sigma_eps(posterior, zeta, dm)
     floor = _SIGMA_GAMMA_EIG_FLOOR * sigma_eps2 / g_bar
@@ -391,14 +380,14 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
                   r_support=ds.r_support, scores=scores, fpca_models=fpca_models, design=dm)
 
     if not config.include_latent:
-        ols = init_params(dm, config)
+        ols = init_params(dm)
         params = Parameters(ols.zeta, ols.sigma_eps2, np.zeros((0, 0)))
         posterior = LatentPosterior(np.zeros((dm.n_units, 0)), np.zeros((dm.n_units, 0, 0)))
         return FitResult(params, posterior, np.array([marginal_loglik(params, dm)]), 0, True,
                          **common)
 
-    params = init if init is not None else init_params(dm, config)
-    sums = _px_sums(dm, config.ridge_jitter)
+    params = init if init is not None else init_params(dm)
+    sums = _px_sums(dm)
     g_bar = float(np.trace(dm.lam_gram.sum(axis=0))) / dm.n_obs  # mean |lambda_row|^2
 
     def px(p):

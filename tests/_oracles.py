@@ -227,6 +227,45 @@ def build_observed_design(unit, basis, scores_row, r_support, layout):
     return omega
 
 
+def layout_names_and_split(layout, zeta) -> tuple:
+    """``ZetaLayout.names()`` and ``split(zeta)`` by explicit loops in the
+    documented order: nu per level, beta per (level, scalar), b per (level,
+    covariate, component), b_int per (level, scalar, covariate, component)."""
+    levels = layout.levels
+    p_, s_, k_ = layout.n_scalars, layout.n_functional, layout.n_components
+    parts = {"nu": np.zeros(len(levels)), "beta": np.zeros((len(levels), p_)),
+             "b": np.zeros((len(levels), s_, k_)), "b_int": np.zeros((len(levels), p_, s_, k_))}
+    names = []
+    j = 0
+    for li, level in enumerate(levels):
+        names.append(f"nu_l{level}")
+        parts["nu"][li] = zeta[j]
+        j += 1
+    if layout.include_scalar:
+        for li, level in enumerate(levels):
+            for p in range(p_):
+                names.append(f"beta_l{level}_p{p + 1}")
+                parts["beta"][li, p] = zeta[j]
+                j += 1
+    if layout.include_functional:
+        for li, level in enumerate(levels):
+            for s in range(s_):
+                for k in range(k_):
+                    names.append(f"b_l{level}_s{s + 1}_k{k + 1}")
+                    parts["b"][li, s, k] = zeta[j]
+                    j += 1
+    if layout.include_interaction:
+        for li, level in enumerate(levels):
+            for p in range(p_):
+                for s in range(s_):
+                    for k in range(k_):
+                        names.append(f"bint_l{level}_p{p + 1}_s{s + 1}_k{k + 1}")
+                        parts["b_int"][li, p, s, k] = zeta[j]
+                        j += 1
+    assert j == len(zeta), "zeta is longer than its layout"
+    return names, parts
+
+
 def stack_population(layout, unit_ids, omegas, lambdas, ys) -> DesignMatrices:
     """Hand-assembled DesignMatrices: row-stacked per-unit blocks."""
     counts = np.array([o.shape[0] for o in omegas])
@@ -236,6 +275,25 @@ def stack_population(layout, unit_ids, omegas, lambdas, ys) -> DesignMatrices:
         y=np.concatenate(ys).astype(float, copy=False), counts=counts,
         lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
     )
+
+
+def ridge_jitter_of(gram: np.ndarray) -> float:
+    """The ridge path's jitter for a normal matrix: 1e-8 of its mean diagonal."""
+    return 1e-8 * float(np.trace(gram)) / gram.shape[0]
+
+
+def ridge_normal_equations(omega: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The ridge solution from its normal equations, (Omega^T Omega + j I)^-1 Omega^T rhs."""
+    gram = omega.T @ omega
+    return np.linalg.solve(gram + ridge_jitter_of(gram) * np.eye(gram.shape[0]), omega.T @ rhs)
+
+
+def ridge_stacked_lstsq(omega: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The same ridge solution as least squares on Omega stacked over sqrt(j) I,
+    which never forms the ill-conditioned normal matrix."""
+    p = omega.shape[1]
+    stacked = np.vstack([omega, np.sqrt(ridge_jitter_of(omega.T @ omega)) * np.eye(p)])
+    return np.linalg.lstsq(stacked, np.concatenate([rhs, np.zeros(p)]), rcond=None)[0]
 
 
 def split_units(dm):

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from degramix import cli, data, design, estimator, evaluation
 from degramix.cli import run
@@ -377,6 +378,53 @@ class TestConfigFile:
         assert run(["fit", "--data", str(data), "--variant", "Model99",
                     "--out", str(tmp_path / "x")]) == 1
         assert "Model1..Model7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_variant_with_config_exits_one(self, tmp_path, capsys, command):
+        data = simulate_into(tmp_path, seed=22)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"include_latent": False}))
+        assert run([command, "--data", str(data), "--variant", "Model7", "--config", str(cfg),
+                    "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "--variant" in err and "--config" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_ridge_config_fits_a_duplicated_scalar_column(self, tmp_path, capsys):
+        data = simulate_into(tmp_path, seed=24)
+        scalars = data / "scalars.csv"
+        scalars.write_text("".join(f"{line},{line.rsplit(',', 1)[1].replace('x1', 'x2')}\n"
+                                   for line in scalars.read_text().splitlines()))
+        ridge, plain = tmp_path / "ridge.json", tmp_path / "plain.json"
+        ridge.write_text(json.dumps({"ridge_jitter": True}))
+        plain.write_text(json.dumps({"ridge_jitter": False}))
+        assert run(["fit", "--data", str(data), "--config", str(ridge), "--k", "2",
+                    "--out", str(tmp_path / "ridge")]) == 0
+        report = json.loads((tmp_path / "ridge" / "fit_report.json").read_text())
+        assert "beta_l1_p2" in report["layout"]["names"]
+        capsys.readouterr()
+        assert run(["fit", "--data", str(data), "--config", str(plain), "--k", "2",
+                    "--out", str(tmp_path / "plain")]) == 1
+        err = capsys.readouterr().err
+        assert "rank-deficient" in err and "beta_l1_p2" in err
+
+
+class TestSimulateSpec:
+    def test_unknown_spec_key_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_units": 8, "n_unit": 4, "n_obs": 6}))
+        assert run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert str(spec) in err and "'n_unit'" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_non_object_spec_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([8, 6]))
+        assert run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert str(spec) in err and "JSON object" in err
+        assert not (tmp_path / "d").exists()
 
 
 COLD_START = """

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degramix.data import BasisFamily, ModelConfig, UnitRecord, basis_columns
-from degramix.design import _pivoted_qr, build_design_matrices, layout_for
+from degramix.design import ZetaLayout, _pivoted_qr, build_design_matrices, layout_for
 from degramix.evaluation import table1_variants
 from degramix.simulate import default_spec, generate_dataset
-from _oracles import build_observed_design, lapack_pivoted_qr, stack_population, stack_units
+from _oracles import (
+    build_observed_design,
+    lapack_pivoted_qr,
+    layout_names_and_split,
+    stack_population,
+    stack_units,
+)
 
 
 def unit_with(times, scalars, uid="u1", grid_size=4):
@@ -253,6 +259,27 @@ class TestCoefficientIdentity:
         assert dm.layout == layout
         assert dm.omega.shape[1] == layout.size
         assert len(layout.names()) == layout.size
+
+
+class TestLayoutTable:
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("functional", [False, True])
+    @pytest.mark.parametrize("interaction", [False, True])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_names_and_split_match_loop_oracle(self, scalar, functional, interaction, center):
+        # P=2, S=2, K=2 under basis order 2 (levels 0..2, or 1..2 centred)
+        levels = ModelConfig(basis=BasisFamily("polynomial", 2), center_baseline=center).levels
+        layout = ZetaLayout(levels=levels, n_scalars=2, n_functional=2, n_components=2,
+                            include_scalar=scalar, include_functional=functional,
+                            include_interaction=interaction)
+        zeta = np.arange(1.0, layout.size + 1.0)
+        names, parts = layout_names_and_split(layout, zeta)
+        assert layout.names() == names
+        assert len(names) == layout.size
+        got = layout.split(zeta)
+        assert sorted(got) == sorted(parts)
+        for key, expected in parts.items():
+            assert got[key].shape == expected.shape and np.array_equal(got[key], expected), key
 
 
 class TestRankCheck:

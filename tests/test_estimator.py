@@ -31,6 +31,9 @@ from _oracles import (
     profiled_loglik,
     profiled_max,
     q_value,
+    ridge_jitter_of,
+    ridge_normal_equations,
+    ridge_stacked_lstsq,
     split_units,
     stack_population,
 )
@@ -69,7 +72,7 @@ def random_params(rng, dm):
 class TestInitParams:
     def test_matches_normal_equation_oracle(self):
         dm, _, _ = synthetic_dm(seed=1)
-        params = init_params(dm, CONFIG)
+        params = init_params(dm)
         gram = dm.omega.T @ dm.omega
         expected = np.linalg.solve(gram, dm.omega.T @ dm.y)
         assert np.max(np.abs(params.zeta - expected)) <= 1e-10
@@ -79,13 +82,13 @@ class TestInitParams:
                             sigma_gamma=np.zeros((1, 1)))
         ds, truth = generate_dataset(spec)
         dm = build_design_matrices(ds, spec.config, scores=truth.scores)
-        params = init_params(dm, CONFIG)
+        params = init_params(dm)
         assert np.max(np.abs(params.zeta - truth.zeta)) <= 1e-10
         assert params.sigma_eps2 <= 1e-16
 
     def test_prior_scaled_by_residual_variance(self):
         dm, _, _ = synthetic_dm(seed=3)
-        params = init_params(dm, CONFIG)
+        params = init_params(dm)
         resid = dm.y - dm.omega @ params.zeta
         expected = 0.1 * float(resid @ resid) / dm.n_obs
         assert np.allclose(np.diag(params.sigma_gamma), expected)
@@ -430,7 +433,7 @@ class TestFitEm:
         ds, truth = generate_dataset(spec)
         rng = np.random.default_rng(22)
         dm = build_design_matrices(ds, spec.config, scores=truth.scores)
-        ols = init_params(dm, spec.config)
+        ols = init_params(dm)
         lls = []
         for _ in range(2):
             # moderate random perturbations of a sane start; wild starts can
@@ -507,21 +510,51 @@ class TestFitEm:
             full.params.sigma_gamma[0, 0], rel=1e-4)
 
     def test_ridge_fit_builds_its_gram_once(self, monkeypatch):
-        # every zeta update and the working-parameter sums read one Gram
+        # every zeta update and the working-parameter sums read one factorisation
         from dataclasses import replace as dc_replace
         from functools import cached_property
 
         from degramix.design import DesignMatrices
         built = []
-        gram = DesignMatrices.ridge_gram.func
-        counted = cached_property(lambda dm: built.append(dm) or gram(dm))
-        counted.__set_name__(DesignMatrices, "ridge_gram")
-        monkeypatch.setattr(DesignMatrices, "ridge_gram", counted)
+        factor = DesignMatrices.omega_factor.func
+        counted = cached_property(lambda dm: built.append(dm) or factor(dm))
+        counted.__set_name__(DesignMatrices, "omega_factor")
+        monkeypatch.setattr(DesignMatrices, "omega_factor", counted)
         spec = default_spec(seed=32, n_units=30, n_obs=10)
         ds, truth = generate_dataset(spec)
         fit = fit_em(ds, dc_replace(spec.config, ridge_jitter=True), scores=truth.scores)
         assert fit.iterations > 1
         assert len(built) == 1 and built[0] is fit.design
+
+    @staticmethod
+    def _ridge_update(doubled):
+        """A ridge design without functional terms (its scalar column
+        duplicated when ``doubled``), the zeta update on it and its rhs."""
+        from dataclasses import replace as dc_replace
+        spec = default_spec(seed=34, n_units=30, n_obs=10)
+        ds, _ = generate_dataset(spec)
+        config = dc_replace(spec.config, include_functional=False, include_interaction=False,
+                            ridge_jitter=True)
+        if doubled:
+            ds = dc_replace(ds, scalars=np.column_stack([ds.scalars, ds.scalars]))
+        dm = build_design_matrices(ds, config)
+        posterior = e_step(init_params(dm), dm)
+        return dm, update_zeta(posterior, dm), dm.y - dm.latent_mean(posterior.mu)
+
+    def test_ridge_zeta_matches_jittered_normal_equations(self):
+        dm, zeta, rhs = self._ridge_update(doubled=False)
+        expected = ridge_normal_equations(dm.omega, rhs)
+        assert np.max(np.abs(zeta - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_ridge_zeta_on_a_duplicated_column_within_its_conditioning(self):
+        # the jittered normal matrix has condition ~1e8 here, so float64
+        # normal equations are good to ~1e-8 only; the stacked least-squares
+        # oracle is backward stable and the solve must agree with it to cond * eps
+        dm, zeta, rhs = self._ridge_update(doubled=True)
+        expected = ridge_stacked_lstsq(dm.omega, rhs)
+        gram = dm.omega.T @ dm.omega
+        cond = np.linalg.cond(gram + ridge_jitter_of(gram) * np.eye(gram.shape[0]))
+        assert np.max(np.abs(zeta - expected)) <= cond * np.finfo(float).eps * np.max(np.abs(expected))
 
     def test_hand_built_design_factors_omega_once(self, monkeypatch):
         from degramix import design
@@ -530,7 +563,7 @@ class TestFitEm:
         factored = []
         qr = design._pivoted_qr
         monkeypatch.setattr(design, "_pivoted_qr", lambda omega: factored.append(1) or qr(omega))
-        posterior = e_step(init_params(dm, CONFIG), dm)
+        posterior = e_step(init_params(dm), dm)
         first = update_zeta(posterior, dm)
         assert np.array_equal(update_zeta(posterior, dm), first)
         assert len(factored) == 1
@@ -606,7 +639,7 @@ class TestTwoLevel:
             fit = fit_em(ds, config)
             assert fit.converged and fit.iterations < 500
             dm = fit.design
-            plain = plain_em(dm, init_params(dm, config), 500, diagonal)
+            plain = plain_em(dm, init_params(dm), 500, diagonal)
             assert fit.loglik >= marginal_loglik(plain, dm)
         assert len(visited) > 8
         if diagonal:

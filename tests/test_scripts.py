@@ -26,3 +26,14 @@ def run_script(name, *args):
 def test_script_runs(name, extra, marker):
     lines = run_script(name, "--n-units", "20", "--n-obs", "10", *extra)
     assert any(line.startswith(marker) for line in lines), lines
+
+
+def test_same_outputs_finds_no_difference_against_head():
+    # the working tree's CLI outputs against the last commit's, on the toy
+    # em_boundary inputs; the script exports HEAD with git archive
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout with a commit")
+    lines = run_script("same_outputs.py", "--parent", "HEAD", "--size", "toy",
+                       "--workload", "em_boundary")
+    assert lines[-1].startswith("0 of "), lines
