@@ -2,16 +2,15 @@
 """Byte-compare every CLI output of the benchmark workloads: a parent revision
 against the working tree.
 
-    python3 scripts/same_outputs.py --parent HEAD~ [--seed 3] [--size full]
-                                    [--workload NAME ...]
+    python3 scripts/same_outputs.py --parent HEAD~
 
 Exports ``--parent`` with ``git archive`` into a temporary directory.  For
 each side, one child process imports that checkout's ``degramix`` and
 ``benchmark/workloads.py`` and, per workload, runs its ``setup`` and then
-every CLI invocation of its ``commands`` at the given seed, with BLAS pinned
-to one thread.  Both sides write under the same path, so a path echoed into
-an output cannot differ between them.  The exit code of each invocation and
-the child's stderr are kept as files beside the outputs.  Every file that
+every CLI invocation of its ``commands`` at seed 3 and full size, with BLAS
+pinned to one thread.  Both sides write under the same path, so a path
+echoed into an output cannot differ between them.  The exit code of each
+invocation and the child's stderr are kept as files beside the outputs.  Every file that
 differs, or exists on one side only, is printed; the exit code is 1 if any
 does, else 0.  Nothing under ``benchmark/`` is written.
 """
@@ -28,7 +27,9 @@ from pathlib import Path
 
 from bench_pairs import ROOT, export
 
-# the child: argv is checkout, output root, seed, size name, workload names
+SEED = 3
+
+# the child: argv is checkout, output root, seed
 _SIDE = """
 import sys
 from pathlib import Path
@@ -37,11 +38,11 @@ import degramix
 from degramix.cli import run
 from workloads import SIZES, WORKLOADS
 
-checkout, root, seed, size = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
 if not Path(degramix.__file__).resolve().is_relative_to(checkout.resolve()):
     sys.exit(f"imported {degramix.__file__}, not the package of {checkout}")
-for name in sys.argv[5:]:
-    work, dims = WORKLOADS[name], SIZES[size][name]
+for name, work in WORKLOADS.items():
+    dims = SIZES["full"][name]
     base = root / name
     base.mkdir(parents=True)
     work.setup(base, seed, dims)
@@ -51,14 +52,14 @@ for name in sys.argv[5:]:
 _THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def run_side(checkout: Path, root: Path, seed: int, size: str, workloads: list) -> None:
-    """Write ``checkout``'s outputs of ``workloads`` under ``root``."""
+def run_side(checkout: Path, root: Path) -> None:
+    """Write ``checkout``'s outputs of every workload under ``root``."""
     root.mkdir()
     path = os.pathsep.join(str(checkout / d) for d in ("src", "benchmark"))
     env = {**os.environ, **_THREADS, "PYTHONPATH": path}
     with open(root / "stderr.txt", "w", encoding="utf-8") as err:
-        subprocess.run([sys.executable, "-c", _SIDE, str(checkout), str(root), str(seed), size,
-                        *workloads], cwd=checkout, env=env, stderr=err, check=True)
+        subprocess.run([sys.executable, "-c", _SIDE, str(checkout), str(root), str(SEED)],
+                       cwd=checkout, env=env, stderr=err, check=True)
 
 
 def differing(a: Path, b: Path) -> list:
@@ -71,18 +72,10 @@ def differing(a: Path, b: Path) -> list:
 
 
 def main(argv=None) -> int:
-    sys.path.insert(0, str(ROOT / "benchmark"))
-    from workloads import WORKLOADS
-
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--size", choices=("full", "toy"), default="full")
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                    help="repeatable; default: all")
     args = ap.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
 
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
@@ -90,15 +83,14 @@ def main(argv=None) -> int:
         export(args.parent, tmp / "parent")
         out = {}
         for side, checkout in (("parent", tmp / "parent"), ("change", ROOT)):
-            run_side(checkout, tmp / "run", args.seed, args.size, workloads)
+            run_side(checkout, tmp / "run")
             out[side] = tmp / f"{side}_out"
             shutil.move(tmp / "run", out[side])
         diffs = differing(out["parent"], out["change"])
         n_files = sum(1 for p in out["change"].rglob("*") if p.is_file())
     for rel in diffs:
         print(f"differs: {rel}")
-    print(f"{len(diffs)} of {n_files} files differ ({args.parent} vs working tree, "
-          f"seed {args.seed}, {args.size} size, {', '.join(workloads)})")
+    print(f"{len(diffs)} of {n_files} files differ ({args.parent} vs working tree, seed {SEED})")
     return 1 if diffs else 0
 
 

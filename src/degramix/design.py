@@ -150,7 +150,7 @@ class DesignMatrices:
     Rows are grouped by unit, ``counts[i]`` rows for unit i.  ``lam`` holds
     each row's latent basis (n_obs, d) and ``lam_gram`` the per-unit blocks
     Lambda_i^T Lambda_i (N, d, d).  ``ridge_jitter`` picks how ``omega_factor``,
-    built at most once per design, factors Omega.
+    built once per design, factors Omega.
     """
 
     layout: ZetaLayout
@@ -164,22 +164,25 @@ class DesignMatrices:
 
     @cached_property
     def omega_factor(self) -> tuple:
-        """(b, t, piv) with b b^T the projection on Omega's columns and
-        ``zeta[piv] = t^-1 b^T rhs`` the least-squares solve.
-
-        Without the ridge this is Omega's pivoted QR (q, r, piv), which raises
-        if Omega is rank-deficient.  With it, K K^T = Omega^T Omega plus a
-        trace-relative jitter, b = Omega K^-T, t = K^T and piv the identity.
-        """
+        """(b, t, piv) with ``zeta[piv] = t^-1 b^T rhs`` the least-squares solve:
+        Omega's pivoted QR (q, r, piv), which raises if Omega is rank-deficient,
+        or with the ridge the jittered normal equations (Omega, Omega^T Omega
+        plus a trace-relative jitter, the identity)."""
         if not self.ridge_jitter:
             return _check_full_rank(self.omega, self.layout)
         p = self.layout.size
         gram = self.omega.T @ self.omega
-        chol = np.linalg.cholesky(gram + 1e-8 * np.trace(gram) / p * np.eye(p))
-        # reversing rows and columns makes chol upper triangular, which LU
-        # solves by substitution without swapping rows
-        b = np.linalg.solve(chol[::-1, ::-1], self.omega.T[::-1])[::-1].T
-        return b, chol.T, np.arange(p)
+        return self.omega, gram + 1e-8 * np.trace(gram) / p * np.eye(p), np.arange(p)
+
+    def projection_basis(self) -> np.ndarray:
+        """B with B B^T the projection on Omega's columns: q of the QR, or on
+        the ridge path Omega K^-T with K K^T the jittered normal matrix."""
+        b, t, _ = self.omega_factor
+        if not self.ridge_jitter:
+            return b
+        # reversing rows and columns makes the Cholesky factor upper
+        # triangular, which LU solves by substitution without swapping rows
+        return np.linalg.solve(np.linalg.cholesky(t)[::-1, ::-1], self.omega.T[::-1])[::-1].T
 
     def residual(self, zeta: np.ndarray) -> tuple:
         """r = y - Omega zeta on every row and Lambda_i^T r_i (N, d) per unit."""
@@ -296,6 +299,5 @@ def build_design_matrices(
         counts=ds.counts, lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], ds.counts),
         ridge_jitter=config.ridge_jitter,
     )
-    if not config.ridge_jitter:
-        dm.omega_factor  # the rank check: a rank-deficient design fails here, not mid-fit
+    dm.omega_factor  # without the ridge, the rank check: a rank-deficient design fails here
     return dm

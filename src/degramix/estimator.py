@@ -124,8 +124,8 @@ def _floored_sigma_gamma_inv(sigma_gamma: np.ndarray) -> np.ndarray:
 def _solve_zeta(dm: DesignMatrices, rhs: np.ndarray) -> np.ndarray:
     b, t, piv = dm.omega_factor
     zeta = np.empty(dm.layout.size)
-    # LU with partial pivoting swaps no rows of an upper-triangular t, so this
-    # is a back substitution
+    # without the ridge t is upper triangular, and LU with partial pivoting
+    # swaps no rows of it, so this is a back substitution
     zeta[piv] = np.linalg.solve(t, b.T @ rhs)
     return zeta
 
@@ -247,8 +247,8 @@ def fit_em(
 def _px_sums(dm: DesignMatrices) -> tuple:
     """Per-unit sums the working-parameter solve reads, built once per fit:
     Lambda_i^T y_i (N, d), Lambda_i^T B_i (N, d, p) and B^T y (p,), where
-    B B^T projects on Omega's columns (``DesignMatrices.omega_factor``)."""
-    basis = dm.omega_factor[0]
+    B B^T projects on Omega's columns (``DesignMatrices.projection_basis``)."""
+    basis = dm.projection_basis()
     lam_b = unit_sums(dm.lam[:, :, None] * basis[:, None, :], dm.counts)
     return unit_sums(dm.lam * dm.y[:, None], dm.counts), lam_b, basis.T @ dm.y
 

@@ -277,23 +277,12 @@ def stack_population(layout, unit_ids, omegas, lambdas, ys) -> DesignMatrices:
     )
 
 
-def ridge_jitter_of(gram: np.ndarray) -> float:
-    """The ridge path's jitter for a normal matrix: 1e-8 of its mean diagonal."""
-    return 1e-8 * float(np.trace(gram)) / gram.shape[0]
-
-
 def ridge_normal_equations(omega: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The ridge solution from its normal equations, (Omega^T Omega + j I)^-1 Omega^T rhs."""
+    """The ridge solution from its normal equations, (Omega^T Omega + j I)^-1
+    Omega^T rhs, with j 1e-8 of the normal matrix's mean diagonal."""
     gram = omega.T @ omega
-    return np.linalg.solve(gram + ridge_jitter_of(gram) * np.eye(gram.shape[0]), omega.T @ rhs)
-
-
-def ridge_stacked_lstsq(omega: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The same ridge solution as least squares on Omega stacked over sqrt(j) I,
-    which never forms the ill-conditioned normal matrix."""
-    p = omega.shape[1]
-    stacked = np.vstack([omega, np.sqrt(ridge_jitter_of(omega.T @ omega)) * np.eye(p)])
-    return np.linalg.lstsq(stacked, np.concatenate([rhs, np.zeros(p)]), rcond=None)[0]
+    jitter = 1e-8 * float(np.trace(gram)) / gram.shape[0]
+    return np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), omega.T @ rhs)
 
 
 def split_units(dm):

@@ -1,4 +1,4 @@
-"""The experiment scripts run end to end at toy size."""
+"""The experiment scripts run end to end at toy size; same_outputs compares trees."""
 
 import os
 import subprocess
@@ -28,12 +28,18 @@ def test_script_runs(name, extra, marker):
     assert any(line.startswith(marker) for line in lines), lines
 
 
-def test_same_outputs_finds_no_difference_against_head():
-    # the working tree's CLI outputs against the last commit's, on the toy
-    # em_boundary inputs; the script exports HEAD with git archive
-    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
-                      capture_output=True).returncode != 0:
-        pytest.skip("not a git checkout with a commit")
-    lines = run_script("same_outputs.py", "--parent", "HEAD", "--size", "toy",
-                       "--workload", "em_boundary")
-    assert lines[-1].startswith("0 of "), lines
+def test_same_outputs_lists_files_that_differ_or_exist_on_one_side(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from same_outputs import differing
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    for tree in (a, b):
+        (tree / "w" / "fit").mkdir(parents=True)
+        (tree / "w" / "fit" / "report.json").write_bytes(b'{"loglik": 1.5}\n')
+        (tree / "exit_codes.txt").write_bytes(b"fit 0\n")
+    assert differing(a, b) == []
+    (b / "w" / "fit" / "report.json").write_bytes(b'{"loglik": 1.6}\n')
+    (a / "w" / "only_parent.csv").write_bytes(b"")
+    (b / "only_change.txt").write_bytes(b"x")
+    assert differing(a, b) == ["only_change.txt", "w/fit/report.json", "w/only_parent.csv"]
+    assert differing(b, a) == differing(a, b)
