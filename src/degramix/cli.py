@@ -161,25 +161,63 @@ def _fit_report(fit: FitResult) -> dict:
     return report
 
 
-_SPEC_KEYS = ("n_units", "n_obs", "sigma_eps2", "seed", "scalar_ranges")
+# the --spec keys that hold an integer and those that hold an array of
+# numbers; the one other key, sigma_eps2, holds a number
+_SPEC_INTS = ("n_units", "n_obs", "seed")
 _SPEC_ARRAYS = ("zeta", "sigma_gamma", "score_variances", "times", "r_grid", "mean_curve",
-                "modes")
+                "modes", "scalar_ranges")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number_array(value) -> np.ndarray | None:
+    """``value`` as a float array, or None unless it is a number or a regular
+    nesting of lists of numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return None
+    return arr.astype(float) if arr.dtype.kind in "iuf" else None
+
+
+def _spec_overrides(path) -> dict:
+    """The keys of a --spec file as ``default_spec`` overrides.  A file that
+    is not a JSON object, an unknown key or a value of the wrong type raises
+    CliError naming the file and the key."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise CliError(f"{path}: spec must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - {*_SPEC_INTS, "sigma_eps2", *_SPEC_ARRAYS})
+    if unknown:
+        raise CliError(f"{path}: unknown spec key {unknown[0]!r}")
+    overrides = {}
+    for key, value in payload.items():
+        if key in _SPEC_INTS:
+            ok, want = _is_int(value), "an integer"
+        elif key == "sigma_eps2":
+            ok, want = _is_int(value) or isinstance(value, float), "a number"
+        else:
+            value = _number_array(value)
+            ok, want = value is not None, "an array of numbers"
+            if key == "scalar_ranges":
+                ok = ok and value.ndim == 2 and value.shape[1] == 2
+                want = "a list of [low, high] pairs"
+        if not ok:
+            raise CliError(f"{path}: spec key {key!r} must be {want}, "
+                           f"got {json.dumps(payload[key])}")
+        overrides[key] = value
+    if "scalar_ranges" in overrides:
+        overrides["scalar_ranges"] = tuple(map(tuple, overrides["scalar_ranges"].tolist()))
+    return overrides
 
 
 def _cmd_simulate(args) -> int:
-    overrides = {}
-    if args.spec:
-        payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise CliError(f"{args.spec}: spec must be a JSON object, "
-                           f"got {type(payload).__name__}")
-        unknown = sorted(set(payload) - {*_SPEC_KEYS, *_SPEC_ARRAYS})
-        if unknown:
-            raise CliError(f"{args.spec}: unknown spec key {unknown[0]!r}")
-        overrides = {key: np.asarray(value, dtype=float) if key in _SPEC_ARRAYS else value
-                     for key, value in payload.items()}
-        if "scalar_ranges" in overrides:
-            overrides["scalar_ranges"] = tuple(tuple(r) for r in overrides["scalar_ranges"])
+    overrides = _spec_overrides(args.spec) if args.spec else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     spec = default_spec(**overrides)
@@ -279,54 +317,84 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_fit(path) -> FitResult:
-    from .design import layout_for
-    from .estimator import LatentPosterior, Parameters
+def _shaped(name: str, values, shape: tuple) -> np.ndarray:
+    """``values`` as a float array of ``shape``, which an empty array takes
+    when the shape holds no entries; any other shape raises ValueError."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError:  # a ragged nesting, or text
+        raise ValueError(f"{name} is not an array of numbers") from None
+    if arr.size == 0 and 0 in shape:
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _fpca_from_record(record: dict, k: int):
+    """The FpcaModel ``_fpca_record`` wrote, truncated to ``k`` components."""
     from .fpca import FpcaModel
 
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    r_grid = np.asarray(record["r_grid"], dtype=float)
+    return FpcaModel(
+        r_grid=r_grid,
+        mean_curve=_shaped("fpca mean_curve", record["mean_curve"], r_grid.shape),
+        eigenfunctions=_shaped("fpca eigenfunctions", record["eigenfunctions"], (k, r_grid.size)),
+        eigenvalues=np.asarray(record["eigenvalues"], dtype=float),
+        fve_trace=np.asarray(record["fve_trace"], dtype=float),
+        k=k,
+    )
+
+
+def _fit_from_report(payload) -> FitResult:
+    """The FitResult a fit report holds, with each array checked against the
+    shape its layout fixes."""
+    from .design import layout_for
+    from .estimator import LatentPosterior, Parameters
+
     config = config_from_dict(payload["config"])
     lay = payload["layout"]
     layout = layout_for(config, lay["n_scalars"], lay["n_functional"], lay["n_components"])
-    mu = np.asarray(payload["latent_posterior"]["mu"], dtype=float)
-    if mu.size == 0:
-        mu = mu.reshape(len(payload["latent_posterior"]["unit_ids"]), 0)
-    d = mu.shape[1]
-    params = Parameters(
-        np.asarray(payload["zeta"]["values"], dtype=float),
-        payload["sigma_eps2"],
-        np.asarray(payload["sigma_gamma"], dtype=float).reshape(d, d),
-    )
-    posterior = LatentPosterior(mu=mu, v=np.zeros((mu.shape[0], d, d)))
+    unit_ids = tuple(payload["latent_posterior"]["unit_ids"])
+    n, d = len(unit_ids), layout.latent_dim if config.include_latent else 0
+    s, k = layout.n_functional, layout.n_components
+    params = Parameters(_shaped("zeta", payload["zeta"]["values"], (layout.size,)),
+                        payload["sigma_eps2"],
+                        _shaped("sigma_gamma", payload["sigma_gamma"], (d, d)))
+    mu = _shaped("latent_posterior mu", payload["latent_posterior"]["mu"], (n, d))
     fpca_models = None
     if "fpca" in payload:
-        fpca_models = tuple(
-            FpcaModel(
-                r_grid=np.asarray(m["r_grid"], dtype=float),
-                mean_curve=np.asarray(m["mean_curve"], dtype=float),
-                eigenfunctions=np.asarray(m["eigenfunctions"], dtype=float),
-                eigenvalues=np.asarray(m["eigenvalues"], dtype=float),
-                fve_trace=np.asarray(m["fve_trace"], dtype=float),
-                k=int(m["k"]),
-            )
-            for m in payload["fpca"]
-        )
+        if len(payload["fpca"]) != s:
+            raise ValueError(f"fpca holds {len(payload['fpca'])} models, expected {s}")
+        fpca_models = tuple(_fpca_from_record(m, k) for m in payload["fpca"])
     scores = None
-    if "scores" in payload:
-        scores = np.asarray(payload["scores"]["values"], dtype=float)
+    if config.include_functional:
+        scores = _shaped("scores", payload["scores"]["values"], (n, s, k))
     return FitResult(
         params=params,
-        posterior=posterior,
+        posterior=LatentPosterior(mu=mu, v=np.zeros((n, d, d))),
         loglik_trace=np.asarray(payload["loglik_trace"], dtype=float),
         iterations=payload["iterations"],
         converged=payload["converged"],
         config=config,
         layout=layout,
-        unit_ids=tuple(payload["latent_posterior"]["unit_ids"]),
+        unit_ids=unit_ids,
         r_support=payload["r_support"],
         scores=scores,
         fpca_models=fpca_models,
     )
+
+
+def _load_fit(path) -> FitResult:
+    """The fit a fit_report.json records.  A report that is not JSON, lacks
+    an entry or holds an array of the wrong shape raises CliError naming
+    the file."""
+    try:
+        return _fit_from_report(json.loads(Path(path).read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise CliError(f"{path}: fit report has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _cmd_predict(args) -> int:
@@ -337,7 +405,7 @@ def _cmd_predict(args) -> int:
     pred = predict_unit(fit, ds, use_latent=args.use_latent)
     ids = np.repeat(np.array(ds.unit_ids, dtype=object), ds.counts)
     write_csv(_out_dir(args) / "predictions.csv", ["unit_id", "time", "y", "y_hat"],
-              zip(ids, ds.times.tolist(), ds.responses.tolist(), pred.tolist()))
+              [ids, ds.times, ds.responses, pred])
     return 0
 
 
@@ -366,10 +434,10 @@ def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
     _write_json(out / "metrics.json", payload)
     # effects read only ids, scalars and curves, which the train split keeps
-    write_csv(out / "effects.csv",
-              ["unit_id", "level", "marginal_effect", "interaction_effect", "latent_effect"],
-              ((r.unit_id, r.level, r.marginal_effect, r.interaction_effect, r.latent_effect)
-               for r in effect_decomposition(fit, ds)))
+    effects = effect_decomposition(fit, ds)
+    header = ["unit_id", "level", "marginal_effect", "interaction_effect", "latent_effect"]
+    write_csv(out / "effects.csv", header,
+              [[getattr(r, name) for r in effects] for name in header])
     return 0
 
 
@@ -395,11 +463,12 @@ def _cmd_compare(args) -> int:
     for row in rows:
         if row.error is not None:
             print(f"[degramix compare] {row.model} failed: {row.error}", file=sys.stderr)
-    write_csv(_out_dir(args) / "comparison.csv",
-              ["model", "r2", "loglik", "aic", "bic", "mse_train", "mse_test"],
-              ((r.model, *([""] * 6 if r.error is not None else
-                           map(float, (r.r2, r.loglik, r.aic, r.bic, r.mse_train, r.mse_test))))
-               for r in rows))
+    # a failed variant's metrics are written as empty fields
+    header = ["model", "r2", "loglik", "aic", "bic", "mse_train", "mse_test"]
+    write_csv(_out_dir(args) / "comparison.csv", header,
+              [[r.model for r in rows]] + [
+                  np.array(["" if r.error is not None else float(getattr(r, name)) for r in rows],
+                           dtype=object) for name in header[1:]])
     return 0
 
 

@@ -247,18 +247,36 @@ def config_to_dict(config: ModelConfig) -> dict:
             **{key: getattr(config, key) for key in _CONFIG_KEYS}}
 
 
+def _check_config_type(key, value) -> None:
+    """Raise ValueError naming ``key`` unless its value has the JSON type the
+    key needs: the basis kind a string, ``basis_order`` and ``k`` integers
+    (``k`` may be null), ``fve_threshold`` a number, every other key a
+    boolean."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if key == "basis_kind":
+        ok, want = isinstance(value, str), "a string"
+    elif key in ("basis_order", "k"):
+        ok, want = is_int or (key == "k" and value is None), "an integer"
+    elif key == "fve_threshold":
+        ok, want = is_int or isinstance(value, float), "a number"
+    else:
+        ok, want = isinstance(value, bool), "true or false"
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def config_from_dict(payload: dict) -> ModelConfig:
-    """The config ``config_to_dict`` wrote; an unknown key raises ValueError naming it."""
+    """The config ``config_to_dict`` wrote; an unknown key, or a value of the
+    wrong JSON type, raises ValueError naming the key."""
     if not isinstance(payload, dict):
         raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
     unknown = sorted(set(payload) - {"basis_kind", "basis_order", *_CONFIG_KEYS})
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
-    basis = BasisFamily(payload.get("basis_kind", POLYNOMIAL), int(payload.get("basis_order", 1)))
-    kwargs = {key: payload[key] for key in _CONFIG_KEYS if key in payload}
-    if kwargs.get("k") is not None:
-        kwargs["k"] = int(kwargs["k"])
-    return ModelConfig(basis=basis, **kwargs)
+    for key, value in payload.items():
+        _check_config_type(key, value)
+    basis = BasisFamily(payload.get("basis_kind", POLYNOMIAL), payload.get("basis_order", 1))
+    return ModelConfig(basis=basis, **{key: payload[key] for key in _CONFIG_KEYS if key in payload})
 
 
 def center_baseline(ds: DegradationDataset) -> DegradationDataset:
@@ -466,13 +484,53 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     return DegradationDataset(unit_ids, counts, t, y, x, z.reshape(n, n_s, n_r), r_grid)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a CSV: the header, then one line per row, each value as str()
-    writes it; for a Python float that is its shortest round-trip text,
-    which reloads bit-exactly."""
+# rows formatted and written at a time: the writer's own memory holds one
+# block's texts, whatever the size of the file
+_BLOCK_ROWS = 1 << 15
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quote(text: str) -> str:
+    """A text field as the csv module's QUOTE_MINIMAL rule writes it: quoted
+    when it holds a comma, a quote, CR or LF, with each quote doubled."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _field_texts(column: np.ndarray) -> list:
+    """The CSV fields of one block of a column, each distinct value formatted
+    once.  Numbers are written by str(): a float64 by ``float.__repr__``,
+    its shortest round-trip text, with values told apart by bit pattern so
+    that -0.0 and 0.0 never share a text.  Any other value is written as
+    str() gives it, quoted where ``_quote`` says."""
+    if column.dtype.kind in "fiu":
+        if column.dtype.kind == "f":
+            column = column.astype(np.float64, copy=False)
+        distinct, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        if distinct.size == column.size:  # nothing repeats: format in row order
+            return list(map(str, column.tolist()))
+        texts = np.array(list(map(str, distinct.view(column.dtype).tolist())), dtype=object)
+        return texts[index].tolist()
+    values = list(map(str, column.tolist()))
+    quoted = {text: _quote(text) for text in set(values)}
+    return list(map(quoted.__getitem__, values))
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a CSV: the header, then one line per row of ``columns``, equal
+    length 1-d arrays (or sequences ``np.asarray`` turns into one), one per
+    header field.  Fields are formatted as ``_field_texts`` says, so a float
+    reloads bit-exactly, and rows are joined and written ``_BLOCK_ROWS`` at
+    a time."""
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header) or len({c.shape for c in columns}) > 1 or columns[0].ndim != 1:
+        raise ValueError("write_csv needs one equal-length 1-d column per header field")
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        for start in range(0, columns[0].size, _BLOCK_ROWS):
+            block = [_field_texts(c[start:start + _BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def save_dataset(ds: DegradationDataset, responses_file, scalars_file, curves_file) -> None:
@@ -480,18 +538,19 @@ def save_dataset(ds: DegradationDataset, responses_file, scalars_file, curves_fi
     ids = np.array(ds.unit_ids, dtype=object)
     n, n_s, n_r = ds.curves.shape
     write_csv(responses_file, ["unit_id", "time", "y"],
-              zip(np.repeat(ids, ds.counts), ds.times.tolist(), ds.responses.tolist()))
+              [np.repeat(ids, ds.counts), ds.times, ds.responses])
     write_csv(scalars_file, ["unit_id", *(f"x{p}" for p in range(1, ds.n_scalars + 1))],
-              zip(ds.unit_ids, *ds.scalars.T.tolist()))
-    s = np.tile(np.repeat(np.arange(1, n_s + 1), n_r), n)
-    r = np.tile(ds.r_grid, n * n_s)
+              [ids, *ds.scalars.T])
     write_csv(curves_file, ["unit_id", "s", "r", "z"],
-              zip(np.repeat(ids, n_s * n_r), s.tolist(), r.tolist(), ds.curves.ravel().tolist()))
+              [np.repeat(ids, n_s * n_r), np.tile(np.repeat(np.arange(1, n_s + 1), n_r), n),
+               np.tile(ds.r_grid, n * n_s), ds.curves.ravel()])
 
 
 def write_curves_csv(path, entries) -> None:
     """Write (unit_id, s, r_grid, values) tuples in the curves CSV schema."""
-    write_csv(path, ["unit_id", "s", "r", "z"], (
-        (unit_id, int(s), r, z) for unit_id, s, r_grid, values in entries
-        for r, z in zip(np.asarray(r_grid, dtype=float).tolist(),
-                        np.asarray(values, dtype=float).tolist())))
+    ids, s, r_grids, values = zip(*entries)
+    sizes = [np.size(r) for r in r_grids]
+    write_csv(path, ["unit_id", "s", "r", "z"],
+              [np.repeat(np.array(ids, dtype=object), sizes),
+               np.repeat(np.array(s, dtype=np.int64), sizes),
+               np.concatenate(r_grids, dtype=float), np.concatenate(values, dtype=float)])

@@ -3,11 +3,13 @@
 Every function here recomputes a quantity by a route deliberately different
 from the library implementation: exhaustive enumeration, generic Gaussian
 conditioning, per-unit dense algebra, scalar search, naive quadrature, or
-row-by-row CSV parsing.
+row-by-row CSV parsing and writing.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -481,6 +483,21 @@ def random_small_design(rng, n_units=4, max_obs=6, max_levels=3):
     sigma_gamma = a @ a.T + 0.3 * np.eye(d)
     sigma_eps2 = float(rng.uniform(0.2, 2.0))
     return lams, resids, sigma_gamma, sigma_eps2
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """Write a CSV row by row: the header, then each row's values as str()
+    writes them, quoted by the csv module's QUOTE_MINIMAL rule (a field
+    holding a comma, a quote, CR or LF); the reference for ``write_csv``."""
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\r\n")  # CR and LF both force quoting
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            line.seek(0)
+            line.truncate()
+            writer.writerow([str(v) for v in row])
+            fh.write(line.getvalue()[:-2] + "\n")
 
 
 def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationDataset:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -310,6 +311,21 @@ class TestDescriptor:
         assert "--s" in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
 
+    def test_image_names_that_need_quoting(self, tmp_path):
+        rng = np.random.default_rng(4)
+        images = [tmp_path / "a,b.pgm", tmp_path / 'say "hi".pgm']
+        for img in images:
+            write_pgm(img, rng.integers(0, 256, size=(20, 20)))
+        out = tmp_path / "tpc"
+        assert run(["descriptor", "tpc", *(f"--image={img}" for img in images), "--r-max", "4",
+                    "--out", str(out)]) == 0
+        text = (out / "curves.csv").read_text()
+        assert '\n"a,b",1,0.0,' in text and '\n"say ""hi""",1,0.0,' in text
+        with open(out / "curves.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["a,b"] * 5 + ['say "hi"'] * 5
+        assert all(len(row) == 4 for row in rows)
+
 
 class TestDeterminism:
     def test_simulate_reruns_byte_identical(self, tmp_path):
@@ -390,6 +406,23 @@ class TestConfigFile:
         assert "--variant" in err and "--config" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"include_latent": "no"}, "'include_latent' must be true or false"),
+        ({"k": 2.7}, "'k' must be an integer"),
+        ({"k": True}, "'k' must be an integer"),
+        ({"basis_order": 1.0}, "'basis_order' must be an integer"),
+        ({"fve_threshold": "0.9"}, "'fve_threshold' must be a number"),
+    ])
+    def test_value_of_wrong_type_exits_one(self, tmp_path, capsys, payload, message):
+        data = simulate_into(tmp_path, seed=23)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["fit", "--data", str(data), "--config", str(cfg),
+                    "--out", str(tmp_path / "fit")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: config key {message}" in err
+        assert not (tmp_path / "fit").exists()
+
     def test_ridge_config_fits_a_duplicated_scalar_column(self, tmp_path, capsys):
         data = simulate_into(tmp_path, seed=24)
         scalars = data / "scalars.csv"
@@ -410,6 +443,24 @@ class TestConfigFile:
 
 
 class TestSimulateSpec:
+    @pytest.mark.parametrize("text,key", [
+        ('{"n_units": "x"}', "'n_units' must be an integer"),
+        ('{"n_units": true}', "'n_units' must be an integer"),
+        ('{"sigma_eps2": "0.1"}', "'sigma_eps2' must be a number"),
+        ('{"zeta": [1, "a"]}', "'zeta' must be an array of numbers"),
+        ('{"times": [[0.0], [1.0, 2.0]]}', "'times' must be an array of numbers"),
+        ('{"scalar_ranges": [0.5, 3.0]}', "'scalar_ranges' must be a list of [low, high] pairs"),
+        ('{"n_units": 8,', "invalid JSON"),
+    ])
+    def test_bad_value_exits_one_naming_file_and_key(self, tmp_path, capsys, text, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert f"{spec}: " in err and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_spec_key_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_units": 8, "n_unit": 4, "n_obs": 6}))
@@ -425,6 +476,40 @@ class TestSimulateSpec:
         err = capsys.readouterr().err
         assert str(spec) in err and "JSON object" in err
         assert not (tmp_path / "d").exists()
+
+
+class TestPredictChecksReport:
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("report")
+        data = simulate_into(tmp, seed=6)
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--out", str(tmp / "fit")]) == 0
+        return data, json.loads((tmp / "fit" / "fit_report.json").read_text())
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda r: r.pop("zeta"), "fit report has no 'zeta' entry"),
+        (lambda r: r["zeta"]["values"].pop(), "zeta has shape (5,), expected (6,)"),
+        (lambda r: r.update(sigma_gamma=[[1.0, 0.0], [0.0, 1.0]]),
+         "sigma_gamma has shape (2, 2), expected (1, 1)"),
+        (lambda r: r["latent_posterior"]["mu"].pop(),
+         "latent_posterior mu has shape (11, 1), expected (12, 1)"),
+        (lambda r: r["scores"]["values"][0][0].pop(), "scores is not an array of numbers"),
+        (lambda r: r["scores"]["values"].pop(), "scores has shape (11, 1, 2), expected (12, 1, 2)"),
+        (lambda r: r["fpca"][0]["eigenfunctions"].pop(),
+         "fpca eigenfunctions has shape (1, 101), expected (2, 101)"),
+        (lambda r: r["config"].update(k=2.5), "config key 'k' must be an integer"),
+    ])
+    def test_malformed_report_exits_one_naming_it(self, tmp_path, capsys, fitted, edit, message):
+        data, report = fitted
+        report = json.loads(json.dumps(report))
+        edit(report)
+        path = tmp_path / "fit_report.json"
+        path.write_text(json.dumps(report))
+        assert run(["predict", "--fit", str(path), "--data", str(data),
+                    "--out", str(tmp_path / "pred")]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
 
 
 COLD_START = """

@@ -1,13 +1,16 @@
 import csv
+import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import load_dataset_rows, stack_units
+from _oracles import load_dataset_rows, stack_units, write_csv_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degramix.data
 from degramix.data import (
     BasisFamily,
     DegradationDataset,
@@ -17,8 +20,10 @@ from degramix.data import (
     center_baseline,
     config_from_dict,
     config_to_dict,
+    _unit_sort_key,
     load_dataset,
     save_dataset,
+    write_csv,
 )
 
 
@@ -276,6 +281,20 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="^unit u2: non-finite measurement$"):
             load_dataset(*paths)
 
+    def test_ids_that_need_quoting_reload_bit_exactly(self, tmp_path):
+        ids = sorted(["a,b", 'say "hi"', "two\nlines", "cr\rid", "u1"], key=_unit_sort_key)
+        units = [make_unit(uid, times=(0.0, 1e-5, 1e16), responses=(-0.0, 5e-324, 0.1 * i),
+                           scalars=(-0.0, 1e16), curves=np.array([[-0.0, 5e-324, 1.0 + i]]),
+                           grid_size=3)
+                 for i, uid in enumerate(ids)]
+        ds = stack_units(units, np.array([-0.0, 1e-5, 2.5]))
+        paths = (tmp_path / "r.csv", tmp_path / "s.csv", tmp_path / "c.csv")
+        save_dataset(ds, *paths)
+        loaded = load_dataset(*paths)
+        assert loaded.unit_ids == ds.unit_ids
+        for name in ("counts", "times", "responses", "scalars", "curves", "r_grid"):
+            assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes(), name
+
     def test_units_sorted_numerically(self, tmp_path):
         ds = make_dataset(n=11)
         paths = (tmp_path / "r.csv", tmp_path / "s.csv", tmp_path / "c.csv")
@@ -303,6 +322,93 @@ class TestMismatchedFiles:
         with pytest.raises(ValueError) as err:
             load_dataset(*paths)
         assert f"{paths[1]}: unit u01 is listed more than once" in str(err.value)
+
+
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]),
+    st.floats(width=64))
+TEXTS = st.text(st.one_of(st.characters(blacklist_categories=("Cs", "Cc")),
+                          st.sampled_from(',"\r\n')), max_size=5)
+# what each column kind holds, and how it reaches write_csv: floats, ints,
+# text as a list (a str array) or an object array, and an object array
+# mixing text and floats as the comparison table's columns do
+COLUMN_KINDS = {
+    "float": (FLOATS, lambda v: np.array(v, dtype=float)),
+    "int": (st.integers(-2**63, 2**63 - 1), lambda v: np.array(v, dtype=np.int64)),
+    "text": (TEXTS, list),
+    "object": (TEXTS, lambda v: np.array(v, dtype=object)),
+    "mixed": (st.one_of(TEXTS, FLOATS), lambda v: np.array(v, dtype=object)),
+}
+SMALL_BLOCK = 4
+
+
+@st.composite
+def csv_columns(draw):
+    """A header, its columns as write_csv takes them and the same table as
+    rows of Python values: 2-4 columns of 0, 1, block - 1, block or
+    block + 1 rows for a block of SMALL_BLOCK rows, each column drawing
+    some values from a small pool so that values repeat."""
+    n = draw(st.sampled_from([0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1]))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=2, max_size=4))
+    values = []
+    for kind in kinds:
+        strategy = COLUMN_KINDS[kind][0]
+        pool = draw(st.lists(strategy, min_size=1, max_size=2))
+        values.append(draw(st.lists(st.one_of(strategy, st.sampled_from(pool)),
+                                    min_size=n, max_size=n)))
+    header = [f"c{i}" for i in range(len(kinds))]
+    return header, [COLUMN_KINDS[k][1](v) for k, v in zip(kinds, values)], list(zip(*values))
+
+
+class TestWriteCsv:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_row_oracle(self, tmp_path_factory, data):
+        header, columns, rows = data.draw(csv_columns())
+        directory = tmp_path_factory.mktemp("write")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(degramix.data, "_BLOCK_ROWS", SMALL_BLOCK)
+            write_csv(directory / "columns.csv", header, columns)
+        write_csv_rows(directory / "rows.csv", header, rows)
+        assert (directory / "columns.csv").read_bytes() == (directory / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_same_bytes_at_the_block_boundary(self, tmp_path, offset):
+        n = degramix.data._BLOCK_ROWS + offset
+        rng = np.random.default_rng(offset + 2)
+        ids = np.repeat(np.array(["a,b", "u1", 'say "hi"'], dtype=object),
+                        [n // 2, n // 4, n - n // 2 - n // 4])
+        x = rng.integers(-40, 40, size=n) / 8.0  # repeats, with -0.0 beside 0.0
+        x[::5] = -0.0
+        columns = [ids, x, rng.normal(size=n), np.arange(n)]
+        header = ["unit_id", "x", "y", "i"]
+        write_csv(tmp_path / "columns.csv", header, columns)
+        write_csv_rows(tmp_path / "rows.csv", header, zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        block = 256
+        monkeypatch.setattr(degramix.data, "_BLOCK_ROWS", block)
+
+        def peak(n):
+            rng = np.random.default_rng(0)
+            columns = [np.repeat(np.array([f"u{i}" for i in range(n // 8)], dtype=object), 8),
+                       np.tile(np.arange(8.0), n // 8), rng.normal(size=n), np.arange(n)]
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "t.csv", ["unit_id", "r", "y", "i"], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4 * block), peak(64 * block)
+        assert large < 1.25 * small, (small, large)
+
+    def test_rejects_columns_that_do_not_match_the_header(self, tmp_path):
+        with pytest.raises(ValueError, match="one equal-length 1-d column per header field"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+        with pytest.raises(ValueError, match="one equal-length 1-d column per header field"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3)])
 
 
 def saved_paths(directory):
