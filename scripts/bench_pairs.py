@@ -12,8 +12,8 @@ checkout.  Every run's details and result lines go to ``BENCH_<pr>.json`` at
 the repository root, rewritten after each pair, with a summary per workload:
 the pairs attempted, the runs that crashed and the operations that failed on
 each side, and per end-to-end metric each side's median and quartiles over
-the complete pairs and the number of them the change won (ties count for
-neither side).
+the complete pairs, the number of them the change won (ties count for
+neither side) and the verdict ``verdict`` gives.
 """
 
 from __future__ import annotations
@@ -57,10 +57,40 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"returncode": 0, "details": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """What the paired runs of one metric on one workload show, the values
+    listed pair by pair, ``bound`` the relative worsening BENCHMARK.json
+    allows:
+
+    - ``gain``: the change wins at least nine tenths of the pairs, and its
+      median is better than the parent's by more than the distance between
+      the parent's quartiles;
+    - ``regression``: the change's median is worse than the parent's by more
+      than ``bound`` of it;
+    - ``unresolved``: the distance between the parent's quartiles exceeds
+      ``bound`` of its median, and not every change run beats every parent
+      run;
+    - ``no regression``: any other case.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # so lower reads better below
+    parent, change = [sign * v for v in parent], [sign * v for v in change]
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    base = statistics.median(parent)
+    gap = statistics.median(change) - base
+    if 10 * wins >= 9 * len(parent) and -gap > q3 - q1:
+        return "gain"
+    if gap > bound * abs(base):
+        return "regression"
+    if q3 - q1 > bound * abs(base) and max(change) >= min(parent):
+        return "unresolved"
+    return "no regression"
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """Per workload: pairs attempted, crashed runs and failed operations per
     side, and per metric each side's median and quartiles over the complete
-    pairs with the pairs in which the change read better."""
+    pairs, the pairs in which the change read better and the verdict."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -89,6 +119,7 @@ def summarize(runs: list, metrics: list) -> dict:
             for side, v in values.items():
                 q1, _, q3 = statistics.quantiles(v, n=4)
                 row[side] = {"median": statistics.median(v), "q1": q1, "q3": q3, "values": v}
+            row["verdict"] = verdict(values["parent"], values["change"], m["better"], m["bound"])
     return out
 
 

@@ -308,12 +308,10 @@ def _cmd_fit(args) -> int:
     _write_json(out / "fit_report.json", _fit_report(fit))
     if args.dump_design:
         dm = fit.design
-        np.savetxt(out / "design_omega.csv", dm.omega, delimiter=",",
-                   header=",".join(dm.layout.names()), comments="")
-        rows = np.column_stack([np.repeat(np.array(dm.unit_ids, dtype=object), dm.counts), dm.lam])
-        names = [f"gamma_l{level}" for level in dm.layout.levels]
-        np.savetxt(out / "design_lambda.csv", rows, delimiter=",", comments="",
-                   header=",".join(["unit_id", *names]), fmt=["%s"] + ["%.18e"] * len(names))
+        write_csv(out / "design_omega.csv", dm.layout.names(), dm.omega.T)
+        write_csv(out / "design_lambda.csv",
+                  ["unit_id", *(f"gamma_l{level}" for level in dm.layout.levels)],
+                  [np.repeat(np.array(dm.unit_ids, dtype=object), dm.counts), *dm.lam.T])
     return 0
 
 
@@ -328,6 +326,28 @@ def _shaped(name: str, values, shape: tuple) -> np.ndarray:
         arr = arr.reshape(shape)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} holds a non-finite value")
+    return arr
+
+
+# how far a report's Sigma_gamma may be from symmetric, and its smallest
+# eigenvalue below zero, relative to its largest absolute entry
+_PSD_TOL = 1e-10
+
+
+def _covariance(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` when it is a finite, symmetric, positive semidefinite matrix,
+    each within ``_PSD_TOL``; otherwise ValueError naming it."""
+    tol = _PSD_TOL * np.abs(_finite(name, arr)).max(initial=0.0)
+    if np.abs(arr - arr.T).max(initial=0.0) > tol:
+        raise ValueError(f"{name} is not symmetric")
+    if np.linalg.eigvalsh(arr).min(initial=0.0) < -tol:
+        raise ValueError(f"{name} is not positive semidefinite")
     return arr
 
 
@@ -348,7 +368,9 @@ def _fpca_from_record(record: dict, k: int):
 
 def _fit_from_report(payload) -> FitResult:
     """The FitResult a fit report holds, with each array checked against the
-    shape its layout fixes."""
+    shape its layout fixes.  zeta, the latent means and the scores must be
+    finite, sigma_eps2 finite and positive, and sigma_gamma a covariance
+    (``_covariance``)."""
     from .design import layout_for
     from .estimator import LatentPosterior, Parameters
 
@@ -358,10 +380,14 @@ def _fit_from_report(payload) -> FitResult:
     unit_ids = tuple(payload["latent_posterior"]["unit_ids"])
     n, d = len(unit_ids), layout.latent_dim if config.include_latent else 0
     s, k = layout.n_functional, layout.n_components
-    params = Parameters(_shaped("zeta", payload["zeta"]["values"], (layout.size,)),
-                        payload["sigma_eps2"],
-                        _shaped("sigma_gamma", payload["sigma_gamma"], (d, d)))
-    mu = _shaped("latent_posterior mu", payload["latent_posterior"]["mu"], (n, d))
+    sigma_eps2 = float(_shaped("sigma_eps2", payload["sigma_eps2"], ()))
+    if not (np.isfinite(sigma_eps2) and sigma_eps2 > 0.0):
+        raise ValueError(f"sigma_eps2 must be finite and positive, got {sigma_eps2}")
+    zeta = _finite("zeta", _shaped("zeta", payload["zeta"]["values"], (layout.size,)))
+    sigma_gamma = _covariance("sigma_gamma", _shaped("sigma_gamma", payload["sigma_gamma"], (d, d)))
+    params = Parameters(zeta, sigma_eps2, sigma_gamma)
+    mu = _finite("latent_posterior mu", _shaped("latent_posterior mu",
+                                                payload["latent_posterior"]["mu"], (n, d)))
     fpca_models = None
     if "fpca" in payload:
         if len(payload["fpca"]) != s:
@@ -369,7 +395,7 @@ def _fit_from_report(payload) -> FitResult:
         fpca_models = tuple(_fpca_from_record(m, k) for m in payload["fpca"])
     scores = None
     if config.include_functional:
-        scores = _shaped("scores", payload["scores"]["values"], (n, s, k))
+        scores = _finite("scores", _shaped("scores", payload["scores"]["values"], (n, s, k)))
     return FitResult(
         params=params,
         posterior=LatentPosterior(mu=mu, v=np.zeros((n, d, d))),

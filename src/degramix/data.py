@@ -321,11 +321,22 @@ def _malformed(path, index, row, header) -> ValueError:
     return ValueError(f"{where}: non-numeric field in {','.join(row)!r}")
 
 
+def _runs(values: np.ndarray) -> tuple:
+    """The runs of equal neighbours in the 1-d ``values``: the position where
+    each run starts and its length."""
+    change = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    return starts, np.diff(starts, append=values.size)
+
+
 def _ints(texts) -> np.ndarray:
     """Integer fields as int64, each read as Python's int() reads it; a field
     such as '1.5', '1.0' or 'nan', or one beyond int64, raises ValueError or
-    OverflowError."""
-    return np.asarray(texts, dtype=object).astype(np.int64)
+    OverflowError.  Each run of equal texts is converted once."""
+    texts = np.asarray(texts, dtype=object)
+    starts, lengths = _runs(texts)
+    return np.repeat(texts[starts].astype(np.int64), lengths)
 
 
 def _parses(fields, kinds) -> bool:
@@ -341,6 +352,22 @@ def _parses(fields, kinds) -> bool:
     return True
 
 
+# np.loadtxt opens a path with one of these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_SCAN_BYTES = 1 << 20
+
+
+def _plain_text(path) -> bool:
+    """Whether np.loadtxt, given the path, reads the bytes the csv module
+    reads: no decompressor, and no CR byte, which its universal newlines
+    would turn into LF even inside a quoted field.  The file is scanned
+    ``_SCAN_BYTES`` at a time."""
+    if str(path).endswith(_COMPRESSED):
+        return False
+    with open(path, "rb") as fh:
+        return not any(b"\r" in chunk for chunk in iter(lambda: fh.read(_SCAN_BYTES), b""))
+
+
 def _read_table(path, header=None, kinds=()) -> tuple:
     """The data rows of one dataset CSV, parsed by one np.loadtxt call.
 
@@ -348,13 +375,16 @@ def _read_table(path, header=None, kinds=()) -> tuple:
     header given, its first field must be unit_id and every later field is a
     float.  Returns the unit ids (an object array of str) and one array per
     later field: float64 as np.loadtxt parses it, or, where ``kinds`` says
-    int, int64 from the field's text as ``_ints`` reads it.  A row either
-    rejects is found again with the csv module, and the error names the file
-    and the line.
+    int, int64 from the field's text as ``_ints`` reads it.  np.loadtxt gets
+    the path, so its chunked reader runs, unless ``_plain_text`` says no; it
+    then reads on from the open file, line by line.  A row either rejects is
+    found again with the csv module, and the error names the file and the
+    line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            found = next(csv.reader(iter(fh.readline, "")), [])
+            reader = csv.reader(iter(fh.readline, ""))
+            found = next(reader, [])
             if header is None:
                 if not found or found[0].strip() != "unit_id":
                     raise ValueError(f"{path}: expected header unit_id,x1,...")
@@ -369,16 +399,18 @@ def _read_table(path, header=None, kinds=()) -> tuple:
                 table = np.empty(0, dtype)  # header only; loadtxt would warn
             else:
                 fh.seek(start)
+                source, skip = (path, reader.line_num) if _plain_text(path) else (fh, 0)
                 try:
-                    table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                       quotechar='"', encoding="utf-8", ndmin=1)
+                    table = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                                       quotechar='"', encoding="utf-8", ndmin=1,
+                                       skiprows=skip)
                 except ValueError as exc:
                     table, error = None, exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: unreadable CSV ({exc})") from None
     if table is not None:
-        try:
-            return table["id"], [_ints(table[f]) if kind is int else table[f]
+        try:  # float copies: once the caller drops the ids, the table goes
+            return table["id"], [_ints(table[f]) if kind is int else table[f].copy()
                                  for f, kind in zip(dtype.names[1:], kinds)]
         except (ValueError, OverflowError) as exc:
             error = exc
@@ -398,8 +430,26 @@ def _check_units(unit_ids, found, in_file: str, what: str) -> None:
         raise ValueError(f"mismatched unit ids across files: {extra[0]} has {what} but no responses")
 
 
-def _codes(ids: np.ndarray, code: dict) -> np.ndarray:
-    return np.fromiter(map(code.__getitem__, ids.tolist()), dtype=np.intp, count=ids.size)
+def _unit_runs(ids: np.ndarray) -> tuple:
+    """The id of each run of equal neighbouring ids (a list) and its length."""
+    starts, lengths = _runs(ids)
+    return ids[starts].tolist(), lengths
+
+
+def _codes(run_ids: list, lengths: np.ndarray, code: dict) -> np.ndarray:
+    """Each row's unit code, looked up once per run."""
+    runs = np.fromiter(map(code.__getitem__, run_ids), dtype=np.intp, count=len(run_ids))
+    return np.repeat(runs, lengths)
+
+
+def _sort_order(group: np.ndarray, key: np.ndarray):
+    """The order np.lexsort((key, group)) gives, or None where the rows hold
+    it already: ``group`` never falls and ``key`` rises strictly within each
+    group.  A tie or a NaN key breaks that, so such rows are sorted."""
+    step = np.diff(group)
+    if np.all((step > 0) | ((step == 0) & (np.diff(key) > 0))):
+        return None
+    return np.lexsort((key, group))
 
 
 def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDataset:
@@ -411,6 +461,8 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     mismatched unit ids, ragged grids or duplicate (unit, time) rows.
     """
     resp_id, (t, y) = _read_table(responses_file, ["unit_id", "time", "y"], (float, float))
+    resp_runs, resp_lengths = _unit_runs(resp_id)
+    del resp_id
     scal_id, columns = _read_table(scalars_file)
     scal_row = {uid: i for i, uid in enumerate(scal_id.tolist())}
     if len(scal_row) < scal_id.size:
@@ -419,7 +471,7 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
         raise ValueError(f"{scalars_file}: unit {dup} is listed more than once")
     curv_id, (s, r, z) = _read_table(curves_file, ["unit_id", "s", "r", "z"], (int, float, float))
 
-    unit_ids = sorted(dict.fromkeys(resp_id.tolist()), key=_unit_sort_key)
+    unit_ids = sorted(dict.fromkeys(resp_runs), key=_unit_sort_key)
     if not unit_ids:
         raise ValueError("responses file holds no measurements")
     n = len(unit_ids)
@@ -428,13 +480,15 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     x = np.column_stack(columns) if columns else np.zeros((scal_id.size, 0))
     x = x[[scal_row[u] for u in unit_ids]]
 
-    # sorted by (unit, t); rows tied on both, and curve points tied on
-    # (unit, s, r), are rejected whatever their order, so no key breaks ties
-    obs = _codes(resp_id, code)
-    order = np.lexsort((t, obs))
-    t, y = t[order], y[order]
+    # sorted by (unit, t) unless already so; rows tied on both, and curve
+    # points tied on (unit, s, r), are rejected whatever their order, so no
+    # key breaks ties
+    obs = _codes(resp_runs, resp_lengths, code)
+    order = _sort_order(obs, t)
+    if order is not None:
+        t, y = t[order], y[order]
     counts = np.bincount(obs, minlength=n)
-    del resp_id, obs
+    del obs
 
     # an empty curves file (header only) yields S = 0 uniformly; otherwise
     # unit 0's indices fix S and its s = 1 curve fixes the grid, and every
@@ -442,8 +496,10 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     n_s, n_r, r_grid = 0, 0, np.zeros(0)
     grid = np.zeros((n, 0), dtype=int)  # per (unit, s): 0 ok, 1 missing, 2 ragged
     if curv_id.size:
-        _check_units(unit_ids, dict.fromkeys(curv_id.tolist()), " in curves file", "curves")
-        unit = _codes(curv_id, code)
+        curv_runs, curv_lengths = _unit_runs(curv_id)
+        del curv_id
+        _check_units(unit_ids, dict.fromkeys(curv_runs), " in curves file", "curves")
+        unit = _codes(curv_runs, curv_lengths, code)
         s_first = np.unique(s[unit == 0])
         n_s = s_first.size
         if not np.array_equal(s_first, np.arange(1, n_s + 1)):
@@ -454,9 +510,10 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
             raise ValueError(f"{_line(curves_file, i)}: covariate index s={int(rows[i][1])} "
                              f"outside 1..{n_s}")
         group = unit * n_s + (s - 1)
-        del curv_id, unit, s
-        order = np.lexsort((r, group))
-        group, r, z = group[order], r[order], z[order]
+        del unit, s
+        order = _sort_order(group, r)
+        if order is not None:
+            group, r, z = group[order], r[order], z[order]
         curve_counts = np.bincount(group, minlength=n * n_s)
         start = np.cumsum(curve_counts) - curve_counts
         n_r = int(curve_counts[0])

@@ -154,6 +154,34 @@ class TestSimulateFitPipeline:
                     "--dump-design", "--out", str(tmp_path / "fit")]) == 0
         assert len(calls) == 1
 
+    def test_dump_design_quotes_ids_and_reloads_bits(self, tmp_path, monkeypatch):
+        ds = load_dataset(*(simulate_into(tmp_path, seed=5) / name for name in cli._DATA_FILES))
+        data = tmp_path / "quoted"
+        data.mkdir()
+        save_dataset(replace(ds, unit_ids=("a,b", *ds.unit_ids[1:])),
+                     *(data / name for name in cli._DATA_FILES))
+        built = []
+        build = design.build_design_matrices
+
+        def kept(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(estimator, "build_design_matrices", kept)
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--dump-design", "--out", str(out)]) == 0
+        dm, = built
+        for name, want in (("design_omega.csv", dm.omega), ("design_lambda.csv", dm.lam)):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert {len(row) for row in rows} == {len(header)}, name
+            if name == "design_lambda.csv":
+                assert [row[0] for row in rows] == list(np.repeat(dm.unit_ids, dm.counts))
+                assert rows[0][0] == "a,b"
+                rows = [row[1:] for row in rows]
+            assert np.array(rows, dtype=float).tobytes() == want.tobytes(), name
+
     def test_evaluate_writes_metrics_and_effects(self, tmp_path):
         data = simulate_into(tmp_path, seed=6, n_units=14)
         out = tmp_path / "eval"
@@ -499,6 +527,20 @@ class TestPredictChecksReport:
         (lambda r: r["fpca"][0]["eigenfunctions"].pop(),
          "fpca eigenfunctions has shape (1, 101), expected (2, 101)"),
         (lambda r: r["config"].update(k=2.5), "config key 'k' must be an integer"),
+        # a non-finite or non-covariance parameter, which predict would use as read
+        (lambda r: r.update(sigma_eps2=float("nan")),
+         "sigma_eps2 must be finite and positive, got nan"),
+        (lambda r: r.update(sigma_eps2=float("inf")),
+         "sigma_eps2 must be finite and positive, got inf"),
+        (lambda r: r.update(sigma_eps2=0.0), "sigma_eps2 must be finite and positive, got 0.0"),
+        (lambda r: r.update(sigma_gamma=[[-1.0]]), "sigma_gamma is not positive semidefinite"),
+        (lambda r: r.update(sigma_gamma=[[float("nan")]]), "sigma_gamma holds a non-finite value"),
+        (lambda r: r["zeta"]["values"].__setitem__(0, float("nan")),
+         "zeta holds a non-finite value"),
+        (lambda r: r["latent_posterior"]["mu"][3].__setitem__(0, float("inf")),
+         "latent_posterior mu holds a non-finite value"),
+        (lambda r: r["scores"]["values"][0][0].__setitem__(1, float("-inf")),
+         "scores holds a non-finite value"),
     ])
     def test_malformed_report_exits_one_naming_it(self, tmp_path, capsys, fitted, edit, message):
         data, report = fitted
@@ -510,6 +552,22 @@ class TestPredictChecksReport:
                     "--out", str(tmp_path / "pred")]) == 1
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "pred").exists()
+
+
+    @pytest.mark.parametrize("matrix,message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "sigma_gamma is not symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "sigma_gamma is not positive semidefinite"),
+        ([[1.0, 1.0], [1.0, 1.0]], None),   # singular: semidefinite within the tolerance
+        ([[0.0, 0.0], [0.0, 0.0]], None),   # the latent variance at its zero boundary
+        ([[1.0, 1e-12], [0.0, 1.0]], None),  # symmetric within the tolerance
+    ])
+    def test_covariance_check(self, matrix, message):
+        matrix = np.array(matrix)
+        if message is None:
+            assert cli._covariance("sigma_gamma", matrix) is matrix
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cli._covariance("sigma_gamma", matrix)
 
 
 COLD_START = """

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -558,6 +559,12 @@ EDITS = {"drop": (0, 1, 2), "repeat": (0, 2), "drop_curve": (2,),
          "shift": (2,)}  # a curve point moved off the grid
 
 
+# row orders of the drawn files: as save_dataset writes them (units in
+# natural order, then time, or s and r), grouped by unit in that order but
+# shuffled within each unit, or fully permuted
+ROW_ORDERS = ["saved", "grouped", "permuted"]
+
+
 # covariate index texts int() reads, so both loaders must take them alike
 S_TEXT = st.sampled_from(["{}", " {} ", "+{}", "0{}"])
 
@@ -569,11 +576,11 @@ def _number(value, style):
 
 @st.composite
 def dataset_files(draw, directory):
-    """Three dataset CSVs as text: ragged series, shuffled rows, blank lines,
-    CRLF or LF line ends, S in {0, 1, 2}; up to three edits to one unit's
-    rows (a row or a whole curve dropped, a row repeated, a curve point
-    moved off the grid or given a covariate index outside 1..S), so both
-    loaders must also reject alike."""
+    """Three dataset CSVs as text: ragged series, blank lines, CRLF or LF
+    line ends, S in {0, 1, 2}; up to three edits to one unit's rows (a row
+    or a whole curve dropped, a row repeated, a curve point moved off the
+    grid or given a covariate index outside 1..S), so both loaders must also
+    reject alike.  The rows come in one of ``ROW_ORDERS``."""
     ids = draw(st.lists(UNIT_IDS, min_size=1, max_size=5, unique=True))
     n_p, n_s, n_r = draw(st.integers(0, 2)), draw(st.sampled_from([0, 1, 2])), draw(st.integers(1, 4))
     finite = st.floats(-1e6, 1e6, allow_nan=False, width=64)
@@ -611,9 +618,20 @@ def dataset_files(draw, directory):
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     headers = (["unit_id", "time", "y"], ["unit_id"] + [f"x{p}" for p in range(1, n_p + 1)],
                ["unit_id", "s", "r", "z"])
+    order = draw(st.sampled_from(ROW_ORDERS))
+    rank = {uid: i for i, uid in enumerate(sorted(ids, key=_unit_sort_key))}
+    keys = (lambda row: (rank[row[0]], float(row[1])), lambda row: rank[row[0]],
+            lambda row: (rank[row[0]], int(row[1]), float(row[2])))
     paths = []
-    for name, header, rows in zip(("responses.csv", "scalars.csv", "curves.csv"), headers, tables):
-        rows = draw(st.permutations(rows))
+    for name, header, rows, key in zip(("responses.csv", "scalars.csv", "curves.csv"), headers,
+                                       tables, keys):
+        if order == "permuted":
+            rows = draw(st.permutations(rows))
+        elif order == "saved":
+            rows = sorted(rows, key=key)
+        else:
+            rows = [row for uid in rank for row in draw(st.permutations(
+                [row for row in rows if row[0] == uid]))]
         blanks = draw(st.lists(st.integers(0, len(rows)), max_size=2))
         path = directory / name
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -670,3 +688,67 @@ class TestColumnarLoaderMatchesRowOracle:
         lines = [ln for ln in paths[which].read_text().splitlines() if not ln.startswith(drop)]
         paths[which].write_text("\n".join(lines + add) + "\n")
         assert_loaders_agree(paths)
+
+
+class TestLoaderWorksOnlyAsTheRowsNeed:
+    """On files in save_dataset's order np.loadtxt reads by path and nothing
+    is sorted; a file holding a CR byte is read from the open file, and rows
+    out of order are sorted back to the same arrays."""
+
+    @staticmethod
+    def _counted_load(monkeypatch, paths):
+        sorts, sources = [], []
+        lexsort, loadtxt = np.lexsort, np.loadtxt
+
+        def counted_lexsort(*args, **kwargs):
+            sorts.append(1)
+            return lexsort(*args, **kwargs)
+
+        def recorded_loadtxt(fname, *args, **kwargs):
+            sources.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counted_lexsort)
+        monkeypatch.setattr(np, "loadtxt", recorded_loadtxt)
+        return load_dataset(*paths), len(sorts), sources
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_in_order_rows_are_not_sorted(self, tmp_path, monkeypatch, ending):
+        # ids that need quoting, one spanning two lines, and units whose
+        # natural order (u2 before u10) is not their text order
+        ids = sorted(["a,b", 'say "hi"', "two\nlines", "u10", "u2"], key=_unit_sort_key)
+        ds = stack_units([make_unit(uid, responses=(5.0, 7.0, i), scalars=(1.0, -0.0),
+                                    curves=np.arange(10.0).reshape(2, 5) * i)
+                          for i, uid in enumerate(ids)], np.linspace(0.0, 4.0, 5))
+        saved = tmp_path / "saved"
+        saved.mkdir()
+        paths = tuple(saved / n for n in ("responses.csv", "scalars.csv", "curves.csv"))
+        save_dataset(ds, *paths)
+        if ending != "\n":  # the line ends only: the quoted newline stays LF
+            for path in paths:
+                with open(path, newline="", encoding="utf-8") as fh:
+                    rows = list(csv.reader(fh))
+                with open(path, "w", newline="", encoding="utf-8") as fh:
+                    csv.writer(fh, lineterminator=ending).writerows(rows)
+        loaded, sorts, sources = self._counted_load(monkeypatch, paths)
+        assert sorts == 0 and len(sources) == 3
+        if ending == "\n":
+            assert sources == list(paths)
+        else:  # universal newlines would turn a quoted CR into LF
+            assert not any(isinstance(s, (str, os.PathLike)) for s in sources)
+
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        rng = np.random.default_rng(0)
+        for path in paths:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            with open(shuffled / path.name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator=ending).writerows(
+                    [header, *(rows[i] for i in rng.permutation(len(rows)))])
+        again, sorts, _ = self._counted_load(monkeypatch, [shuffled / p.name for p in paths])
+        assert sorts == 2  # the responses and the curves
+        for got in (loaded, again):
+            assert got.unit_ids == ds.unit_ids
+            for name in ("counts", "times", "responses", "scalars", "curves", "r_grid"):
+                assert getattr(got, name).tobytes() == getattr(ds, name).tobytes(), name

@@ -43,3 +43,40 @@ def test_same_outputs_lists_files_that_differ_or_exist_on_one_side(tmp_path, mon
     (b / "only_change.txt").write_bytes(b"x")
     assert differing(a, b) == ["only_change.txt", "w/fit/report.json", "w/only_parent.csv"]
     assert differing(b, a) == differing(a, b)
+
+
+def _runs(workload, parent, change, failed=0):
+    """Hand-made bench_pairs runs: one pair per seed, the pass time as given."""
+    return [{"workload": workload, "seed": seed, "side": side,
+             "result": {"failed": failed, "metrics": {"pass_s_p50": {"value": value}}}}
+            for seed, pair in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), pair)]
+
+
+def test_bench_pairs_states_a_verdict_per_metric_and_workload(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from bench_pairs import summarize
+
+    steady = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    runs = [
+        *_runs("faster", steady, [v * 0.8 for v in steady]),
+        # nine wins of ten, but the gap is within the parent's quartiles
+        *_runs("noisy_win", [1.0, 1.2] * 5, [0.95, 1.15] * 4 + [0.99, 1.25]),
+        *_runs("slower", steady, [v * 1.3 for v in steady]),
+        *_runs("wide", [0.6, 1.4] * 5, [1.0] * 10),
+        # every change run beats every parent run, by less than the quartiles' distance
+        *_runs("wide_but_every_run_better", [0.6, 1.4] * 5, [0.5] * 10),
+        *_runs("same", steady, steady[1:] + steady[:1]),
+        *_runs("slower_within_bound", steady, [v * 1.2 for v in steady]),
+    ]
+    metric = {"name": "pass_s_p50", "unit": "s", "better": "lower", "bound": 0.25}
+    summary = summarize(runs, [metric])
+    assert {w: s["pass_s_p50"]["verdict"] for w, s in summary.items()} == {
+        "faster": "gain", "noisy_win": "no regression", "slower": "regression",
+        "wide": "unresolved", "wide_but_every_run_better": "no regression", "same": "no regression",
+        "slower_within_bound": "no regression"}
+    # higher-is-better metrics read the other way round
+    higher = summarize(_runs("w", steady, [v * 0.7 for v in steady]),
+                       [{**metric, "better": "higher"}])
+    assert higher["w"]["pass_s_p50"]["verdict"] == "regression"
+    assert higher["w"]["pass_s_p50"]["change_wins"] == 0
