@@ -172,14 +172,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def _number_array(value) -> np.ndarray | None:
     """``value`` as a float array, or None unless it is a number or a regular
-    nesting of lists of numbers."""
+    nesting of lists of numbers.  JSON true and false are not numbers,
+    though numpy would read them among numbers as 1 and 0."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
         return None
-    return arr.astype(float) if arr.dtype.kind in "iuf" else None
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
+        return None
+    return arr.astype(float)
 
 
 def _spec_overrides(path) -> dict:
@@ -220,7 +227,10 @@ def _cmd_simulate(args) -> int:
     overrides = _spec_overrides(args.spec) if args.spec else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    spec = default_spec(**overrides)
+    try:
+        spec = default_spec(**overrides)
+    except ValueError as exc:  # only a --spec override can make the spec invalid
+        raise CliError(f"{args.spec}: {exc}") from None
     _echo_config("simulate", {"seed": spec.seed, "n_units": spec.n_units, "n_obs": spec.n_obs})
 
     ds, truth = generate_dataset(spec)
@@ -318,15 +328,22 @@ def _cmd_fit(args) -> int:
 def _shaped(name: str, values, shape: tuple) -> np.ndarray:
     """``values`` as a float array of ``shape``, which an empty array takes
     when the shape holds no entries; any other shape raises ValueError."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except ValueError:  # a ragged nesting, or text
-        raise ValueError(f"{name} is not an array of numbers") from None
+    arr = _number_array(values)
+    if arr is None:
+        raise ValueError(f"{name} is not an array of numbers")
     if arr.size == 0 and 0 in shape:
         arr = arr.reshape(shape)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float when it is a finite, positive JSON number."""
+    value = float(_shaped(name, value, ()))
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -368,21 +385,26 @@ def _fpca_from_record(record: dict, k: int):
 
 def _fit_from_report(payload) -> FitResult:
     """The FitResult a fit report holds, with each array checked against the
-    shape its layout fixes.  zeta, the latent means and the scores must be
-    finite, sigma_eps2 finite and positive, and sigma_gamma a covariance
-    (``_covariance``)."""
+    shape its layout fixes.  The layout sizes must be integers and the unit
+    ids strings; zeta, the latent means and the scores must be finite,
+    sigma_eps2 and r_support finite and positive, and sigma_gamma a
+    covariance (``_covariance``)."""
     from .design import layout_for
     from .estimator import LatentPosterior, Parameters
 
     config = config_from_dict(payload["config"])
     lay = payload["layout"]
-    layout = layout_for(config, lay["n_scalars"], lay["n_functional"], lay["n_components"])
-    unit_ids = tuple(payload["latent_posterior"]["unit_ids"])
+    sizes = [lay[key] for key in ("n_scalars", "n_functional", "n_components")]
+    if not all(_is_int(size) and size >= 0 for size in sizes):
+        raise ValueError(f"layout sizes must be nonnegative integers, got {json.dumps(sizes)}")
+    layout = layout_for(config, *sizes)
+    unit_ids = payload["latent_posterior"]["unit_ids"]
+    if not (isinstance(unit_ids, list) and all(isinstance(u, str) for u in unit_ids)):
+        raise ValueError("latent_posterior unit_ids is not an array of strings")
+    unit_ids = tuple(unit_ids)
     n, d = len(unit_ids), layout.latent_dim if config.include_latent else 0
     s, k = layout.n_functional, layout.n_components
-    sigma_eps2 = float(_shaped("sigma_eps2", payload["sigma_eps2"], ()))
-    if not (np.isfinite(sigma_eps2) and sigma_eps2 > 0.0):
-        raise ValueError(f"sigma_eps2 must be finite and positive, got {sigma_eps2}")
+    sigma_eps2 = _positive("sigma_eps2", payload["sigma_eps2"])
     zeta = _finite("zeta", _shaped("zeta", payload["zeta"]["values"], (layout.size,)))
     sigma_gamma = _covariance("sigma_gamma", _shaped("sigma_gamma", payload["sigma_gamma"], (d, d)))
     params = Parameters(zeta, sigma_eps2, sigma_gamma)
@@ -405,7 +427,7 @@ def _fit_from_report(payload) -> FitResult:
         config=config,
         layout=layout,
         unit_ids=unit_ids,
-        r_support=payload["r_support"],
+        r_support=_positive("r_support", payload["r_support"]),
         scores=scores,
         fpca_models=fpca_models,
     )

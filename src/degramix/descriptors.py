@@ -5,9 +5,9 @@ phase mask, bucketed by integer pixel radius, and the radial distribution
 function (RDF) of a particle set with a guard-region edge correction.  Both
 are pure functions over immutable inputs.
 
-scipy is imported inside the functions that use it: importing any of its
-submodules costs about 0.4 s, and the model commands import this module
-without calling them.
+Everything here runs on numpy alone: the TPC's transforms are
+``numpy.fft``, particles are labelled from the mask's row runs and RDF
+pairs come from a cell list.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 TPC = "tpc"
 RDF = "rdf"
 
-_N4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # one PGM header token, after any whitespace and '#' comments before it; a
 # comment runs to its newline, so no token can start inside one
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
@@ -181,15 +180,26 @@ def _half_plane_displacements(r_max: int):
     return dy[keep], dx[keep], rr[keep]
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2·3·5·7·11-smooth integer >= n (n >= 1): the lengths
+    numpy.fft's pocketfft transforms fastest."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _tpc_plane(h: int, w: int, r_max: int, periodic: bool) -> tuple:
     """(sh, sw, block): the transform's plane and the rows or columns one
     block of the autocorrelation holds, about _TPC_BLOCK_BYTES of complex."""
-    from scipy import fft
-
     if periodic:
         sh, sw = h, w
     else:
-        sh, sw = fft.next_fast_len(h + r_max), fft.next_fast_len(w + r_max)
+        sh, sw = _next_fast_len(h + r_max), _next_fast_len(w + r_max)
     return sh, sw, max(1, _TPC_BLOCK_BYTES // (16 * max(sh, sw)))
 
 
@@ -200,21 +210,32 @@ def _tpc_counts_fft(mask, dys, dxs, periodic, r_max):
     # fill one (h, sw//2+1) half-spectrum, the padding rows never built; each
     # column block then goes through its y transform, the power and a real
     # inverse (the power is real, so its y inverse is Hermitian) while it is
-    # in cache, keeping only the half-plane rows dy = 0..r_max.
-    from scipy import fft
-
+    # in cache, keeping only the half-plane rows dy = 0..r_max.  Every block
+    # is copied into a reused contiguous buffer whose zero padding is written
+    # once, so each transform runs along contiguous float64 or complex lines.
     h, w = mask.shape
     sh, sw, block = _tpc_plane(h, w, r_max, periodic)
-    half = np.empty((h, sw // 2 + 1), dtype=complex)
+    nc = sw // 2 + 1
+    half = np.empty((h, nc), dtype=complex)
+    padded = np.zeros((min(block, h), sw))
     for r0 in range(0, h, block):
-        half[r0:r0 + block] = fft.rfft(mask[r0:r0 + block], n=sw, axis=1)
-    rows = np.empty((r_max + 1, half.shape[1]), dtype=complex)
-    for c0 in range(0, half.shape[1], block):
-        spec = fft.fft(half[:, c0:c0 + block], n=sh, axis=0)
-        power = np.square(spec.real)
-        power += np.square(spec.imag)
-        rows[:, c0:c0 + block] = fft.ihfft(power, axis=0)[:r_max + 1]
-    corr = fft.irfft(rows, n=sw, axis=1)
+        n = min(block, h - r0)
+        padded[:n, :w] = mask[r0:r0 + n]
+        np.fft.rfft(padded[:n], axis=1, out=half[r0:r0 + n])
+    rows = np.empty((r_max + 1, nc), dtype=complex)
+    col = np.zeros((min(block, nc), sh), dtype=complex)
+    spec = np.empty_like(col)
+    power, square = np.empty(col.shape), np.empty(col.shape)
+    inv = np.empty((col.shape[0], sh // 2 + 1), dtype=complex)
+    for c0 in range(0, nc, block):
+        n = min(block, nc - c0)
+        col[:n, :h] = half[:, c0:c0 + n].T
+        np.fft.fft(col[:n], axis=1, out=spec[:n])
+        np.square(spec[:n].real, out=power[:n])
+        power[:n] += np.square(spec[:n].imag, out=square[:n])
+        np.fft.ihfft(power[:n], axis=1, out=inv[:n])
+        rows[:, c0:c0 + n] = inv[:n, :r_max + 1].T
+    corr = np.fft.irfft(rows, n=sw, axis=1)
     hit = np.rint(corr[dys, dxs % sw]).astype(np.int64)
     if periodic:
         n_pairs = np.full(dys.size, h * w, dtype=np.int64)
@@ -262,20 +283,70 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
     return DescriptorCurve(np.arange(r_max + 1, dtype=float), values, TPC)
 
 
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The indices lo[i], lo[i] + 1, ..., lo[i] + n[i] - 1 for every i, in
+    one array."""
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Each of the nodes 0..n-1 mapped to the smallest node connected to it
+    by the edges (u, v).
+
+    Every round hooks the larger root of each edge whose two roots differ
+    under the smaller, then jumps pointers until every node points at its
+    root.  Each hooked root stops being one, so the rounds end.
+    """
+    root = np.arange(n)
+    while u.size:
+        ru, rv = root[u], root[v]
+        live = ru != rv
+        u, v = np.minimum(ru, rv)[live], np.maximum(ru, rv)[live]
+        root[v] = u
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    return root
+
+
 def extract_particles(img: MicrostructureImage) -> ParticleSet:
-    """One particle per 4-connected mask component, located at its centroid."""
+    """One particle per 4-connected mask component, located at its centroid.
+
+    Components are numbered by their first pixel in raster order.  They are
+    built from the mask's row runs: two runs in adjacent rows that share a
+    column are joined.  A run's pixel count and its column and row sums are
+    exact integers, and so are a component's, so each centroid coordinate
+    is one division of exact integers, the same bits as the mean of the
+    component's pixel coordinates.
+    """
     if img.phase_mask is None:
         raise ValueError("extract_particles requires a phase mask")
-    from scipy import ndimage
-
-    labels, n = ndimage.label(img.phase_mask, structure=_N4)
-    # component sums in raster order, as ndimage.center_of_mass forms them
-    flat = np.flatnonzero(labels)
-    comp = labels.ravel()[flat]
-    size = np.bincount(comp, minlength=n + 1)[1:]
-    rows, cols = np.divmod(flat, img.width)
-    coords = np.column_stack([np.bincount(comp, weights=v, minlength=n + 1)[1:] / size
-                              for v in (cols, rows)])
+    w = img.width
+    on = np.flatnonzero(img.phase_mask)
+    # a run starts where the previous pixel is off or ends the previous row
+    starts = np.ones(on.size, dtype=bool)
+    np.not_equal(on[1:], on[:-1] + 1, out=starts[1:])
+    starts |= on % w == 0
+    first = np.flatnonzero(starts)
+    row, a = np.divmod(on[first], w)
+    b = a + np.diff(first, append=on.size)  # a run covers columns a..b-1
+    # keyed row*(w+1) + col, every run of row r stops below the first start
+    # of row r+1, so start and stop keys both ascend; the runs of row r+1
+    # that share a column with [a, b), those with stop > a and start < b,
+    # are then one range of run indices
+    row_key = row * (w + 1)
+    lo = np.searchsorted(row_key + b, row_key + (w + 1) + a, side="right")
+    joins = np.searchsorted(row_key + a, row_key + (w + 1) + b, side="left") - lo
+    u = np.repeat(np.arange(first.size), joins)
+    v = _ranges(lo, joins)
+    root = _components(u, v, first.size)
+    # a component's first run is its root, and roots ascend in raster order
+    is_root = root == np.arange(first.size)
+    label = (np.cumsum(is_root) - 1)[root]
+    n = int(np.count_nonzero(is_root))
+    size = np.bincount(label, weights=b - a, minlength=n)
+    sums = [np.bincount(label, weights=s, minlength=n)
+            for s in ((a + b - 1) * (b - a) // 2, row * (b - a))]
+    coords = np.column_stack([s / size for s in sums])
     return ParticleSet(coords, (img.width, img.height))
 
 
@@ -312,20 +383,37 @@ def compute_rdf(ps: ParticleSet, r_max: float, dr: float) -> DescriptorCurve:
     if m_int == 0:
         return DescriptorCurve(centers, np.zeros(n_bins), RDF, degenerate=True)
 
-    # only pairs within n_bins*dr can land in a bin; the relative margin
-    # keeps pairs the tree's own distance rounding would put just outside
-    from scipy.spatial import cKDTree
-    pairs = cKDTree(coords[interior]).sparse_distance_matrix(
-        cKDTree(coords), n_bins * dr * (1.0 + 1e-9), output_type="ndarray")
-    refs, others = np.flatnonzero(interior)[pairs["i"]], pairs["j"]
-    # drop each reference's own entry by index (coincident pairs stay valid)
-    keep = refs != others
-    refs, others = refs[keep], others[keep]
-    dists = np.hypot(*(coords[refs] - coords[others]).T)
-
-    bins = np.floor(dists / dr).astype(int)
-    bins = bins[(bins >= 0) & (bins < n_bins)]
-    counts = np.bincount(bins, minlength=n_bins).astype(float)
+    # only pairs within reach can land in a bin: the relative margin keeps
+    # every pair whose rounded distance falls just inside n_bins*dr.  On a
+    # grid of cells at least reach/2 wide such a pair lies at most two cells
+    # apart on each axis; 5 x 5 half-reach cells hold about 30% fewer
+    # candidates than 3 x 3 full-reach ones.  The cap on cells per axis
+    # only keeps the integer keys small
+    reach = n_bins * dr * (1.0 + 1e-9)
+    nx, ny = (int(min(2 * side // reach, 2 ** 20)) for side in (w, h))
+    cx = np.minimum((x / (w / nx)).astype(np.int64), nx - 1)
+    cy = np.minimum((y / (h / ny)).astype(np.int64), ny - 1)
+    # columns nx and nx + 1 hold no particle, so with stride nx + 2 the
+    # cells dx = -2..2 of one cell row are a contiguous key range
+    stride = nx + 2
+    key = cy * stride + cx
+    order = np.argsort(key)
+    key, xs, ys = key[order], x[order], y[order]
+    refs = np.flatnonzero(interior[order])
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for dy in range(-2, 3):
+        centre = key[refs] + dy * stride
+        lo = np.searchsorted(key, centre - 2, side="left")
+        n_cand = np.searchsorted(key, centre + 2, side="right") - lo
+        other = _ranges(lo, n_cand)
+        dists = np.hypot(np.repeat(xs[refs], n_cand) - xs[other],
+                         np.repeat(ys[refs], n_cand) - ys[other])
+        bins = np.floor(dists / dr).astype(int)
+        counts += np.bincount(bins[bins < n_bins], minlength=n_bins)
+    # each reference meets itself once, in its own cell, at distance 0;
+    # coincident pairs of distinct particles stay
+    counts[0] -= m_int
+    counts = counts.astype(float)
 
     kappa = m / (w * h)
     values = counts / (m_int * kappa * areas)

@@ -55,6 +55,8 @@ class SyntheticSpec:
             raise ValueError(f"zeta must have length {self.layout.size}")
         if self.modes.shape != (self.n_components, self.r_grid.size):
             raise ValueError("modes must have shape (K_true, len(r_grid))")
+        if self.mean_curve.shape != self.r_grid.shape:
+            raise ValueError("mean_curve must have len(r_grid) values")
         if self.times.shape != (self.n_obs,):
             raise ValueError("time grid length must equal n_obs")
 

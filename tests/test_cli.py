@@ -1,18 +1,25 @@
+import ast
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degramix import cli, data, design, estimator, evaluation
 from degramix.cli import run
 from degramix.data import load_dataset, save_dataset
 from degramix.fpca import fit_fpca, select_k_by_fve
+from degramix.simulate import default_spec
 
 
 def write_pgm(path, values, maxval=255):
@@ -479,6 +486,9 @@ class TestSimulateSpec:
         ('{"times": [[0.0], [1.0, 2.0]]}', "'times' must be an array of numbers"),
         ('{"scalar_ranges": [0.5, 3.0]}', "'scalar_ranges' must be a list of [low, high] pairs"),
         ('{"n_units": 8,', "invalid JSON"),
+        ('{"zeta": [0.8, true, 0.1, 0.1, 0.1, 0.1]}', "'zeta' must be an array of numbers"),
+        ('{"times": [0.0, 1.0]}', "time grid length must equal n_obs"),
+        ('{"mean_curve": [1.0, 2.0]}', "mean_curve must have len(r_grid) values"),
     ])
     def test_bad_value_exits_one_naming_file_and_key(self, tmp_path, capsys, text, key):
         spec = tmp_path / "spec.json"
@@ -541,6 +551,14 @@ class TestPredictChecksReport:
          "latent_posterior mu holds a non-finite value"),
         (lambda r: r["scores"]["values"][0][0].__setitem__(1, float("-inf")),
          "scores holds a non-finite value"),
+        # an entry of another JSON type, which numpy or Python would take
+        (lambda r: r["latent_posterior"]["mu"][3].__setitem__(0, True),
+         "latent_posterior mu is not an array of numbers"),
+        (lambda r: r["layout"].update(n_functional=True),
+         "layout sizes must be nonnegative integers, got [1, true, 2]"),
+        (lambda r: r["latent_posterior"]["unit_ids"].__setitem__(0, 7),
+         "latent_posterior unit_ids is not an array of strings"),
+        (lambda r: r.update(r_support=[10.0]), "r_support has shape (1,), expected ()"),
     ])
     def test_malformed_report_exits_one_naming_it(self, tmp_path, capsys, fitted, edit, message):
         data, report = fitted
@@ -568,6 +586,137 @@ class TestPredictChecksReport:
         else:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 cli._covariance("sigma_gamma", matrix)
+
+
+# one value of each JSON type; an edit swaps an entry for one of another type
+JSON_VALUES = {"object": {"a": 1}, "array": [1.0], "string": "x", "number": 2.5,
+               "boolean": True, "null": None}
+
+
+def json_type(value) -> str:
+    for name, types in (("boolean", bool), ("number", (int, float)), ("string", str),
+                        ("array", list), ("object", dict), ("null", type(None))):
+        if isinstance(value, types):
+            return name
+
+
+@st.composite
+def json_edits(draw, payload):
+    """(kind, path, type) of one edit of ``payload``: drop the entry at
+    path from its object ("drop"), cut the array there short by its last
+    item ("cut"), or replace the entry by a value of JSON type ``type``
+    ("retype").  Drops of array items and cuts of non-arrays are retypes.
+    The path descends one random key at a time and stops at each level with
+    even odds, so a top-level number is drawn as often as a whole array."""
+    path, value = (), payload
+    while not path or (isinstance(value, (dict, list)) and value and draw(st.booleans())):
+        parent = value
+        path += (draw(st.sampled_from(list(value) if isinstance(value, dict)
+                                      else range(len(value)))),)
+        value = value[path[-1]]
+    kind = draw(st.sampled_from(["drop", "cut", "retype"]))
+    if kind == "drop" and isinstance(parent, dict):
+        return kind, path, None
+    if kind == "cut" and isinstance(value, list) and value:
+        return kind, path, None
+    return "retype", path, draw(st.sampled_from(
+        [t for t in JSON_VALUES if t != json_type(value)]))
+
+
+def edited(payload, edit):
+    """A copy of ``payload`` with one ``json_edits`` edit applied."""
+    kind, (*head, last), new_type = edit
+    payload = json.loads(json.dumps(payload))
+    parent = payload
+    for key in head:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[last]
+    elif kind == "cut":
+        parent[last].pop()
+    else:
+        parent[last] = JSON_VALUES[new_type]
+    return payload
+
+
+def run_quietly(argv) -> tuple:
+    """run(argv)'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+class Fitted:
+    """A fitted dataset: its directory, report and predictions."""
+
+    def __init__(self, root, data, report, predictions):
+        self.root, self.data, self.report, self.predictions = root, data, report, predictions
+
+    def __repr__(self):  # falsifying examples print it
+        return f"Fitted({self.root})"
+
+
+class TestEditedInputsNameTheFile:
+    # every edited input either exits 1 with its path in the message or,
+    # when the edit touches nothing the command reads, gives the unedited
+    # result; no edit escapes as an exception or another exit code
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("edits")
+        data = simulate_into(tmp, seed=6)
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--out", str(tmp / "fit")]) == 0
+        assert run(["predict", "--fit", str(tmp / "fit" / "fit_report.json"),
+                    "--data", str(data), "--out", str(tmp / "pred")]) == 0
+        return Fitted(tmp, data, json.loads((tmp / "fit" / "fit_report.json").read_text()),
+                      (tmp / "pred" / "predictions.csv").read_bytes())
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_edited_fit_report(self, fitted, draws):
+        edit = draws.draw(json_edits(fitted.report))
+        with tempfile.TemporaryDirectory(dir=fitted.root) as work:
+            path, out = Path(work) / "fit_report.json", Path(work) / "pred"
+            path.write_text(json.dumps(edited(fitted.report, edit)))
+            code, err = run_quietly(["predict", "--fit", str(path), "--data", str(fitted.data),
+                                     "--out", str(out)])
+            if code == 0:
+                assert (out / "predictions.csv").read_bytes() == fitted.predictions
+            else:
+                assert code == 1 and f"error: {path}: " in err, err
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edited_config(self, fitted, draws):
+        edit = draws.draw(json_edits(fitted.report["config"]))
+        with tempfile.TemporaryDirectory(dir=fitted.root) as work:
+            path = Path(work) / "config.json"
+            path.write_text(json.dumps(edited(fitted.report["config"], edit)))
+            code, err = run_quietly(["fit", "--data", str(fitted.data), "--config", str(path),
+                                     "--max-iter", "3", "--out", str(Path(work) / "fit")])
+            # a dropped key takes its default; every key is read, so a
+            # retyped one is rejected unless it is k set to null (K then
+            # comes from the FVE threshold)
+            if code != 0 or (edit[0] == "retype" and edit[1:] != (("k",), "null")):
+                assert code == 1 and f"error: {path}: " in err, err
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edited_spec(self, draws):
+        spec = default_spec(n_units=8, n_obs=6)
+        full = {"n_units": 8, "n_obs": 6, "seed": 2, "sigma_eps2": spec.sigma_eps2,
+                **{key: np.asarray(getattr(spec, key)).tolist() for key in cli._SPEC_ARRAYS}}
+        edit = draws.draw(json_edits(full))
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "spec.json"
+            path.write_text(json.dumps(edited(full, edit)))
+            code, err = run_quietly(["simulate", "--spec", str(path), "--out",
+                                     str(Path(work) / "data")])
+            # a dropped key takes its default, and a shorter array may
+            # still make a valid spec; every key is read
+            if code != 0 or edit[0] == "retype":
+                assert code == 1 and f"error: {path}: " in err, err
 
 
 COLD_START = """
@@ -600,24 +749,57 @@ for argv in (
     assert run(argv) == 0, argv
     assert not scipy_modules(), f"{argv[0]} loaded {scipy_modules()[:3]}"
 pgm = root / "img.pgm"
-pgm.write_bytes(b"P5\\n16 16\\n255\\n" + bytes(range(256)))
-assert run(["descriptor", "tpc", "--image", str(pgm), "--r-max", "3",
-            "--out", str(root / "tpc")]) == 0
-assert "scipy.fft" in sys.modules
+checkers = (np.add.outer(np.arange(64) // 8, np.arange(64) // 8) % 2 * 255).astype(np.uint8)
+pgm.write_bytes(b"P5\\n64 64\\n255\\n" + checkers.tobytes())
+particles = root / "particles.csv"
+points = np.random.default_rng(0).random((300, 2)) * 10.0
+particles.write_text("# window 10.0 10.0\\nx,y\\n"
+                     + "".join(f"{x!r},{y!r}\\n" for x, y in points.tolist()))
+for argv in (
+    ["descriptor", "tpc", "--image", str(pgm), "--r-max", "3", "--out", str(root / "tpc")],
+    ["descriptor", "tpc", "--image", str(pgm), "--r-max", "3", "--periodic",
+     "--out", str(root / "tpc_periodic")],
+    ["descriptor", "rdf", "--image", str(pgm), "--r-max", "12", "--dr", "1",
+     "--out", str(root / "rdf_image")],
+    ["descriptor", "rdf", "--particles", str(particles), "--r-max", "2", "--dr", "0.25",
+     "--out", str(root / "rdf_particles")],
+):
+    assert run(argv) == 0, argv
+    assert not scipy_modules(), f"{argv[:2]} loaded {scipy_modules()[:3]}"
 """
 
 
 class TestColdStart:
     def test_model_commands_load_no_scipy(self, tmp_path):
-        # one fresh interpreter: the six model commands leave no scipy module
-        # in sys.modules, and a descriptor call after them loads it
+        # one fresh interpreter: no command, model or descriptor, leaves a
+        # scipy module in sys.modules
         path = [str(Path(__file__).resolve().parents[1] / "src"),
                 *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "tpc" / "curves.csv").exists()
+        # both RDFs have interior references, so their pair search ran
+        assert "degenerate" not in done.stderr
+        for out in ("tpc", "tpc_periodic", "rdf_image", "rdf_particles"):
+            assert (tmp_path / out / "curves.csv").exists()
+
+    def test_no_module_imports_scipy(self):
+        # covers imports on branches the subprocess above never reaches
+        package = Path(__file__).resolve().parents[1] / "src" / "degramix"
+        modules, found = sorted(package.rglob("*.py")), []
+        assert modules
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name == "scipy" or name.startswith("scipy.")]
+        assert not found, found
 
 
 class TestNoPerUnitRecords:

@@ -1,15 +1,18 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 from scipy import ndimage
 
 from degramix.descriptors import (
     MicrostructureImage,
     ParticleSet,
     _half_plane_displacements,
+    _next_fast_len,
     _tpc_counts_fft,
     _tpc_plane,
     binarize_image,
@@ -31,6 +34,22 @@ from _oracles import (
 def image_from_mask(mask):
     mask = np.asarray(mask, dtype=bool)
     return MicrostructureImage(mask.astype(float), phase_mask=mask)
+
+
+def ndimage_centroids(mask):
+    """(x, y) of each 4-connected component, in scipy.ndimage's label order."""
+    labels, n = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    centers = ndimage.center_of_mass(mask, labels, range(1, n + 1))
+    return np.array([(col, row) for row, col in centers]).reshape(-1, 2)
+
+
+def serpentine(n):
+    """An n x n mask of one component: every other column, joined alternately
+    at the top and the bottom row, so its path runs up and down n/2 times."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, ::2] = True
+    mask[0, 1::4] = mask[-1, 3::4] = True
+    return mask
 
 
 class TestBinarize:
@@ -200,15 +219,42 @@ class TestExtractParticles:
         got = extract_particles(image_from_mask(mask)).n_particles
         assert got == flood_fill_component_count(mask)
 
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=15, deadline=None)
-    def test_centroids_match_ndimage_bitwise(self, seed):
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from([(40, 56), (1, 300), (300, 1), (2, 400), (400, 3), (7, 900)]))
+    @settings(max_examples=30, deadline=None)
+    def test_centroids_match_ndimage_bitwise(self, seed, shape):
         rng = np.random.default_rng(seed)
-        mask = rng.random((40, 56)) < rng.uniform(0.2, 0.6)
-        labels, n = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        centers = ndimage.center_of_mass(mask, labels, range(1, n + 1))
-        expected = np.array([(col, row) for row, col in centers]).reshape(-1, 2)
-        assert np.array_equal(extract_particles(image_from_mask(mask)).coordinates, expected)
+        mask = rng.random(shape) < rng.uniform(0.2, 0.8)
+        assert np.array_equal(extract_particles(image_from_mask(mask)).coordinates,
+                              ndimage_centroids(mask))
+
+    @pytest.mark.parametrize("mask", [
+        np.ones((30, 41), dtype=bool),
+        np.ones((1, 50), dtype=bool),
+        np.ones((50, 1), dtype=bool),
+        np.eye(1, 60, 59, dtype=bool),
+        # each row's run ends on the right edge and the next row's starts on
+        # the left: consecutive in raster order, yet not 4-connected
+        np.array([[0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool),
+        # full rows: runs that cover both edges, stacked
+        np.array([[1, 1, 1], [1, 1, 1], [0, 0, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
+        serpentine(64),
+        serpentine(64).T,
+    ], ids=["all_true", "1xN", "Nx1", "one_pixel_at_the_end", "row_wrap", "full_rows",
+            "serpentine", "serpentine_rows"])
+    def test_edge_shapes_match_ndimage(self, mask):
+        assert np.array_equal(extract_particles(image_from_mask(mask)).coordinates,
+                              ndimage_centroids(mask))
+
+    def test_serpentine_2048_is_one_component(self, record_property):
+        # ~2.1M one-pixel runs in one component whose path doubles back
+        # 1024 times: labelling must finish, its time is recorded
+        mask = serpentine(2048)
+        img = image_from_mask(mask)
+        start = time.perf_counter()
+        ps = extract_particles(img)
+        record_property("extract_particles_s", time.perf_counter() - start)
+        assert np.array_equal(ps.coordinates, ndimage_centroids(mask))
 
     def test_diagonal_pixels_are_separate(self):
         mask = np.zeros((4, 4), dtype=bool)
@@ -434,6 +480,10 @@ class TestTpcBlocks:
         if r_max == 30:
             assert np.array_equal(got[0], tpc_counts_direct(mask, dys, dxs, periodic)[0])
 
+    def test_padded_lengths_match_scipy_next_fast_len(self):
+        assert ([_next_fast_len(n) for n in range(1, 20_001)]
+                == [scipy_fft.next_fast_len(n) for n in range(1, 20_001)])
+
     def test_small_tile_is_one_block(self):
         sh, sw, block = _tpc_plane(128, 128, 20, False)
         assert block >= max(128, sw // 2 + 1)
@@ -515,6 +565,38 @@ class TestRdfPairEnumeration:
     ])
     def test_pairs_within_ulps_of_an_edge(self, r_max, dr, ref, other):
         rdf_matches_oracle(np.array([ref, other]), (100.0, 100.0), r_max, dr)
+
+    def test_particles_on_the_far_window_edges(self):
+        # x = w and y = h are inside the window; references r_max from them
+        w, h, r_max = 10.0, 8.0, 2.4
+        edge = [[w, 4.0], [5.0, h], [w, h], [w, 0.0], [0.0, h], [w - r_max, 4.0],
+                [5.0, h - r_max], [w - r_max, h - r_max], [w - r_max, r_max]]
+        rng = np.random.default_rng(5)
+        coords = np.vstack([edge, rng.random((60, 2)) * (w, h)])
+        rdf_matches_oracle(coords, (w, h), r_max, 0.4)
+
+    @pytest.mark.parametrize("window, dr", [((6.0, 6.0), 0.75), ((10.0, 6.0), 0.5),
+                                            ((7.0, 9.0), 0.35)])
+    def test_r_max_half_the_shorter_side(self, window, dr):
+        # the only references lie on the window's centre line(s)
+        w, h = window
+        r_max = min(w, h) / 2
+        rng = np.random.default_rng(8)
+        centre = [[w / 2, h / 2], [r_max, h / 2], [w / 2, r_max], [w - r_max, h - r_max]]
+        coords = np.vstack([centre, rng.random((80, 2)) * window])
+        rdf_matches_oracle(coords, window, r_max, dr)
+
+    def test_coincident_particles_across_cell_boundaries(self):
+        # copies of points on multiples of 1/8 and one ulp below them, on
+        # both axes: a reach of 2.4 splits this window into cells 10/8 wide,
+        # so every cell boundary has coincident copies on either side
+        ticks = np.arange(1, 80) * 0.125
+        below = np.nextafter(ticks, 0.0)
+        pts = np.array([[a, b] for a in np.concatenate([ticks, below])[::7]
+                        for b in np.concatenate([ticks, below])[::5]])
+        coords = np.vstack([pts, pts, pts[::3]])
+        got = rdf_matches_oracle(coords, (10.0, 10.0), 2.4, 0.4)
+        assert got.values[0] > 0.0
 
     def test_memory_below_pair_squared(self):
         # a dense M_int x M float64 distance array alone would be ~2.9 GB here,
