@@ -1,4 +1,3 @@
-import time
 import tracemalloc
 
 import numpy as np
@@ -246,14 +245,11 @@ class TestExtractParticles:
         assert np.array_equal(extract_particles(image_from_mask(mask)).coordinates,
                               ndimage_centroids(mask))
 
-    def test_serpentine_2048_is_one_component(self, record_property):
+    def test_serpentine_2048_is_one_component(self):
         # ~2.1M one-pixel runs in one component whose path doubles back
-        # 1024 times: labelling must finish, its time is recorded
+        # 1024 times: labelling must finish
         mask = serpentine(2048)
-        img = image_from_mask(mask)
-        start = time.perf_counter()
-        ps = extract_particles(img)
-        record_property("extract_particles_s", time.perf_counter() - start)
+        ps = extract_particles(image_from_mask(mask))
         assert np.array_equal(ps.coordinates, ndimage_centroids(mask))
 
     def test_diagonal_pixels_are_separate(self):
