@@ -22,6 +22,8 @@ from .data import (
     center_baseline,
     config_from_dict,
     config_to_dict,
+    json_array,
+    json_value,
     load_dataset,
     save_dataset,
     write_csv,
@@ -45,7 +47,7 @@ from .evaluation import (
     predict_unit,
     table1_variants,
 )
-from .fpca import fit_scores
+from .fpca import FpcaModel, fit_scores
 from .simulate import default_spec, generate_dataset
 
 _DATA_FILES = ("responses.csv", "scalars.csv", "curves.csv")
@@ -161,75 +163,43 @@ def _fit_report(fit: FitResult) -> dict:
     return report
 
 
-# the --spec keys that hold an integer and those that hold an array of
-# numbers; the one other key, sigma_eps2, holds a number
-_SPEC_INTS = ("n_units", "n_obs", "seed")
-_SPEC_ARRAYS = ("zeta", "sigma_gamma", "score_variances", "times", "r_grid", "mean_curve",
-                "modes", "scalar_ranges")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
-
-
-def _number_array(value) -> np.ndarray | None:
-    """``value`` as a float array, or None unless it is a number or a regular
-    nesting of lists of numbers.  JSON true and false are not numbers,
-    though numpy would read them among numbers as 1 and 0."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        return None
-    if arr.dtype.kind not in "iuf" or _holds_bool(value):
-        return None
-    return arr.astype(float)
+# the JSON type of each --spec key's value: an integer, a number, or an
+# array of numbers of the given shape (None: any length)
+_SPEC_TYPES = {"n_units": int, "n_obs": int, "seed": int, "sigma_eps2": float,
+               "zeta": (None,), "score_variances": (None,), "times": (None,), "r_grid": (None,),
+               "mean_curve": (None,), "sigma_gamma": (None, None), "modes": (None, None),
+               "scalar_ranges": (None, 2)}
 
 
 def _spec_overrides(path) -> dict:
-    """The keys of a --spec file as ``default_spec`` overrides.  A file that
-    is not a JSON object, an unknown key or a value of the wrong type raises
-    CliError naming the file and the key."""
+    """The keys of a --spec file as ``default_spec`` overrides; a file not a
+    JSON object, an unknown key or a value of the wrong type raises ValueError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON ({exc})") from None
+        raise ValueError(f"invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
-        raise CliError(f"{path}: spec must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {*_SPEC_INTS, "sigma_eps2", *_SPEC_ARRAYS})
+        raise ValueError(f"spec must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(_SPEC_TYPES))
     if unknown:
-        raise CliError(f"{path}: unknown spec key {unknown[0]!r}")
+        raise ValueError(f"unknown spec key {unknown[0]!r}")
     overrides = {}
     for key, value in payload.items():
-        if key in _SPEC_INTS:
-            ok, want = _is_int(value), "an integer"
-        elif key == "sigma_eps2":
-            ok, want = _is_int(value) or isinstance(value, float), "a number"
-        else:
-            value = _number_array(value)
-            ok, want = value is not None, "an array of numbers"
-            if key == "scalar_ranges":
-                ok = ok and value.ndim == 2 and value.shape[1] == 2
-                want = "a list of [low, high] pairs"
-        if not ok:
-            raise CliError(f"{path}: spec key {key!r} must be {want}, "
-                           f"got {json.dumps(payload[key])}")
-        overrides[key] = value
+        kind, name = _SPEC_TYPES[key], f"spec key {key!r}"
+        overrides[key] = (json_array(name, value, kind) if isinstance(kind, tuple)
+                          else json_value(name, value, kind))
     if "scalar_ranges" in overrides:
         overrides["scalar_ranges"] = tuple(map(tuple, overrides["scalar_ranges"].tolist()))
     return overrides
 
 
 def _cmd_simulate(args) -> int:
-    overrides = _spec_overrides(args.spec) if args.spec else {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
+    try:  # only a --spec file can make the spec invalid
+        overrides = _spec_overrides(args.spec) if args.spec else {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
         spec = default_spec(**overrides)
-    except ValueError as exc:  # only a --spec override can make the spec invalid
+    except ValueError as exc:
         raise CliError(f"{args.spec}: {exc}") from None
     _echo_config("simulate", {"seed": spec.seed, "n_units": spec.n_units, "n_obs": spec.n_obs})
 
@@ -325,31 +295,29 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _shaped(name: str, values, shape: tuple) -> np.ndarray:
-    """``values`` as a float array of ``shape``, which an empty array takes
-    when the shape holds no entries; any other shape raises ValueError."""
-    arr = _number_array(values)
-    if arr is None:
-        raise ValueError(f"{name} is not an array of numbers")
-    if arr.size == 0 and 0 in shape:
-        arr = arr.reshape(shape)
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
+def _entry(report, *path):
+    """The fit report's entry at ``path``, object keys and array indices.  A
+    missing entry raises KeyError naming its path, such as ``scores.values``
+    or ``fpca[0].r_grid``; a step into a non-container raises ValueError."""
+    node, name = report, ""
+    for key in path:
+        step = list if isinstance(key, int) else dict
+        if not isinstance(node, step):
+            raise ValueError(f"{name or 'fit report'} must be a JSON "
+                             f"{'array' if step is list else 'object'}, got {type(node).__name__}")
+        name = f"{name}[{key}]" if step is list else f"{name}.{key}" if name else key
+        if key not in (range(len(node)) if step is list else node):
+            raise KeyError(name)
+        node = node[key]
+    return node
 
 
 def _positive(name: str, value) -> float:
-    """``value`` as a float when it is a finite, positive JSON number."""
-    value = float(_shaped(name, value, ()))
-    if not (np.isfinite(value) and value > 0.0):
+    """``value`` as a float when it is a positive JSON number."""
+    value = float(json_value(name, value, float))
+    if not value > 0.0:
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return value
-
-
-def _finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} holds a non-finite value")
-    return arr
 
 
 # how far a report's Sigma_gamma may be from symmetric, and its smallest
@@ -358,9 +326,9 @@ _PSD_TOL = 1e-10
 
 
 def _covariance(name: str, arr: np.ndarray) -> np.ndarray:
-    """``arr`` when it is a finite, symmetric, positive semidefinite matrix,
-    each within ``_PSD_TOL``; otherwise ValueError naming it."""
-    tol = _PSD_TOL * np.abs(_finite(name, arr)).max(initial=0.0)
+    """``arr`` when it is a symmetric, positive semidefinite matrix, each
+    within ``_PSD_TOL``; otherwise ValueError naming it."""
+    tol = _PSD_TOL * np.abs(arr).max(initial=0.0)
     if np.abs(arr - arr.T).max(initial=0.0) > tol:
         raise ValueError(f"{name} is not symmetric")
     if np.linalg.eigvalsh(arr).min(initial=0.0) < -tol:
@@ -368,66 +336,60 @@ def _covariance(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _fpca_from_record(record: dict, k: int):
-    """The FpcaModel ``_fpca_record`` wrote, truncated to ``k`` components."""
-    from .fpca import FpcaModel
+def _fpca_from_record(report, s: int, k: int) -> FpcaModel:
+    """The FpcaModel ``_fpca_record`` wrote for covariate ``s`` (from 0),
+    truncated to ``k`` components."""
+    def array(key, shape):
+        return json_array(f"fpca {key}", _entry(report, "fpca", s, key), shape)
 
-    r_grid = np.asarray(record["r_grid"], dtype=float)
-    return FpcaModel(
-        r_grid=r_grid,
-        mean_curve=_shaped("fpca mean_curve", record["mean_curve"], r_grid.shape),
-        eigenfunctions=_shaped("fpca eigenfunctions", record["eigenfunctions"], (k, r_grid.size)),
-        eigenvalues=np.asarray(record["eigenvalues"], dtype=float),
-        fve_trace=np.asarray(record["fve_trace"], dtype=float),
-        k=k,
-    )
+    r_grid = array("r_grid", (None,))
+    if r_grid.size < 2 or not np.all(np.diff(r_grid) > 0):
+        raise ValueError("fpca r_grid must rise strictly through at least two points")
+    eigenvalues = array("eigenvalues", (None,))
+    return FpcaModel(r_grid, array("mean_curve", r_grid.shape),
+                     array("eigenfunctions", (k, r_grid.size)), eigenvalues,
+                     array("fve_trace", eigenvalues.shape), k)
 
 
-def _fit_from_report(payload) -> FitResult:
-    """The FitResult a fit report holds, with each array checked against the
-    shape its layout fixes.  The layout sizes must be integers and the unit
-    ids strings; zeta, the latent means and the scores must be finite,
-    sigma_eps2 and r_support finite and positive, and sigma_gamma a
+def _fit_from_report(report) -> FitResult:
+    """The FitResult a fit report holds, each array in the shape the layout
+    fixes; sigma_eps2 and r_support must be positive and sigma_gamma a
     covariance (``_covariance``)."""
     from .design import layout_for
     from .estimator import LatentPosterior, Parameters
 
-    config = config_from_dict(payload["config"])
-    lay = payload["layout"]
-    sizes = [lay[key] for key in ("n_scalars", "n_functional", "n_components")]
-    if not all(_is_int(size) and size >= 0 for size in sizes):
-        raise ValueError(f"layout sizes must be nonnegative integers, got {json.dumps(sizes)}")
+    config = config_from_dict(_entry(report, "config"))
+    sizes = [json_value(f"layout {key}", _entry(report, "layout", key), int)
+             for key in ("n_scalars", "n_functional", "n_components")]
+    if min(sizes) < 0:
+        raise ValueError(f"layout sizes must be nonnegative, got {sizes}")
     layout = layout_for(config, *sizes)
-    unit_ids = payload["latent_posterior"]["unit_ids"]
+    unit_ids = _entry(report, "latent_posterior", "unit_ids")
     if not (isinstance(unit_ids, list) and all(isinstance(u, str) for u in unit_ids)):
         raise ValueError("latent_posterior unit_ids is not an array of strings")
-    unit_ids = tuple(unit_ids)
     n, d = len(unit_ids), layout.latent_dim if config.include_latent else 0
     s, k = layout.n_functional, layout.n_components
-    sigma_eps2 = _positive("sigma_eps2", payload["sigma_eps2"])
-    zeta = _finite("zeta", _shaped("zeta", payload["zeta"]["values"], (layout.size,)))
-    sigma_gamma = _covariance("sigma_gamma", _shaped("sigma_gamma", payload["sigma_gamma"], (d, d)))
-    params = Parameters(zeta, sigma_eps2, sigma_gamma)
-    mu = _finite("latent_posterior mu", _shaped("latent_posterior mu",
-                                                payload["latent_posterior"]["mu"], (n, d)))
-    fpca_models = None
-    if "fpca" in payload:
-        if len(payload["fpca"]) != s:
-            raise ValueError(f"fpca holds {len(payload['fpca'])} models, expected {s}")
-        fpca_models = tuple(_fpca_from_record(m, k) for m in payload["fpca"])
-    scores = None
+    scores = fpca_models = None
     if config.include_functional:
-        scores = _finite("scores", _shaped("scores", payload["scores"]["values"], (n, s, k)))
+        scores = json_array("scores", _entry(report, "scores", "values"), (n, s, k))
+        fpca_models = tuple(_fpca_from_record(report, i, k) for i in range(s))
+        if len(report["fpca"]) != s:
+            raise ValueError(f"fpca holds {len(report['fpca'])} models, expected {s}")
+    sigma_gamma = json_array("sigma_gamma", _entry(report, "sigma_gamma"), (d, d))
     return FitResult(
-        params=params,
-        posterior=LatentPosterior(mu=mu, v=np.zeros((n, d, d))),
-        loglik_trace=np.asarray(payload["loglik_trace"], dtype=float),
-        iterations=payload["iterations"],
-        converged=payload["converged"],
+        params=Parameters(json_array("zeta", _entry(report, "zeta", "values"), (layout.size,)),
+                          _positive("sigma_eps2", _entry(report, "sigma_eps2")),
+                          _covariance("sigma_gamma", sigma_gamma)),
+        posterior=LatentPosterior(
+            mu=json_array("latent_posterior mu", _entry(report, "latent_posterior", "mu"), (n, d)),
+            v=np.zeros((n, d, d))),
+        loglik_trace=json_array("loglik_trace", _entry(report, "loglik_trace"), (None,)),
+        iterations=json_value("iterations", _entry(report, "iterations"), int),
+        converged=json_value("converged", _entry(report, "converged"), bool),
         config=config,
         layout=layout,
-        unit_ids=unit_ids,
-        r_support=_positive("r_support", payload["r_support"]),
+        unit_ids=tuple(unit_ids),
+        r_support=_positive("r_support", _entry(report, "r_support")),
         scores=scores,
         fpca_models=fpca_models,
     )
@@ -435,7 +397,7 @@ def _fit_from_report(payload) -> FitResult:
 
 def _load_fit(path) -> FitResult:
     """The fit a fit_report.json records.  A report that is not JSON, lacks
-    an entry or holds an array of the wrong shape raises CliError naming
+    an entry or holds one of the wrong type or shape raises CliError naming
     the file."""
     try:
         return _fit_from_report(json.loads(Path(path).read_text(encoding="utf-8")))

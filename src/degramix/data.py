@@ -1,4 +1,5 @@
-"""Core dataset arrays, CSV ingestion, the time basis, and baseline centering.
+"""Core dataset arrays, CSV ingestion, the time basis, baseline centering,
+and the one reader of JSON entries.
 
 A degradation dataset couples, per test unit, a time-stamped response series
 with scalar stress covariates and functional microstructure curves sampled on
@@ -6,11 +7,15 @@ a grid shared by the whole dataset.  A dataset is one stack of arrays in the
 long layout of a mixed-model frame: all units' measurements one after the
 other, and one row of covariates per unit.  Every type here is immutable
 after construction; file loading is the only side-effecting operation.
+Every entry read from a ``--config``, ``--spec`` or ``--fit`` file goes
+through ``json_value`` or ``json_array``: it must have its JSON type and
+shape, and every number must be finite.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -247,22 +252,53 @@ def config_to_dict(config: ModelConfig) -> dict:
             **{key: getattr(config, key) for key in _CONFIG_KEYS}}
 
 
-def _check_config_type(key, value) -> None:
-    """Raise ValueError naming ``key`` unless its value has the JSON type the
-    key needs: the basis kind a string, ``basis_order`` and ``k`` integers
-    (``k`` may be null), ``fve_threshold`` a number, every other key a
-    boolean."""
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if key == "basis_kind":
-        ok, want = isinstance(value, str), "a string"
-    elif key in ("basis_order", "k"):
-        ok, want = is_int or (key == "k" and value is None), "an integer"
-    elif key == "fve_threshold":
-        ok, want = is_int or isinstance(value, float), "a number"
-    else:
-        ok, want = isinstance(value, bool), "true or false"
-    if not ok:
-        raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+# per kind: what json_value says a value must be, and the types json reads it as
+_KINDS = {str: ("a string", str), int: ("an integer", int),
+          float: ("a number", (int, float)), bool: ("true or false", bool)}
+
+
+def json_value(name: str, value, kind):
+    """``value``, read from a JSON file, if it has the type ``kind`` (str,
+    int, float or bool); otherwise ValueError naming ``name``.  A bool is no
+    number, an int is also a float, and a float must be finite: RFC 8259
+    has no NaN or Infinity, though Python's json reads both."""
+    want, types = _KINDS[kind]
+    if (not isinstance(value, types) or isinstance(value, bool) != (kind is bool)
+            or isinstance(value, float) and not np.isfinite(value)):
+        raise ValueError(f"{name} must be {want}, got {json.dumps(value)}")
+    return value
+
+
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
+def json_array(name: str, value, shape=None) -> np.ndarray:
+    """``value``, read from a JSON file, as a finite float array; otherwise
+    ValueError naming ``name``.  Strings, true and false (numpy reads them
+    as 1 and 0) and ragged nestings are not numbers.  The array must have
+    ``shape`` if given, None matching any length, but an empty one fits any
+    shape that holds no entries."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or _holds_bool(value):
+        raise ValueError(f"{name} must be an array of numbers")
+    arr = arr.astype(float)
+    if shape is not None:
+        if arr.size == 0 and 0 in shape:
+            arr = arr.reshape(shape)
+        if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return arr
+
+
+# the JSON type of each config key's value; k may also be null
+_CONFIG_TYPES = (dict.fromkeys(_CONFIG_KEYS, bool)
+                 | {"basis_kind": str, "basis_order": int, "k": int, "fve_threshold": float})
 
 
 def config_from_dict(payload: dict) -> ModelConfig:
@@ -270,11 +306,12 @@ def config_from_dict(payload: dict) -> ModelConfig:
     wrong JSON type, raises ValueError naming the key."""
     if not isinstance(payload, dict):
         raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {"basis_kind", "basis_order", *_CONFIG_KEYS})
+    unknown = sorted(set(payload) - set(_CONFIG_TYPES))
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
     for key, value in payload.items():
-        _check_config_type(key, value)
+        if not (key == "k" and value is None):
+            json_value(f"config key {key!r}", value, _CONFIG_TYPES[key])
     basis = BasisFamily(payload.get("basis_kind", POLYNOMIAL), payload.get("basis_order", 1))
     return ModelConfig(basis=basis, **{key: payload[key] for key in _CONFIG_KEYS if key in payload})
 

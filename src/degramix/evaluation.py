@@ -72,6 +72,19 @@ def _unit_indices(fit: FitResult, unit_ids) -> np.ndarray:
     return np.array([-1 if i is None else i for i in map(fit.unit_index, unit_ids)], dtype=int)
 
 
+def _check_grid(data_grid: np.ndarray, fit_grid: np.ndarray) -> None:
+    """Raise unless a dataset's curves lie on the grid of a fit's FPCA basis.
+    A grid read back from CSV is bit-exact, so the grids must be equal."""
+    if np.array_equal(data_grid, fit_grid):
+        return
+    if data_grid.size == fit_grid.size:
+        i = int(np.argmax(data_grid != fit_grid))
+        detail = f"r[{i}] = {float(data_grid[i])!r} against the fit's {float(fit_grid[i])!r}"
+    else:
+        detail = f"{data_grid.size} points against the fit's {fit_grid.size}"
+    raise ValueError(f"the dataset's curve grid differs from the fit's FPCA grid: {detail}")
+
+
 def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
     """(N, S, K) scores under the fit's basis: stored for trained units,
     projected on the fit's FPCA basis for the others, one unit's curve at a
@@ -86,6 +99,8 @@ def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
         if fit.fpca_models is None:
             raise ValueError(f"missing scores for unit {ds.unit_ids[int(np.argmin(known))]}: "
                              "fit carries no FPCA basis")
+        for model in fit.fpca_models:
+            _check_grid(ds.r_grid, model.r_grid)
         new = ds.curves[~known]
         out[~known] = np.stack([project_scores(m, new[:, s, None])[:, 0]
                                 for s, m in enumerate(fit.fpca_models)], axis=1)
@@ -114,7 +129,8 @@ def predict_unit(fit: FitResult, ds: DegradationDataset, use_latent: bool = True
     one n_obs vector in dataset row order.
 
     ``use_latent`` adds the posterior mean latent term of each unit the fit
-    saw; a unit it did not see gets no latent term.
+    saw; a unit it did not see gets no latent term, and its curves, which
+    must lie on the grid of the fit's FPCA basis, are projected on it.
     """
     eta = sum(_coefficient_terms(fit, ds).values())
     if use_latent:

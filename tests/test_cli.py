@@ -484,11 +484,16 @@ class TestSimulateSpec:
         ('{"sigma_eps2": "0.1"}', "'sigma_eps2' must be a number"),
         ('{"zeta": [1, "a"]}', "'zeta' must be an array of numbers"),
         ('{"times": [[0.0], [1.0, 2.0]]}', "'times' must be an array of numbers"),
-        ('{"scalar_ranges": [0.5, 3.0]}', "'scalar_ranges' must be a list of [low, high] pairs"),
+        ('{"scalar_ranges": [0.5, 3.0]}', "'scalar_ranges' has shape (2,), expected (None, 2)"),
         ('{"n_units": 8,', "invalid JSON"),
         ('{"zeta": [0.8, true, 0.1, 0.1, 0.1, 0.1]}', "'zeta' must be an array of numbers"),
         ('{"times": [0.0, 1.0]}', "time grid length must equal n_obs"),
         ('{"mean_curve": [1.0, 2.0]}', "mean_curve must have len(r_grid) values"),
+        ('{"score_variances": [[1.0, 0.5]]}', "'score_variances' has shape (1, 2), expected (None,)"),
+        # non-finite numbers, which RFC 8259 does not allow but Python's json reads
+        ('{"scalar_ranges": [[0.5, NaN]]}', "'scalar_ranges' holds a non-finite value"),
+        ('{"sigma_eps2": NaN}', "'sigma_eps2' must be a number, got NaN"),
+        ('{"zeta": [0.8, 0.5, NaN, -0.08, 0.06, 0.05]}', "'zeta' holds a non-finite value"),
     ])
     def test_bad_value_exits_one_naming_file_and_key(self, tmp_path, capsys, text, key):
         spec = tmp_path / "spec.json"
@@ -532,16 +537,16 @@ class TestPredictChecksReport:
          "sigma_gamma has shape (2, 2), expected (1, 1)"),
         (lambda r: r["latent_posterior"]["mu"].pop(),
          "latent_posterior mu has shape (11, 1), expected (12, 1)"),
-        (lambda r: r["scores"]["values"][0][0].pop(), "scores is not an array of numbers"),
+        (lambda r: r["scores"]["values"][0][0].pop(), "scores must be an array of numbers"),
         (lambda r: r["scores"]["values"].pop(), "scores has shape (11, 1, 2), expected (12, 1, 2)"),
         (lambda r: r["fpca"][0]["eigenfunctions"].pop(),
          "fpca eigenfunctions has shape (1, 101), expected (2, 101)"),
         (lambda r: r["config"].update(k=2.5), "config key 'k' must be an integer"),
         # a non-finite or non-covariance parameter, which predict would use as read
         (lambda r: r.update(sigma_eps2=float("nan")),
-         "sigma_eps2 must be finite and positive, got nan"),
+         "sigma_eps2 must be a number, got NaN"),
         (lambda r: r.update(sigma_eps2=float("inf")),
-         "sigma_eps2 must be finite and positive, got inf"),
+         "sigma_eps2 must be a number, got Infinity"),
         (lambda r: r.update(sigma_eps2=0.0), "sigma_eps2 must be finite and positive, got 0.0"),
         (lambda r: r.update(sigma_gamma=[[-1.0]]), "sigma_gamma is not positive semidefinite"),
         (lambda r: r.update(sigma_gamma=[[float("nan")]]), "sigma_gamma holds a non-finite value"),
@@ -553,12 +558,33 @@ class TestPredictChecksReport:
          "scores holds a non-finite value"),
         # an entry of another JSON type, which numpy or Python would take
         (lambda r: r["latent_posterior"]["mu"][3].__setitem__(0, True),
-         "latent_posterior mu is not an array of numbers"),
+         "latent_posterior mu must be an array of numbers"),
         (lambda r: r["layout"].update(n_functional=True),
-         "layout sizes must be nonnegative integers, got [1, true, 2]"),
+         "layout n_functional must be an integer, got true"),
+        (lambda r: r["layout"].update(n_functional=-1),
+         "layout sizes must be nonnegative, got [1, -1, 2]"),
         (lambda r: r["latent_posterior"]["unit_ids"].__setitem__(0, 7),
          "latent_posterior unit_ids is not an array of strings"),
-        (lambda r: r.update(r_support=[10.0]), "r_support has shape (1,), expected ()"),
+        (lambda r: r.update(r_support=[10.0]), "r_support must be a number, got [10.0]"),
+        # the FPCA basis and the fit trace
+        (lambda r: r["fpca"][0]["r_grid"].__setitem__(5, float("nan")),
+         "fpca r_grid holds a non-finite value"),
+        (lambda r: r["fpca"][0]["r_grid"].__setitem__(5, True),
+         "fpca r_grid must be an array of numbers"),
+        (lambda r: r["fpca"][0]["r_grid"].reverse(),
+         "fpca r_grid must rise strictly through at least two points"),
+        (lambda r: r["fpca"][0].update(fve_trace=r["fpca"][0]["fve_trace"][:1]),
+         "fpca fve_trace has shape (1,), expected (101,)"),
+        (lambda r: r["fpca"][0]["eigenvalues"].__setitem__(0, "x"),
+         "fpca eigenvalues must be an array of numbers"),
+        (lambda r: r["loglik_trace"].__setitem__(0, "x"), "loglik_trace must be an array of numbers"),
+        (lambda r: r.update(iterations="many"), 'iterations must be an integer, got "many"'),
+        (lambda r: r.update(converged="yes"), 'converged must be true or false, got "yes"'),
+        # an entry under a missing entry, or under one of another JSON type
+        (lambda r: r["scores"].pop("values"), "fit report has no 'scores.values' entry"),
+        (lambda r: r["zeta"].pop("values"), "fit report has no 'zeta.values' entry"),
+        (lambda r: r.update(scores=[1]), "scores must be a JSON object, got list"),
+        (lambda r: r.update(fpca={"a": 1}), "fpca must be a JSON array, got dict"),
     ])
     def test_malformed_report_exits_one_naming_it(self, tmp_path, capsys, fitted, edit, message):
         data, report = fitted
@@ -663,9 +689,15 @@ class TestEditedInputsNameTheFile:
     # result; no edit escapes as an exception or another exit code
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
+        # the fit sees 8 of the 12 units, so predict also projects the
+        # curves of 4 units on the report's FPCA basis
         tmp = tmp_path_factory.mktemp("edits")
-        data = simulate_into(tmp, seed=6)
-        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+        data, train = simulate_into(tmp, seed=6), tmp / "train"
+        train.mkdir()
+        ds = load_dataset(*(data / name for name in cli._DATA_FILES))
+        save_dataset(ds.select(np.arange(ds.n_units) % 3 != 1),
+                     *(train / name for name in cli._DATA_FILES))
+        assert run(["fit", "--data", str(train), "--variant", "Model7", "--k", "2",
                     "--out", str(tmp / "fit")]) == 0
         assert run(["predict", "--fit", str(tmp / "fit" / "fit_report.json"),
                     "--data", str(data), "--out", str(tmp / "pred")]) == 0
@@ -706,7 +738,8 @@ class TestEditedInputsNameTheFile:
     def test_edited_spec(self, draws):
         spec = default_spec(n_units=8, n_obs=6)
         full = {"n_units": 8, "n_obs": 6, "seed": 2, "sigma_eps2": spec.sigma_eps2,
-                **{key: np.asarray(getattr(spec, key)).tolist() for key in cli._SPEC_ARRAYS}}
+                **{key: np.asarray(getattr(spec, key)).tolist() for key in cli._SPEC_TYPES
+                   if isinstance(cli._SPEC_TYPES[key], tuple)}}
         edit = draws.draw(json_edits(full))
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "spec.json"

@@ -90,6 +90,11 @@ class TestPredictUnit:
         pred = predict_unit(fit, stranger, use_latent=False)
         assert pred.shape == stranger.times.shape
         assert np.all(np.isfinite(pred))
+        # curves on another grid of the same length are not projected
+        grid = replace(stranger, r_grid=stranger.r_grid ** 2 / 7.0)
+        with pytest.raises(ValueError, match=r"curve grid differs from the fit's FPCA grid: "
+                                             r"r\[1\] = 0\.00142857\d* against the fit's 0\.1$"):
+            predict_unit(fit, grid)
 
     @pytest.mark.parametrize("name", ["Model5", "Model7"])
     def test_batch_matches_each_unit_alone(self, name):
