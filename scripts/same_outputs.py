@@ -12,12 +12,18 @@ pinned to one thread.  Both sides write under the same path, so a path
 echoed into an output cannot differ between them.  The exit code of each
 invocation and the child's stderr are kept as files beside the outputs.  Every file that
 differs, or exists on one side only, is printed; the exit code is 1 if any
-does, else 0.  Nothing under ``benchmark/`` is written.
+does, else 0.  For a ``.json`` or ``.csv`` file on both sides, the line also
+says how far it moved: the largest relative difference over its numeric
+entries, and the entries that differ otherwise (a header, an id, an integer
+such as an iteration count).  Nothing under ``benchmark/`` is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -71,6 +77,64 @@ def differing(a: Path, b: Path) -> list:
                           and (a / f).read_bytes() == (b / f).read_bytes()))
 
 
+def _json_entries(node, path="") -> dict:
+    """Every leaf of a parsed JSON document, keyed by its path."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return {path: node}
+    return {key: leaf for k, v in items for key, leaf in _json_entries(v, k).items()}
+
+
+def _csv_cell(cell: str):
+    """A cell holding a non-integer number as a float, any other as text."""
+    try:
+        int(cell)
+        return cell
+    except ValueError:
+        try:
+            return float(cell)
+        except ValueError:
+            return cell
+
+
+def _csv_entries(path: Path) -> dict:
+    """Every cell of a CSV file, keyed by its line and 1-based column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {f"line {line} column {i}": _csv_cell(cell) if line > 1 else cell
+                for line, row in enumerate(csv.reader(fh), 1)
+                for i, cell in enumerate(row, 1)}
+
+
+def drift(a: Path, b: Path) -> str:
+    """How far a ``.json`` or ``.csv`` file moved between two trees: the
+    largest relative difference |x - y| / max(|x|, |y|) over the float
+    entries both hold, and the entries that differ otherwise; "" for other
+    files."""
+    if a.suffix == ".json":
+        old, new = (_json_entries(json.loads(p.read_text(encoding="utf-8"))) for p in (a, b))
+    elif a.suffix == ".csv":
+        old, new = _csv_entries(a), _csv_entries(b)
+    else:
+        return ""
+    largest, n_numbers, other = 0.0, 0, []
+    for key in dict.fromkeys([*old, *new]):
+        x, y = old.get(key), new.get(key)
+        if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
+            n_numbers += 1
+            if x != y:
+                largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+        elif key not in old or key not in new or x != y:
+            other.append(key)
+    text = f"largest relative difference {largest:.2g} over {n_numbers} numbers"
+    if other:
+        shown = ", ".join(other[:3]) + (f" and {len(other) - 3} more" if len(other) > 3 else "")
+        text += f"; other entries differ: {shown}"
+    return text
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -88,8 +152,10 @@ def main(argv=None) -> int:
             shutil.move(tmp / "run", out[side])
         diffs = differing(out["parent"], out["change"])
         n_files = sum(1 for p in out["change"].rglob("*") if p.is_file())
-    for rel in diffs:
-        print(f"differs: {rel}")
+        for rel in diffs:
+            a, b = out["parent"] / rel, out["change"] / rel
+            moved = drift(a, b) if a.is_file() and b.is_file() else "exists on one side only"
+            print(f"differs: {rel}" + (f" ({moved})" if moved else ""))
     print(f"{len(diffs)} of {n_files} files differ ({args.parent} vs working tree, seed {SEED})")
     return 1 if diffs else 0
 

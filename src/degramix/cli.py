@@ -37,6 +37,7 @@ from .descriptors import (
     load_particles_csv,
     load_pgm,
 )
+from .design import stacked_design
 from .estimator import ConvergenceWarning, FitResult, NumericalError, fit_em
 from .evaluation import (
     count_parameters,
@@ -287,11 +288,11 @@ def _cmd_fit(args) -> int:
     out = _out_dir(args)
     _write_json(out / "fit_report.json", _fit_report(fit))
     if args.dump_design:
-        dm = fit.design
-        write_csv(out / "design_omega.csv", dm.layout.names(), dm.omega.T)
+        omega, lam = stacked_design(ds, config, fit.layout, fit.scores, fit.r_support)
+        write_csv(out / "design_omega.csv", fit.layout.names(), omega.T)
         write_csv(out / "design_lambda.csv",
-                  ["unit_id", *(f"gamma_l{level}" for level in dm.layout.levels)],
-                  [np.repeat(np.array(dm.unit_ids, dtype=object), dm.counts), *dm.lam.T])
+                  ["unit_id", *(f"gamma_l{level}" for level in fit.layout.levels)],
+                  [np.repeat(np.array(ds.unit_ids, dtype=object), ds.counts), *lam.T])
     return 0
 
 
@@ -437,7 +438,7 @@ def _cmd_evaluate(args) -> int:
         "n_units": ds.n_units,
         "split_fraction": args.split,
     }
-    if args.folds:
+    if args.folds is not None:
         payload["cv_error"] = kfold_cv(ds, config, args.folds, args.seed,
                                        max_iter=args.max_iter, tol=args.tol)
         payload["cv_seed"] = args.seed

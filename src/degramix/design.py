@@ -1,5 +1,5 @@
-"""The covariate map of the coefficient-level model, and the stacked
-regression designs and per-unit latent Gram blocks built from it.
+"""The covariate map of the coefficient-level model, and the per-unit
+compressed regression blocks and latent Gram blocks built from it.
 
 Each unit's per-level coefficient is population + scalar + functional-marginal
 + interaction (+ latent).  ``ZetaLayout.features`` maps the covariates to one
@@ -145,12 +145,17 @@ def layout_for(config: ModelConfig, n_scalars: int, n_functional: int, n_compone
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Stacked designs for one dataset under one layout.
+    """The regression rows of one dataset under one layout, grouped by unit.
 
-    Rows are grouped by unit, ``counts[i]`` rows for unit i.  ``lam`` holds
-    each row's latent basis (n_obs, d) and ``lam_gram`` the per-unit blocks
-    Lambda_i^T Lambda_i (N, d, d).  ``ridge_jitter`` picks how ``omega_factor``,
-    built once per design, factors Omega.
+    Unit i has ``counts[i]`` rows of ``omega`` (rows, p), ``lam`` (rows, d)
+    and ``y``; ``lam_gram`` holds the blocks Lambda_i^T Lambda_i (N, d, d)
+    and ``n_obs`` the number of observations the rows stand for.  Every row
+    of a unit is lambda_row (x) f_i, so EM needs no more of unit i than the
+    Gram matrix of [Lambda_i y_i].  ``build_design_matrices`` keeps exactly
+    that: each unit's d + 1 rows are the triangular factor of [Lambda_i y_i]
+    (padded with zero rows when m_i <= d), never one row per observation.
+    ``ridge_jitter`` picks how ``omega_factor``, built once per design,
+    factors Omega.
     """
 
     layout: ZetaLayout
@@ -160,6 +165,7 @@ class DesignMatrices:
     y: np.ndarray
     counts: np.ndarray
     lam_gram: np.ndarray
+    n_obs: int
     ridge_jitter: bool = False
 
     @cached_property
@@ -169,7 +175,7 @@ class DesignMatrices:
         or with the ridge the jittered normal equations (Omega, Omega^T Omega
         plus a trace-relative jitter, the identity)."""
         if not self.ridge_jitter:
-            return _check_full_rank(self.omega, self.layout)
+            return _check_full_rank(self.omega, self.layout, self.n_obs)
         p = self.layout.size
         gram = self.omega.T @ self.omega
         return self.omega, gram + 1e-8 * np.trace(gram) / p * np.eye(p), np.arange(p)
@@ -193,20 +199,54 @@ class DesignMatrices:
     def n_units(self) -> int:
         return len(self.unit_ids)
 
-    @property
-    def n_obs(self) -> int:
-        return self.y.size
-
     def latent_mean(self, mu: np.ndarray) -> np.ndarray:
         """Lambda_i mu_i on every row; zero when ``mu`` (N, d) has no columns."""
         if mu.shape[1] == 0:
-            return np.zeros(self.n_obs)
+            return np.zeros(self.y.size)
         return np.sum(self.lam * np.repeat(mu, self.counts, axis=0), axis=1)
 
 
 def unit_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum row-indexed values within each unit: (n_obs, ...) -> (N, ...)."""
+    """Sum row-indexed values within each unit: (rows, ...) -> (N, ...)."""
     return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
+
+
+def _observed_rows(layout: ZetaLayout, lam: np.ndarray, features: dict,
+                  units: np.ndarray) -> np.ndarray:
+    """Omega's rows for latent rows ``lam`` (n, d) of units ``units`` (n,):
+    each segment's block is lambda_row (x) the unit's ``features``."""
+    omega = np.empty((units.size, layout.size))
+    for name, f in features.items():
+        start, stop = layout.offsets[name]
+        omega[:, start:stop] = (lam[:, :, None] * f[units][:, None, :]).reshape(units.size, -1)
+    return omega
+
+
+def stacked_design(ds: DegradationDataset, config: ModelConfig, layout: ZetaLayout,
+                   scores: np.ndarray | None, r_support: float) -> tuple:
+    """(Omega, Lambda) with one row per observation of ``ds``, in its row
+    order: what ``fit --dump-design`` writes; the fit never forms them."""
+    lam = basis_columns(config.basis, ds.times, layout.levels)
+    features = layout.features(ds.scalars, scores, r_support)
+    return _observed_rows(layout, lam, features, ds.unit_rows), lam
+
+
+def _compress_units(lam: np.ndarray, y: np.ndarray, counts: np.ndarray) -> tuple:
+    """Per unit, the triangular factor (N, d + 1, d + 1) of [Lambda_i y_i],
+    zero-padded below when m_i <= d, and Lambda_i^T Lambda_i (N, d, d); one
+    batched QR over the units of each distinct count."""
+    n, d = counts.size, lam.shape[1]
+    aug = np.column_stack([lam, y])
+    starts = np.cumsum(counts) - counts
+    tri = np.zeros((n, d + 1, d + 1))
+    gram = np.empty((n, d, d))
+    for m in np.unique(counts):
+        units = np.flatnonzero(counts == m)
+        # when every unit has m rows they are already (N, m, d + 1) blocks
+        block = aug.reshape(n, m, -1) if units.size == n else aug[starts[units, None] + np.arange(m)]
+        tri[units, :min(m, d + 1)] = np.linalg.qr(block, mode="r")
+        gram[units] = np.swapaxes(block[:, :, :d], 1, 2) @ block[:, :, :d]
+    return tri, gram
 
 
 def _pivoted_qr(omega: np.ndarray) -> tuple:
@@ -243,12 +283,14 @@ def _pivoted_qr(omega: np.ndarray) -> tuple:
     return q0 @ q1, r, piv
 
 
-def _check_full_rank(omega: np.ndarray, layout: ZetaLayout) -> tuple:
+def _check_full_rank(omega: np.ndarray, layout: ZetaLayout, n_obs: int) -> tuple:
     """The pivoted QR (q, r, piv) of a full-rank ``omega``; raises naming the
-    dependent columns otherwise."""
+    dependent columns otherwise.  The rank tolerance scales with the
+    observation count, not the row count, so a unit's compressed rows decide
+    the rank as its observations would."""
     q, rdiag, piv = _pivoted_qr(omega)
     diag = np.abs(np.diag(rdiag))
-    tol = max(omega.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    tol = max(n_obs, layout.size) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.count_nonzero(diag > tol))
     if rank < layout.size:
         names = layout.names()
@@ -265,13 +307,15 @@ def build_design_matrices(
     scores: np.ndarray | None = None,
     r_support: float | None = None,
 ) -> DesignMatrices:
-    """Stack every unit's observed and latent design.
+    """Every unit's compressed observed and latent design.
 
-    Lambda is the time basis phi at each observation; each observed block is
-    phi times the block's covariate features (``ZetaLayout.features``) of the
-    row's unit.  ``scores`` is the (N, S, K) score array; required when the
-    functional component is active.  Raises on a rank-deficient stacked
-    design unless the config enables the ridge jitter fallback.
+    Lambda_i is the time basis phi at the unit's observations; the QR
+    [Lambda_i y_i] = Q_i [[R_i, z_i], [0, rho_i]] gives the unit's d + 1
+    rows [R_i; 0] of ``lam`` and [z_i; rho_i] of ``y``, and its rows of
+    Omega are R_i (x) the covariate features (``ZetaLayout.features``).
+    ``scores`` is the (N, S, K) score array; required when the functional
+    component is active.  Raises on a rank-deficient design unless the
+    config enables the ridge jitter fallback.
     """
     if config.include_functional:
         if scores is None:
@@ -286,17 +330,15 @@ def build_design_matrices(
         r_support = ds.r_support
 
     layout = layout_for(config, ds.n_scalars, ds.n_functional, n_components)
-    rows = ds.unit_rows
-    lam = basis_columns(config.basis, ds.times, layout.levels)
-    features = layout.features(ds.scalars, scores, r_support)
-    omega = np.empty((rows.size, layout.size))
-    offsets = layout.offsets
-    for name, f in features.items():
-        start, stop = offsets[name]
-        omega[:, start:stop] = (lam[:, :, None] * f[rows][:, None, :]).reshape(rows.size, -1)
+    d = layout.latent_dim
+    tri, lam_gram = _compress_units(basis_columns(config.basis, ds.times, layout.levels),
+                                    ds.responses, ds.counts)
+    lam = tri[:, :, :d].reshape(-1, d)
+    units = np.repeat(np.arange(ds.n_units), d + 1)
+    omega = _observed_rows(layout, lam, layout.features(ds.scalars, scores, r_support), units)
     dm = DesignMatrices(
-        layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=ds.responses,
-        counts=ds.counts, lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], ds.counts),
+        layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=tri[:, :, d].reshape(-1),
+        counts=np.full(ds.n_units, d + 1), lam_gram=lam_gram, n_obs=ds.n_obs,
         ridge_jitter=config.ridge_jitter,
     )
     dm.omega_factor  # without the ridge, the rank check: a rank-deficient design fails here

@@ -234,6 +234,7 @@ def fit_em(
     ``NumericalError``, not as the ``ValueError`` subclass numpy raises, so
     it is not taken for bad input.
     """
+    check_stopping(max_iter, tol)
     try:
         fit = _fit_em(ds, config, max_iter, tol, scores, init)
     except np.linalg.LinAlgError as exc:
@@ -242,6 +243,16 @@ def fit_em(
         warnings.warn(f"EM stopped at max_iter={max_iter} without converging",
                       ConvergenceWarning, stacklevel=2)
     return fit
+
+
+def check_stopping(max_iter: int, tol: float) -> None:
+    """Raise unless ``max_iter`` >= 0 and ``tol`` is a finite number >= 0
+    (0 disables early stopping; NaN or a negative ``tol`` would silently
+    disable it too, and an infinite one stop after one iteration)."""
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _px_sums(dm: DesignMatrices) -> tuple:

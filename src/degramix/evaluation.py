@@ -12,7 +12,7 @@ from itertools import compress
 import numpy as np
 
 from .data import BasisFamily, DegradationDataset, ModelConfig, basis_columns
-from .estimator import FitResult, NumericalError, fit_em
+from .estimator import FitResult, NumericalError, check_stopping, fit_em
 from .fpca import project_scores
 
 
@@ -170,12 +170,16 @@ def count_parameters(fit: FitResult) -> int:
     return p
 
 
+def _check_fraction(fraction: float) -> None:
+    if not (0.0 < fraction < 1.0):
+        raise ValueError(f"split fraction must lie in (0, 1), got {fraction!r}")
+
+
 def temporal_split(ds: DegradationDataset, fraction: float):
     """Per unit, the first floor(fraction * m_i) observations train and the
     rest test; a unit with no test observation is left out of the test set,
     which is None when no unit has one."""
-    if not (0.0 < fraction < 1.0):
-        raise ValueError("split fraction must lie in (0, 1)")
+    _check_fraction(fraction)
     n_train = np.floor(fraction * ds.counts).astype(np.int64)
     if np.any(n_train < 1):
         uid = ds.unit_ids[int(np.argmax(n_train < 1))]
@@ -225,9 +229,7 @@ def fit_and_score(ds: DegradationDataset, config: ModelConfig, split_fraction: f
     """Split, fit on train, and score one config; returns (Metrics, FitResult)."""
     train, test = temporal_split(ds, split_fraction)
     fit = fit_em(train, config, max_iter=max_iter, tol=tol)
-    dm = fit.design
-    r2, mse_train = residual_metrics(
-        dm.y, dm.omega @ fit.params.zeta + dm.latent_mean(fit.posterior.mu))
+    r2, mse_train = residual_metrics(train.responses, predict_unit(fit, train, use_latent=True))
 
     mse_test = np.nan
     if test is not None:
@@ -248,8 +250,11 @@ def compare_models(ds: DegradationDataset, variants, split_fraction: float = 0.8
 
     A failing variant yields a row with its error message; the others still
     run.  ``micro_scalar`` supplies the per-unit scalar microstructure value
-    required by variants flagged ``use_micro_scalar``.
+    required by variants flagged ``use_micro_scalar``.  A bad split or
+    stopping rule fails every variant alike, so it raises before any fit.
     """
+    _check_fraction(split_fraction)
+    check_stopping(max_iter, tol)
     rows = []
     for variant in variants:
         data = ds

@@ -24,7 +24,7 @@ from degramix.data import (
     _unit_sort_key,
     basis_columns,
 )
-from degramix.design import DesignMatrices, unit_sums
+from degramix.design import DesignMatrices, layout_for, unit_sums
 from degramix.estimator import (
     NumericalError,
     Parameters,
@@ -268,14 +268,33 @@ def layout_names_and_split(layout, zeta) -> tuple:
     return names, parts
 
 
-def stack_population(layout, unit_ids, omegas, lambdas, ys) -> DesignMatrices:
-    """Hand-assembled DesignMatrices: row-stacked per-unit blocks."""
+def stack_population(layout, unit_ids, omegas, lambdas, ys, ridge_jitter=False) -> DesignMatrices:
+    """Hand-assembled DesignMatrices: row-stacked per-unit blocks, one row
+    per observation."""
     counts = np.array([o.shape[0] for o in omegas])
     lam = np.vstack(lambdas)
     return DesignMatrices(
         layout=layout, unit_ids=tuple(unit_ids), omega=np.vstack(omegas), lam=lam,
         y=np.concatenate(ys).astype(float, copy=False), counts=counts,
-        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
+        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts), n_obs=int(counts.sum()),
+        ridge_jitter=ridge_jitter,
+    )
+
+
+def stacked_design_matrices(ds, config, scores=None) -> DesignMatrices:
+    """The uncompressed design of ``ds``: every observation's row, each
+    unit's Omega block from ``build_observed_design``.  The library's EM runs
+    on the same functions over each unit's compressed block; on this design
+    they give the reference it is checked against."""
+    layout = layout_for(config, ds.n_scalars, ds.n_functional,
+                        np.shape(scores)[2] if config.include_functional else 0)
+    units = ds.units
+    return stack_population(
+        layout, ds.unit_ids,
+        [build_observed_design(u, config.basis, scores[i] if config.include_functional else None,
+                               ds.r_support, layout) for i, u in enumerate(units)],
+        [basis_columns(config.basis, u.times, layout.levels) for u in units],
+        [u.responses for u in units], ridge_jitter=config.ridge_jitter,
     )
 
 

@@ -34,6 +34,7 @@ from _oracles import (
     q_value,
     split_units,
     stack_population,
+    stacked_design_matrices,
     tpc_pair_enumeration,
 )
 
@@ -102,6 +103,7 @@ def test_criterion_3_m_step_stationarity():
                             sigma_eps2=float(rng.uniform(0.02, 0.2)))
         ds, truth = generate_dataset(spec)
         dm = build_design_matrices(ds, spec.config, scores=truth.scores)
+        st = stacked_design_matrices(ds, spec.config, truth.scores)  # what the oracles read
         d = dm.layout.latent_dim
         a = rng.normal(size=(d, d))
         params = Parameters(truth.zeta + 0.3 * rng.normal(size=dm.layout.size),
@@ -118,7 +120,7 @@ def test_criterion_3_m_step_stationarity():
                 z = zeta_hat.copy()
                 z[j] = v
                 return q_value(Parameters(z, params.sigma_eps2, params.sigma_gamma),
-                               post, dm)
+                               post, st)
             g = central_difference(q_zeta, float(zeta_hat[j]),
                                    1e-2 * (abs(float(zeta_hat[j])) + 1.0))
             worst_grad = max(worst_grad, abs(g))
@@ -132,16 +134,16 @@ def test_criterion_3_m_step_stationarity():
                     sg[p, q] += t * scale
                     if p != q:
                         sg[q, p] += t * scale
-                    return q_value(Parameters(zeta_hat, params.sigma_eps2, sg), post, dm)
+                    return q_value(Parameters(zeta_hat, params.sigma_eps2, sg), post, st)
                 worst_grad = max(worst_grad, abs(central_difference(q_sg, 0.0, 1e-5)))
 
         # noise block: gradient in log-variance, plus the golden-section oracle
         def q_log_sigma(u):
-            return q_value(Parameters(zeta_hat, float(np.exp(u)), sg_hat), post, dm)
+            return q_value(Parameters(zeta_hat, float(np.exp(u)), sg_hat), post, st)
         worst_grad = max(worst_grad, abs(central_difference(
             q_log_sigma, float(np.log(se_hat)), 1e-5)))
 
-        omegas, lambdas, ys = split_units(dm)
+        omegas, lambdas, ys = split_units(st)
         profile = noise_variance_q_profile(lambdas, omegas, ys,
                                            post.mu, post.second_moments, zeta_hat,
                                            s_ref=se_hat)

@@ -20,6 +20,7 @@ from degramix.cli import run
 from degramix.data import load_dataset, save_dataset
 from degramix.fpca import fit_fpca, select_k_by_fve
 from degramix.simulate import default_spec
+from _oracles import stacked_design_matrices
 
 
 def write_pgm(path, values, maxval=255):
@@ -85,6 +86,49 @@ class TestUsageAndErrors:
             fh.write("u1,2.0\n")
         assert run(["fit", "--data", str(data), "--out", str(tmp_path / "fit")]) == 1
         assert f"{data / 'responses.csv'}: line 122:" in capsys.readouterr().err
+
+
+class TestNumericFlags:
+    """A bad number in a flag exits 1 naming the flag, before any output is
+    written."""
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--max-iter", "-3"], "max_iter"),
+        (["--tol", "nan"], "tol"),
+        (["--tol", "-1"], "tol"),
+        (["--tol", "inf"], "tol"),
+    ])
+    def test_fit_rejects_stopping_rule(self, tmp_path, capsys, flags, name):
+        data = simulate_into(tmp_path)
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    *flags, "--out", str(out)]) == 1
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--split", "1.5"], "split fraction"),
+        (["--split", "nan"], "split fraction"),
+        (["--tol", "nan"], "tol"),
+        (["--max-iter", "-1"], "max_iter"),
+    ])
+    def test_compare_rejects_once_not_per_variant(self, tmp_path, capsys, flags, name):
+        # every variant would fail alike and leave a table of empty rows
+        data = simulate_into(tmp_path)
+        out = tmp_path / "cmp"
+        assert run(["compare", "--data", str(data), "--k", "2", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{name} must" in err and "failed" not in err
+        assert not (out / "comparison.csv").exists()
+
+    def test_evaluate_rejects_zero_folds(self, tmp_path, capsys):
+        # 0 folds reaches the fold check like 1 does, rather than skipping CV
+        data = simulate_into(tmp_path)
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--data", str(data), "--variant", "Model1", "--folds", "0",
+                    "--out", str(out)]) == 1
+        assert "folds must satisfy 2 <= k <= n_units" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
 
 def assert_fpca_matches_fit(tmp_path, data, fpca_report):
@@ -170,9 +214,10 @@ class TestSimulateFitPipeline:
         built = []
         build = design.build_design_matrices
 
-        def kept(*args, **kwargs):
-            built.append(build(*args, **kwargs))
-            return built[-1]
+        def kept(ds, config, scores=None):
+            # the dataset, config and scores the fit ran on, for the stacked oracle
+            built.append(stacked_design_matrices(ds, config, scores))
+            return build(ds, config, scores=scores)
 
         monkeypatch.setattr(estimator, "build_design_matrices", kept)
         out = tmp_path / "fit"
@@ -214,7 +259,7 @@ class TestSimulateFitPipeline:
         monkeypatch.setattr(evaluation, "temporal_split", counted)
         monkeypatch.setattr(cli, "temporal_split", counted, raising=False)
         assert run(["evaluate", "--data", str(data), "--variant", "Model7", "--k", "2",
-                    "--split", "0.8", "--folds", "0", "--out", str(tmp_path / "eval")]) == 0
+                    "--split", "0.8", "--out", str(tmp_path / "eval")]) == 0
         assert len(calls) == 1
 
     def test_compare_writes_table(self, tmp_path):

@@ -6,15 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degramix.data import BasisFamily, ModelConfig, UnitRecord, basis_columns
-from degramix.design import ZetaLayout, _pivoted_qr, build_design_matrices, layout_for
+from degramix.design import (
+    ZetaLayout,
+    _pivoted_qr,
+    build_design_matrices,
+    layout_for,
+    stacked_design,
+)
 from degramix.evaluation import table1_variants
 from degramix.simulate import default_spec, generate_dataset
 from _oracles import (
     build_observed_design,
     lapack_pivoted_qr,
     layout_names_and_split,
-    stack_population,
     stack_units,
+    stacked_design_matrices,
 )
 
 
@@ -44,32 +50,49 @@ def one_unit_design(unit, cfg, scores=None, r_support=10.0):
                                  r_support=r_support)
 
 
+def one_unit_stacked(unit, cfg, scores=None, r_support=10.0):
+    """(Omega, Lambda) of a one-unit dataset with one row per observation,
+    as ``fit --dump-design`` writes them."""
+    dm = one_unit_design(unit, cfg, scores, r_support)
+    ds = stack_units((unit,), np.arange(4.0))
+    return stacked_design(ds, cfg, dm.layout, None if scores is None else np.asarray(scores)[None],
+                          r_support)
+
+
+def gram_of_blocks(dm):
+    """Each unit's Gram matrix of [Omega_i Lambda_i y_i]: all that EM reads
+    of the unit's rows."""
+    cuts = np.cumsum(dm.counts)[:-1]
+    return np.stack([a.T @ a for a in np.split(
+        np.column_stack([dm.omega, dm.lam, dm.y]), cuts)])
+
+
 LATENT_ONLY = dict(include_scalar=False, include_functional=False, include_interaction=False)
 
 
 class TestLatentDesign:
     def test_order_one(self):
         cfg = ModelConfig(center_baseline=False, **LATENT_ONLY)
-        dm = one_unit_design(unit_with([1.0, 2.0], [0.0]), cfg)
-        assert np.array_equal(dm.lam, [[1.0, 1.0], [1.0, 2.0]])
+        _, lam = one_unit_stacked(unit_with([1.0, 2.0], [0.0]), cfg)
+        assert np.array_equal(lam, [[1.0, 1.0], [1.0, 2.0]])
 
     def test_order_two_at_zero(self):
         cfg = ModelConfig(basis=BasisFamily("polynomial", 2), center_baseline=False, **LATENT_ONLY)
-        dm = one_unit_design(unit_with([0.0], [0.0]), cfg)
-        assert np.array_equal(dm.lam, [[1.0, 0.0, 0.0]])
+        _, lam = one_unit_stacked(unit_with([0.0], [0.0]), cfg)
+        assert np.array_equal(lam, [[1.0, 0.0, 0.0]])
 
     def test_centered_drops_constant_column(self):
-        dm = one_unit_design(unit_with([1.0, 2.0], [0.0]), ModelConfig(**LATENT_ONLY))
-        assert np.array_equal(dm.lam, [[1.0], [2.0]])
+        _, lam = one_unit_stacked(unit_with([1.0, 2.0], [0.0]), ModelConfig(**LATENT_ONLY))
+        assert np.array_equal(lam, [[1.0], [2.0]])
 
 
 class TestObservedDesign:
     def test_symbolic_example(self):
         # L=1 (levels 0,1), P=1, S=1, K=1, x=2, c=0.5, R=10
-        dm = one_unit_design(unit_with([1.0, 2.0], [2.0]), ModelConfig(center_baseline=False),
-                             np.array([[0.5]]), 10.0)
-        assert dm.layout.size == 8
-        assert np.array_equal(dm.omega, [
+        omega, _ = one_unit_stacked(unit_with([1.0, 2.0], [2.0]), ModelConfig(center_baseline=False),
+                                    np.array([[0.5]]), 10.0)
+        assert omega.shape[1] == 8
+        assert np.array_equal(omega, [
             [1.0, 1.0, 2.0, 2.0, 5.0, 5.0, 10.0, 10.0],
             [1.0, 2.0, 2.0, 4.0, 5.0, 10.0, 10.0, 20.0],
         ])
@@ -78,7 +101,9 @@ class TestObservedDesign:
         cfg = ModelConfig(include_interaction=False, center_baseline=False)
         dm = one_unit_design(unit_with([1.0, 2.0], [2.0]), cfg, np.array([[0.5]]), 10.0)
         assert dm.layout.size == 2 * (1 + 1 + 1)
-        assert dm.omega.shape == (2, 6)
+        assert dm.omega.shape == (3, 6)  # the unit's d + 1 compressed rows
+        omega, _ = one_unit_stacked(unit_with([1.0, 2.0], [2.0]), cfg, np.array([[0.5]]), 10.0)
+        assert omega.shape == (2, 6)
 
     def test_zero_scalars_zero_blocks(self):
         dm = one_unit_design(unit_with([1.0, 2.0], [0.0]), ModelConfig(center_baseline=False),
@@ -102,19 +127,6 @@ class TestObservedDesign:
             build_design_matrices(ds, ModelConfig(), scores=np.ones((6, 2, 1)))
 
 
-def oracle_design(ds, cfg, scores):
-    """Per-unit designs from the column-block oracle, stacked."""
-    layout = layout_for(cfg, ds.n_scalars, ds.n_functional,
-                        scores.shape[2] if cfg.include_functional else 0)
-    return stack_population(
-        layout, [u.unit_id for u in ds.units],
-        [build_observed_design(u, cfg.basis, scores[i] if cfg.include_functional else None,
-                               ds.r_support, layout) for i, u in enumerate(ds.units)],
-        [basis_columns(cfg.basis, u.times, layout.levels) for u in ds.units],
-        [u.responses for u in ds.units],
-    )
-
-
 DESIGN_CASES = [(name, center, 1) for name in table1_variants() for center in (True, False)]
 DESIGN_CASES.append(("Model7", True, 2))
 
@@ -133,10 +145,30 @@ class TestMatchesPerUnitOracle:
         cfg = replace(cfg, center_baseline=center, basis=basis)
         scores = truth.scores if cfg.include_functional else None
         dm = build_design_matrices(ds, cfg, scores=scores)
-        ref = oracle_design(ds, cfg, scores)
+        ref = stacked_design_matrices(ds, cfg, scores)
         assert dm.layout == ref.layout and dm.unit_ids == ref.unit_ids
-        for field in ("omega", "lam", "y", "counts", "lam_gram"):
-            assert np.array_equal(getattr(dm, field), getattr(ref, field)), field
+        omega, lam = stacked_design(ds, cfg, dm.layout, scores, ds.r_support)
+        assert np.array_equal(omega, ref.omega) and np.array_equal(lam, ref.lam)
+        assert np.array_equal(dm.counts, np.full(ds.n_units, dm.layout.latent_dim + 1))
+        assert dm.n_obs == ref.n_obs == ds.n_obs
+        assert np.array_equal(dm.lam_gram, ref.lam_gram)
+
+    @pytest.mark.parametrize("name,center,order", DESIGN_CASES)
+    def test_compressed_blocks_keep_each_units_gram(self, name, center, order):
+        # ragged series, including units with fewer observations than levels
+        spec = default_spec(seed=50 + order, n_units=12, n_obs=7)
+        ds, truth = generate_dataset(spec)
+        ds = stack_units((
+            replace(u, times=u.times[:1 + i % 7], responses=u.responses[:1 + i % 7])
+            for i, u in enumerate(ds.units)), ds.r_grid)
+        cfg = table1_variants()[name].config
+        cfg = replace(cfg, center_baseline=center, ridge_jitter=True,
+                      basis=BasisFamily("polynomial", max(order, cfg.basis.order)))
+        scores = truth.scores if cfg.include_functional else None
+        got = gram_of_blocks(build_design_matrices(ds, cfg, scores=scores))
+        want = gram_of_blocks(stacked_design_matrices(ds, cfg, scores))
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def int_dataset(rng, sizes, p=2):
@@ -159,10 +191,12 @@ class TestStacking:
     def test_shapes(self):
         ds = int_dataset(np.random.default_rng(1), (3, 4))
         dm = build_design_matrices(ds, SCALAR_ORDER2)
-        assert dm.omega.shape == (7, 9)
-        assert dm.lam.shape == (7, 3)
-        assert dm.y.shape == (7,)
-        assert np.array_equal(dm.counts, [3, 4])
+        # each unit's d + 1 = 4 compressed rows, whatever its 3 or 4 observations
+        assert dm.omega.shape == (8, 9)
+        assert dm.lam.shape == (8, 3)
+        assert dm.y.shape == (8,)
+        assert np.array_equal(dm.counts, [4, 4])
+        assert dm.n_obs == 7
         assert dm.lam_gram.shape == (2, 3, 3)
 
     def test_lam_gram_is_per_unit_gram(self):
@@ -177,10 +211,17 @@ class TestStacking:
         u = ds.units[0]
         dm = build_design_matrices(ds, SCALAR_ORDER2)
         basis = SCALAR_ORDER2.basis
-        assert np.array_equal(dm.omega, build_observed_design(u, basis, None, 1.0, dm.layout))
-        assert np.array_equal(dm.lam, basis_columns(basis, u.times, (0, 1, 2)))
-        assert np.array_equal(dm.y, u.responses)
-        assert np.array_equal(dm.counts, [5])
+        omega = build_observed_design(u, basis, None, 1.0, dm.layout)
+        lam = basis_columns(basis, u.times, (0, 1, 2))
+        got_omega, got_lam = stacked_design(ds, SCALAR_ORDER2, dm.layout, None, 1.0)
+        assert np.array_equal(got_omega, omega) and np.array_equal(got_lam, lam)
+        stacked = np.column_stack([omega, lam, u.responses])
+        compressed = np.column_stack([dm.omega, dm.lam, dm.y])
+        assert np.allclose(compressed.T @ compressed, stacked.T @ stacked, rtol=0.0,
+                           atol=1e-13 * np.abs(stacked.T @ stacked).max())
+        # [R z; 0 rho]: triangular, with the latent block's last row zero
+        assert np.array_equal(np.tril(np.column_stack([dm.lam, dm.y]), -1), np.zeros((4, 4)))
+        assert np.array_equal(dm.counts, [4]) and dm.n_obs == 5
 
     def test_permutation_consistency(self):
         ds = int_dataset(np.random.default_rng(3), (3, 5, 4))
@@ -234,7 +275,11 @@ class TestCoefficientIdentity:
             eta = eta + r_support * np.einsum("lpsk,p,sk->l", parts["b_int"],
                                               unit.scalars, scores)
         phi = np.power(times[:, None], np.array(cfg.levels, dtype=float)[None, :])
-        assert np.max(np.abs(dm.omega @ zeta - phi @ eta)) <= 1e-12
+        omega, _ = one_unit_stacked(unit, cfg, scores, r_support)
+        assert np.max(np.abs(omega @ zeta - phi @ eta)) <= 1e-12
+        # a compressed row is a combination of observation rows: R_i eta_i
+        assert np.max(np.abs(dm.omega @ zeta - dm.lam @ eta)) <= 1e-12 * max(
+            1.0, np.abs(dm.lam).max() * np.abs(eta).max())
         features = layout.features(unit.scalars[None], None if scores is None else scores[None],
                                    r_support)
         mapped = sum(layout.components(zeta, features).values())[0]

@@ -34,6 +34,7 @@ from _oracles import (
     ridge_normal_equations,
     split_units,
     stack_population,
+    stacked_design_matrices,
 )
 
 CONFIG = ModelConfig(k=2)
@@ -57,6 +58,15 @@ def synthetic_dm(seed=0, n_units=20, n_obs=10):
     return dm, truth, spec
 
 
+def synthetic_pair(seed=0, n_units=20, n_obs=10):
+    """The compressed design of ``synthetic_dm`` and the stacked one, one
+    row per observation, that the oracles read."""
+    spec = default_spec(seed=seed, n_units=n_units, n_obs=n_obs)
+    ds, truth = generate_dataset(spec)
+    return (build_design_matrices(ds, spec.config, scores=truth.scores),
+            stacked_design_matrices(ds, spec.config, truth.scores))
+
+
 def random_params(rng, dm):
     d = dm.layout.latent_dim
     a = rng.normal(size=(d, d))
@@ -69,10 +79,10 @@ def random_params(rng, dm):
 
 class TestInitParams:
     def test_matches_normal_equation_oracle(self):
-        dm, _, _ = synthetic_dm(seed=1)
+        dm, st = synthetic_pair(seed=1)
         params = init_params(dm)
-        gram = dm.omega.T @ dm.omega
-        expected = np.linalg.solve(gram, dm.omega.T @ dm.y)
+        gram = st.omega.T @ st.omega
+        expected = np.linalg.solve(gram, st.omega.T @ st.y)
         assert np.max(np.abs(params.zeta - expected)) <= 1e-10
 
     def test_noiseless_data_recovers_exactly(self):
@@ -85,10 +95,10 @@ class TestInitParams:
         assert params.sigma_eps2 <= 1e-16
 
     def test_prior_scaled_by_residual_variance(self):
-        dm, _, _ = synthetic_dm(seed=3)
+        dm, st = synthetic_pair(seed=3)
         params = init_params(dm)
-        resid = dm.y - dm.omega @ params.zeta
-        expected = 0.1 * float(resid @ resid) / dm.n_obs
+        resid = st.y - st.omega @ params.zeta
+        expected = 0.1 * float(resid @ resid) / st.y.size
         assert np.allclose(np.diag(params.sigma_gamma), expected)
 
 
@@ -134,12 +144,12 @@ class TestEStep:
 
 class TestZetaUpdate:
     def test_zero_latent_mean_gives_ols(self):
-        dm, _, _ = synthetic_dm(seed=6)
+        dm, st = synthetic_pair(seed=6)
         d = dm.layout.latent_dim
         post = LatentPosterior(np.zeros((dm.n_units, d)),
                                np.tile(np.eye(d), (dm.n_units, 1, 1)))
         zeta = update_zeta(post, dm)
-        ols = np.linalg.lstsq(dm.omega, dm.y, rcond=None)[0]
+        ols = np.linalg.lstsq(st.omega, st.y, rcond=None)[0]
         assert np.allclose(zeta, ols, atol=1e-12)
 
     def test_q_gradient_vanishes(self):
@@ -163,18 +173,18 @@ class TestZetaUpdate:
         assert np.max(np.abs(grad)) <= 1e-6
 
     def test_linearity_in_adjusted_response(self):
-        dm, _, _ = synthetic_dm(seed=8, n_units=10, n_obs=5)
+        dm, st = synthetic_pair(seed=8, n_units=10, n_obs=5)
         rng = np.random.default_rng(8)
         params = random_params(rng, dm)
         post = e_step(params, dm)
         zeta = update_zeta(post, dm)
-        omegas, lambdas, ys = split_units(dm)
+        omegas, lambdas, ys = split_units(st)
         shifted_y = [y + lam @ mu for y, lam, mu in zip(ys, lambdas, post.mu)]
         dm_shifted = make_dm(omegas, lambdas, shifted_y, latent_dim=dm.layout.latent_dim)
         zeta_shifted = update_zeta(post, dm_shifted)
-        ols_on_y = np.linalg.lstsq(dm.omega, dm.y, rcond=None)[0]
+        ols_on_y = np.linalg.lstsq(st.omega, st.y, rcond=None)[0]
         assert np.allclose(zeta_shifted, ols_on_y, atol=1e-10)
-        adjusted = np.linalg.lstsq(dm.omega, dm.y - np.concatenate(
+        adjusted = np.linalg.lstsq(st.omega, st.y - np.concatenate(
             [lam @ mu for lam, mu in zip(lambdas, post.mu)]), rcond=None)[0]
         assert np.allclose(zeta, adjusted, atol=1e-12)
 
@@ -220,23 +230,23 @@ class TestSigmaEpsUpdate:
         assert update_sigma_eps(post, truth.zeta, dm2) == pytest.approx(1e-16)
 
     def test_degenerate_latent_gives_residual_mean_square(self):
-        dm, _, _ = synthetic_dm(seed=12, n_units=8, n_obs=6)
+        dm, st = synthetic_pair(seed=12, n_units=8, n_obs=6)
         rng = np.random.default_rng(12)
         zeta = rng.normal(size=dm.layout.size)
         d = dm.layout.latent_dim
         post = LatentPosterior(np.zeros((dm.n_units, d)), np.zeros((dm.n_units, d, d)))
-        resid = dm.y - dm.omega @ zeta
+        resid = st.y - st.omega @ zeta
         assert update_sigma_eps(post, zeta, dm) == pytest.approx(
-            float(resid @ resid) / dm.n_obs, rel=1e-12)
+            float(resid @ resid) / st.y.size, rel=1e-12)
 
     def test_matches_golden_section_maximizer(self):
         rng = np.random.default_rng(13)
-        dm, _, _ = synthetic_dm(seed=13, n_units=10, n_obs=6)
+        dm, st = synthetic_pair(seed=13, n_units=10, n_obs=6)
         params = random_params(rng, dm)
         post = e_step(params, dm)
         zeta_hat = update_zeta(post, dm)
         s_hat = update_sigma_eps(post, zeta_hat, dm)
-        omegas, lambdas, ys = split_units(dm)
+        omegas, lambdas, ys = split_units(st)
         profile = noise_variance_q_profile(lambdas, omegas, ys,
                                            post.mu, post.second_moments, zeta_hat,
                                            s_ref=s_hat * 1.7)
@@ -246,12 +256,12 @@ class TestSigmaEpsUpdate:
 
 class TestMarginalLoglik:
     def test_zero_latent_variance_is_iid_normal(self):
-        dm, _, _ = synthetic_dm(seed=14, n_units=6, n_obs=5)
+        dm, st = synthetic_pair(seed=14, n_units=6, n_obs=5)
         rng = np.random.default_rng(14)
         zeta = rng.normal(size=dm.layout.size)
         sigma2 = 0.7
         params = Parameters(zeta, sigma2, np.zeros((dm.layout.latent_dim,) * 2))
-        resid = dm.y - dm.omega @ zeta
+        resid = st.y - st.omega @ zeta
         expected = float(np.sum(
             -0.5 * (np.log(2 * np.pi * sigma2) + resid ** 2 / sigma2)))
         assert marginal_loglik(params, dm) == pytest.approx(expected, rel=1e-12)
@@ -274,11 +284,11 @@ class TestMarginalLoglik:
         assert marginal_loglik(params, dm) == pytest.approx(expected, rel=1e-12)
 
     def test_unit_permutation_invariance(self):
-        dm, _, _ = synthetic_dm(seed=16, n_units=7, n_obs=4)
+        dm, st = synthetic_pair(seed=16, n_units=7, n_obs=4)
         rng = np.random.default_rng(16)
         params = random_params(rng, dm)
         perm = rng.permutation(dm.n_units)
-        omegas, lambdas, ys = split_units(dm)
+        omegas, lambdas, ys = split_units(st)
         dm_p = make_dm([omegas[i] for i in perm],
                        [lambdas[i] for i in perm],
                        [ys[i] for i in perm],
@@ -326,7 +336,8 @@ class TestMarginalLoglik:
         spec = default_spec(seed=27, n_units=40, n_obs=10)
         ds, truth = generate_dataset(spec)
         fit = fit_em(ds, spec.config, scores=truth.scores)
-        assert fit.loglik == pytest.approx(lemma_loglik(fit.params, fit.design), rel=1e-12)
+        st = stacked_design_matrices(ds, spec.config, truth.scores)
+        assert fit.loglik == pytest.approx(lemma_loglik(fit.params, st), rel=1e-12)
 
     def test_non_psd_covariance_names_unit(self):
         from degramix.estimator import NumericalError
@@ -578,15 +589,21 @@ def boundary_dataset(seed):
     return generate_dataset(default_spec(seed=seed, n_units=60, sigma_gamma=np.zeros((1, 1))))[0]
 
 
+def boundary_stacked(ds, fit):
+    """The stacked design, one row per observation, of a boundary fit."""
+    return stacked_design_matrices(ds, BOUNDARY_CONFIG, fit.scores)
+
+
 class TestVarianceBoundary:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_profiled_likelihood_oracle(self, seed):
         # seed 0 has an interior maximum at a tiny sigma_gamma^2, seed 1 its
         # maximum on the zero boundary
-        fit = fit_em(boundary_dataset(seed), BOUNDARY_CONFIG)
+        ds = boundary_dataset(seed)
+        fit = fit_em(ds, BOUNDARY_CONFIG)
         assert fit.converged and fit.stop_reason == "converged"
         assert fit.iterations <= 40
-        ll_star, sg_star = profiled_max(fit.design)
+        ll_star, sg_star = profiled_max(boundary_stacked(ds, fit))
         assert fit.loglik >= ll_star - 1e-8 * abs(ll_star)
         if seed == 0:
             assert fit.params.sigma_gamma[0, 0] == pytest.approx(sg_star, rel=1e-3)
@@ -594,12 +611,14 @@ class TestVarianceBoundary:
     def test_profiled_oracle_is_the_marginal_likelihood(self):
         # at its GLS zeta and profiled noise variance, the dense per-unit
         # profile equals the library's marginal log-likelihood
-        dm = fit_em(boundary_dataset(0), BOUNDARY_CONFIG).design
+        ds = boundary_dataset(0)
+        fit = fit_em(ds, BOUNDARY_CONFIG)
+        st = boundary_stacked(ds, fit)
         for theta in (0.0, 1e-3, 0.5):
-            ll, sigma2, zeta = profiled_fit(dm, theta)
+            ll, sigma2, zeta = profiled_fit(st, theta)
             params = Parameters(zeta, sigma2, theta * sigma2 * np.eye(1))
-            assert marginal_loglik(params, dm) == pytest.approx(ll, rel=1e-12)
-            assert profiled_loglik(dm, theta) == ll
+            assert marginal_loglik(params, fit.design) == pytest.approx(ll, rel=1e-12)
+            assert profiled_loglik(st, theta) == ll
 
     def test_collapsing_variance_returns_a_fit(self):
         # noiseless responses with no latent term: the latent variance

@@ -45,6 +45,29 @@ def test_same_outputs_lists_files_that_differ_or_exist_on_one_side(tmp_path, mon
     assert differing(b, a) == differing(a, b)
 
 
+def test_same_outputs_says_how_far_a_file_moved(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from same_outputs import drift
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "r.json").write_text('{"zeta": [1.0, -2.0], "iterations": 5, "ids": ["u1"]}')
+    (b / "r.json").write_text('{"zeta": [1.0, -2.000002], "iterations": 6, "ids": ["u1"]}')
+    assert drift(a / "r.json", b / "r.json") == (
+        "largest relative difference 1e-06 over 2 numbers; other entries differ: iterations")
+    (a / "t.csv").write_text("unit_id,level,y\nu1,1,0.5\nu2,1,4.0\n")
+    (b / "t.csv").write_text("unit_id,level,y\nu1,1,0.5000005\nu3,2,4.0\n")
+    assert drift(a / "t.csv", b / "t.csv") == (
+        "largest relative difference 1e-06 over 2 numbers; "
+        "other entries differ: line 3 column 1, line 3 column 2")
+    (b / "t.csv").write_text("unit_id,lvl,y\nu1,1,0.5\n")
+    assert drift(a / "t.csv", b / "t.csv") == (
+        "largest relative difference 0 over 1 numbers; "
+        "other entries differ: line 1 column 2, line 3 column 1, line 3 column 2 and 1 more")
+    (a / "x.txt").write_text("a"), (b / "x.txt").write_text("b")
+    assert drift(a / "x.txt", b / "x.txt") == ""
+
+
 def _runs(workload, parent, change, failed=0):
     """Hand-made bench_pairs runs: one pair per seed, the pass time as given."""
     return [{"workload": workload, "seed": seed, "side": side,
