@@ -242,8 +242,7 @@ def _compress_units(lam: np.ndarray, y: np.ndarray, counts: np.ndarray) -> tuple
     gram = np.empty((n, d, d))
     for m in np.unique(counts):
         units = np.flatnonzero(counts == m)
-        # when every unit has m rows they are already (N, m, d + 1) blocks
-        block = aug.reshape(n, m, -1) if units.size == n else aug[starts[units, None] + np.arange(m)]
+        block = aug[starts[units, None] + np.arange(m)]
         tri[units, :min(m, d + 1)] = np.linalg.qr(block, mode="r")
         gram[units] = np.swapaxes(block[:, :, :d], 1, 2) @ block[:, :, :d]
     return tri, gram
