@@ -8,10 +8,12 @@ Exports ``--parent`` with ``git archive`` into a temporary directory.  For
 each side, one child process imports that checkout's ``degramix`` and
 ``benchmark/workloads.py`` and, per workload, runs its ``setup`` and then
 every CLI invocation of its ``commands`` at seed 3 and full size, with BLAS
-pinned to one thread.  Both sides write under the same path, so a path
-echoed into an output cannot differ between them.  The exit code of each
-invocation and the child's stderr are kept as files beside the outputs.  Every file that
-differs, or exists on one side only, is printed; the exit code is 1 if any
+pinned to one thread.  Then it runs ``run_ragged``, which covers paths no
+workload takes: units with no more observations than latent levels,
+``fit --dump-design`` and an order-2 latent fit.  Both sides write under the
+same path, so a path echoed into an output cannot differ between them.  The
+exit code of each invocation and the child's stderr are kept as files beside
+the outputs.  Every file that differs, or exists on one side only, is printed; the exit code is 1 if any
 does, else 0.  For a ``.json`` or ``.csv`` file on both sides, the line also
 says how far it moved: the largest relative difference over its numeric
 entries, and the entries that differ otherwise (a header, an id, an integer
@@ -42,6 +44,7 @@ from pathlib import Path
 
 import degramix
 from degramix.cli import run
+from same_outputs import run_ragged
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -54,14 +57,47 @@ for name, work in WORKLOADS.items():
     work.setup(base, seed, dims)
     codes = [f"{op} {run(argv)}" for op, argv in work.commands(base, seed, dims)]
     (base / "exit_codes.txt").write_text("\\n".join(codes) + "\\n", encoding="utf-8")
+
+run_ragged(root / "ragged", seed, run)
 """
+
+
+def run_ragged(base: Path, seed: int, run) -> None:
+    """Under ``base``: simulate at ``seed``, cut unit i's responses to its
+    first 1 + (i mod 12) rows, then fit Model7 with ``--dump-design`` and a
+    ``basis_order`` 2 config on the cut data, through the CLI entry ``run``.
+    The exit codes go to ``exit_codes.txt``."""
+    codes = [f"simulate {run(['simulate', '--seed', str(seed), '--out', str(base / 'full')])}"]
+    data = base / "data"
+    data.mkdir(parents=True)
+    for name in ("scalars.csv", "curves.csv"):
+        shutil.copy(base / "full" / name, data / name)
+    with open(base / "full" / "responses.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    units = {uid: 1 + i % 12 for i, uid in enumerate(dict.fromkeys(row[0] for row in rows))}
+    with open(data / "responses.csv", "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        for uid, keep in units.items():
+            out.writerows([row for row in rows if row[0] == uid][:keep])
+    (base / "order2.json").write_text(json.dumps({"basis_order": 2, "k": 2}), encoding="utf-8")
+    stop = ["--max-iter", "500", "--tol", "1e-8"]
+    for op, model in (("fit_dump", ["--variant", "Model7", "--k", "2", "--dump-design"]),
+                      ("fit_order2", ["--config", str(base / "order2.json")])):
+        argv = ["fit", "--data", str(data), *model, *stop, "--out", str(base / op)]
+        codes.append(f"{op} {run(argv)}")
+    (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+
+
 _THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def run_side(checkout: Path, root: Path) -> None:
     """Write ``checkout``'s outputs of every workload under ``root``."""
     root.mkdir()
-    path = os.pathsep.join(str(checkout / d) for d in ("src", "benchmark"))
+    # this script's own directory, so both sides run its run_ragged
+    path = os.pathsep.join([*(str(checkout / d) for d in ("src", "benchmark")),
+                            str(Path(__file__).resolve().parent)])
     env = {**os.environ, **_THREADS, "PYTHONPATH": path}
     with open(root / "stderr.txt", "w", encoding="utf-8") as err:
         subprocess.run([sys.executable, "-c", _SIDE, str(checkout), str(root), str(SEED)],

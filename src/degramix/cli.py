@@ -352,10 +352,24 @@ def _fpca_from_record(report, s: int, k: int) -> FpcaModel:
                      array("fve_trace", eigenvalues.shape), k)
 
 
+def _unit_ids(report, key: str) -> list:
+    """The report's ``key.unit_ids`` when it is an array of distinct strings."""
+    ids = _entry(report, key, "unit_ids")
+    if not (isinstance(ids, list) and all(isinstance(u, str) for u in ids)):
+        raise ValueError(f"{key} unit_ids is not an array of strings")
+    seen = set()
+    for uid in ids:
+        if uid in seen:
+            raise ValueError(f"{key} unit_ids names unit {uid!r} twice")
+        seen.add(uid)
+    return ids
+
+
 def _fit_from_report(report) -> FitResult:
     """The FitResult a fit report holds, each array in the shape the layout
-    fixes; sigma_eps2 and r_support must be positive and sigma_gamma a
-    covariance (``_covariance``)."""
+    fixes; sigma_eps2 and r_support must be positive, sigma_gamma a
+    covariance (``_covariance``), and the scores must name the units the
+    latent posterior names, in its order."""
     from .design import layout_for
     from .estimator import LatentPosterior, Parameters
 
@@ -365,13 +379,15 @@ def _fit_from_report(report) -> FitResult:
     if min(sizes) < 0:
         raise ValueError(f"layout sizes must be nonnegative, got {sizes}")
     layout = layout_for(config, *sizes)
-    unit_ids = _entry(report, "latent_posterior", "unit_ids")
-    if not (isinstance(unit_ids, list) and all(isinstance(u, str) for u in unit_ids)):
-        raise ValueError("latent_posterior unit_ids is not an array of strings")
+    unit_ids = _unit_ids(report, "latent_posterior")
     n, d = len(unit_ids), layout.latent_dim if config.include_latent else 0
     s, k = layout.n_functional, layout.n_components
     scores = fpca_models = None
     if config.include_functional:
+        for got, want in zip(_unit_ids(report, "scores") + [None], unit_ids + [None]):
+            if got != want:
+                raise ValueError(f"scores unit_ids name {json.dumps(got)} where "
+                                 f"latent_posterior unit_ids name {json.dumps(want)}")
         scores = json_array("scores", _entry(report, "scores", "values"), (n, s, k))
         fpca_models = tuple(_fpca_from_record(report, i, k) for i in range(s))
         if len(report["fpca"]) != s:

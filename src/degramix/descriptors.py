@@ -359,6 +359,9 @@ def compute_rdf(ps: ParticleSet, r_max: float, dr: float) -> DescriptorCurve:
     the overall number density.  Degenerate inputs (M <= 1 or no interior
     reference) yield an all-zero curve with the degenerate flag set.
     """
+    for name, value in (("r_max", r_max), ("dr", dr)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dr <= 0:
         raise ValueError("dr must be positive")
     if r_max <= dr:

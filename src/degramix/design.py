@@ -145,17 +145,17 @@ def layout_for(config: ModelConfig, n_scalars: int, n_functional: int, n_compone
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """The regression rows of one dataset under one layout, grouped by unit.
+    """The regression rows of one dataset under one layout, one block per unit.
 
-    Unit i has ``counts[i]`` rows of ``omega`` (rows, p), ``lam`` (rows, d)
-    and ``y``; ``lam_gram`` holds the blocks Lambda_i^T Lambda_i (N, d, d)
-    and ``n_obs`` the number of observations the rows stand for.  Every row
-    of a unit is lambda_row (x) f_i, so EM needs no more of unit i than the
-    Gram matrix of [Lambda_i y_i].  ``build_design_matrices`` keeps exactly
-    that: each unit's d + 1 rows are the triangular factor of [Lambda_i y_i]
-    (padded with zero rows when m_i <= d), never one row per observation.
-    ``ridge_jitter`` picks how ``omega_factor``, built once per design,
-    factors Omega.
+    Unit i's block is ``omega[i]`` (k, p), ``lam[i]`` (k, d) and ``y[i]``
+    (k,); ``lam_gram`` holds Lambda_i^T Lambda_i (N, d, d) and ``n_obs`` the
+    number of observations the rows stand for.  Every row of a unit is
+    lambda_row (x) f_i, so EM needs no more of unit i than the Gram matrix of
+    [Lambda_i y_i].  ``build_design_matrices`` keeps exactly that: k = d + 1
+    rows, the triangular factor of [Lambda_i y_i], never one row per
+    observation.  Zero rows are padding: they add nothing to any sum, so a
+    block may hold fewer real rows than k.  ``ridge_jitter`` picks how
+    ``omega_factor``, built once per design, factors Omega.
     """
 
     layout: ZetaLayout
@@ -163,62 +163,57 @@ class DesignMatrices:
     omega: np.ndarray
     lam: np.ndarray
     y: np.ndarray
-    counts: np.ndarray
     lam_gram: np.ndarray
     n_obs: int
     ridge_jitter: bool = False
 
     @cached_property
     def omega_factor(self) -> tuple:
-        """(b, t, piv) with ``zeta[piv] = t^-1 b^T rhs`` the least-squares solve:
-        Omega's pivoted QR (q, r, piv), which raises if Omega is rank-deficient,
-        or with the ridge the jittered normal equations (Omega, Omega^T Omega
-        plus a trace-relative jitter, the identity)."""
-        if not self.ridge_jitter:
-            return _check_full_rank(self.omega, self.layout, self.n_obs)
+        """(b, t, piv) with ``zeta[piv] = t^-1 b^T rhs`` the least-squares solve
+        on the rows of all blocks: Omega's pivoted QR (q, r, piv), which raises
+        if Omega is rank-deficient, or with the ridge the jittered normal
+        equations (Omega, Omega^T Omega plus a trace-relative jitter, the
+        identity)."""
         p = self.layout.size
-        gram = self.omega.T @ self.omega
-        return self.omega, gram + 1e-8 * np.trace(gram) / p * np.eye(p), np.arange(p)
+        omega = self.omega.reshape(self.y.size, -1)
+        if not self.ridge_jitter:
+            return _check_full_rank(omega, self.layout, self.n_obs)
+        gram = omega.T @ omega
+        return omega, gram + 1e-8 * np.trace(gram) / p * np.eye(p), np.arange(p)
 
     def projection_basis(self) -> np.ndarray:
-        """B with B B^T the projection on Omega's columns: q of the QR, or on
-        the ridge path Omega K^-T with K K^T the jittered normal matrix."""
+        """B (N, k, p) with B B^T the projection on Omega's columns: q of the
+        QR, or on the ridge path Omega K^-T with K K^T the jittered normal
+        matrix."""
         b, t, _ = self.omega_factor
-        if not self.ridge_jitter:
-            return b
-        # reversing rows and columns makes the Cholesky factor upper
-        # triangular, which LU solves by substitution without swapping rows
-        return np.linalg.solve(np.linalg.cholesky(t)[::-1, ::-1], self.omega.T[::-1])[::-1].T
+        if self.ridge_jitter:
+            # reversing rows and columns makes the Cholesky factor upper
+            # triangular, which LU solves by substitution without swapping rows
+            b = np.linalg.solve(np.linalg.cholesky(t)[::-1, ::-1], b.T[::-1])[::-1].T
+        return b.reshape(self.omega.shape)
 
     def residual(self, zeta: np.ndarray) -> tuple:
-        """r = y - Omega zeta on every row and Lambda_i^T r_i (N, d) per unit."""
-        r = self.y - self.omega @ zeta
-        return r, unit_sums(self.lam * r[:, None], self.counts)
+        """(|y - Omega zeta|^2 over every row, Lambda_i^T r_i (N, d) per unit)."""
+        r = self.y.reshape(-1) - self.omega.reshape(self.y.size, -1) @ zeta
+        return float(r @ r), np.sum(self.lam * r.reshape(self.y.shape)[:, :, None], axis=1)
 
     @property
     def n_units(self) -> int:
         return len(self.unit_ids)
 
     def latent_mean(self, mu: np.ndarray) -> np.ndarray:
-        """Lambda_i mu_i on every row; zero when ``mu`` (N, d) has no columns."""
-        if mu.shape[1] == 0:
-            return np.zeros(self.y.size)
-        return np.sum(self.lam * np.repeat(mu, self.counts, axis=0), axis=1)
+        """Lambda_i mu_i (N, k) on every row of every block."""
+        return np.sum(self.lam * mu[:, None, :], axis=2)
 
 
-def unit_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum row-indexed values within each unit: (rows, ...) -> (N, ...)."""
-    return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
-
-
-def _observed_rows(layout: ZetaLayout, lam: np.ndarray, features: dict,
-                  units: np.ndarray) -> np.ndarray:
-    """Omega's rows for latent rows ``lam`` (n, d) of units ``units`` (n,):
-    each segment's block is lambda_row (x) the unit's ``features``."""
-    omega = np.empty((units.size, layout.size))
+def _observed_rows(layout: ZetaLayout, lam: np.ndarray, features: dict) -> np.ndarray:
+    """Omega's blocks (N, k, p) for latent blocks ``lam`` (N, k, d): each
+    segment's columns are lambda_row (x) the unit's ``features``."""
+    n, k = lam.shape[:2]
+    omega = np.empty((n, k, layout.size))
     for name, f in features.items():
         start, stop = layout.offsets[name]
-        omega[:, start:stop] = (lam[:, :, None] * f[units][:, None, :]).reshape(units.size, -1)
+        omega[:, :, start:stop] = (lam[:, :, :, None] * f[:, None, None, :]).reshape(n, k, -1)
     return omega
 
 
@@ -228,7 +223,8 @@ def stacked_design(ds: DegradationDataset, config: ModelConfig, layout: ZetaLayo
     order: what ``fit --dump-design`` writes; the fit never forms them."""
     lam = basis_columns(config.basis, ds.times, layout.levels)
     features = layout.features(ds.scalars, scores, r_support)
-    return _observed_rows(layout, lam, features, ds.unit_rows), lam
+    rows = {name: f[ds.unit_rows] for name, f in features.items()}  # one-row blocks
+    return _observed_rows(layout, lam[:, None, :], rows)[:, 0], lam
 
 
 def _compress_units(lam: np.ndarray, y: np.ndarray, counts: np.ndarray) -> tuple:
@@ -332,13 +328,11 @@ def build_design_matrices(
     d = layout.latent_dim
     tri, lam_gram = _compress_units(basis_columns(config.basis, ds.times, layout.levels),
                                     ds.responses, ds.counts)
-    lam = tri[:, :, :d].reshape(-1, d)
-    units = np.repeat(np.arange(ds.n_units), d + 1)
-    omega = _observed_rows(layout, lam, layout.features(ds.scalars, scores, r_support), units)
+    lam = tri[:, :, :d]
+    omega = _observed_rows(layout, lam, layout.features(ds.scalars, scores, r_support))
     dm = DesignMatrices(
-        layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=tri[:, :, d].reshape(-1),
-        counts=np.full(ds.n_units, d + 1), lam_gram=lam_gram, n_obs=ds.n_obs,
-        ridge_jitter=config.ridge_jitter,
+        layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=tri[:, :, d],
+        lam_gram=lam_gram, n_obs=ds.n_obs, ridge_jitter=config.ridge_jitter,
     )
     dm.omega_factor  # without the ridge, the rank check: a rank-deficient design fails here
     return dm

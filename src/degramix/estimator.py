@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DegradationDataset, ModelConfig
-from .design import DesignMatrices, ZetaLayout, build_design_matrices, unit_sums
+from .design import DesignMatrices, ZetaLayout, build_design_matrices
 from .fpca import fit_scores
 
 _SIGMA_EPS_FLOOR = 1e-16
@@ -92,7 +92,6 @@ class FitResult:
     r_support: float
     scores: np.ndarray | None
     fpca_models: tuple | None
-    design: DesignMatrices | None = None  # what the fit ran on; None when read back from a report
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {uid: i for i, uid in enumerate(self.unit_ids)})
@@ -126,15 +125,14 @@ def _solve_zeta(dm: DesignMatrices, rhs: np.ndarray) -> np.ndarray:
     zeta = np.empty(dm.layout.size)
     # without the ridge t is upper triangular, and LU with partial pivoting
     # swaps no rows of it, so this is a back substitution
-    zeta[piv] = np.linalg.solve(t, b.T @ rhs)
+    zeta[piv] = np.linalg.solve(t, b.T @ rhs.reshape(-1))
     return zeta
 
 
 def init_params(dm: DesignMatrices) -> Parameters:
     """OLS start: zeta from least squares, residual variance, 0.1-scaled prior."""
     zeta0 = _solve_zeta(dm, dm.y)
-    resid = dm.residual(zeta0)[0]
-    sigma0 = float(resid @ resid) / dm.n_obs
+    sigma0 = dm.residual(zeta0)[0] / dm.n_obs
     d = dm.layout.latent_dim
     sigma_gamma0 = 0.1 * max(sigma0, _SIGMA_EPS_FLOOR) * np.eye(d)
     return Parameters(zeta0, max(sigma0, _SIGMA_EPS_FLOOR), sigma_gamma0)
@@ -171,8 +169,8 @@ def update_sigma_gamma(posterior: LatentPosterior, constrain_diagonal: bool = Fa
 def update_sigma_eps(posterior: LatentPosterior, zeta: np.ndarray, dm: DesignMatrices) -> float:
     """Noise variance update: (r^T r - 2 sum_i b_i . mu_i + sum_i tr(G_i E_i)) / n
     with b_i = Lambda_i^T r_i, G_i = Lambda_i^T Lambda_i, E_i = E[gamma_i gamma_i^T]."""
-    resid, b = dm.residual(zeta)
-    total = float(resid @ resid) - 2.0 * float(np.sum(b * posterior.mu))
+    rss, b = dm.residual(zeta)
+    total = rss - 2.0 * float(np.sum(b * posterior.mu))
     total += float(np.einsum("nab,nba->", dm.lam_gram, posterior.second_moments))
     return max(total / dm.n_obs, _SIGMA_EPS_FLOOR)
 
@@ -190,9 +188,8 @@ def marginal_loglik(params: Parameters, dm: DesignMatrices) -> float:
     |K_i^-1 L^T b_i|^2.  Otherwise C_i is positive definite iff every (real)
     eigenvalue of A_i is positive."""
     s2 = params.sigma_eps2
-    resid, b = dm.residual(params.zeta)
+    quad, b = dm.residual(params.zeta)
     logdet = dm.n_obs * np.log(s2)
-    quad = float(resid @ resid)
     d = params.latent_dim
     if d:
         evals, evecs = np.linalg.eigh(params.sigma_gamma)
@@ -246,11 +243,12 @@ def fit_em(
 
 
 def check_stopping(max_iter: int, tol: float) -> None:
-    """Raise unless ``max_iter`` >= 0 and ``tol`` is a finite number >= 0
-    (0 disables early stopping; NaN or a negative ``tol`` would silently
-    disable it too, and an infinite one stop after one iteration)."""
-    if not max_iter >= 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    """Raise unless ``max_iter`` is an integer >= 0 (a bool is none) and
+    ``tol`` a finite number >= 0 (0 disables early stopping; NaN or a
+    negative ``tol`` would silently disable it too, and an infinite one stop
+    after one iteration)."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
@@ -260,8 +258,10 @@ def _px_sums(dm: DesignMatrices) -> tuple:
     Lambda_i^T y_i (N, d), Lambda_i^T B_i (N, d, p) and B^T y (p,), where
     B B^T projects on Omega's columns (``DesignMatrices.projection_basis``)."""
     basis = dm.projection_basis()
-    lam_b = unit_sums(dm.lam[:, :, None] * basis[:, None, :], dm.counts)
-    return unit_sums(dm.lam * dm.y[:, None], dm.counts), lam_b, basis.T @ dm.y
+    # in C order: the einsum of _working_parameter rounds by its operands' layout
+    lam_b = np.sum(np.multiply(dm.lam[:, :, :, None], basis[:, :, None, :], order="C"), axis=1)
+    return (np.sum(dm.lam * dm.y[:, :, None], axis=1), lam_b,
+            basis.reshape(dm.y.size, -1).T @ dm.y.reshape(-1))
 
 
 def _working_parameter(posterior: LatentPosterior, dm: DesignMatrices, sums: tuple,
@@ -388,7 +388,7 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
 
     dm = build_design_matrices(ds, config, scores=scores)
     common = dict(config=config, layout=dm.layout, unit_ids=dm.unit_ids,
-                  r_support=ds.r_support, scores=scores, fpca_models=fpca_models, design=dm)
+                  r_support=ds.r_support, scores=scores, fpca_models=fpca_models)
 
     if not config.include_latent:
         ols = init_params(dm)

@@ -91,10 +91,9 @@ def fit_fpca(curves: np.ndarray, r_grid: np.ndarray) -> FpcaModel:
         raise ValueError("degenerate covariance: all curves are identical")
 
     psi = evecs / sw[:, None]
-    for j in range(psi.shape[1]):
-        peak = np.argmax(np.abs(psi[:, j]))
-        if psi[peak, j] < 0:
-            psi[:, j] = -psi[:, j]
+    # each eigenfunction's sign makes its largest-magnitude entry positive
+    flip = psi[np.argmax(np.abs(psi), axis=0), np.arange(psi.shape[1])] < 0
+    psi[:, flip] = -psi[:, flip]
 
     fve = np.cumsum(evals) / total
     k_default = int(np.count_nonzero(evals > 0.0))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft, linalg
@@ -24,7 +25,7 @@ from degramix.data import (
     _unit_sort_key,
     basis_columns,
 )
-from degramix.design import DesignMatrices, layout_for, unit_sums
+from degramix.design import DesignMatrices, layout_for
 from degramix.estimator import (
     NumericalError,
     Parameters,
@@ -268,20 +269,44 @@ def layout_names_and_split(layout, zeta) -> tuple:
     return names, parts
 
 
-def stack_population(layout, unit_ids, omegas, lambdas, ys, ridge_jitter=False) -> DesignMatrices:
-    """Hand-assembled DesignMatrices: row-stacked per-unit blocks, one row
-    per observation."""
+def unit_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum row-indexed values within each unit: (rows, ...) -> (N, ...)."""
+    return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
+
+
+@dataclass(frozen=True)
+class StackedDesign(DesignMatrices):
+    """A design with one row per observation: unit i's ``counts[i]`` rows,
+    then zero rows up to the longest unit's length.  The zero rows add
+    exact zeros to every per-unit sum, so the library reads it like any
+    other design; the dense oracles read the true rows."""
+
+    counts: np.ndarray | None = None
+
+    def rows(self, name: str) -> np.ndarray:
+        """Every observation's row of ``omega``, ``lam`` or ``y``, unit after unit."""
+        return np.concatenate([block[:m] for block, m in zip(getattr(self, name), self.counts)])
+
+
+def stack_population(layout, unit_ids, omegas, lambdas, ys, ridge_jitter=False) -> StackedDesign:
+    """Hand-assembled design: each unit's block holds its rows, one per
+    observation, zero-padded to the longest unit's length."""
     counts = np.array([o.shape[0] for o in omegas])
+
+    def padded(blocks):
+        blocks = [np.asarray(b, dtype=float) for b in blocks]
+        return np.stack([np.concatenate([b, np.zeros((counts.max() - len(b), *b.shape[1:]))])
+                         for b in blocks])
+
     lam = np.vstack(lambdas)
-    return DesignMatrices(
-        layout=layout, unit_ids=tuple(unit_ids), omega=np.vstack(omegas), lam=lam,
-        y=np.concatenate(ys).astype(float, copy=False), counts=counts,
-        lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts), n_obs=int(counts.sum()),
-        ridge_jitter=ridge_jitter,
+    return StackedDesign(
+        layout=layout, unit_ids=tuple(unit_ids), omega=padded(omegas), lam=padded(lambdas),
+        y=padded(ys), lam_gram=unit_sums(lam[:, :, None] * lam[:, None, :], counts),
+        n_obs=int(counts.sum()), ridge_jitter=ridge_jitter, counts=counts,
     )
 
 
-def stacked_design_matrices(ds, config, scores=None) -> DesignMatrices:
+def stacked_design_matrices(ds, config, scores=None) -> StackedDesign:
     """The uncompressed design of ``ds``: every observation's row, each
     unit's Omega block from ``build_observed_design``.  The library's EM runs
     on the same functions over each unit's compressed block; on this design
@@ -307,9 +332,13 @@ def ridge_normal_equations(omega: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def split_units(dm):
-    """Per-unit (omegas, lambdas, ys) blocks of a stacked design."""
-    cuts = np.cumsum(dm.counts)[:-1]
-    return (np.split(dm.omega, cuts), np.split(dm.lam, cuts), np.split(dm.y, cuts))
+    """Per-unit (omegas, lambdas, ys) blocks of a design; a stacked design's
+    blocks lose their padding, a library design's keep all their rows."""
+    counts = getattr(dm, "counts", None)
+    if counts is None:
+        counts = np.full(dm.n_units, dm.y.shape[1])
+    return tuple([block[:m] for block, m in zip(getattr(dm, name), counts)]
+                 for name in ("omega", "lam", "y"))
 
 
 def cholesky_loglik(params, dm):
@@ -337,9 +366,10 @@ def lemma_loglik(params, dm):
     Sigma_gamma G_i: log|C_i| = log|A_i| + (m_i - d) log sigma_eps2 and
     r_i^T C_i^-1 r_i = (r_i^T r_i - b_i^T A_i^-1 Sigma_gamma b_i) / sigma_eps2."""
     s2, d = params.sigma_eps2, params.latent_dim
-    resid = dm.y - dm.omega @ params.zeta
+    omegas, lambdas, ys = split_units(dm)
+    resid = np.concatenate([y - om @ params.zeta for om, y in zip(omegas, ys)])
     a = s2 * np.eye(d) + params.sigma_gamma @ dm.lam_gram
-    b = unit_sums(dm.lam * resid[:, None], dm.counts)
+    b = unit_sums(np.vstack(lambdas) * resid[:, None], [y.size for y in ys])
     sb = (b @ params.sigma_gamma.T)[:, :, None]
     logdet = (dm.n_obs * np.log(s2) + float(np.sum(np.linalg.slogdet(a)[1]))
               - dm.n_units * d * np.log(s2))
@@ -350,7 +380,7 @@ def lemma_loglik(params, dm):
 def profiled_fit(dm, theta: float) -> tuple:
     """(log-likelihood, sigma_eps^2, zeta) of ``profiled_loglik`` at theta."""
     omegas, lambdas, ys = split_units(dm)
-    p = dm.omega.shape[1]
+    p = dm.omega.shape[2]
     gram, rhs, logdet = np.zeros((p, p)), np.zeros(p), 0.0
     inverses = []
     for om, lam, y in zip(omegas, lambdas, ys):

@@ -224,7 +224,8 @@ class TestSimulateFitPipeline:
         assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
                     "--dump-design", "--out", str(out)]) == 0
         dm, = built
-        for name, want in (("design_omega.csv", dm.omega), ("design_lambda.csv", dm.lam)):
+        for name, want in (("design_omega.csv", dm.rows("omega")),
+                           ("design_lambda.csv", dm.rows("lam"))):
             with open(out / name, newline="", encoding="utf-8") as fh:
                 header, *rows = csv.reader(fh)
             assert {len(row) for row in rows} == {len(header)}, name
@@ -369,6 +370,15 @@ class TestDescriptor:
         assert code == 0
         lines = (out / "curves.csv").read_text().splitlines()
         assert len(lines) == 1 + 5
+
+    @pytest.mark.parametrize("flag, name", [("--r-max", "r_max"), ("--dr", "dr")])
+    def test_rdf_rejects_non_finite_radius(self, tmp_path, capsys, flag, name):
+        pfile = tmp_path / "p.csv"
+        pfile.write_text("# window 1.0 1.0\nx,y\n0.5,0.5\n0.6,0.6\n")
+        radii = {"--r-max": "0.1", "--dr": "0.02", flag: "nan"}
+        assert run(["descriptor", "rdf", "--particles", str(pfile), *(
+            arg for item in radii.items() for arg in item), "--out", str(tmp_path / "rdf")]) == 1
+        assert f"{name} must be finite, got nan" in capsys.readouterr().err
 
     def test_tpc_rejects_fractional_r_max(self, tmp_path, capsys):
         img = tmp_path / "a.pgm"
@@ -610,6 +620,16 @@ class TestPredictChecksReport:
          "layout sizes must be nonnegative, got [1, -1, 2]"),
         (lambda r: r["latent_posterior"]["unit_ids"].__setitem__(0, 7),
          "latent_posterior unit_ids is not an array of strings"),
+        # a unit named twice, or scores of other units than the posterior's
+        (lambda r: r["latent_posterior"]["unit_ids"].__setitem__(1, "u01"),
+         "latent_posterior unit_ids names unit 'u01' twice"),
+        (lambda r: r["scores"]["unit_ids"].__setitem__(1, "u01"),
+         "scores unit_ids names unit 'u01' twice"),
+        (lambda r: r["scores"]["unit_ids"].reverse(),
+         'scores unit_ids name "u12" where latent_posterior unit_ids name "u01"'),
+        (lambda r: r["scores"]["unit_ids"].pop(),
+         'scores unit_ids name null where latent_posterior unit_ids name "u12"'),
+        (lambda r: r["scores"].pop("unit_ids"), "fit report has no 'scores.unit_ids' entry"),
         (lambda r: r.update(r_support=[10.0]), "r_support must be a number, got [10.0]"),
         # the FPCA basis and the fit trace
         (lambda r: r["fpca"][0]["r_grid"].__setitem__(5, float("nan")),

@@ -2,9 +2,10 @@
 
 ``build_design_matrices`` keeps d + 1 rows per unit, the triangular factor
 of [Lambda_i y_i]; the stacked design (``stacked_design_matrices``) has one
-row per observation.  The estimator reads no more of a unit's rows than
-their Gram matrix and the observation count, so on either design every
-update, the log-likelihood and a whole fit must agree to rounding.
+row per observation, zero-padded to the longest unit's length.  The
+estimator reads no more of a unit's rows than their Gram matrix and the
+observation count, so on either design every update, the log-likelihood
+and a whole fit must agree to rounding.
 """
 
 from dataclasses import fields, replace
@@ -91,10 +92,12 @@ def test_fit_matches_the_stacked_design(seed, order, ridge, monkeypatch):
     stop = {} if order == 1 else {"max_iter": 3, "tol": 0.0}
     ds, config, scores = ragged_case(seed, order, ridge)
     fit = fit_em(ds, config, scores=scores, **stop)
-    monkeypatch.setattr(estimator, "build_design_matrices",
-                        lambda ds, config, scores=None: stacked_design_matrices(ds, config, scores))
+    stacked = []
+    monkeypatch.setattr(estimator, "build_design_matrices", lambda ds, config, scores=None:
+                        stacked.append(stacked_design_matrices(ds, config, scores)) or stacked[-1])
     ref = fit_em(ds, config, scores=scores, **stop)
-    assert ref.design.y.size == ds.n_obs  # the reference ran on one row per observation
+    # the reference ran on one row per observation, zero-padded to 12 per unit
+    assert np.array_equal(stacked[0].counts, ds.counts) and stacked[0].y.shape == (60, 12)
     assert fit.iterations == ref.iterations and fit.converged == ref.converged
     assert fit.converged == (order == 1)
     assert rel(fit.params.zeta, ref.params.zeta) <= TOL
@@ -128,16 +131,23 @@ def _design_arrays(dm) -> dict:
 
 
 @pytest.mark.parametrize("latent", [True, False])
-def test_design_size_does_not_grow_with_the_series(latent):
-    # 40 units observed 30 times or 300 times hold designs of one shape
+def test_design_size_does_not_grow_with_the_series(latent, monkeypatch):
+    # 40 units observed 30 times or 300 times hold designs of one shape,
+    # every field one block per unit
+    built = []
+    build = estimator.build_design_matrices
+    monkeypatch.setattr(estimator, "build_design_matrices",
+                        lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
     shapes = []
     for m in (30, 300):
         spec = default_spec(seed=9, n_units=40, n_obs=m)
         ds, truth = generate_dataset(spec)
-        fit = fit_em(ds, replace(spec.config, include_latent=latent), scores=truth.scores,
-                     max_iter=3, tol=0.0)
-        arrays = _design_arrays(fit.design)
-        assert fit.design.n_obs == ds.n_obs == 40 * m
+        fit_em(ds, replace(spec.config, include_latent=latent), scores=truth.scores,
+               max_iter=3, tol=0.0)
+        dm = built[-1]
+        arrays = _design_arrays(dm)
+        assert dm.n_obs == ds.n_obs == 40 * m
         assert all(a.shape[0] != ds.n_obs for a in arrays.values())
+        assert all(getattr(dm, f.name).shape[0] == 40 for f in fields(dm) if f.name in arrays)
         shapes.append({name: a.shape for name, a in arrays.items()})
     assert shapes[0] == shapes[1]

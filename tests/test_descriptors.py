@@ -328,6 +328,14 @@ class TestRdf:
         with pytest.raises(ValueError, match="half the window"):
             compute_rdf(ps, 0.6, 0.1)
 
+    @pytest.mark.parametrize("r_max, dr, name", [
+        (np.nan, 0.1, "r_max"), (np.inf, 0.1, "r_max"), (0.2, np.nan, "dr"), (0.2, -np.inf, "dr"),
+    ])
+    def test_non_finite_radii_named(self, r_max, dr, name):
+        ps = ParticleSet([[0.5, 0.5], [0.6, 0.6]], (1.0, 1.0))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            compute_rdf(ps, r_max, dr)
+
     def test_dr_validation(self):
         ps = ParticleSet([[0.5, 0.5], [0.6, 0.6]], (1.0, 1.0))
         with pytest.raises(ValueError):

@@ -62,9 +62,8 @@ def one_unit_stacked(unit, cfg, scores=None, r_support=10.0):
 def gram_of_blocks(dm):
     """Each unit's Gram matrix of [Omega_i Lambda_i y_i]: all that EM reads
     of the unit's rows."""
-    cuts = np.cumsum(dm.counts)[:-1]
-    return np.stack([a.T @ a for a in np.split(
-        np.column_stack([dm.omega, dm.lam, dm.y]), cuts)])
+    blocks = np.concatenate([dm.omega, dm.lam, dm.y[:, :, None]], axis=2)
+    return np.swapaxes(blocks, 1, 2) @ blocks
 
 
 LATENT_ONLY = dict(include_scalar=False, include_functional=False, include_interaction=False)
@@ -101,7 +100,7 @@ class TestObservedDesign:
         cfg = ModelConfig(include_interaction=False, center_baseline=False)
         dm = one_unit_design(unit_with([1.0, 2.0], [2.0]), cfg, np.array([[0.5]]), 10.0)
         assert dm.layout.size == 2 * (1 + 1 + 1)
-        assert dm.omega.shape == (3, 6)  # the unit's d + 1 compressed rows
+        assert dm.omega.shape == (1, 3, 6)  # the unit's d + 1 compressed rows
         omega, _ = one_unit_stacked(unit_with([1.0, 2.0], [2.0]), cfg, np.array([[0.5]]), 10.0)
         assert omega.shape == (2, 6)
 
@@ -109,8 +108,8 @@ class TestObservedDesign:
         dm = one_unit_design(unit_with([1.0, 2.0], [0.0]), ModelConfig(center_baseline=False),
                              np.array([[0.5]]), 10.0)
         off = dm.layout.offsets
-        assert np.all(dm.omega[:, off["beta"][0]:off["beta"][1]] == 0.0)
-        assert np.all(dm.omega[:, off["b_int"][0]:off["b_int"][1]] == 0.0)
+        assert np.all(dm.omega[..., off["beta"][0]:off["beta"][1]] == 0.0)
+        assert np.all(dm.omega[..., off["b_int"][0]:off["b_int"][1]] == 0.0)
 
     def test_first_columns_equal_latent_design(self):
         rng = np.random.default_rng(0)
@@ -118,7 +117,7 @@ class TestObservedDesign:
         cfg = ModelConfig(center_baseline=False)
         scores = rng.normal(size=(ds.n_units, 1, 3))
         dm = build_design_matrices(ds, cfg, scores=scores)
-        assert np.array_equal(dm.omega[:, :dm.layout.latent_dim], dm.lam)
+        assert np.array_equal(dm.omega[..., :dm.layout.latent_dim], dm.lam)
 
     def test_score_shape_mismatch(self):
         # two covariates' scores for a dataset with one functional covariate
@@ -148,8 +147,9 @@ class TestMatchesPerUnitOracle:
         ref = stacked_design_matrices(ds, cfg, scores)
         assert dm.layout == ref.layout and dm.unit_ids == ref.unit_ids
         omega, lam = stacked_design(ds, cfg, dm.layout, scores, ds.r_support)
-        assert np.array_equal(omega, ref.omega) and np.array_equal(lam, ref.lam)
-        assert np.array_equal(dm.counts, np.full(ds.n_units, dm.layout.latent_dim + 1))
+        assert np.array_equal(omega, ref.rows("omega")) and np.array_equal(lam, ref.rows("lam"))
+        rows = (ds.n_units, dm.layout.latent_dim + 1)
+        assert dm.omega.shape[:2] == dm.lam.shape[:2] == dm.y.shape == rows
         assert dm.n_obs == ref.n_obs == ds.n_obs
         assert np.array_equal(dm.lam_gram, ref.lam_gram)
 
@@ -192,10 +192,9 @@ class TestStacking:
         ds = int_dataset(np.random.default_rng(1), (3, 4))
         dm = build_design_matrices(ds, SCALAR_ORDER2)
         # each unit's d + 1 = 4 compressed rows, whatever its 3 or 4 observations
-        assert dm.omega.shape == (8, 9)
-        assert dm.lam.shape == (8, 3)
-        assert dm.y.shape == (8,)
-        assert np.array_equal(dm.counts, [4, 4])
+        assert dm.omega.shape == (2, 4, 9)
+        assert dm.lam.shape == (2, 4, 3)
+        assert dm.y.shape == (2, 4)
         assert dm.n_obs == 7
         assert dm.lam_gram.shape == (2, 3, 3)
 
@@ -216,12 +215,12 @@ class TestStacking:
         got_omega, got_lam = stacked_design(ds, SCALAR_ORDER2, dm.layout, None, 1.0)
         assert np.array_equal(got_omega, omega) and np.array_equal(got_lam, lam)
         stacked = np.column_stack([omega, lam, u.responses])
-        compressed = np.column_stack([dm.omega, dm.lam, dm.y])
+        compressed = np.column_stack([dm.omega[0], dm.lam[0], dm.y[0]])
         assert np.allclose(compressed.T @ compressed, stacked.T @ stacked, rtol=0.0,
                            atol=1e-13 * np.abs(stacked.T @ stacked).max())
         # [R z; 0 rho]: triangular, with the latent block's last row zero
-        assert np.array_equal(np.tril(np.column_stack([dm.lam, dm.y]), -1), np.zeros((4, 4)))
-        assert np.array_equal(dm.counts, [4]) and dm.n_obs == 5
+        assert np.array_equal(np.tril(np.column_stack([dm.lam[0], dm.y[0]]), -1), np.zeros((4, 4)))
+        assert dm.y.shape == (1, 4) and dm.n_obs == 5
 
     def test_permutation_consistency(self):
         ds = int_dataset(np.random.default_rng(3), (3, 5, 4))
@@ -229,13 +228,9 @@ class TestStacking:
         perm = [2, 0, 1]
         dm_p = build_design_matrices(
             stack_units((ds.units[i] for i in perm), ds.r_grid), SCALAR_ORDER2)
-        # permuting units permutes row blocks, counts and Gram blocks, nothing else
-        cuts = np.cumsum(dm.counts)[:-1]
-        for field in ("omega", "lam", "y"):
-            blocks = np.split(getattr(dm, field), cuts)
-            assert np.array_equal(np.concatenate([blocks[i] for i in perm]), getattr(dm_p, field))
-        assert np.array_equal(dm.counts[perm], dm_p.counts)
-        assert np.array_equal(dm.lam_gram[perm], dm_p.lam_gram)
+        # permuting units permutes row blocks and Gram blocks, nothing else
+        for field in ("omega", "lam", "y", "lam_gram"):
+            assert np.array_equal(getattr(dm, field)[perm], getattr(dm_p, field))
         assert dm_p.unit_ids == tuple(dm.unit_ids[i] for i in perm)
 
 
@@ -302,7 +297,7 @@ class TestCoefficientIdentity:
                           rng.normal(size=p), np.zeros((s, 4)))
         dm = one_unit_design(unit, cfg, rng.normal(size=(s, k)), 5.0)
         assert dm.layout == layout
-        assert dm.omega.shape[1] == layout.size
+        assert dm.omega.shape[2] == layout.size
         assert len(layout.names()) == layout.size
 
 
@@ -351,7 +346,7 @@ class TestRankCheck:
         cfg = ModelConfig(include_functional=False, include_interaction=False,
                           ridge_jitter=True)
         dm = build_design_matrices(ds, cfg)
-        assert dm.omega.shape[1] == dm.layout.size
+        assert dm.omega.shape[2] == dm.layout.size
 
 
 def _qr_rank(omega, r):

@@ -81,8 +81,8 @@ class TestInitParams:
     def test_matches_normal_equation_oracle(self):
         dm, st = synthetic_pair(seed=1)
         params = init_params(dm)
-        gram = st.omega.T @ st.omega
-        expected = np.linalg.solve(gram, st.omega.T @ st.y)
+        gram = st.rows("omega").T @ st.rows("omega")
+        expected = np.linalg.solve(gram, st.rows("omega").T @ st.rows("y"))
         assert np.max(np.abs(params.zeta - expected)) <= 1e-10
 
     def test_noiseless_data_recovers_exactly(self):
@@ -97,8 +97,8 @@ class TestInitParams:
     def test_prior_scaled_by_residual_variance(self):
         dm, st = synthetic_pair(seed=3)
         params = init_params(dm)
-        resid = st.y - st.omega @ params.zeta
-        expected = 0.1 * float(resid @ resid) / st.y.size
+        resid = st.rows("y") - st.rows("omega") @ params.zeta
+        expected = 0.1 * float(resid @ resid) / st.n_obs
         assert np.allclose(np.diag(params.sigma_gamma), expected)
 
 
@@ -149,7 +149,7 @@ class TestZetaUpdate:
         post = LatentPosterior(np.zeros((dm.n_units, d)),
                                np.tile(np.eye(d), (dm.n_units, 1, 1)))
         zeta = update_zeta(post, dm)
-        ols = np.linalg.lstsq(st.omega, st.y, rcond=None)[0]
+        ols = np.linalg.lstsq(st.rows("omega"), st.rows("y"), rcond=None)[0]
         assert np.allclose(zeta, ols, atol=1e-12)
 
     def test_q_gradient_vanishes(self):
@@ -182,9 +182,9 @@ class TestZetaUpdate:
         shifted_y = [y + lam @ mu for y, lam, mu in zip(ys, lambdas, post.mu)]
         dm_shifted = make_dm(omegas, lambdas, shifted_y, latent_dim=dm.layout.latent_dim)
         zeta_shifted = update_zeta(post, dm_shifted)
-        ols_on_y = np.linalg.lstsq(st.omega, st.y, rcond=None)[0]
+        ols_on_y = np.linalg.lstsq(st.rows("omega"), st.rows("y"), rcond=None)[0]
         assert np.allclose(zeta_shifted, ols_on_y, atol=1e-10)
-        adjusted = np.linalg.lstsq(st.omega, st.y - np.concatenate(
+        adjusted = np.linalg.lstsq(st.rows("omega"), st.rows("y") - np.concatenate(
             [lam @ mu for lam, mu in zip(lambdas, post.mu)]), rcond=None)[0]
         assert np.allclose(zeta, adjusted, atol=1e-12)
 
@@ -235,9 +235,9 @@ class TestSigmaEpsUpdate:
         zeta = rng.normal(size=dm.layout.size)
         d = dm.layout.latent_dim
         post = LatentPosterior(np.zeros((dm.n_units, d)), np.zeros((dm.n_units, d, d)))
-        resid = st.y - st.omega @ zeta
+        resid = st.rows("y") - st.rows("omega") @ zeta
         assert update_sigma_eps(post, zeta, dm) == pytest.approx(
-            float(resid @ resid) / st.y.size, rel=1e-12)
+            float(resid @ resid) / st.n_obs, rel=1e-12)
 
     def test_matches_golden_section_maximizer(self):
         rng = np.random.default_rng(13)
@@ -261,7 +261,7 @@ class TestMarginalLoglik:
         zeta = rng.normal(size=dm.layout.size)
         sigma2 = 0.7
         params = Parameters(zeta, sigma2, np.zeros((dm.layout.latent_dim,) * 2))
-        resid = st.y - st.omega @ zeta
+        resid = st.rows("y") - st.rows("omega") @ zeta
         expected = float(np.sum(
             -0.5 * (np.log(2 * np.pi * sigma2) + resid ** 2 / sigma2)))
         assert marginal_loglik(params, dm) == pytest.approx(expected, rel=1e-12)
@@ -488,16 +488,12 @@ class TestFitEm:
         assert fit.loglik_trace.size == 8  # initialization plus each iteration
         assert not fit.converged
 
-    def test_unit_index_and_design(self):
+    def test_unit_index(self):
         spec = default_spec(seed=26, n_units=12, n_obs=5)
         ds, truth = generate_dataset(spec)
         fit = fit_em(ds, spec.config, scores=truth.scores)
         assert [fit.unit_index(uid) for uid in ds.unit_ids] == list(range(ds.n_units))
         assert fit.unit_index("stranger") is None
-        # the fit carries the design it ran on
-        dm = build_design_matrices(ds, spec.config, scores=truth.scores)
-        assert np.array_equal(fit.design.omega, dm.omega)
-        assert fit.design.unit_ids == fit.unit_ids
 
 
     def test_ridge_path_fits_a_rank_deficient_design(self):
@@ -533,7 +529,7 @@ class TestFitEm:
         ds, truth = generate_dataset(spec)
         fit = fit_em(ds, dc_replace(spec.config, ridge_jitter=True), scores=truth.scores)
         assert fit.iterations > 1
-        assert len(built) == 1 and built[0] is fit.design
+        assert len(built) == 1 and built[0].unit_ids == fit.unit_ids
 
     @staticmethod
     def _ridge_update(doubled):
@@ -555,7 +551,7 @@ class TestFitEm:
         # on the duplicated column the jittered normal matrix has condition
         # ~1e8, where a solve by another route would move zeta by ~1e-6
         dm, zeta, rhs = self._ridge_update(doubled)
-        expected = ridge_normal_equations(dm.omega, rhs)
+        expected = ridge_normal_equations(dm.omega.reshape(rhs.size, -1), rhs.reshape(-1))
         assert np.max(np.abs(zeta - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_hand_built_design_factors_omega_once(self, monkeypatch):
@@ -614,10 +610,11 @@ class TestVarianceBoundary:
         ds = boundary_dataset(0)
         fit = fit_em(ds, BOUNDARY_CONFIG)
         st = boundary_stacked(ds, fit)
+        dm = build_design_matrices(ds, BOUNDARY_CONFIG, scores=fit.scores)
         for theta in (0.0, 1e-3, 0.5):
             ll, sigma2, zeta = profiled_fit(st, theta)
             params = Parameters(zeta, sigma2, theta * sigma2 * np.eye(1))
-            assert marginal_loglik(params, fit.design) == pytest.approx(ll, rel=1e-12)
+            assert marginal_loglik(params, dm) == pytest.approx(ll, rel=1e-12)
             assert profiled_loglik(st, theta) == ll
 
     def test_collapsing_variance_returns_a_fit(self):
@@ -648,7 +645,7 @@ class TestTwoLevel:
             ds, _ = generate_dataset(default_spec(seed=seed, n_units=60, n_obs=20))
             fit = fit_em(ds, config)
             assert fit.converged and fit.iterations < 500
-            dm = fit.design
+            dm = build_design_matrices(ds, config, scores=fit.scores)
             plain = plain_em(dm, init_params(dm), 500, diagonal)
             assert fit.loglik >= marginal_loglik(plain, dm)
         assert len(visited) > 8
@@ -669,6 +666,16 @@ class TestStopping:
         fixed = fit_em(ds, spec.config, scores=truth.scores, max_iter=2, tol=0.0)
         assert fixed.stop_reason == "max_iter" and fixed.iterations == 2
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, False, -1, "3", None])
+    def test_max_iter_must_be_a_whole_number(self, max_iter):
+        spec = default_spec(seed=28, n_units=12, n_obs=6)
+        ds, truth = generate_dataset(spec)
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+            fit_em(ds, spec.config, scores=truth.scores, max_iter=max_iter)
+        estimator.check_stopping(np.int64(3), 1e-8)  # a numpy integer is one
+        assert fit_em(ds, spec.config, scores=truth.scores, max_iter=np.int32(2),
+                      tol=0.0).iterations == 2
+
     def test_flat_loglik_stops_only_when_parameters_stop(self, monkeypatch):
         # the log-likelihood test alone would stop after the first iteration
         spec = default_spec(seed=29, n_units=30, n_obs=10)
@@ -685,9 +692,10 @@ class TestStopping:
         # on the zero boundary sigma_gamma^2 shrinks by a steady factor per
         # iteration; measured on the response scale the change is below the
         # bound long before the component reaches the noise-scale floor
-        fit = fit_em(boundary_dataset(1), BOUNDARY_CONFIG)
-        lam_gram = fit.design.lam_gram
-        g_bar = np.trace(lam_gram.sum(axis=0)) / fit.design.n_obs
+        ds = boundary_dataset(1)
+        fit = fit_em(ds, BOUNDARY_CONFIG)
+        dm = build_design_matrices(ds, BOUNDARY_CONFIG, scores=fit.scores)
+        g_bar = np.trace(dm.lam_gram.sum(axis=0)) / dm.n_obs
         floor = 1e-12 * fit.params.sigma_eps2 / g_bar
         assert fit.converged
         assert fit.params.sigma_gamma[0, 0] > 1e3 * floor

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at toy size; same_outputs compares trees."""
 
+import json
 import os
 import subprocess
 import sys
@@ -66,6 +67,25 @@ def test_same_outputs_says_how_far_a_file_moved(tmp_path, monkeypatch):
         "other entries differ: line 1 column 2, line 3 column 1, line 3 column 2 and 1 more")
     (a / "x.txt").write_text("a"), (b / "x.txt").write_text("b")
     assert drift(a / "x.txt", b / "x.txt") == ""
+
+
+def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from degramix.cli import run
+    from degramix.data import load_dataset
+    from same_outputs import run_ragged
+
+    base = tmp_path / "ragged"
+    run_ragged(base, 3, run)
+    assert (base / "exit_codes.txt").read_text().split() == [
+        "simulate", "0", "fit_dump", "0", "fit_order2", "0"]
+    ds = load_dataset(*(base / "data" / name for name in ("responses.csv", "scalars.csv",
+                                                           "curves.csv")))
+    assert ds.counts.tolist() == [1 + i % 12 for i in range(60)]
+    for name in ("design_omega.csv", "design_lambda.csv"):
+        assert len((base / "fit_dump" / name).read_text().splitlines()) == 1 + ds.n_obs
+    report = json.loads((base / "fit_order2" / "fit_report.json").read_text())
+    assert report["layout"]["levels"] == [1, 2] and report["config"]["basis_order"] == 2
 
 
 def _runs(workload, parent, change, failed=0):
