@@ -8,9 +8,11 @@ Exports ``--parent`` with ``git archive`` into a temporary directory.  For
 each side, one child process imports that checkout's ``degramix`` and
 ``benchmark/workloads.py`` and, per workload, runs its ``setup`` and then
 every CLI invocation of its ``commands`` at seed 3 and full size, with BLAS
-pinned to one thread.  Then it runs ``run_ragged``, which covers paths no
-workload takes: units with no more observations than latent levels,
-``fit --dump-design`` and an order-2 latent fit.  Both sides write under the
+pinned to one thread.  Then it runs ``run_all_variants`` on compare_cv's data
+and ``run_ragged``, which cover paths no workload takes: all seven ``compare``
+variants with a micro scalar, units with no more observations than latent
+levels, ``fit --dump-design``, an order-2 latent fit and a ``compare`` whose
+split fails for every variant.  Both sides write under the
 same path, so a path echoed into an output cannot differ between them.  The
 exit code of each invocation and the child's stderr are kept as files beside
 the outputs.  Every file that differs, or exists on one side only, is printed; the exit code is 1 if any
@@ -44,7 +46,7 @@ from pathlib import Path
 
 import degramix
 from degramix.cli import run
-from same_outputs import run_ragged
+from same_outputs import run_all_variants, run_ragged
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -58,15 +60,29 @@ for name, work in WORKLOADS.items():
     codes = [f"{op} {run(argv)}" for op, argv in work.commands(base, seed, dims)]
     (base / "exit_codes.txt").write_text("\\n".join(codes) + "\\n", encoding="utf-8")
 
+run_all_variants(root / "all_variants", root / "compare_cv" / "data", run)
 run_ragged(root / "ragged", seed, run)
 """
+
+
+def run_all_variants(base: Path, data: Path, run) -> None:
+    """Under ``base``: ``compare`` all seven variants with ``--micro-column
+    1`` on the dataset in ``data``, through the CLI entry ``run``.  The exit
+    code goes to ``exit_codes.txt``."""
+    base.mkdir(parents=True)
+    variants = [a for i in range(1, 8) for a in ("--variant", f"Model{i}")]
+    code = run(["compare", "--data", str(data), "--k", "2", "--micro-column", "1", *variants,
+                "--out", str(base / "compare")])
+    (base / "exit_codes.txt").write_text(f"compare {code}\n", encoding="utf-8")
 
 
 def run_ragged(base: Path, seed: int, run) -> None:
     """Under ``base``: simulate at ``seed``, cut unit i's responses to its
     first 1 + (i mod 12) rows, then fit Model7 with ``--dump-design`` and a
-    ``basis_order`` 2 config on the cut data, through the CLI entry ``run``.
-    The exit codes go to ``exit_codes.txt``."""
+    ``basis_order`` 2 config on the cut data, and compare Model1, Model6 and
+    Model7 on it with ``--micro-column 1`` (a unit of one response leaves
+    an empty train split, so every variant fails), through the CLI entry
+    ``run``.  The exit codes go to ``exit_codes.txt``."""
     codes = [f"simulate {run(['simulate', '--seed', str(seed), '--out', str(base / 'full')])}"]
     data = base / "data"
     data.mkdir(parents=True)
@@ -86,6 +102,10 @@ def run_ragged(base: Path, seed: int, run) -> None:
                       ("fit_order2", ["--config", str(base / "order2.json")])):
         argv = ["fit", "--data", str(data), *model, *stop, "--out", str(base / op)]
         codes.append(f"{op} {run(argv)}")
+    compare = ["compare", "--data", str(data), "--k", "2", "--micro-column", "1",
+               *(a for v in ("Model1", "Model6", "Model7") for a in ("--variant", v)),
+               "--out", str(base / "compare")]
+    codes.append(f"compare {run(compare)}")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 

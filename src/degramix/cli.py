@@ -8,7 +8,9 @@ a rerun with the same inputs and seed is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -77,8 +79,22 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
+def _strict(value):
+    """``value`` with every non-finite float, such as a ``--split nan`` not
+    yet rejected, written as its text ("nan", "inf", "-inf"): RFC 8259 has
+    no NaN or Infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _echo_config(name: str, payload: dict) -> None:
-    print(f"[degramix {name}] " + json.dumps(payload, sort_keys=True, default=_json_default),
+    print(f"[degramix {name}] " + json.dumps(_strict(payload), sort_keys=True,
+                                              default=_json_default),
           file=sys.stderr)
 
 
@@ -572,6 +588,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The argparse tree, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "descriptor": _cmd_descriptor,
@@ -595,7 +617,7 @@ def _stderr_line(command: str, show):
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -17,6 +17,7 @@ decreases.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,17 @@ class NumericalError(RuntimeError):
 
 class ConvergenceWarning(UserWarning):
     """Issued when a fit with early stopping enabled runs to ``max_iter``."""
+
+
+@contextmanager
+def _linalg_failures():
+    """Re-raise a failure inside numpy's linear algebra as NumericalError,
+    not as the ValueError subclass numpy raises, so it is not taken for bad
+    input."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"linear algebra failure: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -228,14 +240,11 @@ def fit_em(
     early stopping.  A fit that reaches ``max_iter`` with early stopping
     enabled issues a ``ConvergenceWarning``.  Passing ``scores`` skips the
     internal FPCA.  A failure inside numpy's linear algebra surfaces as
-    ``NumericalError``, not as the ``ValueError`` subclass numpy raises, so
-    it is not taken for bad input.
+    ``NumericalError`` (``_linalg_failures``).
     """
     check_stopping(max_iter, tol)
-    try:
+    with _linalg_failures():
         fit = _fit_em(ds, config, max_iter, tol, scores, init)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"linear algebra failure: {exc}") from exc
     if tol > 0 and not fit.converged:
         warnings.warn(f"EM stopped at max_iter={max_iter} without converging",
                       ConvergenceWarning, stacklevel=2)

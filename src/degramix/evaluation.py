@@ -12,8 +12,8 @@ from itertools import compress
 import numpy as np
 
 from .data import BasisFamily, DegradationDataset, ModelConfig, basis_columns
-from .estimator import FitResult, NumericalError, check_stopping, fit_em
-from .fpca import project_scores
+from .estimator import FitResult, NumericalError, _linalg_failures, check_stopping, fit_em
+from .fpca import fit_scores, project_scores
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,14 @@ def fit_and_score(ds: DegradationDataset, config: ModelConfig, split_fraction: f
                   max_iter: int = 500, tol: float = 1e-8, name: str = "model") -> tuple:
     """Split, fit on train, and score one config; returns (Metrics, FitResult)."""
     train, test = temporal_split(ds, split_fraction)
-    fit = fit_em(train, config, max_iter=max_iter, tol=tol)
+    return _fit_and_score_split(train, test, config, max_iter, tol, name)
+
+
+def _fit_and_score_split(train: DegradationDataset, test: DegradationDataset | None,
+                         config: ModelConfig, max_iter: int, tol: float, name: str,
+                         scores: np.ndarray | None = None) -> tuple:
+    """``fit_and_score`` on a split already made; ``scores`` as in ``fit_em``."""
+    fit = fit_em(train, config, max_iter=max_iter, tol=tol, scores=scores)
     r2, mse_train = residual_metrics(train.responses, predict_unit(fit, train, use_latent=True))
 
     mse_test = np.nan
@@ -243,6 +250,28 @@ def fit_and_score(ds: DegradationDataset, config: ModelConfig, split_fraction: f
     return metrics, fit
 
 
+def _train_scores(train: DegradationDataset, config: ModelConfig) -> np.ndarray:
+    """The (N, S, K) FPCA scores ``fit_em`` would compute for ``config`` on
+    ``train``, read-only so that no variant can change what the next sees."""
+    with _linalg_failures():
+        _, scores = fit_scores(train.curves, train.r_grid, config.k, config.fve_threshold)
+    scores.setflags(write=False)
+    return scores
+
+
+def _once(cache: dict, key, make):
+    """``make()``, called once per ``key``; the ValueError or NumericalError
+    it raised is raised again on each later call with that key."""
+    if key not in cache:
+        try:
+            cache[key] = make()
+        except (ValueError, NumericalError) as exc:
+            cache[key] = exc
+    if isinstance(cache[key], Exception):
+        raise cache[key]
+    return cache[key]
+
+
 def compare_models(ds: DegradationDataset, variants, split_fraction: float = 0.8,
                    micro_scalar: np.ndarray | None = None,
                    max_iter: int = 500, tol: float = 1e-8) -> list:
@@ -252,9 +281,16 @@ def compare_models(ds: DegradationDataset, variants, split_fraction: float = 0.8
     run.  ``micro_scalar`` supplies the per-unit scalar microstructure value
     required by variants flagged ``use_micro_scalar``.  A bad split or
     stopping rule fails every variant alike, so it raises before any fit.
+
+    Every variant is fitted on one temporal split (one more for the data of
+    the ``use_micro_scalar`` variants, whose scalars differ), and the
+    functional variants share one FPCA of the train curves per (k,
+    fve_threshold).  Each is made at its first use, so a variant gets the
+    row, error included, that ``fit_and_score`` would give it.
     """
     _check_fraction(split_fraction)
     check_stopping(max_iter, tol)
+    shared = {}
     rows = []
     for variant in variants:
         data = ds
@@ -264,9 +300,17 @@ def compare_models(ds: DegradationDataset, variants, split_fraction: float = 0.8
                                     error="missing scalar microstructure covariate"))
                 continue
             data = _with_micro_scalar(ds, micro_scalar)
+        config = variant.config
         try:
-            metrics, _ = fit_and_score(data, variant.config, split_fraction,
-                                       max_iter=max_iter, tol=tol, name=variant.name)
+            train, test = _once(shared, ("split", variant.use_micro_scalar),
+                                lambda: temporal_split(data, split_fraction))
+            scores = None
+            # both splits keep ds's curves; without curves fit_em raises its own error
+            if config.include_functional and train.n_functional:
+                scores = _once(shared, ("fpca", config.k, config.fve_threshold),
+                               lambda: _train_scores(train, config))
+            metrics, _ = _fit_and_score_split(train, test, config, max_iter, tol, variant.name,
+                                              scores)
         except (ValueError, NumericalError) as exc:
             metrics = Metrics(model=variant.name, error=str(exc))
         rows.append(metrics)

@@ -34,6 +34,7 @@ from degramix.estimator import (
     update_sigma_gamma,
     update_zeta,
 )
+from degramix.evaluation import Metrics, _with_micro_scalar, fit_and_score
 
 
 def tpc_pair_enumeration(mask: np.ndarray, r_max: int, periodic: bool = False) -> np.ndarray:
@@ -186,6 +187,28 @@ def stack_units(units, r_grid) -> DegradationDataset:
         r_grid=r_grid,
     )
 
+
+def compare_models_per_variant(ds, variants, split_fraction=0.8, micro_scalar=None,
+                               max_iter=500, tol=1e-8) -> list:
+    """The comparison table with nothing shared between variants: each one
+    runs ``fit_and_score``, which splits the data and fits the FPCA itself;
+    the reference for ``compare_models``."""
+    rows = []
+    for variant in variants:
+        data = ds
+        if variant.use_micro_scalar:
+            if micro_scalar is None:
+                rows.append(Metrics(model=variant.name,
+                                    error="missing scalar microstructure covariate"))
+                continue
+            data = _with_micro_scalar(ds, micro_scalar)
+        try:
+            metrics, _ = fit_and_score(data, variant.config, split_fraction,
+                                       max_iter=max_iter, tol=tol, name=variant.name)
+        except (ValueError, NumericalError) as exc:
+            metrics = Metrics(model=variant.name, error=str(exc))
+        rows.append(metrics)
+    return rows
 
 def coefficient_levels(fit, unit) -> np.ndarray:
     """One unit's fitted per-level coefficients, term by term from the split

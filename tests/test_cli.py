@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -87,6 +88,83 @@ class TestUsageAndErrors:
         assert run(["fit", "--data", str(data), "--out", str(tmp_path / "fit")]) == 1
         assert f"{data / 'responses.csv'}: line 122:" in capsys.readouterr().err
 
+
+
+def echoed(err: str, command: str) -> list:
+    """The objects of the ``[degramix <command>]`` config lines in ``err``,
+    read as strict JSON: a NaN or Infinity token raises."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    prefix = f"[degramix {command}] {{"
+    return [json.loads(line[len(prefix) - 1:], parse_constant=reject)
+            for line in err.splitlines() if line.startswith(prefix)]
+
+
+class TestParserBuiltOnce:
+    def test_second_run_builds_no_parser_and_carries_no_flags(self, tmp_path, monkeypatch,
+                                                               capsys):
+        data = str(simulate_into(tmp_path, n_units=8, n_obs=6))
+        # a split of 2 is rejected right after the echo, before any fit
+        compare = ["compare", "--data", data, "--k", "2", "--split", "2"]
+        assert run([*compare, "--variant", "Model1", "--variant", "Model2",
+                    "--out", str(tmp_path / "a")]) == 1
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        capsys.readouterr()
+        assert run([*compare, "--variant", "Model3", "--out", str(tmp_path / "b")]) == 1
+        assert run([*compare, "--out", str(tmp_path / "c")]) == 1
+        # --image, like --variant, appends to a fresh list on every call
+        for name in ("a", "b", "c"):
+            write_pgm(tmp_path / f"{name}.pgm", np.kron([[0, 255], [255, 0]], np.ones((3, 3))))
+        for images in (["a", "b"], ["c"]):
+            flags = [a for n in images for a in ("--image", str(tmp_path / f"{n}.pgm"))]
+            assert run(["descriptor", "tpc", "--r-max", "1", *flags,
+                        "--out", str(tmp_path / f"tpc_{''.join(images)}")]) == 0
+        assert built == []
+        assert [e["variants"] for e in echoed(capsys.readouterr().err, "compare")] == [
+            ["Model3"], ["Model1", "Model2", "Model3", "Model4", "Model5", "Model7"]]
+        with open(tmp_path / "tpc_c" / "curves.csv", newline="") as fh:
+            assert {row["unit_id"] for row in csv.DictReader(fh)} == {"c"}
+
+
+class TestEchoIsStrictJson:
+    """A non-finite flag value is echoed as a JSON string, then rejected
+    with today's exit code and message."""
+
+    @pytest.mark.parametrize("argv, key, text, error", [
+        (["descriptor", "tpc", "--threshold", "nan", "--r-max", "1"], "threshold", "nan",
+         "threshold must lie in (0, 1)"),
+        (["descriptor", "tpc", "--r-max", "inf"], "r_max", "inf",
+         "descriptor tpc requires a whole-pixel --r-max, got inf"),
+        (["descriptor", "rdf", "--r-max", "1", "--dr=-inf"], "dr", "-inf",
+         "dr must be finite, got -inf"),
+        (["compare", "--split", "nan"], "split", "nan",
+         "split fraction must lie in (0, 1), got nan"),
+        (["fit", "--fve", "nan"], None, None, "fve_threshold must lie in (0, 1]"),
+    ])
+    def test_non_finite_flags(self, tmp_path, capsys, argv, key, text, error):
+        if argv[0] == "descriptor":
+            pgm = tmp_path / "img.pgm"
+            write_pgm(pgm, [[0, 255], [255, 0]])
+            argv = [*argv, "--image", str(pgm)]
+        else:
+            argv = [*argv, "--data", str(simulate_into(tmp_path, n_units=8, n_obs=6))]
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {error}" in err
+        lines = echoed(err, argv[0])
+        if key is None:  # rejected while the config is resolved, before the echo
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0][key] == text
 
 class TestNumericFlags:
     """A bad number in a flag exits 1 naming the flag, before any output is

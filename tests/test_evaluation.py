@@ -1,10 +1,12 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from _oracles import coefficient_levels, stack_units
+from _oracles import coefficient_levels, compare_models_per_variant, stack_units
 
-from degramix.data import ModelConfig
+from degramix import estimator, evaluation
+from degramix.data import DegradationDataset, ModelConfig
 from degramix.estimator import fit_em
 from degramix.evaluation import (
     EffectRow,
@@ -271,6 +273,111 @@ class TestCompareModels:
         rows = compare_models(ds, [registry["Model6"], registry["Model1"]])
         assert rows[0].error is not None
         assert rows[1].error is None
+
+
+def same_rows(got, want) -> bool:
+    """Comparison rows equal field for field, a NaN matching only a NaN."""
+    def same(a, b):
+        return a == b or (isinstance(a, float) and isinstance(b, float)
+                          and math.isnan(a) and math.isnan(b))
+    return len(got) == len(want) and all(
+        same(getattr(g, f.name), getattr(w, f.name))
+        for g, w in zip(got, want) for f in fields(g))
+
+
+def micro_column(ds):
+    """The data and micro scalar of ``compare --micro-column 1``."""
+    return replace(ds, scalars=ds.scalars[:, 1:]), ds.scalars[:, 0].copy()
+
+
+def one_observation_unit(ds):
+    """``ds`` with its first unit cut to its first observation."""
+    keep = np.ones(ds.n_obs, dtype=bool)
+    keep[1:ds.counts[0]] = False
+    return DegradationDataset(ds.unit_ids, np.r_[1, ds.counts[1:]], ds.times[keep],
+                              ds.responses[keep], ds.scalars, ds.curves, ds.r_grid)
+
+
+class TestCompareModelsSharesSplitAndFpca:
+    """``compare_models`` makes one split (plus one for the micro-scalar data)
+    and one FPCA per (k, fve_threshold), yet gives each variant the row that
+    fitting it alone gives, error for error."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        spec = default_spec(seed=24, n_units=30, n_obs=12)
+        return micro_column(generate_dataset(spec)[0])
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"split": 0, "fpca": 0, "fit_em_fpca": 0, "scores": []}
+
+        def count(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def fit_em(*args, scores=None, **kwargs):
+            calls["scores"].append(scores)
+            return estimator.fit_em(*args, scores=scores, **kwargs)
+
+        monkeypatch.setattr(evaluation, "temporal_split", count("split", evaluation.temporal_split))
+        monkeypatch.setattr(evaluation, "fit_scores", count("fpca", evaluation.fit_scores))
+        monkeypatch.setattr(estimator, "fit_scores", count("fit_em_fpca", estimator.fit_scores))
+        monkeypatch.setattr(evaluation, "fit_em", fit_em)
+        return calls
+
+    def check(self, monkeypatch, ds, variants, micro=None, splits=1, fpcas=1):
+        want = compare_models_per_variant(ds, variants, micro_scalar=micro)
+        calls = self.counted(monkeypatch)
+        got = compare_models(ds, variants, micro_scalar=micro)
+        assert same_rows(got, want), (got, want)
+        assert calls["split"] == splits
+        assert (calls["fpca"], calls["fit_em_fpca"]) == (fpcas, 0)
+        shared = [s for s in calls["scores"] if s is not None]
+        assert all(not s.flags.writeable for s in shared)
+        assert len({id(s) for s in shared}) == min(fpcas, len(shared))
+        return got
+
+    def test_default_variants(self, monkeypatch, data):
+        ds, _ = data
+        registry = table1_variants(k=2)
+        rows = self.check(monkeypatch, ds, [v for n, v in registry.items() if n != "Model6"])
+        assert all(r.error is None for r in rows)
+
+    def test_all_seven_variants_with_a_micro_scalar(self, monkeypatch, data):
+        ds, micro = data
+        rows = self.check(monkeypatch, ds, list(table1_variants(k=2).values()), micro, splits=2)
+        assert all(r.error is None for r in rows)
+
+    def test_one_fpca_per_truncation(self, monkeypatch, data):
+        ds, _ = data
+        k2, k1, fve = table1_variants(k=2), table1_variants(k=1), table1_variants(fve_threshold=0.9)
+        variants = [k2["Model2"], k1["Model3"], k2["Model7"], fve["Model4"], k1["Model1"]]
+        self.check(monkeypatch, ds, variants, fpcas=3)
+
+    def test_identical_curves_fail_every_functional_variant(self, monkeypatch, data):
+        ds, micro = data
+        flat = replace(ds, curves=np.broadcast_to(ds.curves[:1], ds.curves.shape).copy())
+        rows = self.check(monkeypatch, flat, list(table1_variants(k=2).values()), micro,
+                          splits=2)
+        failed = {r.model for r in rows if r.error is not None}
+        assert failed == {"Model2", "Model3", "Model4", "Model5", "Model7"}
+        assert all("degenerate covariance" in r.error for r in rows if r.error is not None)
+
+    def test_one_observation_unit_fails_every_variant(self, monkeypatch, data):
+        ds, micro = data
+        variants = list(table1_variants(k=2).values())
+        rows = self.check(monkeypatch, one_observation_unit(ds), variants, micro, splits=2, fpcas=0)
+        uid = ds.unit_ids[0]
+        assert {r.error for r in rows} == {f"unit {uid}: empty train split at fraction 0.8"}
+
+    def test_no_functional_covariate_keeps_fit_em_error(self, monkeypatch, data):
+        ds, _ = data
+        bare = replace(ds, curves=ds.curves[:, :0])
+        rows = self.check(monkeypatch, bare, [table1_variants(k=2)["Model7"]], fpcas=0)
+        assert rows[0].error == "config includes functional covariates but dataset has none"
 
 
 class TestEffectDecomposition:

@@ -73,12 +73,20 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from degramix.cli import run
     from degramix.data import load_dataset
-    from same_outputs import run_ragged
+    from same_outputs import run_all_variants, run_ragged
 
     base = tmp_path / "ragged"
     run_ragged(base, 3, run)
     assert (base / "exit_codes.txt").read_text().split() == [
-        "simulate", "0", "fit_dump", "0", "fit_order2", "0"]
+        "simulate", "0", "fit_dump", "0", "fit_order2", "0", "compare", "0"]
+    # unit u01 keeps one response, so every variant gets an error row
+    assert (base / "compare" / "comparison.csv").read_text().splitlines()[1:] == [
+        f"{model},,,,,," for model in ("Model1", "Model6", "Model7")]
+    run_all_variants(tmp_path / "all", base / "full", run)
+    assert (tmp_path / "all" / "exit_codes.txt").read_text() == "compare 0\n"
+    rows = (tmp_path / "all" / "compare" / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [f"Model{i}" for i in range(1, 8)]
+    assert all(",," not in row for row in rows)
     ds = load_dataset(*(base / "data" / name for name in ("responses.csv", "scalars.csv",
                                                            "curves.csv")))
     assert ds.counts.tolist() == [1 + i % 12 for i in range(60)]
