@@ -10,9 +10,10 @@ each side, one child process imports that checkout's ``degramix`` and
 every CLI invocation of its ``commands`` at seed 3 and full size, with BLAS
 pinned to one thread.  Then it runs ``run_all_variants`` on compare_cv's data
 and ``run_ragged``, which cover paths no workload takes: all seven ``compare``
-variants with a micro scalar, units with no more observations than latent
-levels, ``fit --dump-design``, an order-2 latent fit and a ``compare`` whose
-split fails for every variant.  Both sides write under the
+variants with a micro scalar, an order-2 ``evaluate`` (two effect levels
+per unit), units with no more observations than latent levels, ``fit
+--dump-design``, an order-2 latent fit and a ``compare`` whose split fails
+for every variant.  Both sides write under the
 same path, so a path echoed into an output cannot differ between them.  The
 exit code of each invocation and the child's stderr are kept as files beside
 the outputs.  Every file that differs, or exists on one side only, is printed; the exit code is 1 if any
@@ -67,13 +68,21 @@ run_ragged(root / "ragged", seed, run)
 
 def run_all_variants(base: Path, data: Path, run) -> None:
     """Under ``base``: ``compare`` all seven variants with ``--micro-column
-    1`` on the dataset in ``data``, through the CLI entry ``run``.  The exit
-    code goes to ``exit_codes.txt``."""
+    1``, and ``evaluate`` a ``basis_order`` 2 config with 3 folds, whose
+    effects.csv holds two levels per unit, on the dataset in ``data``,
+    through the CLI entry ``run``.  The exit codes go to
+    ``exit_codes.txt``."""
     base.mkdir(parents=True)
     variants = [a for i in range(1, 8) for a in ("--variant", f"Model{i}")]
-    code = run(["compare", "--data", str(data), "--k", "2", "--micro-column", "1", *variants,
-                "--out", str(base / "compare")])
-    (base / "exit_codes.txt").write_text(f"compare {code}\n", encoding="utf-8")
+    compare = ["compare", "--data", str(data), "--k", "2", "--micro-column", "1", *variants,
+               "--out", str(base / "compare")]
+    codes = [f"compare {run(compare)}"]
+    (base / "order2.json").write_text(json.dumps({"basis_order": 2, "k": 2}), encoding="utf-8")
+    evaluate = ["evaluate", "--data", str(data), "--config", str(base / "order2.json"),
+                "--folds", "3", "--max-iter", "500", "--tol", "1e-8",
+                "--out", str(base / "evaluate_order2")]
+    codes.append(f"evaluate_order2 {run(evaluate)}")
+    (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 
 def run_ragged(base: Path, seed: int, run) -> None:

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +42,22 @@ from .descriptors import (
 from .design import stacked_design
 from .estimator import ConvergenceWarning, FitResult, NumericalError, fit_em
 from .evaluation import (
+    Metrics,
+    compare_models,
     count_parameters,
     effect_decomposition,
     fit_and_score,
-    compare_models,
     kfold_cv,
     predict_unit,
     table1_variants,
+    temporal_split,
 )
 from .fpca import FpcaModel, fit_scores
 from .simulate import default_spec, generate_dataset
 
 _DATA_FILES = ("responses.csv", "scalars.csv", "curves.csv")
+# the numbers of a comparison row, in field order
+_METRICS = tuple(f.name for f in fields(Metrics) if f.name not in ("model", "error"))
 
 
 class CliError(ValueError):
@@ -304,7 +308,7 @@ def _cmd_fit(args) -> int:
     out = _out_dir(args)
     _write_json(out / "fit_report.json", _fit_report(fit))
     if args.dump_design:
-        omega, lam = stacked_design(ds, config, fit.layout, fit.scores, fit.r_support)
+        omega, lam = stacked_design(ds, config, fit.layout, fit.scores)
         write_csv(out / "design_omega.csv", fit.layout.names(), omega.T)
         write_csv(out / "design_lambda.csv",
                   ["unit_id", *(f"gamma_l{level}" for level in fit.layout.levels)],
@@ -457,15 +461,10 @@ def _cmd_evaluate(args) -> int:
     config = _resolve_config(args)
     _echo_config("evaluate", {**config_to_dict(config), "split": args.split, "folds": args.folds})
     ds = _prepare(ds, config, args)
-    metrics, fit = fit_and_score(ds, config, split_fraction=args.split,
+    metrics, fit = fit_and_score(*temporal_split(ds, args.split), config,
                                  max_iter=args.max_iter, tol=args.tol)
     payload = {
-        "r2": metrics.r2,
-        "loglik": metrics.loglik,
-        "aic": metrics.aic,
-        "bic": metrics.bic,
-        "mse_train": metrics.mse_train,
-        "mse_test": metrics.mse_test,
+        **{name: getattr(metrics, name) for name in _METRICS},
         "p": count_parameters(fit),
         "n_units": ds.n_units,
         "split_fraction": args.split,
@@ -479,8 +478,7 @@ def _cmd_evaluate(args) -> int:
     # effects read only ids, scalars and curves, which the train split keeps
     effects = effect_decomposition(fit, ds)
     header = ["unit_id", "level", "marginal_effect", "interaction_effect", "latent_effect"]
-    write_csv(out / "effects.csv", header,
-              [[getattr(r, name) for r in effects] for name in header])
+    write_csv(out / "effects.csv", header, [effects[name] for name in header])
     return 0
 
 
@@ -507,11 +505,10 @@ def _cmd_compare(args) -> int:
         if row.error is not None:
             print(f"[degramix compare] {row.model} failed: {row.error}", file=sys.stderr)
     # a failed variant's metrics are written as empty fields
-    header = ["model", "r2", "loglik", "aic", "bic", "mse_train", "mse_test"]
-    write_csv(_out_dir(args) / "comparison.csv", header,
+    write_csv(_out_dir(args) / "comparison.csv", ["model", *_METRICS],
               [[r.model for r in rows]] + [
                   np.array(["" if r.error is not None else float(getattr(r, name)) for r in rows],
-                           dtype=object) for name in header[1:]])
+                           dtype=object) for name in _METRICS])
     return 0
 
 

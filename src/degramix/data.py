@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -194,13 +194,19 @@ class DegradationDataset:
             for uid, a, b, x, c in zip(self.unit_ids, bounds, bounds[1:], self.scalars, self.curves)
         )
 
-    def select(self, keep) -> DegradationDataset:
-        """The units where the (N,) boolean ``keep`` is set, in dataset order."""
-        keep = np.asarray(keep, dtype=bool)
-        rows = keep[self.unit_rows]
-        return DegradationDataset(tuple(compress(self.unit_ids, keep)), self.counts[keep],
+    def take(self, rows) -> DegradationDataset:
+        """The measurements where the (n_obs,) boolean ``rows`` is set, under
+        the units that keep at least one, in dataset order."""
+        rows = np.asarray(rows, dtype=bool)
+        counts = np.bincount(self.unit_rows[rows], minlength=self.n_units)
+        keep = counts > 0
+        return DegradationDataset(tuple(compress(self.unit_ids, keep)), counts[keep],
                                   self.times[rows], self.responses[rows], self.scalars[keep],
                                   self.curves[keep], self.r_grid)
+
+    def select(self, keep) -> DegradationDataset:
+        """The units where the (N,) boolean ``keep`` is set, in dataset order."""
+        return self.take(np.asarray(keep, dtype=bool)[self.unit_rows])
 
 
 @dataclass(frozen=True)
@@ -328,30 +334,23 @@ def center_baseline(ds: DegradationDataset) -> DegradationDataset:
 #   curves:    unit_id,s,r,z       (grid identical across all (unit, s))
 # ---------------------------------------------------------------------------
 
-def _read_rows(path) -> list:
-    """Every CSV row as a list of fields; undecodable text raises ValueError
-    naming the file."""
+def _numbered_rows(path):
+    """Each CSV row, the header first, as a list of fields with the line it
+    ends on (``csv.reader.line_num``: a quoted field may span lines);
+    undecodable text raises ValueError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            reader = csv.reader(fh)
+            for row in reader:
+                yield reader.line_num, row
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: unreadable CSV ({exc})") from None
 
 
-def _line(path, index) -> str:
-    """'<path>: line <n>' for the ``index``-th row (the header is row 0),
-    found by reading again because a quoted field may span lines."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for _ in range(index + 1):
-            next(reader)
-    return f"{path}: line {reader.line_num}"
-
-
-def _malformed(path, index, row, header) -> ValueError:
-    """The error for the ``index``-th row, which has the wrong field count or
-    a non-numeric field."""
-    where = _line(path, index)
+def _malformed(path, line, row, header) -> ValueError:
+    """The error for the row ending on ``line``, which has the wrong field
+    count or a non-numeric field."""
+    where = f"{path}: line {line}"
     if len(row) != len(header):
         return ValueError(f"{where}: expected {len(header)} fields {','.join(header)}, "
                           f"got {len(row)}")
@@ -451,9 +450,9 @@ def _read_table(path, header=None, kinds=()) -> tuple:
                                  for f, kind in zip(dtype.names[1:], kinds)]
         except (ValueError, OverflowError) as exc:
             error = exc
-    for index, row in enumerate(_read_rows(path)[1:], 1):
+    for line, row in islice(_numbered_rows(path), 1, None):
         if row and (len(row) != len(header) or not _parses(row[1:], kinds)):
-            raise _malformed(path, index, row, header)
+            raise _malformed(path, line, row, header)
     raise ValueError(f"{path}: {error}")
 
 
@@ -542,9 +541,9 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
         if not np.array_equal(s_first, np.arange(1, n_s + 1)):
             raise ValueError(f"curves file: covariate indices must be 1..S, got {tuple(s_first.tolist())}")
         if np.any((s < 1) | (s > n_s)):  # the first such row in the file is named
-            rows = _read_rows(curves_file)
-            i = next(i for i, row in enumerate(rows[1:], 1) if row and not 1 <= int(row[1]) <= n_s)
-            raise ValueError(f"{_line(curves_file, i)}: covariate index s={int(rows[i][1])} "
+            rows = islice(_numbered_rows(curves_file), 1, None)
+            line, row = next((k, r) for k, r in rows if r and not 1 <= int(r[1]) <= n_s)
+            raise ValueError(f"{curves_file}: line {line}: covariate index s={int(row[1])} "
                              f"outside 1..{n_s}")
         group = unit * n_s + (s - 1)
         del unit, s

@@ -218,11 +218,11 @@ def _observed_rows(layout: ZetaLayout, lam: np.ndarray, features: dict) -> np.nd
 
 
 def stacked_design(ds: DegradationDataset, config: ModelConfig, layout: ZetaLayout,
-                   scores: np.ndarray | None, r_support: float) -> tuple:
+                   scores: np.ndarray | None) -> tuple:
     """(Omega, Lambda) with one row per observation of ``ds``, in its row
     order: what ``fit --dump-design`` writes; the fit never forms them."""
     lam = basis_columns(config.basis, ds.times, layout.levels)
-    features = layout.features(ds.scalars, scores, r_support)
+    features = layout.features(ds.scalars, scores, ds.r_support)
     rows = {name: f[ds.unit_rows] for name, f in features.items()}  # one-row blocks
     return _observed_rows(layout, lam[:, None, :], rows)[:, 0], lam
 
@@ -300,7 +300,6 @@ def build_design_matrices(
     ds: DegradationDataset,
     config: ModelConfig,
     scores: np.ndarray | None = None,
-    r_support: float | None = None,
 ) -> DesignMatrices:
     """Every unit's compressed observed and latent design.
 
@@ -321,15 +320,13 @@ def build_design_matrices(
         n_components = scores.shape[2]
     else:
         n_components = 0
-    if r_support is None:
-        r_support = ds.r_support
 
     layout = layout_for(config, ds.n_scalars, ds.n_functional, n_components)
     d = layout.latent_dim
     tri, lam_gram = _compress_units(basis_columns(config.basis, ds.times, layout.levels),
                                     ds.responses, ds.counts)
     lam = tri[:, :, :d]
-    omega = _observed_rows(layout, lam, layout.features(ds.scalars, scores, r_support))
+    omega = _observed_rows(layout, lam, layout.features(ds.scalars, scores, ds.r_support))
     dm = DesignMatrices(
         layout=layout, unit_ids=ds.unit_ids, omega=omega, lam=lam, y=tri[:, :, d],
         lam_gram=lam_gram, n_obs=ds.n_obs, ridge_jitter=config.ridge_jitter,

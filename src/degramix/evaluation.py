@@ -7,7 +7,6 @@ has no latent posterior, so unit-level folds measure honest generalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
@@ -175,26 +174,18 @@ def _check_fraction(fraction: float) -> None:
         raise ValueError(f"split fraction must lie in (0, 1), got {fraction!r}")
 
 
-def temporal_split(ds: DegradationDataset, fraction: float):
-    """Per unit, the first floor(fraction * m_i) observations train and the
-    rest test; a unit with no test observation is left out of the test set,
-    which is None when no unit has one."""
+def temporal_split(ds: DegradationDataset, fraction: float) -> tuple:
+    """(train, test): per unit, the first floor(fraction * m_i) observations
+    train and the rest test.  As fraction < 1 leaves floor(fraction * m_i)
+    < m_i, every unit lands in both halves."""
     _check_fraction(fraction)
     n_train = np.floor(fraction * ds.counts).astype(np.int64)
     if np.any(n_train < 1):
         uid = ds.unit_ids[int(np.argmax(n_train < 1))]
         raise ValueError(f"unit {uid}: empty train split at fraction {fraction}")
     rows = ds.unit_rows
-    train_rows = np.arange(ds.n_obs) - ds.offsets[rows] < n_train[rows]
-    train = replace(ds, counts=n_train, times=ds.times[train_rows],
-                    responses=ds.responses[train_rows])
-    tested = n_train < ds.counts
-    if not tested.any():
-        return train, None
-    test = DegradationDataset(tuple(compress(ds.unit_ids, tested)), (ds.counts - n_train)[tested],
-                              ds.times[~train_rows], ds.responses[~train_rows],
-                              ds.scalars[tested], ds.curves[tested], ds.r_grid)
-    return train, test
+    train = np.arange(ds.n_obs) - ds.offsets[rows] < n_train[rows]
+    return ds.take(train), ds.take(~train)
 
 
 def kfold_cv(ds: DegradationDataset, config: ModelConfig, k: int, seed: int,
@@ -224,28 +215,17 @@ def _with_micro_scalar(ds: DegradationDataset, micro: np.ndarray) -> Degradation
     return replace(ds, scalars=np.column_stack([x, micro, x * micro[:, None]]))
 
 
-def fit_and_score(ds: DegradationDataset, config: ModelConfig, split_fraction: float = 0.8,
-                  max_iter: int = 500, tol: float = 1e-8, name: str = "model") -> tuple:
-    """Split, fit on train, and score one config; returns (Metrics, FitResult)."""
-    train, test = temporal_split(ds, split_fraction)
-    return _fit_and_score_split(train, test, config, max_iter, tol, name)
-
-
-def _fit_and_score_split(train: DegradationDataset, test: DegradationDataset | None,
-                         config: ModelConfig, max_iter: int, tol: float, name: str,
-                         scores: np.ndarray | None = None) -> tuple:
-    """``fit_and_score`` on a split already made; ``scores`` as in ``fit_em``."""
+def fit_and_score(train: DegradationDataset, test: DegradationDataset, config: ModelConfig,
+                  max_iter: int = 500, tol: float = 1e-8, name: str = "model",
+                  scores: np.ndarray | None = None) -> tuple:
+    """Fit ``config`` on ``train`` and score it: R² and MSE on ``train``, MSE
+    on ``test`` (the halves of ``temporal_split``), log-likelihood, AIC and
+    BIC.  ``scores`` as in ``fit_em``.  Returns (Metrics, FitResult)."""
     fit = fit_em(train, config, max_iter=max_iter, tol=tol, scores=scores)
     r2, mse_train = residual_metrics(train.responses, predict_unit(fit, train, use_latent=True))
-
-    mse_test = np.nan
-    if test is not None:
-        mse_test = float(np.mean((test.responses - predict_unit(fit, test, use_latent=True)) ** 2))
-
-    ll = fit.loglik
-    p = count_parameters(fit)
-    aic, bic = information_criteria(ll, p, train.n_units)
-    metrics = Metrics(model=name, r2=r2, loglik=ll, aic=aic, bic=bic,
+    mse_test = float(np.mean((test.responses - predict_unit(fit, test, use_latent=True)) ** 2))
+    aic, bic = information_criteria(fit.loglik, count_parameters(fit), train.n_units)
+    metrics = Metrics(model=name, r2=r2, loglik=fit.loglik, aic=aic, bic=bic,
                       mse_train=mse_train, mse_test=mse_test)
     return metrics, fit
 
@@ -286,7 +266,8 @@ def compare_models(ds: DegradationDataset, variants, split_fraction: float = 0.8
     the ``use_micro_scalar`` variants, whose scalars differ), and the
     functional variants share one FPCA of the train curves per (k,
     fve_threshold).  Each is made at its first use, so a variant gets the
-    row, error included, that ``fit_and_score`` would give it.
+    row, error included, that ``fit_and_score`` on its own split and FPCA
+    would give it.
     """
     _check_fraction(split_fraction)
     check_stopping(max_iter, tol)
@@ -309,42 +290,29 @@ def compare_models(ds: DegradationDataset, variants, split_fraction: float = 0.8
             if config.include_functional and train.n_functional:
                 scores = _once(shared, ("fpca", config.k, config.fve_threshold),
                                lambda: _train_scores(train, config))
-            metrics, _ = _fit_and_score_split(train, test, config, max_iter, tol, variant.name,
-                                              scores)
+            metrics, _ = fit_and_score(train, test, config, max_iter, tol, variant.name, scores)
         except (ValueError, NumericalError) as exc:
             metrics = Metrics(model=variant.name, error=str(exc))
         rows.append(metrics)
     return rows
 
 
-@dataclass(frozen=True)
-class EffectRow:
-    """One unit/level split of the fitted coefficient into its components."""
-
-    unit_id: str
-    level: int
-    population: float
-    scalar_effect: float
-    marginal_effect: float
-    interaction_effect: float
-    latent_effect: float
-
-    @property
-    def eta(self) -> float:
-        return (self.population + self.scalar_effect + self.marginal_effect
-                + self.interaction_effect + self.latent_effect)
-
-
-def effect_decomposition(fit: FitResult, ds: DegradationDataset) -> list:
-    """Per unit and level: population, scalar, functional-marginal,
-    interaction and latent contributions to the fitted coefficient."""
-    layout = fit.layout
+def effect_decomposition(fit: FitResult, ds: DegradationDataset) -> dict:
+    """Per unit and level, unit-major: the population, scalar,
+    functional-marginal, interaction and latent contributions to the fitted
+    coefficient, which sum to it.  Equal-length columns keyed like
+    ``effects.csv``: ``unit_id``, ``level``, ``population``,
+    ``scalar_effect``, ``marginal_effect``, ``interaction_effect`` and
+    ``latent_effect``."""
+    levels = fit.layout.levels
     terms = _coefficient_terms(fit, ds)
-    zero = np.zeros((ds.n_units, layout.n_levels))
-    columns = [terms["nu"], terms.get("beta", zero), terms.get("b", zero),
-               terms.get("b_int", zero), _latent_terms(fit, ds)]
-    return [
-        EffectRow(uid, level, *(float(c[i, li]) for c in columns))
-        for i, uid in enumerate(ds.unit_ids)
-        for li, level in enumerate(layout.levels)
-    ]
+    zero = np.zeros((ds.n_units, len(levels)))
+    return {
+        "unit_id": np.repeat(np.array(ds.unit_ids, dtype=object), len(levels)),
+        "level": np.tile(levels, ds.n_units),
+        "population": terms["nu"].ravel(),
+        "scalar_effect": terms.get("beta", zero).ravel(),
+        "marginal_effect": terms.get("b", zero).ravel(),
+        "interaction_effect": terms.get("b_int", zero).ravel(),
+        "latent_effect": _latent_terms(fit, ds).ravel(),
+    }

@@ -27,6 +27,12 @@ def trapezoid_weights(r_grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def inner_weights(r_grid: np.ndarray) -> np.ndarray:
+    """Weights of the (1/R)-normalized trapezoid inner product on a grid."""
+    r = np.asarray(r_grid, dtype=float)
+    return trapezoid_weights(r) / (r[-1] - r[0])
+
+
 @dataclass(frozen=True)
 class FpcaModel:
     """Fitted eigensystem of one functional covariate.
@@ -43,13 +49,9 @@ class FpcaModel:
     k: int
 
     @property
-    def r_support(self) -> float:
-        return float(self.r_grid[-1] - self.r_grid[0])
-
-    @property
     def inner_weights(self) -> np.ndarray:
         """Weights of the (1/R)-normalized trapezoid inner product."""
-        return trapezoid_weights(self.r_grid) / self.r_support
+        return inner_weights(self.r_grid)
 
 
 def fit_fpca(curves: np.ndarray, r_grid: np.ndarray) -> FpcaModel:
@@ -74,7 +76,7 @@ def fit_fpca(curves: np.ndarray, r_grid: np.ndarray) -> FpcaModel:
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
 
-    w = trapezoid_weights(r) / float(r[-1] - r[0])
+    w = inner_weights(r)
     sw = np.sqrt(w)
     sym = sw[:, None] * cov * sw[None, :]
     sym = (sym + sym.T) / 2.0

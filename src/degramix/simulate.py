@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import BasisFamily, DegradationDataset, ModelConfig, basis_columns
 from .design import ZetaLayout, layout_for
-from .fpca import trapezoid_weights
+from .fpca import inner_weights
 
 _ORTHO_TOL = 1e-8
 
@@ -137,7 +137,7 @@ def default_spec(seed: int = 0, **overrides) -> SyntheticSpec:
 
 
 def _check_orthonormal_modes(spec: SyntheticSpec) -> None:
-    w = trapezoid_weights(spec.r_grid) / spec.r_support
+    w = inner_weights(spec.r_grid)
     gram = spec.modes @ (w[:, None] * spec.modes.T)
     if np.max(np.abs(gram - np.eye(spec.n_components))) > _ORTHO_TOL:
         raise ValueError("mode shapes are not orthonormal under the (1/R) inner product")

@@ -19,9 +19,8 @@ from scipy import fft, linalg
 from degramix.data import (
     DegradationDataset,
     UnitRecord,
-    _line,
     _malformed,
-    _read_rows,
+    _numbered_rows,
     _unit_sort_key,
     basis_columns,
 )
@@ -34,7 +33,7 @@ from degramix.estimator import (
     update_sigma_gamma,
     update_zeta,
 )
-from degramix.evaluation import Metrics, _with_micro_scalar, fit_and_score
+from degramix.evaluation import Metrics, _with_micro_scalar, fit_and_score, temporal_split
 
 
 def tpc_pair_enumeration(mask: np.ndarray, r_max: int, periodic: bool = False) -> np.ndarray:
@@ -191,8 +190,8 @@ def stack_units(units, r_grid) -> DegradationDataset:
 def compare_models_per_variant(ds, variants, split_fraction=0.8, micro_scalar=None,
                                max_iter=500, tol=1e-8) -> list:
     """The comparison table with nothing shared between variants: each one
-    runs ``fit_and_score``, which splits the data and fits the FPCA itself;
-    the reference for ``compare_models``."""
+    splits its data and runs ``fit_and_score`` without scores, so its fit
+    makes its own FPCA; the reference for ``compare_models``."""
     rows = []
     for variant in variants:
         data = ds
@@ -203,7 +202,7 @@ def compare_models_per_variant(ds, variants, split_fraction=0.8, micro_scalar=No
                 continue
             data = _with_micro_scalar(ds, micro_scalar)
         try:
-            metrics, _ = fit_and_score(data, variant.config, split_fraction,
+            metrics, _ = fit_and_score(*temporal_split(data, split_fraction), variant.config,
                                        max_iter=max_iter, tol=tol, name=variant.name)
         except (ValueError, NumericalError) as exc:
             metrics = Metrics(model=variant.name, error=str(exc))
@@ -582,46 +581,46 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
     (unit, time) rows or non-finite values.
     """
     header = ["unit_id", "time", "y"]
-    resp_rows = _read_rows(responses_file)
-    if not resp_rows or [c.strip() for c in resp_rows[0]] != header:
+    resp_rows = list(_numbered_rows(responses_file))
+    if not resp_rows or [c.strip() for c in resp_rows[0][1]] != header:
         raise ValueError(f"{responses_file}: expected header unit_id,time,y")
     responses: dict = {}
-    for index, row in enumerate(resp_rows[1:], 1):
+    for line, row in resp_rows[1:]:
         if row:
             try:
                 uid, t, y = row
                 responses.setdefault(uid, []).append((float(t), float(y)))
             except ValueError:
-                raise _malformed(responses_file, index, row, header) from None
+                raise _malformed(responses_file, line, row, header) from None
 
-    scal_rows = _read_rows(scalars_file)
-    header = scal_rows[0] if scal_rows else []
+    scal_rows = list(_numbered_rows(scalars_file))
+    header = scal_rows[0][1] if scal_rows else []
     if not header or header[0].strip() != "unit_id":
         raise ValueError(f"{scalars_file}: expected header unit_id,x1,...")
     scalars: dict = {}
-    for index, row in enumerate(scal_rows[1:], 1):
+    for line, row in scal_rows[1:]:
         if row:
             if len(row) != len(header):
-                raise _malformed(scalars_file, index, row, header)
+                raise _malformed(scalars_file, line, row, header)
             try:
                 scalars[row[0]] = np.array([float(v) for v in row[1:]])
             except ValueError:
-                raise _malformed(scalars_file, index, row, header) from None
+                raise _malformed(scalars_file, line, row, header) from None
 
     header = ["unit_id", "s", "r", "z"]
-    curv_rows = _read_rows(curves_file)
-    if not curv_rows or [c.strip() for c in curv_rows[0]] != header:
+    curv_rows = list(_numbered_rows(curves_file))
+    if not curv_rows or [c.strip() for c in curv_rows[0][1]] != header:
         raise ValueError(f"{curves_file}: expected header unit_id,s,r,z")
     curve_points: dict = {}
-    first_row: dict = {}  # covariate index -> the first row holding it
-    for index, row in enumerate(curv_rows[1:], 1):
+    first_line: dict = {}  # covariate index -> the line of the first row holding it
+    for line, row in curv_rows[1:]:
         if row:
             try:
                 uid, s, r, z = row
                 curve_points.setdefault(uid, {}).setdefault(int(s), []).append((float(r), float(z)))
-                first_row.setdefault(int(s), index)
+                first_line.setdefault(int(s), line)
             except ValueError:
-                raise _malformed(curves_file, index, row, header) from None
+                raise _malformed(curves_file, line, row, header) from None
 
     unit_ids = sorted(responses, key=_unit_sort_key)
     if not unit_ids:
@@ -647,10 +646,10 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
         s_indices = tuple(sorted(curve_points[unit_ids[0]]))
         if s_indices != tuple(range(1, len(s_indices) + 1)):
             raise ValueError(f"curves file: covariate indices must be 1..S, got {s_indices}")
-        stray = {i: s for s, i in first_row.items() if s not in s_indices}
+        stray = {line: s for s, line in first_line.items() if s not in s_indices}
         if stray:
-            index = min(stray)
-            raise ValueError(f"{_line(curves_file, index)}: covariate index s={stray[index]} "
+            line = min(stray)
+            raise ValueError(f"{curves_file}: line {line}: covariate index s={stray[line]} "
                              f"outside 1..{len(s_indices)}")
         first = sorted(curve_points[unit_ids[0]][s_indices[0]])
         r_grid = np.array([r for r, _ in first])

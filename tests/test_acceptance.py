@@ -283,14 +283,13 @@ def test_criterion_8_effect_decomposition_identity():
         spec = default_spec(seed=3000 + seed, n_units=25, n_obs=12)
         ds, truth = generate_dataset(spec)
         fit = fit_em(ds, spec.config)
-        rows = effect_decomposition(fit, ds)
-        eta_rows = {}
-        for row in rows:
-            eta_rows.setdefault(row.unit_id, []).append(
-                row.population + row.scalar_effect + row.marginal_effect
-                + row.interaction_effect + row.latent_effect)
+        effects = effect_decomposition(fit, ds)
+        n_levels = len(fit.layout.levels)
+        assert effects["unit_id"].tolist() == [u for u in ds.unit_ids for _ in range(n_levels)]
+        eta_rows = (effects["population"] + effects["scalar_effect"] + effects["marginal_effect"]
+                    + effects["interaction_effect"] + effects["latent_effect"])
         for i, u in enumerate(ds.units):
-            eta = np.array(eta_rows[u.unit_id])
+            eta = eta_rows.reshape(ds.n_units, n_levels)[i]
             # independent route: the per-unit column-block design applied to the estimates
             omega = build_observed_design(u, spec.config.basis, fit.scores[i], ds.r_support,
                                           fit.layout)

@@ -42,21 +42,20 @@ def random_dataset(rng, n=14, m=5, p=2, s=1, grid_size=6):
 
 
 def one_unit_design(unit, cfg, scores=None, r_support=10.0):
-    """The design of a one-unit dataset; a single unit's design is rank
-    deficient whenever it has more columns than rows, so skip the rank check."""
-    ds = stack_units((unit,), np.arange(4.0))
+    """The design of a one-unit dataset on a 4-point grid of support
+    ``r_support``; a single unit's design is rank deficient whenever it has
+    more columns than rows, so skip the rank check."""
+    ds = stack_units((unit,), np.linspace(0.0, r_support, 4))
     return build_design_matrices(ds, replace(cfg, ridge_jitter=True),
-                                 scores=None if scores is None else np.asarray(scores)[None],
-                                 r_support=r_support)
+                                 scores=None if scores is None else np.asarray(scores)[None])
 
 
 def one_unit_stacked(unit, cfg, scores=None, r_support=10.0):
     """(Omega, Lambda) of a one-unit dataset with one row per observation,
     as ``fit --dump-design`` writes them."""
     dm = one_unit_design(unit, cfg, scores, r_support)
-    ds = stack_units((unit,), np.arange(4.0))
-    return stacked_design(ds, cfg, dm.layout, None if scores is None else np.asarray(scores)[None],
-                          r_support)
+    ds = stack_units((unit,), np.linspace(0.0, r_support, 4))
+    return stacked_design(ds, cfg, dm.layout, None if scores is None else np.asarray(scores)[None])
 
 
 def gram_of_blocks(dm):
@@ -146,7 +145,7 @@ class TestMatchesPerUnitOracle:
         dm = build_design_matrices(ds, cfg, scores=scores)
         ref = stacked_design_matrices(ds, cfg, scores)
         assert dm.layout == ref.layout and dm.unit_ids == ref.unit_ids
-        omega, lam = stacked_design(ds, cfg, dm.layout, scores, ds.r_support)
+        omega, lam = stacked_design(ds, cfg, dm.layout, scores)
         assert np.array_equal(omega, ref.rows("omega")) and np.array_equal(lam, ref.rows("lam"))
         rows = (ds.n_units, dm.layout.latent_dim + 1)
         assert dm.omega.shape[:2] == dm.lam.shape[:2] == dm.y.shape == rows
@@ -212,7 +211,7 @@ class TestStacking:
         basis = SCALAR_ORDER2.basis
         omega = build_observed_design(u, basis, None, 1.0, dm.layout)
         lam = basis_columns(basis, u.times, (0, 1, 2))
-        got_omega, got_lam = stacked_design(ds, SCALAR_ORDER2, dm.layout, None, 1.0)
+        got_omega, got_lam = stacked_design(ds, SCALAR_ORDER2, dm.layout, None)
         assert np.array_equal(got_omega, omega) and np.array_equal(got_lam, lam)
         stacked = np.column_stack([omega, lam, u.responses])
         compressed = np.column_stack([dm.omega[0], dm.lam[0], dm.y[0]])

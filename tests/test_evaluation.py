@@ -4,12 +4,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from _oracles import coefficient_levels, compare_models_per_variant, stack_units
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from degramix import estimator, evaluation
-from degramix.data import DegradationDataset, ModelConfig
+from degramix.data import BasisFamily, DegradationDataset, ModelConfig
 from degramix.estimator import fit_em
 from degramix.evaluation import (
-    EffectRow,
     compare_models,
     effect_decomposition,
     fit_and_score,
@@ -195,6 +196,31 @@ class TestTemporalSplit:
         ds, _ = generate_dataset(spec)
         with pytest.raises(ValueError, match="empty train split"):
             temporal_split(ds, 0.3)
+
+    @given(st.floats(0.01, 1.0, exclude_max=True),
+           st.lists(st.integers(0, 30), min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_unit_lands_in_both_halves(self, fraction, extra, seed):
+        # counts from the smallest m with floor(fraction * m) >= 1 upward
+        counts = np.array([math.ceil(1.0 / fraction) + e for e in extra])
+        assume(np.all(np.floor(fraction * counts) >= 1))
+        rng = np.random.default_rng(seed)
+        n = counts.size
+        times = np.concatenate([np.cumsum(rng.uniform(0.1, 1.0, m)) for m in counts])
+        ds = DegradationDataset([f"u{i}" for i in range(n)], counts, times,
+                                rng.normal(size=times.size), rng.normal(size=(n, 2)),
+                                rng.normal(size=(n, 1, 3)), np.arange(3.0))
+        train, test = temporal_split(ds, fraction)
+        assert train.unit_ids == test.unit_ids == ds.unit_ids
+        assert np.array_equal(train.counts, np.floor(fraction * counts))
+        assert np.all(test.counts >= 1)
+        for half in (train, test):
+            assert np.array_equal(half.scalars, ds.scalars)
+            assert np.array_equal(half.curves, ds.curves)
+            assert np.array_equal(half.r_grid, ds.r_grid)
+        for u, tr, te in zip(ds.units, train.units, test.units):
+            assert np.array_equal(np.concatenate([tr.times, te.times]), u.times)
+            assert np.array_equal(np.concatenate([tr.responses, te.responses]), u.responses)
 
 
 class TestKfoldCv:
@@ -389,16 +415,16 @@ class TestEffectDecomposition:
         zeta[off[0]:off[1]] = 0.0
         zeroed = replace(fit, params=Parameters(zeta, fit.params.sigma_eps2,
                                                 fit.params.sigma_gamma))
-        rows = effect_decomposition(zeroed, ds)
-        assert all(r.marginal_effect == 0.0 for r in rows)
+        effects = effect_decomposition(zeroed, ds)
+        assert np.all(effects["marginal_effect"] == 0.0)
 
     def test_doubling_scalar_doubles_interaction(self):
         spec, ds, truth, fit = fitted_instance(seed=20, n_units=8, n_obs=6)
         u = ds.units[0]
         doubled = replace(u, scalars=u.scalars * 2.0)
-        base = effect_decomposition(fit, stack_units((u,), ds.r_grid))[0]
-        twice = effect_decomposition(fit, stack_units((doubled,), ds.r_grid))[0]
-        assert twice.interaction_effect == pytest.approx(2.0 * base.interaction_effect, rel=1e-12)
+        base, twice = (effect_decomposition(fit, stack_units((v,), ds.r_grid))
+                       ["interaction_effect"][0] for v in (u, doubled))
+        assert twice == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_hand_marginal_effect(self):
         # b = [0.1, -0.2], c = [1, 0.5], R = 10 -> marginal 10*(0.1 - 0.1) = 0
@@ -412,25 +438,42 @@ class TestEffectDecomposition:
                          scores=np.full_like(fit.scores, 0.0))
         forced = replace(forced, scores=np.tile(np.array([[[1.0, 0.5]]]),
                                                 (ds.n_units, 1, 1)))
-        rows = effect_decomposition(forced, ds)
-        assert rows[0].marginal_effect == pytest.approx(0.0, abs=1e-15)
+        effects = effect_decomposition(forced, ds)
+        assert effects["marginal_effect"][0] == pytest.approx(0.0, abs=1e-15)
+
+    @staticmethod
+    def summed(effects, n_units):
+        """Each unit's per-level sum of the five effect columns, (N, L)."""
+        return sum(effects[name] for name in ("population", "scalar_effect", "marginal_effect",
+                                              "interaction_effect", "latent_effect")
+                   ).reshape(n_units, -1)
 
     def test_components_reconstruct_coefficients_exactly(self):
         spec, ds, truth, fit = fitted_instance(seed=22, n_units=15, n_obs=8)
-        rows = effect_decomposition(fit, ds)
-        by_unit = {}
-        for r in rows:
-            by_unit.setdefault(r.unit_id, []).append(r.eta)
-        for u in ds.units:
-            eta_direct = coefficient_levels(fit, u)
-            assert np.max(np.abs(np.array(by_unit[u.unit_id]) - eta_direct)) <= 1e-12
+        eta = self.summed(effect_decomposition(fit, ds), ds.n_units)
+        for i, u in enumerate(ds.units):
+            assert np.max(np.abs(eta[i] - coefficient_levels(fit, u))) <= 1e-12
+
+    def test_order_two_columns_are_unit_major(self):
+        spec = default_spec(seed=25, n_units=15, n_obs=8)
+        ds, _ = generate_dataset(spec)
+        fit = fit_em(ds, ModelConfig(k=2, basis=BasisFamily("polynomial", 2)))
+        effects = effect_decomposition(fit, ds)
+        assert fit.layout.levels == (1, 2)
+        assert effects["unit_id"].tolist() == [u for u in ds.unit_ids for _ in (1, 2)]
+        assert effects["level"].tolist() == [1, 2] * ds.n_units
+        assert len({len(column) for column in effects.values()}) == 1
+        assert np.any(effects["latent_effect"] != 0.0)
+        eta = self.summed(effects, ds.n_units)
+        for i, u in enumerate(ds.units):
+            assert np.max(np.abs(eta[i] - coefficient_levels(fit, u))) <= 1e-12
 
 
 class TestFitAndScore:
     def test_metrics_finite_and_consistent(self):
         spec = default_spec(seed=23, n_units=20, n_obs=10)
         ds, _ = generate_dataset(spec)
-        metrics, fit = fit_and_score(ds, spec.config, split_fraction=0.8)
+        metrics, fit = fit_and_score(*temporal_split(ds, 0.8), spec.config)
         assert np.isfinite(metrics.r2) and metrics.r2 <= 1.0
         assert np.isfinite(metrics.mse_test)
         aic, bic = information_criteria(metrics.loglik, 8, 20)

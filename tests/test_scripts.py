@@ -83,10 +83,14 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
     assert (base / "compare" / "comparison.csv").read_text().splitlines()[1:] == [
         f"{model},,,,,," for model in ("Model1", "Model6", "Model7")]
     run_all_variants(tmp_path / "all", base / "full", run)
-    assert (tmp_path / "all" / "exit_codes.txt").read_text() == "compare 0\n"
+    assert (tmp_path / "all" / "exit_codes.txt").read_text() == "compare 0\nevaluate_order2 0\n"
     rows = (tmp_path / "all" / "compare" / "comparison.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [f"Model{i}" for i in range(1, 8)]
     assert all(",," not in row for row in rows)
+    effects = (tmp_path / "all" / "evaluate_order2" / "effects.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in effects[1:]] == ["1", "2"] * 60
+    metrics = json.loads((tmp_path / "all" / "evaluate_order2" / "metrics.json").read_text())
+    assert "cv_error" in metrics
     ds = load_dataset(*(base / "data" / name for name in ("responses.csv", "scalars.csv",
                                                            "curves.csv")))
     assert ds.counts.tolist() == [1 + i % 12 for i in range(60)]
