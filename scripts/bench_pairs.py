@@ -2,18 +2,20 @@
 """Alternated benchmark pairs: a parent revision against the working tree.
 
     python3 scripts/bench_pairs.py --parent HEAD --pr 8
+    python3 scripts/bench_pairs.py --parent HEAD --pr 8b --workload fit_scale --seeds 10 11
 
 Exports ``--parent`` with ``git archive`` into a temporary directory.  Then,
-for every workload in BENCHMARK.json and each seed 0-9, it runs
-``benchmark/run.py`` for BENCHMARK.json's ``run_seconds`` once in that
-checkout and once in the working tree (uncommitted edits included), the
-parent first on even seeds.  Each side runs the benchmark files of its own
-checkout.  Every run's details and result lines go to ``BENCH_<pr>.json`` at
-the repository root, rewritten after each pair, with a summary per workload:
-the pairs attempted, the runs that crashed and the operations that failed on
-each side, and per end-to-end metric each side's median and quartiles over
-the complete pairs, the number of them the change won (ties count for
-neither side) and the verdict ``verdict`` gives.
+for every workload in BENCHMARK.json (or each ``--workload`` given) and each
+seed of ``--seeds`` (default 0-9), it runs ``benchmark/run.py`` for
+BENCHMARK.json's ``run_seconds`` once in that checkout and once in the
+working tree (uncommitted edits included), the parent first on even seeds.
+Each side runs the benchmark files of its own checkout.  Every run's
+details and result lines go to ``BENCH_<pr>.json`` at the repository root,
+rewritten after each pair, with a summary per workload: the pairs attempted,
+the runs that crashed and the operations that failed on each side, and per
+end-to-end metric each side's median and quartiles over the complete pairs,
+the number of them the change won (ties count for neither side) and the
+verdict ``verdict`` gives.
 """
 
 from __future__ import annotations
@@ -129,7 +131,13 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
+    ap.add_argument("--seeds", type=int, nargs="+", default=SEEDS,
+                    help="benchmark seeds, one pair each (default: 0-9)")
+    ap.add_argument("--workload", action="append",
+                    choices=[w["name"] for w in bench["workloads"]],
+                    help="a workload to run, repeatable (default: every workload)")
     args = ap.parse_args(argv)
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = float(bench["run_seconds"])
 
     parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
@@ -139,8 +147,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         parent_dir = Path(tmp)
         export(parent_sha, parent_dir)
-        for workload in (w["name"] for w in bench["workloads"]):
-            for seed in SEEDS:
+        for workload in workloads:
+            for seed in args.seeds:
                 order = SIDES if seed % 2 == 0 else SIDES[::-1]
                 for side in order:
                     checkout = parent_dir if side == "parent" else ROOT

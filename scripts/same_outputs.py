@@ -13,10 +13,14 @@ and ``run_ragged``, which cover paths no workload takes: all seven ``compare``
 variants with a micro scalar, an order-2 ``evaluate`` (two effect levels
 per unit), units with no more observations than latent levels, ``fit
 --dump-design``, an order-2 latent fit and a ``compare`` whose split fails
-for every variant.  Both sides write under the
-same path, so a path echoed into an output cannot differ between them.  The
-exit code of each invocation and the child's stderr are kept as files beside
-the outputs.  Every file that differs, or exists on one side only, is printed; the exit code is 1 if any
+for every variant.  Last, ``run_predict`` fits Model7 and Model1 on two
+thirds of compare_cv's units and predicts all of them from each fit: the
+Model7 ``predict`` projects the curves of units its fit did not see, the
+Model1 one reads no curves (the workloads predict only units their fit
+saw).  Both sides write under the same path, so a path echoed into an
+output cannot differ between them.  The exit code of each invocation and the
+child's stderr are kept as files beside the outputs.  Every file that
+differs, or exists on one side only, is printed; the exit code is 1 if any
 does, else 0.  For a ``.json`` or ``.csv`` file on both sides, the line also
 says how far it moved: the largest relative difference over its numeric
 entries, and the entries that differ otherwise (a header, an id, an integer
@@ -47,7 +51,7 @@ from pathlib import Path
 
 import degramix
 from degramix.cli import run
-from same_outputs import run_all_variants, run_ragged
+from same_outputs import run_all_variants, run_predict, run_ragged
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -63,6 +67,7 @@ for name, work in WORKLOADS.items():
 
 run_all_variants(root / "all_variants", root / "compare_cv" / "data", run)
 run_ragged(root / "ragged", seed, run)
+run_predict(root / "predict", root / "compare_cv" / "data", run)
 """
 
 
@@ -115,6 +120,35 @@ def run_ragged(base: Path, seed: int, run) -> None:
                *(a for v in ("Model1", "Model6", "Model7") for a in ("--variant", v)),
                "--out", str(base / "compare")]
     codes.append(f"compare {run(compare)}")
+    (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+
+
+def run_predict(base: Path, data: Path, run) -> None:
+    """Under ``base``: write to ``train`` the rows of every unit of the
+    dataset in ``data`` but each third one (in sorted id order), fit Model7
+    and Model1 on them, and predict every unit of ``data`` from each fit,
+    through the CLI entry ``run``.  The exit codes go to
+    ``exit_codes.txt``."""
+    train = base / "train"
+    train.mkdir(parents=True)
+    with open(data / "responses.csv", newline="", encoding="utf-8") as fh:
+        ids = sorted({row[0] for row in list(csv.reader(fh))[1:] if row})
+    keep = {uid for i, uid in enumerate(ids) if i % 3 != 1}
+    for name in ("responses.csv", "scalars.csv", "curves.csv"):
+        with open(data / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        with open(train / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header, *(row for row in rows if row and row[0] in keep)])
+    codes = []
+    for model in ("Model7", "Model1"):
+        fit = base / f"fit_{model}"
+        argv = ["fit", "--data", str(train), "--variant", model, "--k", "2",
+                "--max-iter", "500", "--tol", "1e-8", "--out", str(fit)]
+        codes.append(f"fit_{model} {run(argv)}")
+        argv = ["predict", "--fit", str(fit / "fit_report.json"), "--data", str(data),
+                "--out", str(base / f"predict_{model}")]
+        codes.append(f"predict_{model} {run(argv)}")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 

@@ -108,13 +108,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_data(args):
-    data_dir = Path(args.data)
-    paths = [data_dir / name for name in _DATA_FILES]
+def _data_paths(args) -> list:
+    """The --data directory's three dataset files, each of which must exist."""
+    paths = [Path(args.data) / name for name in _DATA_FILES]
     for p in paths:
         if not p.exists():
             raise CliError(f"missing data file {p}")
-    return load_dataset(*paths)
+    return paths
+
+
+def _load_data(args):
+    return load_dataset(*_data_paths(args))
 
 
 def _resolve_config(args) -> ModelConfig:
@@ -446,8 +450,20 @@ def _load_fit(path) -> FitResult:
 
 def _cmd_predict(args) -> int:
     fit = _load_fit(args.fit)
-    ds = _load_data(args)
+    responses, scalars, curves = _data_paths(args)
+    # the report holds the scores of the units the fit saw, so the curves
+    # are read only for a functional fit, to project the units it did not
+    functional = fit.config.include_functional
+    ds = load_dataset(responses, scalars, curves if functional else None, scored=fit.unit_ids)
     _echo_config("predict", {"fit": str(args.fit), "use_latent": args.use_latent})
+    layout = fit.layout
+    if layout.include_scalar and ds.n_scalars != layout.n_scalars:
+        raise CliError(f"{scalars}: scalars shape {ds.scalars.shape} does not match layout "
+                       f"(P={layout.n_scalars}) of {args.fit}")
+    if (functional and ds.n_functional != layout.n_functional
+            and not set(fit.unit_ids).issuperset(ds.unit_ids)):
+        raise CliError(f"{curves}: S = {ds.n_functional} functional covariates against "
+                       f"the fit's S = {layout.n_functional}")
     ds = _prepare(ds, fit.config, args)
     pred = predict_unit(fit, ds, use_latent=args.use_latent)
     ids = np.repeat(np.array(ds.unit_ids, dtype=object), ds.counts)

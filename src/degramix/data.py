@@ -488,24 +488,36 @@ def _sort_order(group: np.ndarray, key: np.ndarray):
     return np.lexsort((key, group))
 
 
-def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDataset:
+def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> DegradationDataset:
     """Load and cross-validate the three dataset CSVs.
 
     Units are returned sorted by unit id and observations sorted by time.
     Raises ValueError on malformed rows or a covariate index outside 1..S
     (naming the file and line), a unit listed twice in the scalars file,
-    mismatched unit ids, ragged grids or duplicate (unit, time) rows.
+    mismatched unit ids, ragged grids (naming the curves file) or duplicate
+    (unit, time) rows.
+
+    ``scored`` names the units whose FPCA scores the caller already holds:
+    the curves file is parsed only when the responses file names a unit
+    outside it.  Otherwise, or with no ``curves_file``, the dataset has no
+    functional covariates (S = 0), as a header-only curves file gives, and
+    the curves file is not opened.
     """
     resp_id, (t, y) = _read_table(responses_file, ["unit_id", "time", "y"], (float, float))
     resp_runs, resp_lengths = _unit_runs(resp_id)
     del resp_id
+    read_curves = curves_file is not None and (
+        scored is None or not set(scored).issuperset(resp_runs))
     scal_id, columns = _read_table(scalars_file)
     scal_row = {uid: i for i, uid in enumerate(scal_id.tolist())}
     if len(scal_row) < scal_id.size:
         twice = Counter(scal_id.tolist())
         dup = min((u for u, n in twice.items() if n > 1), key=_unit_sort_key)
         raise ValueError(f"{scalars_file}: unit {dup} is listed more than once")
-    curv_id, (s, r, z) = _read_table(curves_file, ["unit_id", "s", "r", "z"], (int, float, float))
+    curv_id, z = (), np.zeros(0)
+    if read_curves:
+        curv_id, (s, r, z) = _read_table(curves_file, ["unit_id", "s", "r", "z"],
+                                         (int, float, float))
 
     unit_ids = sorted(dict.fromkeys(resp_runs), key=_unit_sort_key)
     if not unit_ids:
@@ -526,20 +538,22 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
     counts = np.bincount(obs, minlength=n)
     del obs
 
-    # an empty curves file (header only) yields S = 0 uniformly; otherwise
-    # unit 0's indices fix S and its s = 1 curve fixes the grid, and every
-    # (unit, s) curve, sorted by r, must hold exactly that grid
+    # an empty curves file (header only), or one not read, yields S = 0
+    # uniformly; otherwise unit 0's indices fix S and its s = 1 curve fixes
+    # the grid, and every (unit, s) curve, sorted by r, must hold exactly
+    # that grid
     n_s, n_r, r_grid = 0, 0, np.zeros(0)
     grid = np.zeros((n, 0), dtype=int)  # per (unit, s): 0 ok, 1 missing, 2 ragged
-    if curv_id.size:
+    if len(curv_id):
         curv_runs, curv_lengths = _unit_runs(curv_id)
         del curv_id
-        _check_units(unit_ids, dict.fromkeys(curv_runs), " in curves file", "curves")
+        _check_units(unit_ids, dict.fromkeys(curv_runs), f" in {curves_file}", "curves")
         unit = _codes(curv_runs, curv_lengths, code)
         s_first = np.unique(s[unit == 0])
         n_s = s_first.size
         if not np.array_equal(s_first, np.arange(1, n_s + 1)):
-            raise ValueError(f"curves file: covariate indices must be 1..S, got {tuple(s_first.tolist())}")
+            raise ValueError(f"{curves_file}: covariate indices must be 1..S, "
+                             f"got {tuple(s_first.tolist())}")
         if np.any((s < 1) | (s > n_s)):  # the first such row in the file is named
             rows = islice(_numbered_rows(curves_file), 1, None)
             line, row = next((k, r) for k, r in rows if r and not 1 <= int(r[1]) <= n_s)
@@ -571,9 +585,10 @@ def load_dataset(responses_file, scalars_file, curves_file) -> DegradationDatase
         if not np.all(np.diff(t[m:m + counts[i]]) > 0):
             raise ValueError(f"non-increasing times for unit {unit_ids[i]}")
         si = int(np.argmax(grid[i] != 0))
+        where = f"{curves_file}: unit {unit_ids[i]}: ragged functional grid"
         if grid[i, si] == 1:
-            raise ValueError(f"unit {unit_ids[i]}: ragged functional grid (missing covariate s={si + 1})")
-        raise ValueError(f"unit {unit_ids[i]}: ragged functional grid for covariate s={si + 1}")
+            raise ValueError(f"{where} (missing covariate s={si + 1})")
+        raise ValueError(f"{where} for covariate s={si + 1}")
     return DegradationDataset(unit_ids, counts, t, y, x, z.reshape(n, n_s, n_r), r_grid)
 
 

@@ -98,6 +98,9 @@ def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
         if fit.fpca_models is None:
             raise ValueError(f"missing scores for unit {ds.unit_ids[int(np.argmin(known))]}: "
                              "fit carries no FPCA basis")
+        if ds.n_functional != len(fit.fpca_models):
+            raise ValueError(f"the dataset holds S = {ds.n_functional} functional covariates "
+                             f"against the fit's S = {len(fit.fpca_models)}")
         for model in fit.fpca_models:
             _check_grid(ds.r_grid, model.r_grid)
         new = ds.curves[~known]

@@ -639,13 +639,13 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
     if curve_points:
         missing_curves = [u for u in unit_ids if u not in curve_points]
         if missing_curves:
-            raise ValueError(f"missing covariates for unit {missing_curves[0]} in curves file")
+            raise ValueError(f"missing covariates for unit {missing_curves[0]} in {curves_file}")
         extra_c = sorted(set(curve_points) - set(responses), key=_unit_sort_key)
         if extra_c:
             raise ValueError(f"mismatched unit ids across files: {extra_c[0]} has curves but no responses")
         s_indices = tuple(sorted(curve_points[unit_ids[0]]))
         if s_indices != tuple(range(1, len(s_indices) + 1)):
-            raise ValueError(f"curves file: covariate indices must be 1..S, got {s_indices}")
+            raise ValueError(f"{curves_file}: covariate indices must be 1..S, got {s_indices}")
         stray = {line: s for s, line in first_line.items() if s not in s_indices}
         if stray:
             line = min(stray)
@@ -664,11 +664,12 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
         curves = np.zeros((len(s_indices), r_grid.size))
         for si, s in enumerate(s_indices):
             if s not in curve_points.get(uid, {}):
-                raise ValueError(f"unit {uid}: ragged functional grid (missing covariate s={s})")
+                raise ValueError(f"{curves_file}: unit {uid}: ragged functional grid "
+                                 f"(missing covariate s={s})")
             pts = sorted(curve_points[uid][s])
             rs = np.array([r for r, _ in pts])
             if rs.shape != r_grid.shape or not np.array_equal(rs, r_grid):
-                raise ValueError(f"unit {uid}: ragged functional grid for covariate s={s}")
+                raise ValueError(f"{curves_file}: unit {uid}: ragged functional grid for covariate s={s}")
             curves[si] = [z for _, z in pts]
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(ys))):
             raise ValueError(f"unit {uid}: non-finite measurement")

@@ -1003,3 +1003,145 @@ class TestNoPerUnitRecords:
         ]
         for argv in commands:
             assert run(argv) == 0, argv[0]
+
+
+def _malformed_row(lines):
+    lines[5] = ",".join(lines[5].split(",")[:3])
+
+
+def _dropped_curve(lines):
+    lines[:] = [ln for ln in lines if not ln.startswith("u03,")]
+
+
+def _off_grid_point(lines):
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("u03,"))
+    uid, s, r, z = lines[i].split(",")
+    lines[i] = ",".join([uid, s, repr(float(r) + 0.5), z])
+
+
+CURVE_CORRUPTIONS = {"malformed row": _malformed_row, "dropped curve": _dropped_curve,
+                     "off-grid point": _off_grid_point}
+
+
+def copy_data(src, dst, edit=None, name="curves.csv"):
+    """The three dataset files of ``src`` in ``dst``, ``edit`` applied to the
+    lines of ``name``."""
+    dst.mkdir()
+    for file in cli._DATA_FILES:
+        lines = (src / file).read_text().splitlines()
+        if edit is not None and file == name:
+            edit(lines)
+        (dst / file).write_text("\n".join(lines) + "\n")
+    return dst
+
+
+class TestPredictReadsCurvesOnlyToProject:
+    # predict parses curves.csv only for a functional fit and only when the
+    # data name a unit the fit did not see; the report holds the others' scores
+    UNSEEN = "u05"
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("reads")
+        data, train = simulate_into(tmp, seed=6), tmp / "train"
+        train.mkdir()
+        ds = load_dataset(*(data / name for name in cli._DATA_FILES))
+        save_dataset(ds.select(np.array(ds.unit_ids) != self.UNSEEN),
+                     *(train / name for name in cli._DATA_FILES))
+        for variant in ("Model7", "Model1", "Model2"):
+            assert run(["fit", "--data", str(train), "--variant", variant, "--k", "2",
+                        "--out", str(tmp / variant)]) == 0
+        return tmp, data, train
+
+    @staticmethod
+    def predict(monkeypatch, tmp, variant, data, out):
+        """predict's exit code, stderr, and the files np.loadtxt was given."""
+        sources, loadtxt = [], np.loadtxt
+
+        def recorded(fname, *args, **kwargs):
+            sources.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recorded)
+        code, err = run_quietly(["predict", "--fit", str(tmp / variant / "fit_report.json"),
+                                 "--data", str(data), "--out", str(out)])
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        return code, err, sources
+
+    @staticmethod
+    def y_hat(path):
+        with open(path, newline="") as fh:
+            return np.array([float(row[3]) for row in list(csv.reader(fh))[1:]])
+
+    @pytest.mark.parametrize("corruption", CURVE_CORRUPTIONS)
+    def test_trained_units_read_no_curves(self, tmp_path, monkeypatch, fitted, corruption):
+        tmp, _, train = fitted
+        code, _, sources = self.predict(monkeypatch, tmp, "Model7", train, tmp_path / "intact")
+        assert code == 0 and sources == [train / "responses.csv", train / "scalars.csv"]
+        intact = (tmp_path / "intact" / "predictions.csv").read_bytes()
+        # the predictions a full load of the three files gives
+        fit = cli._load_fit(tmp / "Model7" / "fit_report.json")
+        full = data.center_baseline(load_dataset(*(train / name for name in cli._DATA_FILES)))
+        want = evaluation.predict_unit(fit, full)
+        assert self.y_hat(tmp_path / "intact" / "predictions.csv").tobytes() == want.tobytes()
+
+        broken = copy_data(train, tmp_path / "broken", CURVE_CORRUPTIONS[corruption])
+        code, err, sources = self.predict(monkeypatch, tmp, "Model7", broken, tmp_path / "pred")
+        assert code == 0, err
+        assert sources == [broken / "responses.csv", broken / "scalars.csv"]
+        assert (tmp_path / "pred" / "predictions.csv").read_bytes() == intact
+
+    @pytest.mark.parametrize("corruption", CURVE_CORRUPTIONS)
+    def test_an_unseen_unit_reads_each_file_once(self, tmp_path, monkeypatch, fitted,
+                                                 corruption):
+        tmp, data_dir, _ = fitted
+        code, _, sources = self.predict(monkeypatch, tmp, "Model7", data_dir, tmp_path / "pred")
+        assert code == 0
+        assert sources == [data_dir / name for name in cli._DATA_FILES]
+        broken = copy_data(data_dir, tmp_path / "broken", CURVE_CORRUPTIONS[corruption])
+        code, err, _ = self.predict(monkeypatch, tmp, "Model7", broken, tmp_path / "out")
+        assert code == 1 and err.startswith("error: ") and str(broken / "curves.csv") in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_model1_reads_no_curves(self, tmp_path, monkeypatch, fitted):
+        tmp, data_dir, _ = fitted
+        code, _, sources = self.predict(monkeypatch, tmp, "Model1", data_dir, tmp_path / "intact")
+        assert code == 0 and sources == [data_dir / "responses.csv", data_dir / "scalars.csv"]
+        broken = copy_data(data_dir, tmp_path / "broken", _malformed_row)
+        code, _, sources = self.predict(monkeypatch, tmp, "Model1", broken, tmp_path / "pred")
+        assert code == 0 and len(sources) == 2
+        assert ((tmp_path / "pred" / "predictions.csv").read_bytes()
+                == (tmp_path / "intact" / "predictions.csv").read_bytes())
+
+    @pytest.mark.parametrize("edit,n_functional", [
+        (lambda lines: lines.extend(",".join([u, "2", r, z]) for u, _, r, z in
+                                    (ln.split(",") for ln in lines[1:])), 2),
+        (lambda lines: lines.__delitem__(slice(1, None)), 0),   # header only
+    ])
+    def test_functional_count_differs_from_the_fit(self, tmp_path, monkeypatch, fitted, edit,
+                                                   n_functional):
+        tmp, data_dir, train = fitted
+        edited = copy_data(data_dir, tmp_path / "edited", edit)
+        code, err, _ = self.predict(monkeypatch, tmp, "Model7", edited, tmp_path / "pred")
+        assert code == 1, err
+        assert (f"error: {edited / 'curves.csv'}: S = {n_functional} functional covariates "
+                f"against the fit's S = 1") in err
+        # with no unit to project, the curves are not read
+        trained = copy_data(train, tmp_path / "trained", edit)
+        code, err, _ = self.predict(monkeypatch, tmp, "Model7", trained, tmp_path / "ok")
+        assert code == 0, err
+
+    def test_scalar_count_differs_from_the_fit(self, tmp_path, monkeypatch, fitted):
+        def second_column(lines):
+            lines[:] = [ln + ("," + ln.split(",")[1] if i else ",x2") for i, ln in enumerate(lines)]
+
+        tmp, data_dir, _ = fitted
+        edited = copy_data(data_dir, tmp_path / "edited", second_column, name="scalars.csv")
+        code, err, _ = self.predict(monkeypatch, tmp, "Model7", edited, tmp_path / "pred")
+        assert code == 1
+        report = tmp / "Model7" / "fit_report.json"
+        assert (f"error: {edited / 'scalars.csv'}: scalars shape (12, 2) does not match "
+                f"layout (P=1) of {report}") in err
+        # Model2 has no scalar segment, so it reads no scalar column
+        code, err, _ = self.predict(monkeypatch, tmp, "Model2", edited, tmp_path / "m2")
+        assert code == 0, err

@@ -4,6 +4,7 @@ import os
 import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -752,3 +753,45 @@ class TestLoaderWorksOnlyAsTheRowsNeed:
             assert got.unit_ids == ds.unit_ids
             for name in ("counts", "times", "responses", "scalars", "curves", "r_grid"):
                 assert getattr(got, name).tobytes() == getattr(ds, name).tobytes(), name
+
+
+def assert_same_load(got, want):
+    """Two loads return bit-identical datasets, or raise the same ValueError."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert got.unit_ids == want.unit_ids
+    for name in ("counts", "times", "responses", "scalars", "curves", "r_grid"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestLoaderReadsCurvesOnlyForUnscoredUnits:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_skip_or_full_load(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("csv")
+        paths = data.draw(dataset_files(directory))
+        with open(paths[0], newline="", encoding="utf-8") as fh:
+            named = sorted({row[0] for row in islice(csv.reader(fh), 1, None) if row})
+        header_only = directory / "header_only.csv"
+        header_only.write_text("unit_id,s,r,z\n")
+        # every unit scored (and maybe others): the curves file goes unread
+        extra = data.draw(st.lists(UNIT_IDS, max_size=2))
+        want = _load(load_dataset, [*paths[:2], header_only])
+        for curves, scored in ((paths[2], named + extra), (None, None), (None, ())):
+            assert_same_load(_load(lambda *p: load_dataset(*p, scored=scored),
+                                   [*paths[:2], curves]), want)
+        # one unit the caller holds no scores for: the full load
+        if named:
+            unscored = data.draw(st.sampled_from(named))
+            scored = [u for u in named if u != unscored]
+            assert_same_load(_load(lambda *p: load_dataset(*p, scored=scored), paths),
+                             _load(load_dataset, paths))
+
+    def test_unread_curves_file_need_not_exist(self, tmp_path):
+        paths = saved_paths(tmp_path)
+        ds = load_dataset(paths[0], paths[1], tmp_path / "absent.csv", scored=["u1", "u2", "u3"])
+        assert ds.n_functional == 0 and ds.curves.shape == (3, 0, 0) and ds.r_grid.size == 0
+        with pytest.raises(FileNotFoundError):
+            load_dataset(paths[0], paths[1], tmp_path / "absent.csv", scored=["u1", "u2"])

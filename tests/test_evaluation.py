@@ -98,6 +98,11 @@ class TestPredictUnit:
         with pytest.raises(ValueError, match=r"curve grid differs from the fit's FPCA grid: "
                                              r"r\[1\] = 0\.00142857\d* against the fit's 0\.1$"):
             predict_unit(fit, grid)
+        # nor curves of another number of covariates, whose first matches
+        twice = replace(stranger, curves=np.concatenate([stranger.curves] * 2, axis=1))
+        with pytest.raises(ValueError, match="^the dataset holds S = 2 functional covariates "
+                                             "against the fit's S = 1$"):
+            predict_unit(fit, twice)
 
     @pytest.mark.parametrize("name", ["Model5", "Model7"])
     def test_batch_matches_each_unit_alone(self, name):

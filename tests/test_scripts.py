@@ -73,7 +73,7 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from degramix.cli import run
     from degramix.data import load_dataset
-    from same_outputs import run_all_variants, run_ragged
+    from same_outputs import run_all_variants, run_predict, run_ragged
 
     base = tmp_path / "ragged"
     run_ragged(base, 3, run)
@@ -98,6 +98,19 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
         assert len((base / "fit_dump" / name).read_text().splitlines()) == 1 + ds.n_obs
     report = json.loads((base / "fit_order2" / "fit_report.json").read_text())
     assert report["layout"]["levels"] == [1, 2] and report["config"]["basis_order"] == 2
+    # fits on 40 of the 60 units, predicts from each fit every unit
+    run_predict(tmp_path / "predict", base / "full", run)
+    assert (tmp_path / "predict" / "exit_codes.txt").read_text() == (
+        "fit_Model7 0\npredict_Model7 0\nfit_Model1 0\npredict_Model1 0\n")
+    train = load_dataset(*(tmp_path / "predict" / "train" / name
+                           for name in ("responses.csv", "scalars.csv", "curves.csv")))
+    full = load_dataset(*(base / "full" / name
+                          for name in ("responses.csv", "scalars.csv", "curves.csv")))
+    assert train.n_units == 40
+    assert set(train.unit_ids) == {u for i, u in enumerate(sorted(full.unit_ids)) if i % 3 != 1}
+    for model in ("Model7", "Model1"):
+        rows = (tmp_path / "predict" / f"predict_{model}" / "predictions.csv").read_text()
+        assert len(rows.splitlines()) == 1 + full.n_obs
 
 
 def _runs(workload, parent, change, failed=0):
