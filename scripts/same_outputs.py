@@ -17,9 +17,14 @@ for every variant.  Last, ``run_predict`` fits Model7 and Model1 on two
 thirds of compare_cv's units and predicts all of them from each fit: the
 Model7 ``predict`` projects the curves of units its fit did not see, the
 Model1 one reads no curves (the workloads predict only units their fit
-saw).  Both sides write under the same path, so a path echoed into an
+saw).  Then ``run_descriptors`` runs the descriptor paths the micrograph
+workload skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call
+whose images take turns between two shapes, a P2 image, and ``descriptor
+rdf --particles`` on particle CSVs of every accepted form and on malformed
+ones.  Both sides write under the same path, so a path echoed into an
 output cannot differ between them.  The exit code of each invocation and the
-child's stderr are kept as files beside the outputs.  Every file that
+child's stderr (for ``run_descriptors``, each invocation's) are kept as
+files beside the outputs.  Every file that
 differs, or exists on one side only, is printed; the exit code is 1 if any
 does, else 0.  For a ``.json`` or ``.csv`` file on both sides, the line also
 says how far it moved: the largest relative difference over its numeric
@@ -30,10 +35,13 @@ such as an iteration count).  Nothing under ``benchmark/`` is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -51,7 +59,7 @@ from pathlib import Path
 
 import degramix
 from degramix.cli import run
-from same_outputs import run_all_variants, run_predict, run_ragged
+from same_outputs import run_all_variants, run_descriptors, run_predict, run_ragged
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -68,6 +76,7 @@ for name, work in WORKLOADS.items():
 run_all_variants(root / "all_variants", root / "compare_cv" / "data", run)
 run_ragged(root / "ragged", seed, run)
 run_predict(root / "predict", root / "compare_cv" / "data", run)
+run_descriptors(root / "descriptors", seed, run)
 """
 
 
@@ -149,6 +158,82 @@ def run_predict(base: Path, data: Path, run) -> None:
         argv = ["predict", "--fit", str(fit / "fit_report.json"), "--data", str(data),
                 "--out", str(base / f"predict_{model}")]
         codes.append(f"predict_{model} {run(argv)}")
+    (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+
+
+def _random_pgm(rng: random.Random, width: int, height: int, ascii_form: bool = False) -> bytes:
+    """A width x height 8-bit PGM of random samples, P2 or P5."""
+    samples = [rng.randrange(256) for _ in range(width * height)]
+    if ascii_form:
+        rows = (" ".join(map(str, samples[i:i + width])) for i in range(0, len(samples), width))
+        return (f"P2\n# random samples\n{width} {height}\n255\n" + "\n".join(rows) + "\n").encode()
+    return f"P5\n{width} {height}\n255\n".encode() + bytes(samples)
+
+
+# the particle rows in each accepted form: line end and row format
+_PARTICLE_FORMS = {
+    "plain": ("\n", "{x!r},{y!r}"),
+    "crlf": ("\r\n", "{x!r},{y!r}"),
+    "exponents": ("\n", "{x:+.17e}, {y:.17E}"),
+    "padded": ("\n", " {x!r}\t,\t{y!r} "),
+}
+# particle CSVs that fail, each on a row, a header or a coordinate
+_MALFORMED_PARTICLES = {
+    "separator": b"# window 10 10\nx,y\n1,2\n1_0,2\n",
+    "three_fields": b"# window 10 10\nx,y\n1,2\n\n1,2,3\n",
+    "non_numeric": b"# window 10 10\nx,y\n1,2#3\n",
+    "one_field": b"# window 10 10\nx,y\n  \n4\n",
+    "no_column_header": b"# window 10 10\n1,2\n",
+    "outside_window": b"# window 10 10\nx,y\n1,2\n11,1\n",
+    "not_finite": b"# window 10 10\nx,y\nnan,1\n",
+    "not_utf8": b"# window 10 10\nx,y\n1,2\n\xff,1\n",
+}
+
+
+def run_descriptors(base: Path, seed: int, run) -> None:
+    """Under ``base``: random P5 images of two shapes (a0 and a1 40 x 48,
+    b0 52 x 36), a P2 one, and particle CSVs of 300 random points in each
+    of ``_PARTICLE_FORMS`` after a blank line, with a blank line (a
+    whitespace-only one in the CRLF file) every 97 rows, a header-only one
+    and ``_MALFORMED_PARTICLES``.  Then, through the CLI entry ``run``,
+    ``descriptor tpc`` on a0, b0, a1 and the P2 image, plain and
+    ``--periodic``; ``descriptor rdf --particles`` on every valid CSV in one
+    call and on each malformed one alone.  Each invocation's exit code goes
+    to ``exit_codes.txt`` and its stderr to ``<op>.stderr.txt``."""
+    base.mkdir(parents=True)
+    rng = random.Random(seed)
+    images = []
+    for name, width, height, ascii_form in (("a0", 40, 48, False), ("b0", 52, 36, False),
+                                            ("a1", 40, 48, False), ("p2", 44, 44, True)):
+        (base / f"{name}.pgm").write_bytes(_random_pgm(rng, width, height, ascii_form))
+        images += ["--image", str(base / f"{name}.pgm")]
+    points = [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)) for _ in range(300)]
+    particles = []
+    for name, (newline, form) in _PARTICLE_FORMS.items():
+        lines = ["", "# window 10 10", "x,y"]
+        for i, (x, y) in enumerate(points):
+            lines.append(form.format(x=x, y=y))
+            if i % 97 == 0:
+                lines.append(" \t" if name == "crlf" else "")
+        (base / f"{name}.csv").write_bytes(newline.join(lines).encode("utf-8"))
+        particles += ["--particles", str(base / f"{name}.csv")]
+    (base / "header_only.csv").write_bytes(b"# window 10 10\nx,y\n")
+    rdf = ["descriptor", "rdf", "--r-max", "2", "--dr", "0.25"]
+    tpc = ["descriptor", "tpc", "--r-max", "9", "--threshold", "0.5", *images]
+    calls = [("tpc", [*tpc, "--out", str(base / "tpc")]),
+             ("tpc_periodic", [*tpc, "--periodic", "--out", str(base / "tpc_periodic")]),
+             ("rdf_particles", [*rdf, *particles, "--particles", str(base / "header_only.csv"),
+                                "--out", str(base / "rdf_particles")])]
+    for name, content in _MALFORMED_PARTICLES.items():
+        (base / f"bad_{name}.csv").write_bytes(content)
+        calls.append((f"rdf_{name}", [*rdf, "--particles", str(base / f"bad_{name}.csv"),
+                                      "--out", str(base / f"rdf_{name}")]))
+    codes = []
+    for op, argv in calls:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            codes.append(f"{op} {run(argv)}")
+        (base / f"{op}.stderr.txt").write_text(err.getvalue(), encoding="utf-8")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 

@@ -43,6 +43,7 @@ from .design import stacked_design
 from .estimator import ConvergenceWarning, FitResult, NumericalError, fit_em
 from .evaluation import (
     Metrics,
+    _check_grid,
     compare_models,
     count_parameters,
     effect_decomposition,
@@ -460,10 +461,16 @@ def _cmd_predict(args) -> int:
     if layout.include_scalar and ds.n_scalars != layout.n_scalars:
         raise CliError(f"{scalars}: scalars shape {ds.scalars.shape} does not match layout "
                        f"(P={layout.n_scalars}) of {args.fit}")
-    if (functional and ds.n_functional != layout.n_functional
-            and not set(fit.unit_ids).issuperset(ds.unit_ids)):
-        raise CliError(f"{curves}: S = {ds.n_functional} functional covariates against "
-                       f"the fit's S = {layout.n_functional}")
+    if functional and not set(fit.unit_ids).issuperset(ds.unit_ids):
+        # the curves of the units the fit did not see are projected on its basis
+        if ds.n_functional != layout.n_functional:
+            raise CliError(f"{curves}: S = {ds.n_functional} functional covariates against "
+                           f"the fit's S = {layout.n_functional}")
+        try:
+            for model in fit.fpca_models:
+                _check_grid(ds.r_grid, model.r_grid)
+        except ValueError as exc:
+            raise CliError(f"{curves}: {exc} (fit report {args.fit})") from None
     ds = _prepare(ds, fit.config, args)
     pred = predict_unit(fit, ds, use_latent=args.use_latent)
     ids = np.repeat(np.array(ds.unit_ids, dtype=object), ds.counts)

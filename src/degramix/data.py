@@ -456,14 +456,17 @@ def _read_table(path, header=None, kinds=()) -> tuple:
     raise ValueError(f"{path}: {error}")
 
 
-def _check_units(unit_ids, found, in_file: str, what: str) -> None:
-    """Every unit of the responses file appears in ``found`` and no other."""
+def _check_units(unit_ids, found, in_file, responses_file, what: str) -> None:
+    """Every unit of the responses file appears in ``found``, the units of
+    ``in_file``, and no other."""
     missing = next((u for u in unit_ids if u not in found), None)
     if missing is not None:
-        raise ValueError(f"missing covariates for unit {missing}{in_file}")
+        raise ValueError(f"missing covariates for unit {missing} in {in_file}: "
+                         f"{responses_file} lists it")
     extra = sorted(found.keys() - set(unit_ids), key=_unit_sort_key)
     if extra:
-        raise ValueError(f"mismatched unit ids across files: {extra[0]} has {what} but no responses")
+        raise ValueError(f"mismatched unit ids across files: {extra[0]} has {what} "
+                         f"in {in_file} but no responses in {responses_file}")
 
 
 def _unit_runs(ids: np.ndarray) -> tuple:
@@ -524,7 +527,7 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
         raise ValueError("responses file holds no measurements")
     n = len(unit_ids)
     code = {uid: i for i, uid in enumerate(unit_ids)}
-    _check_units(unit_ids, scal_row, "", "covariates")
+    _check_units(unit_ids, scal_row, scalars_file, responses_file, "covariates")
     x = np.column_stack(columns) if columns else np.zeros((scal_id.size, 0))
     x = x[[scal_row[u] for u in unit_ids]]
 
@@ -547,7 +550,7 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
     if len(curv_id):
         curv_runs, curv_lengths = _unit_runs(curv_id)
         del curv_id
-        _check_units(unit_ids, dict.fromkeys(curv_runs), f" in {curves_file}", "curves")
+        _check_units(unit_ids, dict.fromkeys(curv_runs), curves_file, responses_file, "curves")
         unit = _codes(curv_runs, curv_lengths, code)
         s_first = np.unique(s[unit == 0])
         n_s = s_first.size

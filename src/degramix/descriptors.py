@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import copy
 import re
+import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,8 @@ _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 _P2_NON_DIGIT = re.compile(rb"[^\s0-9]")
 # working set of one TPC row or column block: it stays in a core's cache
 _TPC_BLOCK_BYTES = 2 ** 20
+# rows of one tile of the copy that transposes a column block
+_TPC_TILE = 256
 
 
 @dataclass(frozen=True, init=False)
@@ -193,17 +198,42 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
-def _tpc_plane(h: int, w: int, r_max: int, periodic: bool) -> tuple:
-    """(sh, sw, block): the transform's plane and the rows or columns one
-    block of the autocorrelation holds, about _TPC_BLOCK_BYTES of complex."""
+class _TpcTable(NamedTuple):
+    """What a TPC needs of its mask's shape alone, shared by every image of
+    that (h, w, r_max, periodic)."""
+
+    sh: int             # the transform's plane, sh x sw
+    sw: int
+    block: int          # rows or columns of one block, about _TPC_BLOCK_BYTES of complex
+    flat: np.ndarray    # each half-plane displacement's index in the flat (r_max + 1, sw) rows
+    radius: np.ndarray  # each displacement's bucket, round(|d|)
+    pairs: np.ndarray   # the pixel pairs of each radius 0..r_max
+
+
+@lru_cache(maxsize=1)
+def _tpc_table(h: int, w: int, r_max: int, periodic: bool) -> _TpcTable:
+    """The table of an (h, w) mask's TPC to ``r_max``; its arrays are
+    read-only.  The images of one call are mostly of one shape, so one
+    table is kept."""
+    dys, dxs, radius = _half_plane_displacements(r_max)
     if periodic:
         sh, sw = h, w
+        n_pairs = np.full(dys.size, h * w, dtype=np.int64)
     else:
         sh, sw = _next_fast_len(h + r_max), _next_fast_len(w + r_max)
-    return sh, sw, max(1, _TPC_BLOCK_BYTES // (16 * max(sh, sw)))
+        n_pairs = (h - dys) * (w - np.abs(dxs))
+    # each displacement d stands for -d too, hence the pairs twice
+    pairs = np.zeros(r_max + 1, dtype=np.int64)
+    pairs[0] = h * w
+    np.add.at(pairs, radius, 2 * n_pairs)
+    flat = dys * sw + dxs % sw
+    for a in (flat, radius, pairs):
+        a.setflags(write=False)
+    return _TpcTable(sh, sw, max(1, _TPC_BLOCK_BYTES // (16 * max(sh, sw))), flat, radius, pairs)
 
 
-def _tpc_counts_fft(mask, dys, dxs, periodic, r_max):
+def _tpc_counts_fft(mask, table: _TpcTable) -> np.ndarray:
+    """The in-phase pixel pairs of each of ``table``'s displacements."""
     # circular autocorrelation; with >= r_max zero padding the wrap-free
     # region reproduces the windowed sums.  Counts are integers and the FFT
     # error is far below 0.5, so rounding recovers them exactly.  Row blocks
@@ -212,36 +242,35 @@ def _tpc_counts_fft(mask, dys, dxs, periodic, r_max):
     # inverse (the power is real, so its y inverse is Hermitian) while it is
     # in cache, keeping only the half-plane rows dy = 0..r_max.  Every block
     # is copied into a reused contiguous buffer whose zero padding is written
-    # once, so each transform runs along contiguous float64 or complex lines.
+    # once, so each transform runs along contiguous float64 or complex lines;
+    # a column block is copied in tiles of _TPC_TILE rows, which stay in
+    # cache while they are transposed.
     h, w = mask.shape
-    sh, sw, block = _tpc_plane(h, w, r_max, periodic)
-    nc = sw // 2 + 1
+    sh, sw, block = table.sh, table.sw, table.block
+    nc, n_dy = sw // 2 + 1, table.pairs.size  # dy = 0..r_max
     half = np.empty((h, nc), dtype=complex)
     padded = np.zeros((min(block, h), sw))
     for r0 in range(0, h, block):
         n = min(block, h - r0)
         padded[:n, :w] = mask[r0:r0 + n]
         np.fft.rfft(padded[:n], axis=1, out=half[r0:r0 + n])
-    rows = np.empty((r_max + 1, nc), dtype=complex)
+    rows = np.empty((n_dy, nc), dtype=complex)
     col = np.zeros((min(block, nc), sh), dtype=complex)
     spec = np.empty_like(col)
     power, square = np.empty(col.shape), np.empty(col.shape)
     inv = np.empty((col.shape[0], sh // 2 + 1), dtype=complex)
     for c0 in range(0, nc, block):
         n = min(block, nc - c0)
-        col[:n, :h] = half[:, c0:c0 + n].T
+        for r0 in range(0, h, _TPC_TILE):
+            r1 = min(r0 + _TPC_TILE, h)
+            col[:n, r0:r1] = half[r0:r1, c0:c0 + n].T
         np.fft.fft(col[:n], axis=1, out=spec[:n])
         np.square(spec[:n].real, out=power[:n])
         power[:n] += np.square(spec[:n].imag, out=square[:n])
         np.fft.ihfft(power[:n], axis=1, out=inv[:n])
-        rows[:, c0:c0 + n] = inv[:n, :r_max + 1].T
+        rows[:, c0:c0 + n] = inv[:n, :n_dy].T
     corr = np.fft.irfft(rows, n=sw, axis=1)
-    hit = np.rint(corr[dys, dxs % sw]).astype(np.int64)
-    if periodic:
-        n_pairs = np.full(dys.size, h * w, dtype=np.int64)
-    else:
-        n_pairs = (h - np.abs(dys)) * (w - np.abs(dxs))
-    return hit, n_pairs
+    return np.rint(corr.ravel()[table.flat]).astype(np.int64)
 
 
 def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) -> DescriptorCurve:
@@ -257,7 +286,9 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
     enumeration.  The autocorrelation runs in row and then column blocks
     that stay in cache, with a real inverse of the power spectrum; its peak
     memory is one (height, sw/2+1) complex half-spectrum, sw the padded
-    width.
+    width.  The displacements, their buckets and the pair counts depend on
+    the mask's shape alone and are built once for consecutive images of
+    one shape.
     """
     if img.phase_mask is None:
         raise ValueError("compute_tpc requires a phase mask (binarize first)")
@@ -268,18 +299,12 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
         raise ValueError("r_max must be below half the image's shorter side")
 
     mask = img.phase_mask
-    h, w = mask.shape
-    dys, dxs, rrs = _half_plane_displacements(r_max)
-    hit, n_pairs = _tpc_counts_fft(mask, dys, dxs, periodic, r_max)
-
+    table = _tpc_table(*mask.shape, r_max, bool(periodic))
     hits = np.zeros(r_max + 1, dtype=np.int64)
-    pairs = np.zeros(r_max + 1, dtype=np.int64)
     hits[0] = int(np.count_nonzero(mask))
-    pairs[0] = h * w
-    np.add.at(hits, rrs, 2 * hit)
-    np.add.at(pairs, rrs, 2 * n_pairs)
+    np.add.at(hits, table.radius, 2 * _tpc_counts_fft(mask, table))
 
-    values = hits / pairs
+    values = hits / table.pairs
     return DescriptorCurve(np.arange(r_max + 1, dtype=float), values, TPC)
 
 
@@ -488,16 +513,15 @@ def _floats(fields, path, lineno, what) -> list:
         raise ValueError(f"{path}: line {lineno}: non-numeric {what} {fields!r}") from None
 
 
-def load_particles_csv(path) -> ParticleSet:
-    """Read the particle CSV: '# window w h' line, 'x,y' header, then rows.
+def _nonblank_lines(fh):
+    """(line number, stripped text) of each line of ``fh`` that holds more
+    than whitespace."""
+    return ((no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip())
 
-    Any malformed line raises ValueError naming the file and the line.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+def _particle_header(path, lines) -> tuple:
+    """The window and the line number of the 'x,y' header, from the first
+    two of the particle CSV's nonblank ``lines``."""
     if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing '# window w h' header line")
     no, head = lines[0]
@@ -507,13 +531,57 @@ def load_particles_csv(path) -> ParticleSet:
     window = _floats(parts[1:], path, no, "window size")
     if len(lines) < 2 or [c.strip() for c in lines[1][1].split(",")] != ["x", "y"]:
         raise ValueError(f"{path}: expected 'x,y' column header")
+    return window, lines[1][0]
+
+
+def _particle_rows_loadtxt(path):
+    """(window, (n, 2) coordinates) with every row after the header read by
+    one np.loadtxt call, or None wherever loadtxt raises or warns or the
+    rows are not two columns, so that only a file the line loop reads to
+    the same values is read here.  Both parse a field with Python's own
+    string-to-double, so each coordinate has the same bits; loadtxt skips
+    empty lines and rejects whitespace-only ones, '_' separators, quotes
+    and a header-only file, which it warns of."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            window, skip = _particle_header(path, list(islice(_nonblank_lines(fh), 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip,
+                                ndmin=2, encoding="utf-8")
+    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
+        return None
+    return (window, coords) if coords.shape[1] == 2 else None
+
+
+def _particle_rows_by_line(path):
+    """(window, (n, 2) coordinates) read line by line with float(): blank
+    and whitespace-only lines are skipped, and any malformed line raises
+    ValueError naming the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(_nonblank_lines(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    window, _ = _particle_header(path, lines[:2])
     coords = []
     for no, row in lines[2:]:
         fields = row.split(",")
         if len(fields) != 2:
             raise ValueError(f"{path}: line {no}: expected 2 fields 'x,y', got {len(fields)}")
         coords.append(_floats(fields, path, no, "coordinate"))
+    return window, np.array(coords, dtype=float).reshape(-1, 2)
+
+
+def load_particles_csv(path) -> ParticleSet:
+    """Read the particle CSV: '# window w h' line, 'x,y' header, then rows.
+
+    The rows are read by np.loadtxt, and line by line wherever loadtxt
+    fails; both give the same coordinates, bit for bit.  Any malformed line
+    raises ValueError naming the file and the line.
+    """
+    window, coords = _particle_rows_loadtxt(path) or _particle_rows_by_line(path)
     try:
-        return ParticleSet(np.array(coords, dtype=float).reshape(-1, 2), window)
+        return ParticleSet(coords, window)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -628,10 +628,12 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
 
     missing_scalars = [u for u in unit_ids if u not in scalars]
     if missing_scalars:
-        raise ValueError(f"missing covariates for unit {missing_scalars[0]}")
+        raise ValueError(f"missing covariates for unit {missing_scalars[0]} in {scalars_file}: "
+                         f"{responses_file} lists it")
     extra = sorted(set(scalars) - set(responses), key=_unit_sort_key)
     if extra:
-        raise ValueError(f"mismatched unit ids across files: {extra[0]} has covariates but no responses")
+        raise ValueError(f"mismatched unit ids across files: {extra[0]} has covariates "
+                         f"in {scalars_file} but no responses in {responses_file}")
 
     # an empty curves file (header only) yields S = 0 uniformly
     s_indices: tuple = ()
@@ -639,10 +641,12 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
     if curve_points:
         missing_curves = [u for u in unit_ids if u not in curve_points]
         if missing_curves:
-            raise ValueError(f"missing covariates for unit {missing_curves[0]} in {curves_file}")
+            raise ValueError(f"missing covariates for unit {missing_curves[0]} in {curves_file}: "
+                             f"{responses_file} lists it")
         extra_c = sorted(set(curve_points) - set(responses), key=_unit_sort_key)
         if extra_c:
-            raise ValueError(f"mismatched unit ids across files: {extra_c[0]} has curves but no responses")
+            raise ValueError(f"mismatched unit ids across files: {extra_c[0]} has curves "
+                             f"in {curves_file} but no responses in {responses_file}")
         s_indices = tuple(sorted(curve_points[unit_ids[0]]))
         if s_indices != tuple(range(1, len(s_indices) + 1)):
             raise ValueError(f"{curves_file}: covariate indices must be 1..S, got {s_indices}")

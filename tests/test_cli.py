@@ -826,6 +826,10 @@ class Fitted:
         return f"Fitted({self.root})"
 
 
+def _drop_u03(lines):
+    lines[:] = [ln for ln in lines if not ln.startswith("u03,")]
+
+
 class TestEditedInputsNameTheFile:
     # every edited input either exits 1 with its path in the message or,
     # when the edit touches nothing the command reads, gives the unedited
@@ -860,6 +864,29 @@ class TestEditedInputsNameTheFile:
                 assert (out / "predictions.csv").read_bytes() == fitted.predictions
             else:
                 assert code == 1 and f"error: {path}: " in err, err
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("scalars.csv", _drop_u03,
+         "missing covariates for unit u03 in {edited}: {responses} lists it"),
+        ("scalars.csv", lambda lines: lines.append("ghost," + lines[1].split(",", 1)[1]),
+         "mismatched unit ids across files: ghost has covariates in {edited} "
+         "but no responses in {responses}"),
+        ("curves.csv", _drop_u03,
+         "missing covariates for unit u03 in {edited}: {responses} lists it"),
+        ("curves.csv", lambda lines: lines.extend(
+            "ghost," + ln.split(",", 1)[1] for ln in lines if ln.startswith("u01,")),
+         "mismatched unit ids across files: ghost has curves in {edited} "
+         "but no responses in {responses}"),
+    ])
+    def test_units_missing_from_a_file_name_it_and_the_responses(self, fitted, tmp_path, name,
+                                                                 edit, message):
+        # the fit saw 8 of the 12 units, so predict reads all three files
+        data = copy_data(fitted.data, tmp_path / "edited", edit, name=name)
+        code, err = run_quietly(["predict", "--fit", str(fitted.root / "fit" / "fit_report.json"),
+                                 "--data", str(data), "--out", str(tmp_path / "pred")])
+        assert code == 1
+        assert err == "error: " + message.format(edited=data / name,
+                                                 responses=data / "responses.csv") + "\n"
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -1009,17 +1036,13 @@ def _malformed_row(lines):
     lines[5] = ",".join(lines[5].split(",")[:3])
 
 
-def _dropped_curve(lines):
-    lines[:] = [ln for ln in lines if not ln.startswith("u03,")]
-
-
 def _off_grid_point(lines):
     i = next(i for i, ln in enumerate(lines) if ln.startswith("u03,"))
     uid, s, r, z = lines[i].split(",")
     lines[i] = ",".join([uid, s, repr(float(r) + 0.5), z])
 
 
-CURVE_CORRUPTIONS = {"malformed row": _malformed_row, "dropped curve": _dropped_curve,
+CURVE_CORRUPTIONS = {"malformed row": _malformed_row, "dropped curve": _drop_u03,
                      "off-grid point": _off_grid_point}
 
 
@@ -1128,6 +1151,24 @@ class TestPredictReadsCurvesOnlyToProject:
                 f"against the fit's S = 1") in err
         # with no unit to project, the curves are not read
         trained = copy_data(train, tmp_path / "trained", edit)
+        code, err, _ = self.predict(monkeypatch, tmp, "Model7", trained, tmp_path / "ok")
+        assert code == 0, err
+
+    def test_curve_grid_differs_from_the_fit(self, tmp_path, monkeypatch, fitted):
+        def shifted(lines):
+            lines[1:] = [",".join([u, s, repr(float(r) + 0.25), z])
+                         for u, s, r, z in (ln.split(",") for ln in lines[1:])]
+
+        tmp, data_dir, train = fitted
+        edited = copy_data(data_dir, tmp_path / "edited", shifted)
+        code, err, _ = self.predict(monkeypatch, tmp, "Model7", edited, tmp_path / "pred")
+        assert code == 1
+        report = tmp / "Model7" / "fit_report.json"
+        assert err.endswith(f"\nerror: {edited / 'curves.csv'}: the dataset's curve grid differs "
+                            f"from the fit's FPCA grid: r[0] = 0.25 against the fit's 0.0 "
+                            f"(fit report {report})\n")
+        # with no unit to project, the curves are not read
+        trained = copy_data(train, tmp_path / "trained", shifted)
         code, err, _ = self.predict(monkeypatch, tmp, "Model7", trained, tmp_path / "ok")
         assert code == 0, err
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from degramix.descriptors import (
     ParticleSet,
     _half_plane_displacements,
     _next_fast_len,
+    _particle_rows_by_line,
+    _particle_rows_loadtxt,
     _tpc_counts_fft,
-    _tpc_plane,
+    _tpc_table,
     binarize_image,
     compute_rdf,
     compute_tpc,
@@ -449,19 +452,61 @@ class TestFileFormats:
             load_particles_csv(path)
 
 
+def pairs_per_radius(shape, rrs, n_pairs):
+    """The pixel pairs of each radius from the pairs of each displacement."""
+    pairs = np.zeros(rrs.max(initial=0) + 1, dtype=np.int64)
+    pairs[0] = shape[0] * shape[1]
+    np.add.at(pairs, rrs, 2 * n_pairs)
+    return pairs
+
+
 class TestTpcFftEquivalence:
     @pytest.mark.parametrize("periodic", [False, True])
     def test_fft_matches_direct_bitwise(self, periodic):
         rng = np.random.default_rng(31)
         for _ in range(6):
-            h, w = rng.integers(20, 70, size=2)
+            h, w = (int(n) for n in rng.integers(20, 70, size=2))
             mask = rng.random((h, w)) < rng.uniform(0.2, 0.8)
-            r_max = int(min(h, w) // 2 - 1)
-            dys, dxs, _ = _half_plane_displacements(r_max)
-            fft = _tpc_counts_fft(mask, dys, dxs, periodic, r_max)
-            direct = tpc_counts_direct(mask, dys, dxs, periodic)
-            assert np.array_equal(fft[0], direct[0])
-            assert np.array_equal(fft[1], direct[1])
+            r_max = min(h, w) // 2 - 1
+            table = _tpc_table(h, w, r_max, periodic)
+            dys, dxs, rrs = _half_plane_displacements(r_max)
+            hit, n_pairs = tpc_counts_direct(mask, dys, dxs, periodic)
+            assert np.array_equal(_tpc_counts_fft(mask, table), hit)
+            assert np.array_equal(table.flat, dys * table.sw + dxs % table.sw)
+            assert np.array_equal(table.radius, rrs)
+            assert np.array_equal(table.pairs, pairs_per_radius((h, w), rrs, n_pairs))
+
+
+class TestTpcTable:
+    def test_alternating_shapes_match_pair_enumeration_bitwise(self):
+        # one table is kept, so every change of shape, radius or mode
+        # rebuilds it; each curve must still be the oracle's
+        rng = np.random.default_rng(41)
+        masks = {shape: rng.random(shape) < 0.4 for shape in ((12, 17), (20, 14))}
+        runs = [((12, 17), 5, False), ((20, 14), 6, False), ((12, 17), 5, False),
+                ((12, 17), 5, True), ((12, 17), 3, True), ((20, 14), 6, True),
+                ((20, 14), 6, False), ((12, 17), 5, False)]
+        _tpc_table.cache_clear()
+        for shape, r_max, periodic in runs:
+            got = compute_tpc(image_from_mask(masks[shape]), r_max, periodic=periodic)
+            expected = tpc_pair_enumeration(masks[shape], r_max, periodic=periodic)
+            assert got.values.tobytes() == expected.tobytes(), (shape, r_max, periodic)
+        assert _tpc_table.cache_info().hits == 0
+
+    def test_images_of_one_shape_share_the_table(self):
+        rng = np.random.default_rng(42)
+        _tpc_table.cache_clear()
+        for _ in range(3):
+            compute_tpc(image_from_mask(rng.random((16, 16)) < 0.5), 4)
+        assert _tpc_table.cache_info()[:2] == (2, 1)  # hits, misses
+
+    def test_table_arrays_are_read_only(self):
+        table = _tpc_table(30, 40, 9, False)
+        for name in ("flat", "radius", "pairs"):
+            arr = getattr(table, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestTpcBlocks:
@@ -471,26 +516,26 @@ class TestTpcBlocks:
     @pytest.mark.parametrize("r_max", [30, 199])
     def test_blocked_matches_full_plane_bitwise(self, periodic, r_max):
         h, w = 400, 530
-        sh, sw, block = _tpc_plane(h, w, r_max, periodic)
-        for n in (h, sw // 2 + 1):
-            assert n > 2 * block and n % block
+        table = _tpc_table(h, w, r_max, periodic)
+        for n in (h, table.sw // 2 + 1):
+            assert n > 2 * table.block and n % table.block
         rng = np.random.default_rng(r_max)
         mask = ndimage.gaussian_filter(rng.standard_normal((h, w)), 2.0) > 0.3
-        dys, dxs, _ = _half_plane_displacements(r_max)
-        got = _tpc_counts_fft(mask, dys, dxs, periodic, r_max)
+        dys, dxs, rrs = _half_plane_displacements(r_max)
+        got = _tpc_counts_fft(mask, table)
         full = tpc_counts_full_fft(mask, dys, dxs, periodic, r_max)
-        assert np.array_equal(got[0], full[0])
-        assert np.array_equal(got[1], full[1])
+        assert np.array_equal(got, full[0])
+        assert np.array_equal(table.pairs, pairs_per_radius((h, w), rrs, full[1]))
         if r_max == 30:
-            assert np.array_equal(got[0], tpc_counts_direct(mask, dys, dxs, periodic)[0])
+            assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, periodic)[0])
 
     def test_padded_lengths_match_scipy_next_fast_len(self):
         assert ([_next_fast_len(n) for n in range(1, 20_001)]
                 == [scipy_fft.next_fast_len(n) for n in range(1, 20_001)])
 
     def test_small_tile_is_one_block(self):
-        sh, sw, block = _tpc_plane(128, 128, 20, False)
-        assert block >= max(128, sw // 2 + 1)
+        table = _tpc_table(128, 128, 20, False)
+        assert table.block >= max(128, table.sw // 2 + 1)
 
     def test_memory_is_one_half_spectrum(self):
         # the full-plane route peaks near 104 MiB here: a padded float plane,
@@ -738,6 +783,24 @@ class TestMalformedInputNamesFile:
         path.write_bytes(content)
         load_or_name_path(load_particles_csv, path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1,2", "3,abc"], "line 4: non-numeric coordinate ['3', 'abc']"),
+        (["1,2", "", "1,2,3"], "line 5: expected 2 fields 'x,y', got 3"),
+        (["  ", "4"], "line 4: expected 2 fields 'x,y', got 1"),
+        (["1,2", "1_0,2"], "line 4: non-numeric coordinate ['1_0', '2']"),
+        (["1,2#c"], "line 3: non-numeric coordinate ['1', '2#c']"),
+        (['"1",2'], "line 3: non-numeric coordinate ['\"1\"', '2']"),
+        (["1,"], "line 3: non-numeric coordinate ['1', '']"),
+        (["1,2", "11,1"], "particle coordinates must lie inside the window"),
+        (["nan,1"], "particle coordinates must be finite"),
+    ])
+    def test_particle_csv_error_text(self, tmp_path, rows, message):
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(VALID_CSV[:2] + rows) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_particles_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @given(st.sampled_from(["P2", "P5", "P6", "p2"]),
            st.lists(st.sampled_from(["2", "1", "0", "-3", "w", "255", "65536", "1e3", "#c\n"]),
                     min_size=0, max_size=4),
@@ -757,3 +820,70 @@ class TestMalformedInputNamesFile:
         img = load_or_name_path(load_pgm, path)
         valid = all(s in ("0", "1", "255") for s in samples)
         assert (img is not None) == valid
+
+
+# a coordinate in [0, 10] as text: shortest repr, exponent forms, a sign,
+# padding, fixed point
+COORD_TEXT = st.floats(0.0, 10.0).flatmap(lambda v: st.sampled_from(
+    [repr(v), f"{v:e}", f"{v:+.17E}", f"+{v!r}", f" {v!r}\t", f"{v:.3f}"]))
+ROW = st.tuples(COORD_TEXT, COORD_TEXT).map(",".join)
+BLANK = st.sampled_from(["", "  ", "\t \t"])
+
+
+@st.composite
+def particle_csv(draw, bad_rows=st.nothing()):
+    """The lines of a particle CSV: VALID_CSV's header, maybe after blank
+    lines, then rows and blank or whitespace-only lines, any of them
+    maybe ``bad_rows``."""
+    lines = draw(st.lists(st.just(""), max_size=2)) + VALID_CSV[:2]
+    return lines + draw(st.lists(st.one_of(ROW, BLANK, bad_rows), max_size=8))
+
+
+class TestParticleReaders:
+    """load_particles_csv reads the rows with np.loadtxt where it can and
+    line by line where it cannot; both give the same bits, and a file the
+    line loop rejects is never read by loadtxt."""
+
+    @staticmethod
+    def write(tmp_path_factory, lines, newline, last):
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        path.write_bytes((newline.join(lines) + last * newline).encode())
+        return path
+
+    @given(particle_csv(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_fast_path_and_line_loop_agree_bitwise(self, tmp_path_factory, lines, newline, last):
+        path = self.write(tmp_path_factory, lines, newline, last)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ps = load_particles_csv(path)
+        assert not caught, [str(w.message) for w in caught]
+        window, coords = _particle_rows_by_line(path)
+        assert ps.window == tuple(window)
+        assert ps.coordinates.tobytes() == coords.tobytes()
+        fast = _particle_rows_loadtxt(path)
+        rows = [ln for ln in lines[lines.index("x,y") + 1:] if ln.strip()]
+        if rows and "" not in {ln.strip() for ln in lines if ln}:
+            assert fast is not None  # no whitespace-only line: loadtxt read the rows
+        if fast is not None:
+            assert fast[0] == window and fast[1].tobytes() == coords.tobytes()
+
+    @given(particle_csv(bad_rows=st.one_of(
+               st.text(alphabet="0123456789.,-+eax_# ", min_size=1, max_size=10),
+               st.sampled_from(["1_0,2", "1,2,", "١,2", "0x1,2", "1;2", '"1",2', "1,2#3"]))),
+           st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=150, deadline=None)
+    def test_fast_path_reads_nothing_the_line_loop_rejects(self, tmp_path_factory, lines,
+                                                           newline):
+        path = self.write(tmp_path_factory, lines, newline, True)
+        try:
+            expected = _particle_rows_by_line(path)
+        except ValueError as exc:
+            assert _particle_rows_loadtxt(path) is None
+            with pytest.raises(ValueError) as err:
+                load_particles_csv(path)
+            assert str(err.value) == str(exc)
+            return
+        fast = _particle_rows_loadtxt(path)
+        if fast is not None:
+            assert fast[0] == expected[0] and fast[1].tobytes() == expected[1].tobytes()

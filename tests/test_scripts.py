@@ -113,6 +113,36 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
         assert len(rows.splitlines()) == 1 + full.n_obs
 
 
+def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from degramix.cli import run
+    from degramix.descriptors import load_particles_csv, load_pgm
+    from same_outputs import _MALFORMED_PARTICLES, _PARTICLE_FORMS, run_descriptors
+
+    base = tmp_path / "descriptors"
+    run_descriptors(base, 3, run)
+    codes = dict(line.split() for line in (base / "exit_codes.txt").read_text().splitlines())
+    assert codes == {"tpc": "0", "tpc_periodic": "0", "rdf_particles": "0",
+                     **{f"rdf_{name}": "1" for name in _MALFORMED_PARTICLES}}
+    for name in _MALFORMED_PARTICLES:
+        err = (base / f"rdf_{name}.stderr.txt").read_text()
+        assert f"\nerror: {base / f'bad_{name}.csv'}: " in err, err
+    err = (base / "rdf_particles.stderr.txt").read_text()
+    assert "header_only: degenerate particle set" in err
+    # one tpc call takes turns between two shapes, then a P2 image
+    images = ("a0", "b0", "a1", "p2")
+    assert [load_pgm(base / f"{n}.pgm").pixels.shape for n in images] == [
+        (48, 40), (36, 52), (48, 40), (44, 44)]
+    assert (base / "p2.pgm").read_bytes().startswith(b"P2")
+    for out in ("tpc", "tpc_periodic"):
+        rows = (base / out / "curves.csv").read_text().splitlines()[1:]
+        assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == list(images)
+    # every accepted form holds the same 300 points
+    coords = [load_particles_csv(base / f"{name}.csv").coordinates for name in _PARTICLE_FORMS]
+    assert coords[0].shape == (300, 2)
+    assert all(c.tobytes() == coords[0].tobytes() for c in coords)
+
+
 def _runs(workload, parent, change, failed=0):
     """Hand-made bench_pairs runs: one pair per seed, the pass time as given."""
     return [{"workload": workload, "seed": seed, "side": side,
