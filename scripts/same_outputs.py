@@ -11,7 +11,8 @@ every CLI invocation of its ``commands`` at seed 3 and full size, with BLAS
 pinned to one thread.  Then it runs ``run_all_variants`` on compare_cv's data
 and ``run_ragged``, which cover paths no workload takes: all seven ``compare``
 variants with a micro scalar, an order-2 ``evaluate`` (two effect levels
-per unit), units with no more observations than latent levels, ``fit
+per unit), a simulated dataset with two scalars and an order-2 basis,
+units with no more observations than latent levels, ``fit
 --dump-design``, an order-2 latent fit and a ``compare`` whose split fails
 for every variant.  Last, ``run_predict`` fits Model7 and Model1 on two
 thirds of compare_cv's units and predicts all of them from each fit: the
@@ -100,13 +101,16 @@ def run_all_variants(base: Path, data: Path, run) -> None:
 
 
 def run_ragged(base: Path, seed: int, run) -> None:
-    """Under ``base``: simulate at ``seed``, cut unit i's responses to its
-    first 1 + (i mod 12) rows, then fit Model7 with ``--dump-design`` and a
-    ``basis_order`` 2 config on the cut data, and compare Model1, Model6 and
-    Model7 on it with ``--micro-column 1`` (a unit of one response leaves
-    an empty train split, so every variant fails), through the CLI entry
-    ``run``.  The exit codes go to ``exit_codes.txt``."""
+    """Under ``base``: simulate at ``seed`` into ``full``, and write
+    ``simulate_order2`` (``write_order2_dataset``).  Cut unit i's responses
+    in ``full`` to its first 1 + (i mod 12) rows, then fit Model7 with
+    ``--dump-design`` and a ``basis_order`` 2 config on the cut data, and
+    compare Model1, Model6 and Model7 on it with ``--micro-column 1`` (a
+    unit of one response leaves an empty train split, so every variant
+    fails), through the CLI entry ``run``.  The exit codes go to
+    ``exit_codes.txt``."""
     codes = [f"simulate {run(['simulate', '--seed', str(seed), '--out', str(base / 'full')])}"]
+    write_order2_dataset(base / "simulate_order2", seed)
     data = base / "data"
     data.mkdir(parents=True)
     for name in ("scalars.csv", "curves.csv"):
@@ -130,6 +134,30 @@ def run_ragged(base: Path, seed: int, run) -> None:
                "--out", str(base / "compare")]
     codes.append(f"compare {run(compare)}")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+
+
+def write_order2_dataset(out: Path, seed: int) -> None:
+    """Generate, in process, a dataset at ``seed`` with two scalars and a
+    quadratic time basis (interaction terms for each level and scalar, two
+    correlated latent levels), which no ``simulate --spec`` can ask for.
+    Write it to ``out`` with ``truth.json`` holding the drawn ``eta``,
+    ``gamma`` and ``scores``."""
+    import numpy as np
+    from degramix.data import BasisFamily, save_dataset
+    from degramix.simulate import default_spec, generate_dataset
+
+    spec = default_spec(
+        seed=seed, basis=BasisFamily("polynomial", 2),
+        scalar_ranges=((0.5, 3.0), (-1.0, 2.0)),
+        zeta=np.array([0.8, -0.05, 0.5, -0.2, 0.03, 0.01, 0.12, -0.08, 0.02, -0.01,
+                       0.06, 0.05, -0.03, 0.02, 0.01, -0.01, 0.005, 0.004]),
+        sigma_gamma=np.array([[0.0025, 0.0005], [0.0005, 0.0004]]))
+    ds, truth = generate_dataset(spec)
+    out.mkdir(parents=True)
+    save_dataset(ds, out / "responses.csv", out / "scalars.csv", out / "curves.csv")
+    (out / "truth.json").write_text(json.dumps(
+        {name: getattr(truth, name).tolist() for name in ("eta", "gamma", "scores")},
+        indent=1) + "\n", encoding="utf-8")
 
 
 def run_predict(base: Path, data: Path, run) -> None:

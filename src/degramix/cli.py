@@ -25,6 +25,7 @@ from .data import (
     config_from_dict,
     config_to_dict,
     json_array,
+    json_object,
     json_value,
     load_dataset,
     save_dataset,
@@ -204,29 +205,23 @@ def _spec_overrides(path) -> dict:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"spec must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - set(_SPEC_TYPES))
-    if unknown:
-        raise ValueError(f"unknown spec key {unknown[0]!r}")
-    overrides = {}
-    for key, value in payload.items():
-        kind, name = _SPEC_TYPES[key], f"spec key {key!r}"
-        overrides[key] = (json_array(name, value, kind) if isinstance(kind, tuple)
-                          else json_value(name, value, kind))
+    overrides = json_object("spec", payload, _SPEC_TYPES)
     if "scalar_ranges" in overrides:
         overrides["scalar_ranges"] = tuple(map(tuple, overrides["scalar_ranges"].tolist()))
     return overrides
 
 
 def _cmd_simulate(args) -> int:
-    try:  # only a --spec file can make the spec invalid
+    source = args.spec  # what a failed read or SyntheticSpec check names
+    try:
         overrides = _spec_overrides(args.spec) if args.spec else {}
         if args.seed is not None:
             overrides["seed"] = args.seed
+            if args.seed < 0:  # SyntheticSpec checks the seed first
+                source = "--seed"
         spec = default_spec(**overrides)
     except ValueError as exc:
-        raise CliError(f"{args.spec}: {exc}") from None
+        raise CliError(f"{source}: {exc}") from None
     _echo_config("simulate", {"seed": spec.seed, "n_units": spec.n_units, "n_obs": spec.n_obs})
 
     ds, truth = generate_dataset(spec)
@@ -252,7 +247,6 @@ def _cmd_descriptor(args) -> int:
     })
     if args.s < 1:
         raise CliError(f"descriptor requires --s >= 1, got {args.s}")
-    out = _out_dir(args)
     entries = []
     if args.kind == "tpc":
         if not args.image:
@@ -279,7 +273,7 @@ def _cmd_descriptor(args) -> int:
             if curve.degenerate:
                 print(f"[degramix descriptor] {name}: degenerate particle set", file=sys.stderr)
             entries.append((name, args.s, curve.r_grid, curve.values))
-    write_curves_csv(out / "curves.csv", entries)
+    write_curves_csv(_out_dir(args) / "curves.csv", entries)
     return 0
 
 
@@ -287,14 +281,13 @@ def _cmd_fpca(args) -> int:
     ds = _load_data(args)
     config = _resolve_config(args)
     _echo_config("fpca", {"k": config.k, "fve": config.fve_threshold, "data": str(args.data)})
-    out = _out_dir(args)
     report = []
     if ds.n_functional:
         models, scores = fit_scores(ds.curves, ds.r_grid, config.k, config.fve_threshold)
         report = [{**_fpca_record(m), "s": s + 1,
                    "scores": {"unit_ids": list(ds.unit_ids), "values": scores[:, s]}}
                   for s, m in enumerate(models)]
-    _write_json(out / "fpca_report.json", {"covariates": report})
+    _write_json(_out_dir(args) / "fpca_report.json", {"covariates": report})
     return 0
 
 

@@ -8,8 +8,8 @@ long layout of a mixed-model frame: all units' measurements one after the
 other, and one row of covariates per unit.  Every type here is immutable
 after construction; file loading is the only side-effecting operation.
 Every entry read from a ``--config``, ``--spec`` or ``--fit`` file goes
-through ``json_value`` or ``json_array``: it must have its JSON type and
-shape, and every number must be finite.
+through ``json_value`` or ``json_array`` (``json_object`` for a whole
+object): it must have its JSON type and shape, every number finite.
 """
 
 from __future__ import annotations
@@ -302,6 +302,24 @@ def json_array(name: str, value, shape=None) -> np.ndarray:
     return arr
 
 
+def json_object(name: str, payload, kinds: dict, nullable=()) -> dict:
+    """``payload``, a JSON object, with each value read as its key's kind in
+    ``kinds`` (a type for ``json_value``, a shape for ``json_array``) or as
+    null for a key in ``nullable``; otherwise ValueError naming the key."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown {name} key {unknown[0]!r}")
+    out = {}
+    for key, value in payload.items():
+        kind, entry = kinds[key], f"{name} key {key!r}"
+        out[key] = (value if value is None and key in nullable
+                    else json_array(entry, value, kind) if isinstance(kind, tuple)
+                    else json_value(entry, value, kind))
+    return out
+
+
 # the JSON type of each config key's value; k may also be null
 _CONFIG_TYPES = (dict.fromkeys(_CONFIG_KEYS, bool)
                  | {"basis_kind": str, "basis_order": int, "k": int, "fve_threshold": float})
@@ -310,14 +328,7 @@ _CONFIG_TYPES = (dict.fromkeys(_CONFIG_KEYS, bool)
 def config_from_dict(payload: dict) -> ModelConfig:
     """The config ``config_to_dict`` wrote; an unknown key, or a value of the
     wrong JSON type, raises ValueError naming the key."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - set(_CONFIG_TYPES))
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}")
-    for key, value in payload.items():
-        if not (key == "k" and value is None):
-            json_value(f"config key {key!r}", value, _CONFIG_TYPES[key])
+    payload = json_object("config", payload, _CONFIG_TYPES, nullable=("k",))
     basis = BasisFamily(payload.get("basis_kind", POLYNOMIAL), payload.get("basis_order", 1))
     return ModelConfig(basis=basis, **{key: payload[key] for key in _CONFIG_KEYS if key in payload})
 

@@ -1,9 +1,9 @@
 """Synthetic ground-truth generator for the full degradation model.
 
 All randomness flows from the single seed of a portable generator so every
-draw is reproducible across platforms; the generated data follows the
-response/coefficient model exactly, which makes it the verification backbone
-for the estimator and evaluation layers.
+draw is reproducible across platforms; the data follows the model exactly,
+through the ``ZetaLayout`` covariate map the fit and prediction use, which
+makes it the verification backbone for the estimator and evaluation layers.
 """
 
 from __future__ import annotations
@@ -42,23 +42,35 @@ class SyntheticSpec:
         for name in ("zeta", "sigma_gamma", "r_grid", "mean_curve", "modes",
                      "score_variances", "times"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_units < 1 or self.n_obs < 1:
             raise ValueError("n_units and n_obs must be positive")
         if self.sigma_eps2 < 0:
             raise ValueError("sigma_eps2 must be nonnegative")
-        sg = self.sigma_gamma
-        if sg.shape != (self.latent_dim, self.latent_dim):
-            raise ValueError(f"sigma_gamma must be {self.latent_dim}x{self.latent_dim}")
+        if self.score_variances.size < 1 or np.any(self.score_variances < 0):
+            raise ValueError("score_variances must be nonempty and nonnegative")
+        sg, d = self.sigma_gamma, self.layout.latent_dim
+        if sg.shape != (d, d):
+            raise ValueError(f"sigma_gamma must be {d}x{d}")
         if np.any(np.linalg.eigvalsh((sg + sg.T) / 2.0) < -1e-12):
             raise ValueError("sigma_gamma must be positive semidefinite")
         if self.zeta.shape != (self.layout.size,):
             raise ValueError(f"zeta must have length {self.layout.size}")
+        if self.r_grid.ndim != 1 or self.r_grid.size < 2 or np.any(np.diff(self.r_grid) <= 0):
+            raise ValueError("r_grid must rise strictly through at least two points")
         if self.modes.shape != (self.n_components, self.r_grid.size):
             raise ValueError("modes must have shape (K_true, len(r_grid))")
+        w = inner_weights(self.r_grid)
+        gram = self.modes @ (w[:, None] * self.modes.T)
+        if np.max(np.abs(gram - np.eye(self.n_components)), initial=0.0) > _ORTHO_TOL:
+            raise ValueError("modes are not orthonormal under the (1/R) inner product")
         if self.mean_curve.shape != self.r_grid.shape:
             raise ValueError("mean_curve must have len(r_grid) values")
         if self.times.shape != (self.n_obs,):
             raise ValueError("time grid length must equal n_obs")
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("times must rise strictly")
 
     @property
     def n_scalars(self) -> int:
@@ -85,10 +97,6 @@ class SyntheticSpec:
         return layout_for(self.config, self.n_scalars, self.n_functional, self.n_components)
 
     @property
-    def latent_dim(self) -> int:
-        return len(self.config.levels)
-
-    @property
     def r_support(self) -> float:
         return float(self.r_grid[-1] - self.r_grid[0])
 
@@ -110,7 +118,7 @@ class TruthRecord:
 def default_spec(seed: int = 0, **overrides) -> SyntheticSpec:
     """Desk-scale spec: 60 units x 30 observations, one scalar, one curve."""
     if "n_obs" in overrides and "times" not in overrides:
-        overrides["times"] = np.linspace(0.0, 3.0, int(overrides["n_obs"]))
+        overrides["times"] = np.linspace(0.0, 3.0, max(int(overrides["n_obs"]), 0))
     r_grid = np.linspace(0.0, 10.0, 101)
     r = r_grid / r_grid[-1]
     modes = np.vstack([
@@ -136,19 +144,11 @@ def default_spec(seed: int = 0, **overrides) -> SyntheticSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
-def _check_orthonormal_modes(spec: SyntheticSpec) -> None:
-    w = inner_weights(spec.r_grid)
-    gram = spec.modes @ (w[:, None] * spec.modes.T)
-    if np.max(np.abs(gram - np.eye(spec.n_components))) > _ORTHO_TOL:
-        raise ValueError("mode shapes are not orthonormal under the (1/R) inner product")
-
-
 def generate_functional_covariates(spec: SyntheticSpec, rng: np.random.Generator):
     """Draw per-unit curves mean + sum_k c_k psi_k with c_k ~ N(0, lambda_k).
 
     Returns (curves, scores) with shapes (N, S, G) and (N, S, K).
     """
-    _check_orthonormal_modes(spec)
     n, s, k = spec.n_units, spec.n_functional, spec.n_components
     scores = rng.normal(0.0, 1.0, size=(n, s, k)) * np.sqrt(spec.score_variances)[None, None, :]
     curves = spec.mean_curve[None, None, :] + np.einsum("nsk,kg->nsg", scores, spec.modes)
@@ -164,26 +164,13 @@ def generate_dataset(spec: SyntheticSpec):
         rng.uniform(lo, hi, size=spec.n_units) for (lo, hi) in spec.scalar_ranges
     ])
     curves, scores = generate_functional_covariates(spec, rng)
-    d = spec.latent_dim
     # explicit PSD factor so singular (even zero) covariances draw fine
     sg = (spec.sigma_gamma + spec.sigma_gamma.T) / 2.0
     evals, evecs = np.linalg.eigh(sg)
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    gamma = rng.standard_normal((spec.n_units, d)) @ factor.T
-
-    parts = layout.split(spec.zeta)
-    eta = np.zeros((spec.n_units, layout.n_levels))
-    for i in range(spec.n_units):
-        x = scalars[i]
-        c = scores[i]
-        for li in range(layout.n_levels):
-            eta[i, li] = (
-                parts["nu"][li]
-                + parts["beta"][li] @ x
-                + spec.r_support * float(np.sum(parts["b"][li] * c))
-                + spec.r_support * float(np.sum(x[:, None, None] * parts["b_int"][li] * c[None]))
-                + gamma[i, li]
-            )
+    gamma = rng.standard_normal((spec.n_units, layout.latent_dim)) @ factor.T
+    eta = sum(layout.components(spec.zeta, layout.features(scalars, scores, spec.r_support))
+              .values()) + gamma
 
     phi = basis_columns(spec.basis, spec.times, layout.levels)
     noise = rng.normal(0.0, np.sqrt(spec.sigma_eps2), size=(spec.n_units, spec.n_obs))

@@ -495,6 +495,36 @@ class TestDescriptor:
         assert all(len(row) == 4 for row in rows)
 
 
+def _tpc_without_image(tmp_path):
+    return ["descriptor", "tpc", "--r-max", "3"]
+
+
+def _rdf_on_malformed_particles(tmp_path):
+    particles = tmp_path / "p.csv"
+    particles.write_text("# window 10 10\nx,y\n1,2\n1_0,2\n")
+    return ["descriptor", "rdf", "--particles", str(particles), "--r-max", "2", "--dr", "0.25"]
+
+
+def _fpca_on_identical_curves(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_units": 8, "n_obs": 6, "score_variances": [0.0, 0.0]}))
+    assert run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+    return ["fpca", "--data", str(tmp_path / "data")]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_tpc_without_image, "requires at least one --image"),
+    (_rdf_on_malformed_particles, "non-numeric coordinate"),
+    (_fpca_on_identical_curves, "degenerate covariance"),
+])
+def test_failed_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run([*argv(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_simulate_reruns_byte_identical(self, tmp_path):
         a = simulate_into(tmp_path, name="a", seed=11)
@@ -627,6 +657,15 @@ class TestSimulateSpec:
         ('{"scalar_ranges": [[0.5, NaN]]}', "'scalar_ranges' holds a non-finite value"),
         ('{"sigma_eps2": NaN}', "'sigma_eps2' must be a number, got NaN"),
         ('{"zeta": [0.8, 0.5, NaN, -0.08, 0.06, 0.05]}', "'zeta' holds a non-finite value"),
+        # values of the right type that the spec itself rejects when built
+        ('{"seed": -1}', "seed must be nonnegative, got -1"),
+        ('{"n_obs": -1}', "n_units and n_obs must be positive"),
+        ('{"score_variances": [1.0, -0.5]}', "score_variances must be nonempty and nonnegative"),
+        ('{"score_variances": []}', "score_variances must be nonempty and nonnegative"),
+        ('{"n_obs": 3, "times": [0.0, 1.0, 1.0]}', "times must rise strictly"),
+        (json.dumps({"r_grid": np.linspace(10.0, 0.0, 101).tolist()}), "r_grid must rise strictly"),
+        ('{"modes": [[1.0, 0.0], [0.0, 1.0]], "r_grid": [0.0, 1.0], "mean_curve": [1.0, 1.0]}',
+         "modes are not orthonormal"),
     ])
     def test_bad_value_exits_one_naming_file_and_key(self, tmp_path, capsys, text, key):
         spec = tmp_path / "spec.json"
@@ -636,6 +675,25 @@ class TestSimulateSpec:
         assert f"{spec}: " in err and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "d").exists()
+
+    def test_negative_seed_flag_exits_one_naming_it(self, tmp_path, capsys):
+        assert run(["simulate", "--seed", "-1", "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "error: --seed: seed must be nonnegative, got -1" in err
+        assert "None" not in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    def test_seed_flag_replaces_the_spec_seed(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_units": 8, "n_obs": 6, "seed": -1}))
+        assert run(["simulate", "--spec", str(spec), "--seed", "5",
+                    "--out", str(tmp_path / "d")]) == 0
+        assert json.loads((tmp_path / "d" / "truth.json").read_text())["seed"] == 5
+        spec.write_text(json.dumps({"n_units": 8, "n_obs": 6, "seed": 5}))
+        assert run(["simulate", "--spec", str(spec), "--seed", "-1",
+                    "--out", str(tmp_path / "e")]) == 1
+        assert "error: --seed: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_unknown_spec_key_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -79,6 +79,9 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
     run_ragged(base, 3, run)
     assert (base / "exit_codes.txt").read_text().split() == [
         "simulate", "0", "fit_dump", "0", "fit_order2", "0", "compare", "0"]
+    truth = json.loads((base / "simulate_order2" / "truth.json").read_text())
+    # two coefficient levels (linear and quadratic), each with a latent part
+    assert [len(truth["eta"]), len(truth["eta"][0]), len(truth["gamma"][0])] == [60, 2, 2]
     # unit u01 keeps one response, so every variant gets an error row
     assert (base / "compare" / "comparison.csv").read_text().splitlines()[1:] == [
         f"{model},,,,,," for model in ("Model1", "Model6", "Model7")]

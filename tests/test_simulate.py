@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from degramix.data import BasisFamily
 from degramix.estimator import Parameters, LatentPosterior, FitResult, fit_em
 from degramix.evaluation import predict_unit
 from degramix.simulate import (
@@ -9,6 +10,7 @@ from degramix.simulate import (
     generate_dataset,
     generate_functional_covariates,
 )
+from _oracles import coefficient_levels
 
 
 class TestFunctionalCovariates:
@@ -32,9 +34,8 @@ class TestFunctionalCovariates:
 
     def test_non_orthonormal_modes_rejected(self):
         spec = default_spec()
-        bad = default_spec(modes=spec.modes * 1.5)
         with pytest.raises(ValueError, match="orthonormal"):
-            generate_functional_covariates(bad, np.random.default_rng(0))
+            default_spec(modes=spec.modes * 1.5)
 
 
 class TestGenerateDataset:
@@ -74,6 +75,35 @@ class TestGenerateDataset:
         assert truth.zeta.shape == (truth.layout.size,)
         assert truth.gamma.shape == (spec.n_units, truth.layout.latent_dim)
         assert truth.scores.shape == (spec.n_units, 1, spec.n_components)
+
+
+def order2_spec(seed):
+    """Two scalars, a quadratic basis (levels 1 and 2) and correlated latent
+    levels: P > 1 interaction terms at every level."""
+    return default_spec(
+        seed=seed, n_units=25, n_obs=8,
+        basis=BasisFamily("polynomial", 2),
+        scalar_ranges=((0.5, 3.0), (-1.0, 2.0)),
+        zeta=np.linspace(-0.2, 0.3, 18),
+        sigma_gamma=np.array([[0.04, 0.01], [0.01, 0.02]]),
+    )
+
+
+class TestGeneratorMatchesTermByTermOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eta_is_the_sum_of_each_term(self, seed):
+        spec = order2_spec(seed)
+        ds, truth = generate_dataset(spec)
+        assert truth.layout.levels == (1, 2) and truth.layout.n_scalars == 2
+        fit = FitResult(
+            params=Parameters(truth.zeta, spec.sigma_eps2, truth.sigma_gamma),
+            posterior=LatentPosterior(truth.gamma, np.zeros((spec.n_units, 2, 2))),
+            loglik_trace=np.zeros(1), iterations=0, converged=True, config=spec.config,
+            layout=truth.layout, unit_ids=ds.unit_ids, r_support=truth.r_support,
+            scores=truth.scores, fpca_models=None,
+        )
+        expected = np.array([coefficient_levels(fit, u) for u in ds.units])
+        assert np.max(np.abs(truth.eta - expected)) <= 1e-12
 
 
 class TestGeneratorPredictorAgreement:
@@ -116,3 +146,13 @@ class TestSpecValidation:
     def test_times_length_enforced(self):
         with pytest.raises(ValueError, match="time grid"):
             default_spec(times=np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"score_variances": np.array([1.0, -0.5])}, "score_variances must be nonempty and nonnegative"),
+        ({"n_obs": 3, "times": np.array([0.0, 1.0, 1.0])}, "times must rise strictly"),
+        ({"r_grid": np.linspace(10.0, 0.0, 101)}, "r_grid must rise strictly"),
+    ])
+    def test_bad_field_rejected_when_built(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            default_spec(**overrides)
