@@ -21,16 +21,17 @@ Model1 one reads no curves (the workloads predict only units their fit
 saw).  Then ``run_descriptors`` runs the descriptor paths the micrograph
 workload skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call
 whose images take turns between two shapes, a P2 image, and ``descriptor
-rdf --particles`` on particle CSVs of every accepted form and on malformed
-ones.  Both sides write under the same path, so a path echoed into an
-output cannot differ between them.  The exit code of each invocation and the
-child's stderr (for ``run_descriptors``, each invocation's) are kept as
-files beside the outputs.  Every file that
-differs, or exists on one side only, is printed; the exit code is 1 if any
-does, else 0.  For a ``.json`` or ``.csv`` file on both sides, the line also
-says how far it moved: the largest relative difference over its numeric
-entries, and the entries that differ otherwise (a header, an id, an integer
-such as an iteration count).  Nothing under ``benchmark/`` is written.
+rdf --particles`` on particle CSVs of every accepted form, on malformed
+ones and on ones at the edges of the accepted grammar.  Both sides write
+under the same path, so a path echoed into an output cannot differ between
+them.  The exit code of each invocation and the child's stderr (for
+``run_descriptors``, each invocation's) are kept as files beside the
+outputs.  Every file that differs, or exists on one side only, is printed;
+the exit code is 1 if any does, else 0.  For a ``.json`` or ``.csv`` file
+on both sides, the line also says how far it moved: the largest relative
+difference over its numeric entries, and the entries that differ otherwise
+(a header, an id, an integer such as an iteration count).  Nothing under
+``benchmark/`` is written.
 """
 
 from __future__ import annotations
@@ -216,18 +217,30 @@ _MALFORMED_PARTICLES = {
     "not_finite": b"# window 10 10\nx,y\nnan,1\n",
     "not_utf8": b"# window 10 10\nx,y\n1,2\n\xff,1\n",
 }
+# particle CSVs at the edges of the accepted grammar (float() reads a
+# non-ASCII decimal digit and strips any Unicode space) and of the blank-line
+# rule; the last fails on a line its number pins
+_EDGE_PARTICLES = {
+    "arabic_indic_digit": "# window 10 10\nx,y\n\u0661,2\n3,4\n".encode(),
+    "fullwidth_digit": "# window 10 10\nx,y\n\uff11,2\n3,4\n".encode(),
+    "nbsp_padded": "# window 10 10\nx,y\n\xa01\xa0,\xa02\xa0\n3,4\n".encode(),
+    "whitespace_line": b"# window 10 10\nx,y\n1,2\n \t \n3,4\n",
+    "header_only_whitespace": b"# window 10 10\nx,y\n  \n\t\n",
+    "three_fields_after_whitespace": b"# window 10 10\nx,y\n1,2\n \t\n1,2,3\n",
+}
 
 
 def run_descriptors(base: Path, seed: int, run) -> None:
     """Under ``base``: random P5 images of two shapes (a0 and a1 40 x 48,
     b0 52 x 36), a P2 one, and particle CSVs of 300 random points in each
     of ``_PARTICLE_FORMS`` after a blank line, with a blank line (a
-    whitespace-only one in the CRLF file) every 97 rows, a header-only one
-    and ``_MALFORMED_PARTICLES``.  Then, through the CLI entry ``run``,
-    ``descriptor tpc`` on a0, b0, a1 and the P2 image, plain and
-    ``--periodic``; ``descriptor rdf --particles`` on every valid CSV in one
-    call and on each malformed one alone.  Each invocation's exit code goes
-    to ``exit_codes.txt`` and its stderr to ``<op>.stderr.txt``."""
+    whitespace-only one in the CRLF file) every 97 rows, a header-only one,
+    ``_MALFORMED_PARTICLES`` and ``_EDGE_PARTICLES``.  Then, through the CLI
+    entry ``run``, ``descriptor tpc`` on a0, b0, a1 and the P2 image, plain
+    and ``--periodic``; ``descriptor rdf --particles`` on every valid CSV in
+    one call and on each malformed or edge one alone.  Each invocation's
+    exit code goes to ``exit_codes.txt`` and its stderr to
+    ``<op>.stderr.txt``."""
     base.mkdir(parents=True)
     rng = random.Random(seed)
     images = []
@@ -252,10 +265,11 @@ def run_descriptors(base: Path, seed: int, run) -> None:
              ("tpc_periodic", [*tpc, "--periodic", "--out", str(base / "tpc_periodic")]),
              ("rdf_particles", [*rdf, *particles, "--particles", str(base / "header_only.csv"),
                                 "--out", str(base / "rdf_particles")])]
-    for name, content in _MALFORMED_PARTICLES.items():
-        (base / f"bad_{name}.csv").write_bytes(content)
-        calls.append((f"rdf_{name}", [*rdf, "--particles", str(base / f"bad_{name}.csv"),
-                                      "--out", str(base / f"rdf_{name}")]))
+    for prefix, files in (("bad", _MALFORMED_PARTICLES), ("edge", _EDGE_PARTICLES)):
+        for name, content in files.items():
+            (base / f"{prefix}_{name}.csv").write_bytes(content)
+            calls.append((f"rdf_{name}", [*rdf, "--particles", str(base / f"{prefix}_{name}.csv"),
+                                          "--out", str(base / f"rdf_{name}")]))
     codes = []
     for op, argv in calls:
         err = io.StringIO()

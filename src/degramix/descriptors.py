@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import copy
 import re
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -513,15 +511,9 @@ def _floats(fields, path, lineno, what) -> list:
         raise ValueError(f"{path}: line {lineno}: non-numeric {what} {fields!r}") from None
 
 
-def _nonblank_lines(fh):
-    """(line number, stripped text) of each line of ``fh`` that holds more
-    than whitespace."""
-    return ((no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip())
-
-
-def _particle_header(path, lines) -> tuple:
-    """The window and the line number of the 'x,y' header, from the first
-    two of the particle CSV's nonblank ``lines``."""
+def _particle_header(path, lines) -> list:
+    """The window, from the first two of the particle CSV's nonblank
+    ``lines``: '# window w h', then the 'x,y' column header."""
     if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing '# window w h' header line")
     no, head = lines[0]
@@ -531,57 +523,38 @@ def _particle_header(path, lines) -> tuple:
     window = _floats(parts[1:], path, no, "window size")
     if len(lines) < 2 or [c.strip() for c in lines[1][1].split(",")] != ["x", "y"]:
         raise ValueError(f"{path}: expected 'x,y' column header")
-    return window, lines[1][0]
-
-
-def _particle_rows_loadtxt(path):
-    """(window, (n, 2) coordinates) with every row after the header read by
-    one np.loadtxt call, or None wherever loadtxt raises or warns or the
-    rows are not two columns, so that only a file the line loop reads to
-    the same values is read here.  Both parse a field with Python's own
-    string-to-double, so each coordinate has the same bits; loadtxt skips
-    empty lines and rejects whitespace-only ones, '_' separators, quotes
-    and a header-only file, which it warns of."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            window, skip = _particle_header(path, list(islice(_nonblank_lines(fh), 2)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            coords = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip,
-                                ndmin=2, encoding="utf-8")
-    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
-        return None
-    return (window, coords) if coords.shape[1] == 2 else None
-
-
-def _particle_rows_by_line(path):
-    """(window, (n, 2) coordinates) read line by line with float(): blank
-    and whitespace-only lines are skipped, and any malformed line raises
-    ValueError naming the file and the line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(_nonblank_lines(fh))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    window, _ = _particle_header(path, lines[:2])
-    coords = []
-    for no, row in lines[2:]:
-        fields = row.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"{path}: line {no}: expected 2 fields 'x,y', got {len(fields)}")
-        coords.append(_floats(fields, path, no, "coordinate"))
-    return window, np.array(coords, dtype=float).reshape(-1, 2)
+    return window
 
 
 def load_particles_csv(path) -> ParticleSet:
     """Read the particle CSV: '# window w h' line, 'x,y' header, then rows.
 
-    The rows are read by np.loadtxt, and line by line wherever loadtxt
-    fails; both give the same coordinates, bit for bit.  Any malformed line
-    raises ValueError naming the file and the line.
+    Blank and whitespace-only lines are skipped.  A row is two numbers in
+    Python float() syntax without '_' separators; one np.array call
+    converts every field, with float()'s own string-to-double, bit for bit.
+    Any malformed line raises ValueError naming the file and the line.
     """
-    window, coords = _particle_rows_loadtxt(path) or _particle_rows_by_line(path)
     try:
-        return ParticleSet(coords, window)
+        with open(path, encoding="utf-8") as fh:
+            lines = [(no, text) for no, ln in enumerate(fh, 1) if (text := ln.strip())]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    window = _particle_header(path, lines)
+    rows = lines[2:]
+    try:
+        if not all(row.count(",") == 1 and "_" not in row for _, row in rows):
+            raise ValueError
+        coords = np.array([f for _, row in rows for f in row.split(",")], dtype=float)
+    except ValueError:
+        # some row is malformed: name the first one
+        for no, row in rows:
+            fields = row.split(",")
+            if len(fields) != 2:
+                raise ValueError(
+                    f"{path}: line {no}: expected 2 fields 'x,y', got {len(fields)}") from None
+            _floats(fields, path, no, "coordinate")
+        raise
+    try:
+        return ParticleSet(coords.reshape(-1, 2), window)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -24,6 +24,7 @@ from degramix.data import (
     _unit_sort_key,
     basis_columns,
 )
+from degramix.descriptors import ParticleSet, _floats, _particle_header
 from degramix.design import DesignMatrices, layout_for
 from degramix.estimator import (
     NumericalError,
@@ -684,3 +685,26 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
         units.append(UnitRecord(uid, times, ys, scalars[uid], curves))
 
     return stack_units(units, r_grid)
+
+
+def load_particles_by_line(path) -> ParticleSet:
+    """Read a particle CSV line by line with float(): the reference for
+    ``load_particles_csv``.  Blank and whitespace-only lines are skipped,
+    and the first malformed line raises ValueError naming the file and the
+    line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    window = _particle_header(path, lines[:2])
+    coords = []
+    for no, row in lines[2:]:
+        fields = row.split(",")
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {no}: expected 2 fields 'x,y', got {len(fields)}")
+        coords.append(_floats(fields, path, no, "coordinate"))
+    try:
+        return ParticleSet(np.array(coords, dtype=float).reshape(-1, 2), window)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

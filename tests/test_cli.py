@@ -74,6 +74,27 @@ class TestUsageAndErrors:
                     "--out", str(tmp_path / "fit")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_loglik_exits_two(self, tmp_path, monkeypatch, capsys):
+        data = simulate_into(tmp_path)
+        monkeypatch.setattr(estimator, "marginal_loglik", lambda params, dm: float("nan"))
+        assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("\nnumerical failure: non-finite log-likelihood at iteration 1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--variant", "Model9"], "unknown variant 'Model9'; expected Model1..Model7"),
+        # the simulated data hold one scalar column
+        (["compare", "--variant", "Model6", "--micro-column", "3"],
+         "--micro-column 3 out of range 1..1"),
+        (["fit", "--k", "0"], "functional truncation k must be >= 1"),
+    ])
+    def test_rejected_flag_exits_one(self, tmp_path, capsys, argv, message):
+        data = simulate_into(tmp_path)
+        assert run([*argv, "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_zero_fve_exits_one(self, tmp_path, capsys):
         data = simulate_into(tmp_path)
         for command in ("fit", "fpca", "compare"):
@@ -505,6 +526,10 @@ def _rdf_on_malformed_particles(tmp_path):
     return ["descriptor", "rdf", "--particles", str(particles), "--r-max", "2", "--dr", "0.25"]
 
 
+def _rdf_without_input(tmp_path):
+    return ["descriptor", "rdf", "--r-max", "2", "--dr", "0.25"]
+
+
 def _fpca_on_identical_curves(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n_units": 8, "n_obs": 6, "score_variances": [0.0, 0.0]}))
@@ -515,6 +540,7 @@ def _fpca_on_identical_curves(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (_tpc_without_image, "requires at least one --image"),
     (_rdf_on_malformed_particles, "non-numeric coordinate"),
+    (_rdf_without_input, "error: descriptor rdf requires --image or --particles input"),
     (_fpca_on_identical_curves, "degenerate covariance"),
 ])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
@@ -619,6 +645,16 @@ class TestConfigFile:
                     "--out", str(tmp_path / "fit")]) == 1
         err = capsys.readouterr().err
         assert f"{cfg}: config key {message}" in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_order_zero_basis_exits_one(self, tmp_path, capsys):
+        data = simulate_into(tmp_path, seed=23)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"basis_order": 0}))
+        assert run(["fit", "--data", str(data), "--config", str(cfg),
+                    "--out", str(tmp_path / "fit")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {cfg}: centered baseline leaves no coefficient level for order-0 basis")
         assert not (tmp_path / "fit").exists()
 
     def test_ridge_config_fits_a_duplicated_scalar_column(self, tmp_path, capsys):
@@ -776,6 +812,7 @@ class TestPredictChecksReport:
          "fpca r_grid must rise strictly through at least two points"),
         (lambda r: r["fpca"][0].update(fve_trace=r["fpca"][0]["fve_trace"][:1]),
          "fpca fve_trace has shape (1,), expected (101,)"),
+        (lambda r: r["fpca"].append(r["fpca"][0]), "fpca holds 2 models, expected 1"),
         (lambda r: r["fpca"][0]["eigenvalues"].__setitem__(0, "x"),
          "fpca eigenvalues must be an array of numbers"),
         (lambda r: r["loglik_trace"].__setitem__(0, "x"), "loglik_trace must be an array of numbers"),
@@ -1229,6 +1266,21 @@ class TestPredictReadsCurvesOnlyToProject:
         trained = copy_data(train, tmp_path / "trained", shifted)
         code, err, _ = self.predict(monkeypatch, tmp, "Model7", trained, tmp_path / "ok")
         assert code == 0, err
+
+    def test_curve_grid_size_differs_from_the_fit(self, tmp_path, monkeypatch, fitted):
+        def every_other_point(lines):
+            grid = sorted({float(ln.split(",")[2]) for ln in lines[1:]})
+            kept = set(grid[::2])
+            lines[1:] = [ln for ln in lines[1:] if float(ln.split(",")[2]) in kept]
+
+        tmp, data_dir, _ = fitted
+        edited = copy_data(data_dir, tmp_path / "edited", every_other_point)
+        code, err, _ = self.predict(monkeypatch, tmp, "Model7", edited, tmp_path / "pred")
+        assert code == 1
+        report = tmp / "Model7" / "fit_report.json"
+        assert err.endswith(f"\nerror: {edited / 'curves.csv'}: the dataset's curve grid differs "
+                            f"from the fit's FPCA grid: 51 points against the fit's 101 "
+                            f"(fit report {report})\n")
 
     def test_scalar_count_differs_from_the_fit(self, tmp_path, monkeypatch, fitted):
         def second_column(lines):

@@ -754,6 +754,15 @@ class TestLoaderWorksOnlyAsTheRowsNeed:
             for name in ("counts", "times", "responses", "scalars", "curves", "r_grid"):
                 assert getattr(got, name).tobytes() == getattr(ds, name).tobytes(), name
 
+    def test_plain_text_named_gz_is_read_as_text(self, tmp_path):
+        # np.loadtxt given this path would open it through gzip
+        ds = make_dataset()
+        paths = [tmp_path / n for n in ("responses.csv", "scalars.csv", "curves.csv")]
+        save_dataset(ds, *paths)
+        named_gz = tmp_path / "responses.csv.gz"
+        named_gz.write_bytes(paths[0].read_bytes())
+        assert_same_load(load_dataset(named_gz, *paths[1:]), load_dataset(*paths))
+
 
 def assert_same_load(got, want):
     """Two loads return bit-identical datasets, or raise the same ValueError."""

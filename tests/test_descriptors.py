@@ -13,8 +13,6 @@ from degramix.descriptors import (
     ParticleSet,
     _half_plane_displacements,
     _next_fast_len,
-    _particle_rows_by_line,
-    _particle_rows_loadtxt,
     _tpc_counts_fft,
     _tpc_table,
     binarize_image,
@@ -26,6 +24,7 @@ from degramix.descriptors import (
 )
 from _oracles import (
     flood_fill_component_count,
+    load_particles_by_line,
     rdf_pair_enumeration,
     tpc_counts_direct,
     tpc_counts_full_fft,
@@ -801,6 +800,25 @@ class TestMalformedInputNamesFile:
             load_particles_csv(path)
         assert str(err.value) == f"{path}: {message}"
 
+    def test_particle_csv_not_utf8(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"# window 10 10\nx,y\n1,2\n\xff,1\n")
+        with pytest.raises(ValueError) as err:
+            load_particles_csv(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("content, message", [
+        (b"P5\n4 4\n255\n" + bytes(10), "truncated PGM payload"),
+        # past int64, so the sample array cannot be built
+        (b"P2\n2 1\n255\n0 99999999999999999999\n", "PGM sample above maxval 255"),
+    ])
+    def test_pgm_error_text(self, tmp_path, content, message):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as err:
+            load_pgm(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @given(st.sampled_from(["P2", "P5", "P6", "p2"]),
            st.lists(st.sampled_from(["2", "1", "0", "-3", "w", "255", "65536", "1e3", "#c\n"]),
                     min_size=0, max_size=4),
@@ -839,51 +857,28 @@ def particle_csv(draw, bad_rows=st.nothing()):
     return lines + draw(st.lists(st.one_of(ROW, BLANK, bad_rows), max_size=8))
 
 
-class TestParticleReaders:
-    """load_particles_csv reads the rows with np.loadtxt where it can and
-    line by line where it cannot; both give the same bits, and a file the
-    line loop rejects is never read by loadtxt."""
+class TestParticleReader:
+    """load_particles_csv reads a particle CSV as the line-by-line float()
+    loop does: the same window and coordinate bits, or the same error."""
 
-    @staticmethod
-    def write(tmp_path_factory, lines, newline, last):
+    @given(st.one_of(particle_csv(), particle_csv(bad_rows=st.one_of(
+               st.text(alphabet="0123456789.,-+eax_# ", min_size=1, max_size=10),
+               st.sampled_from(["1_0,2", "1,2,", "١,2", "１,2", "\xa01\xa0,\xa02", "0x1,2",
+                                "1;2", '"1",2', "1,2#3", "1e999,1", "nan,1", "11,1"])))),
+           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_line_loop(self, tmp_path_factory, lines, newline, last):
         path = tmp_path_factory.mktemp("csv") / "p.csv"
         path.write_bytes((newline.join(lines) + last * newline).encode())
-        return path
-
-    @given(particle_csv(), st.sampled_from(["\n", "\r\n"]), st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_fast_path_and_line_loop_agree_bitwise(self, tmp_path_factory, lines, newline, last):
-        path = self.write(tmp_path_factory, lines, newline, last)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ps = load_particles_csv(path)
-        assert not caught, [str(w.message) for w in caught]
-        window, coords = _particle_rows_by_line(path)
-        assert ps.window == tuple(window)
-        assert ps.coordinates.tobytes() == coords.tobytes()
-        fast = _particle_rows_loadtxt(path)
-        rows = [ln for ln in lines[lines.index("x,y") + 1:] if ln.strip()]
-        if rows and "" not in {ln.strip() for ln in lines if ln}:
-            assert fast is not None  # no whitespace-only line: loadtxt read the rows
-        if fast is not None:
-            assert fast[0] == window and fast[1].tobytes() == coords.tobytes()
-
-    @given(particle_csv(bad_rows=st.one_of(
-               st.text(alphabet="0123456789.,-+eax_# ", min_size=1, max_size=10),
-               st.sampled_from(["1_0,2", "1,2,", "١,2", "0x1,2", "1;2", '"1",2', "1,2#3"]))),
-           st.sampled_from(["\n", "\r\n"]))
-    @settings(max_examples=150, deadline=None)
-    def test_fast_path_reads_nothing_the_line_loop_rejects(self, tmp_path_factory, lines,
-                                                           newline):
-        path = self.write(tmp_path_factory, lines, newline, True)
         try:
-            expected = _particle_rows_by_line(path)
+            expected = load_particles_by_line(path)
         except ValueError as exc:
-            assert _particle_rows_loadtxt(path) is None
             with pytest.raises(ValueError) as err:
                 load_particles_csv(path)
             assert str(err.value) == str(exc)
             return
-        fast = _particle_rows_loadtxt(path)
-        if fast is not None:
-            assert fast[0] == expected[0] and fast[1].tobytes() == expected[1].tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ps = load_particles_csv(path)
+        assert ps.window == expected.window
+        assert ps.coordinates.tobytes() == expected.coordinates.tobytes()

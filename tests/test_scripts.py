@@ -120,16 +120,22 @@ def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from degramix.cli import run
     from degramix.descriptors import load_particles_csv, load_pgm
-    from same_outputs import _MALFORMED_PARTICLES, _PARTICLE_FORMS, run_descriptors
+    from same_outputs import (_EDGE_PARTICLES, _MALFORMED_PARTICLES, _PARTICLE_FORMS,
+                              run_descriptors)
 
     base = tmp_path / "descriptors"
     run_descriptors(base, 3, run)
     codes = dict(line.split() for line in (base / "exit_codes.txt").read_text().splitlines())
     assert codes == {"tpc": "0", "tpc_periodic": "0", "rdf_particles": "0",
-                     **{f"rdf_{name}": "1" for name in _MALFORMED_PARTICLES}}
+                     **{f"rdf_{name}": "1" for name in _MALFORMED_PARTICLES},
+                     **{f"rdf_{name}": "0" for name in _EDGE_PARTICLES},
+                     "rdf_three_fields_after_whitespace": "1"}
     for name in _MALFORMED_PARTICLES:
         err = (base / f"rdf_{name}.stderr.txt").read_text()
         assert f"\nerror: {base / f'bad_{name}.csv'}: " in err, err
+    err = (base / "rdf_three_fields_after_whitespace.stderr.txt").read_text()
+    assert err.endswith(f"\nerror: {base / 'edge_three_fields_after_whitespace.csv'}: "
+                        "line 5: expected 2 fields 'x,y', got 3\n"), err
     err = (base / "rdf_particles.stderr.txt").read_text()
     assert "header_only: degenerate particle set" in err
     # one tpc call takes turns between two shapes, then a P2 image
