@@ -13,7 +13,9 @@ pairs come from a cell list.
 from __future__ import annotations
 
 import copy
+import os
 import re
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -28,7 +30,8 @@ RDF = "rdf"
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 # a byte that is neither a decimal digit nor the whitespace bytes.split() cuts at
 _P2_NON_DIGIT = re.compile(rb"[^\s0-9]")
-# working set of one TPC row or column block: it stays in a core's cache
+# working set of one TPC call's row or column blocks, split over the threads
+# that run them: each thread's block stays in its core's cache
 _TPC_BLOCK_BYTES = 2 ** 20
 # rows of one tile of the copy that transposes a column block
 _TPC_TILE = 256
@@ -202,7 +205,7 @@ class _TpcTable(NamedTuple):
 
     sh: int             # the transform's plane, sh x sw
     sw: int
-    block: int          # rows or columns of one block, about _TPC_BLOCK_BYTES of complex
+    block: int          # rows or columns in flight over all threads: _TPC_BLOCK_BYTES of complex
     flat: np.ndarray    # each half-plane displacement's index in the flat (r_max + 1, sw) rows
     radius: np.ndarray  # each displacement's bucket, round(|d|)
     pairs: np.ndarray   # the pixel pairs of each radius 0..r_max
@@ -230,45 +233,155 @@ def _tpc_table(h: int, w: int, r_max: int, periodic: bool) -> _TpcTable:
     return _TpcTable(sh, sw, max(1, _TPC_BLOCK_BYTES // (16 * max(sh, sw))), flat, radius, pairs)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _other_cpus() -> list:
+    """The CPUs the calling thread may run on, less the one it runs on now;
+    empty where the platform does not tell both."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # the processor field, 39th; the name before it may hold spaces
+            current = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (AttributeError, OSError, IndexError, ValueError):
+        return []
+    return sorted(cpus - {current})
+
+
+def _in_threads(starts: range, n: int, work) -> None:
+    """Call ``work(i, claims)`` for i = 0..n-1 (1 <= n <= len(starts)): i = 0
+    in this thread, each other one on a thread of its own.  The ``claims``
+    of all calls draw from one iterator over ``starts``, so each start goes
+    to exactly one call, to whichever asks first: a thread that runs late
+    takes fewer blocks, not half of them.  Once every thread has finished,
+    an error of any call is raised here, so none can fail unseen; the
+    others claim no more blocks after it.
+
+    Each new thread keeps to one CPU other than the one this thread is on:
+    a kernel that does not balance threads across CPUs would otherwise
+    leave it on this thread's CPU, where it can only take turns."""
+    remaining = iter(starts)
+    lock = threading.Lock()
+    errors = []
+    others = _other_cpus() if n > 1 else []
+
+    def claims():
+        while not errors:
+            with lock:
+                start = next(remaining, None)
+            if start is None:
+                return
+            yield start
+
+    def run(i):
+        if i and others:
+            try:
+                os.sched_setaffinity(0, {others[(i - 1) % len(others)]})
+            except OSError:  # that CPU went offline, or pinning is refused
+                pass
+        try:
+            work(i, claims())
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+
+    threads = []
+    try:
+        for i in range(1, n):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _tpc_rows(mask, table: _TpcTable) -> np.ndarray:
+    """The (r_max + 1, sw) rows dy = 0..r_max of the mask's circular
+    autocorrelation on ``table``'s plane, unrounded."""
+    # Row blocks fill one (h, sw//2+1) half-spectrum; column blocks of it
+    # then give the rows.  Both stages run on one thread per usable CPU,
+    # never more than there are blocks; numpy's transforms release the GIL,
+    # so the threads run at once.  Thread i works in its own buffers, of the
+    # one block divided by the thread count, and writes only the slices of
+    # the blocks it claimed; every line is transformed alone, so the rows
+    # are the same bytes whatever the thread count.  The buffers are
+    # allocated in the calling thread: pages a thread's own malloc arena
+    # took would stay resident.
+    h = mask.shape[0]
+    nc = table.sw // 2 + 1
+    n_threads = min(_usable_cpus(), -(-max(h, nc) // table.block))
+    block = max(1, table.block // n_threads)
+    rows = _tpc_column_rows(_tpc_half_spectrum(mask, table.sw, block, n_threads),
+                            table.sh, table.pairs.size, block, n_threads)
+    return np.fft.irfft(rows, n=table.sw, axis=1)
+
+
+def _tpc_half_spectrum(mask, sw: int, block: int, n_threads: int) -> np.ndarray:
+    """The (h, sw//2+1) x transform of ``mask`` zero-padded to width sw, in
+    row blocks; the padding rows are never built."""
+    # each block is copied into a reused contiguous buffer whose zero
+    # padding is written once, so the transform runs along contiguous lines
+    h, w = mask.shape
+    half = np.empty((h, sw // 2 + 1), dtype=complex)
+    starts = range(0, h, block)
+    padded = np.zeros((min(n_threads, len(starts)), min(block, h), sw))
+
+    def fill(i, claims):
+        for r0 in claims:
+            n = min(block, h - r0)
+            padded[i, :n, :w] = mask[r0:r0 + n]
+            np.fft.rfft(padded[i, :n], axis=1, out=half[r0:r0 + n])
+
+    _in_threads(starts, len(padded), fill)
+    return half
+
+
+def _tpc_column_rows(half, sh: int, n_dy: int, block: int, n_threads: int) -> np.ndarray:
+    """The rows dy = 0..n_dy-1 of the y inverse of |Y|^2, Y the length-sh y
+    transform of ``half``'s zero-padded columns, in column blocks."""
+    # each column block goes through its y transform, the power and a real
+    # inverse (the power is real, so its y inverse is Hermitian) while it is
+    # in cache; it is copied into a contiguous buffer in tiles of _TPC_TILE
+    # rows, which stay in cache while they are transposed
+    h, nc = half.shape
+    rows = np.empty((n_dy, nc), dtype=complex)
+    starts = range(0, nc, block)
+    col = np.zeros((min(n_threads, len(starts)), min(block, nc), sh), dtype=complex)
+    spec = np.empty_like(col)
+    power, square = np.empty(col.shape), np.empty(col.shape)
+    inv = np.empty((*col.shape[:2], sh // 2 + 1), dtype=complex)
+
+    def fill(i, claims):
+        for c0 in claims:
+            n = min(block, nc - c0)
+            for r0 in range(0, h, _TPC_TILE):
+                r1 = min(r0 + _TPC_TILE, h)
+                col[i, :n, r0:r1] = half[r0:r1, c0:c0 + n].T
+            np.fft.fft(col[i, :n], axis=1, out=spec[i, :n])
+            np.square(spec[i, :n].real, out=power[i, :n])
+            power[i, :n] += np.square(spec[i, :n].imag, out=square[i, :n])
+            np.fft.ihfft(power[i, :n], axis=1, out=inv[i, :n])
+            rows[:, c0:c0 + n] = inv[i, :n, :n_dy].T
+
+    _in_threads(starts, len(col), fill)
+    return rows
+
+
 def _tpc_counts_fft(mask, table: _TpcTable) -> np.ndarray:
     """The in-phase pixel pairs of each of ``table``'s displacements."""
     # circular autocorrelation; with >= r_max zero padding the wrap-free
     # region reproduces the windowed sums.  Counts are integers and the FFT
-    # error is far below 0.5, so rounding recovers them exactly.  Row blocks
-    # fill one (h, sw//2+1) half-spectrum, the padding rows never built; each
-    # column block then goes through its y transform, the power and a real
-    # inverse (the power is real, so its y inverse is Hermitian) while it is
-    # in cache, keeping only the half-plane rows dy = 0..r_max.  Every block
-    # is copied into a reused contiguous buffer whose zero padding is written
-    # once, so each transform runs along contiguous float64 or complex lines;
-    # a column block is copied in tiles of _TPC_TILE rows, which stay in
-    # cache while they are transposed.
-    h, w = mask.shape
-    sh, sw, block = table.sh, table.sw, table.block
-    nc, n_dy = sw // 2 + 1, table.pairs.size  # dy = 0..r_max
-    half = np.empty((h, nc), dtype=complex)
-    padded = np.zeros((min(block, h), sw))
-    for r0 in range(0, h, block):
-        n = min(block, h - r0)
-        padded[:n, :w] = mask[r0:r0 + n]
-        np.fft.rfft(padded[:n], axis=1, out=half[r0:r0 + n])
-    rows = np.empty((n_dy, nc), dtype=complex)
-    col = np.zeros((min(block, nc), sh), dtype=complex)
-    spec = np.empty_like(col)
-    power, square = np.empty(col.shape), np.empty(col.shape)
-    inv = np.empty((col.shape[0], sh // 2 + 1), dtype=complex)
-    for c0 in range(0, nc, block):
-        n = min(block, nc - c0)
-        for r0 in range(0, h, _TPC_TILE):
-            r1 = min(r0 + _TPC_TILE, h)
-            col[:n, r0:r1] = half[r0:r1, c0:c0 + n].T
-        np.fft.fft(col[:n], axis=1, out=spec[:n])
-        np.square(spec[:n].real, out=power[:n])
-        power[:n] += np.square(spec[:n].imag, out=square[:n])
-        np.fft.ihfft(power[:n], axis=1, out=inv[:n])
-        rows[:, c0:c0 + n] = inv[:n, :n_dy].T
-    corr = np.fft.irfft(rows, n=sw, axis=1)
-    return np.rint(corr.ravel()[table.flat]).astype(np.int64)
+    # error is far below 0.5, so rounding recovers them exactly.
+    return np.rint(_tpc_rows(mask, table).ravel()[table.flat]).astype(np.int64)
 
 
 def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) -> DescriptorCurve:
@@ -282,11 +395,14 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
     Hit counts come from an FFT autocorrelation rounded to exact integers,
     so the result is bit-for-bit reproducible against a direct pair
     enumeration.  The autocorrelation runs in row and then column blocks
-    that stay in cache, with a real inverse of the power spectrum; its peak
-    memory is one (height, sw/2+1) complex half-spectrum, sw the padded
-    width.  The displacements, their buckets and the pair counts depend on
-    the mask's shape alone and are built once for consecutive images of
-    one shape.
+    that stay in cache, with a real inverse of the power spectrum.  The
+    blocks run on one thread per CPU the process may run on, and the result
+    is the same bytes whatever their number.  Peak memory is one
+    (height, sw/2+1) complex half-spectrum, sw the padded width, plus the
+    block buffers, sized from one 1 MiB budget for the whole call however
+    many threads share it.  The displacements, their buckets and the pair
+    counts depend on the mask's shape alone and are built once for
+    consecutive images of one shape.
     """
     if img.phase_mask is None:
         raise ValueError("compute_tpc requires a phase mask (binarize first)")

@@ -382,6 +382,14 @@ def _relative_change(old: Parameters, new: Parameters, g_bar: float) -> float:
     return float(max(zeta, noise, latent))
 
 
+def _start_loglik(params: Parameters, dm: DesignMatrices) -> float:
+    """The marginal log-likelihood a fit starts from, which must be finite."""
+    ll = marginal_loglik(params, dm)
+    if not np.isfinite(ll):
+        raise NumericalError("non-finite log-likelihood at iteration 0")
+    return ll
+
+
 def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
     fpca_models = None
     if config.include_functional:
@@ -403,7 +411,7 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
         ols = init_params(dm)
         params = Parameters(ols.zeta, ols.sigma_eps2, np.zeros((0, 0)))
         posterior = LatentPosterior(np.zeros((dm.n_units, 0)), np.zeros((dm.n_units, 0, 0)))
-        return FitResult(params, posterior, np.array([marginal_loglik(params, dm)]), 0, True,
+        return FitResult(params, posterior, np.array([_start_loglik(params, dm)]), 0, True,
                          **common)
 
     params = init if init is not None else init_params(dm)
@@ -416,7 +424,7 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
     def loglik(p):
         return marginal_loglik(p, dm)
 
-    trace = [loglik(params)]
+    trace = [_start_loglik(params, dm)]
     sigma0 = params.sigma_eps2
     step_max = 1.0
     converged = False

@@ -80,7 +80,7 @@ class TestUsageAndErrors:
         assert run(["fit", "--data", str(data), "--variant", "Model7", "--k", "2",
                     "--out", str(tmp_path / "fit")]) == 2
         err = capsys.readouterr().err
-        assert err.endswith("\nnumerical failure: non-finite log-likelihood at iteration 1\n")
+        assert err.endswith("\nnumerical failure: non-finite log-likelihood at iteration 0\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["compare", "--variant", "Model9"], "unknown variant 'Model9'; expected Model1..Model7"),
@@ -1081,6 +1081,19 @@ class TestColdStart:
         assert "degenerate" not in done.stderr
         for out in ("tpc", "tpc_periodic", "rdf_image", "rdf_particles"):
             assert (tmp_path / out / "curves.csv").exists()
+
+    def test_cli_import_loads_no_pool_module(self):
+        # concurrent.futures alone costs ~5 ms of start-up; TPC's threads
+        # come from threading, which the interpreter has loaded anyway
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        script = ("import sys, degramix.cli; print(sorted(m for m in sys.modules if "
+                  "m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_no_module_imports_scipy(self):
         # covers imports on branches the subprocess above never reaches

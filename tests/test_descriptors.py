@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -8,12 +12,14 @@ from hypothesis import strategies as st
 from scipy import fft as scipy_fft
 from scipy import ndimage
 
+from degramix import descriptors
 from degramix.descriptors import (
     MicrostructureImage,
     ParticleSet,
     _half_plane_displacements,
     _next_fast_len,
     _tpc_counts_fft,
+    _tpc_rows,
     _tpc_table,
     binarize_image,
     compute_rdf,
@@ -549,6 +555,178 @@ class TestTpcBlocks:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert curve.values[0] == np.count_nonzero(img.phase_mask) / img.phase_mask.size
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """TPC blocks of a few hundred bytes, so masks of tens of pixels span
+    many of them; the table that memoises the block size is dropped before
+    and after."""
+    monkeypatch.setattr(descriptors, "_TPC_BLOCK_BYTES", 512)
+    _tpc_table.cache_clear()
+    yield
+    _tpc_table.cache_clear()
+
+
+def rfft_threads(monkeypatch, n):
+    """The set of threads that run a row transform from now on.  Each
+    thread's first transform waits until n threads have started one, so a
+    thread that claims no block times the test out."""
+    seen, rfft, all_in = set(), np.fft.rfft, threading.Barrier(n)
+
+    def spy(*args, **kwargs):
+        name = threading.current_thread().name
+        if name not in seen:
+            seen.add(name)
+            all_in.wait(timeout=30)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    return seen
+
+
+class TestTpcThreads:
+    # the row and column blocks run on one thread per usable CPU;
+    # _usable_cpus is patched, so several threads run on any host
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_threads_match_direct_bitwise(self, small_blocks, monkeypatch, periodic, cpus):
+        # more threads than cores, switching every few bytecodes: a thread
+        # writing outside the blocks it claimed would change a count
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: cpus)
+        seen = rfft_threads(monkeypatch, cpus)
+        rng = np.random.default_rng(61 + cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                h, w = (int(n) for n in rng.integers(20, 70, size=2))
+                mask = rng.random((h, w)) < rng.uniform(0.2, 0.8)
+                r_max = min(h, w) // 2 - 1
+                table = _tpc_table(h, w, r_max, periodic)
+                dys, dxs, _ = _half_plane_displacements(r_max)
+                seen.clear()
+                got = _tpc_counts_fft(mask, table)
+                assert len(seen) == cpus
+                assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, periodic)[0])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_late_thread_takes_fewer_blocks(self, small_blocks, monkeypatch):
+        # blocks go to whichever thread asks first, so a thread held up on
+        # its first block leaves the rest to the others, not half of them
+        blocks, rfft = {}, np.fft.rfft
+
+        def late_worker(*args, **kwargs):
+            name = threading.current_thread().name
+            blocks[name] = blocks.get(name, 0) + 1
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(np.fft, "rfft", late_worker)
+        mask = np.random.default_rng(66).random((60, 70)) < 0.5
+        dys, dxs, _ = _half_plane_displacements(20)
+        got = _tpc_counts_fft(mask, _tpc_table(60, 70, 20, False))
+        assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, False)[0])
+        assert sum(blocks.values()) == 60
+        assert blocks["MainThread"] > 60 // 2
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_new_threads_keep_off_the_callers_cpu(self, small_blocks, monkeypatch):
+        # a kernel that never moves a thread would leave a new thread on the
+        # caller's CPU, taking turns with it
+        usable = os.sched_getaffinity(0)
+        others = descriptors._other_cpus()
+        assert len(others) == len(usable) - 1 and set(others) < usable
+        monkeypatch.setattr(descriptors, "_other_cpus", lambda: others)
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 3)
+        rfft_threads(monkeypatch, 3)  # every thread takes a block
+        affinity, rfft = {}, np.fft.rfft
+
+        def spy(*args, **kwargs):
+            affinity.setdefault(threading.current_thread().name, os.sched_getaffinity(0))
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        _tpc_counts_fft(np.ones((40, 50), dtype=bool), _tpc_table(40, 50, 10, False))
+        assert affinity.pop("MainThread") == usable == os.sched_getaffinity(0)
+        assert sorted(min(a) for a in affinity.values()) == sorted(
+            others[i % len(others)] for i in range(2))
+        assert all(len(a) == 1 for a in affinity.values())
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_rows_are_the_same_bytes_for_one_and_two_threads(self, monkeypatch, periodic):
+        # at the default block size 400 x 530 spans several blocks
+        rng = np.random.default_rng(62)
+        mask = rng.random((400, 530)) < 0.45
+        table = _tpc_table(400, 530, 60, periodic)
+        rows = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(descriptors, "_usable_cpus", lambda: cpus)
+            rows[cpus] = _tpc_rows(mask, table)
+        assert rows[1].tobytes() == rows[2].tobytes()
+
+    def test_one_block_image_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started for a one-block image")
+
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        mask = np.random.default_rng(63).random((128, 128)) < 0.5
+        dys, dxs, _ = _half_plane_displacements(20)
+        got = _tpc_counts_fft(mask, _tpc_table(128, 128, 20, False))
+        assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, False)[0])
+
+    @pytest.mark.parametrize("fails", ["second call", "calling thread"])
+    def test_thread_error_is_raised_after_every_thread_ends(self, small_blocks, monkeypatch,
+                                                            fails):
+        # a thread that failed unseen would leave its blocks of the rows
+        # unwritten, giving wrong counts without an error.  Every other
+        # transform sleeps first, so other threads are still running when
+        # the failure comes; they claim no block after it
+        calls, ihfft = [], np.fft.ihfft
+
+        def fails_once(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if fails == "second call":
+                failing = len(calls) == 2
+            else:
+                failing = calls[-1] is threading.main_thread()
+            if failing:
+                raise FloatingPointError("injected")
+            time.sleep(0.005)
+            return ihfft(*args, **kwargs)
+
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(np.fft, "ihfft", fails_once)
+        baseline = threading.active_count()
+        mask = np.random.default_rng(64).random((60, 70)) < 0.5
+        table = _tpc_table(60, 70, 20, False)
+        with pytest.raises(FloatingPointError, match="injected"):
+            compute_tpc(image_from_mask(mask), 20)
+        assert threading.active_count() == baseline
+        assert len(calls) < (table.sw // 2 + 1) // 2  # of 46 column blocks
+
+    def test_memory_does_not_grow_with_the_threads(self, monkeypatch):
+        # the peak falls in the column stage: the half-spectrum, the rows
+        # and ~3.6 MB of column buffers, which two full-size blocks would
+        # double; the threads themselves add a few kB
+        rng = np.random.default_rng(65)
+        mask = rng.random((1024, 1024)) < 0.4
+        table = _tpc_table(1024, 1024, 100, False)
+        peaks = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(descriptors, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                _tpc_counts_fft(mask, table)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 2 ** 16
 
 
 def rdf_matches_oracle(coords, window, r_max, dr):

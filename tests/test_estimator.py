@@ -576,6 +576,22 @@ class TestErrorPaths:
         with pytest.raises(NumericalError, match="singular sigma_gamma"):
             e_step(params, dm)
 
+    @pytest.mark.parametrize("variant", ["Model7", "Model1"])
+    def test_non_finite_start_fails_before_any_step(self, monkeypatch, variant):
+        # Model1 has no latent term: its one log-likelihood is the start's
+        spec = default_spec(seed=29, n_units=12, n_obs=6)
+        ds, truth = generate_dataset(spec)
+        config = table1_variants(k=2)[variant].config
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran from a non-finite start")
+
+        monkeypatch.setattr(estimator, "marginal_loglik", lambda params, dm: float("nan"))
+        monkeypatch.setattr(estimator, "_px_step", no_step)
+        with pytest.raises(estimator.NumericalError,
+                           match="^non-finite log-likelihood at iteration 0$"):
+            fit_em(ds, config, scores=truth.scores)
+
 
 BOUNDARY_CONFIG = table1_variants(k=2)["Model7"].config
 
