@@ -233,70 +233,57 @@ def _tpc_table(h: int, w: int, r_max: int, periodic: bool) -> _TpcTable:
     return _TpcTable(sh, sw, max(1, _TPC_BLOCK_BYTES // (16 * max(sh, sw))), flat, radius, pairs)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+def _usable_cpus() -> list:
+    """The CPUs this process may run on, sorted; where the platform has no
+    CPU affinity, ``os.cpu_count()`` slots of None, which pin nothing."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return [None] * (os.cpu_count() or 1)
 
 
-def _other_cpus() -> list:
-    """The CPUs the calling thread may run on, less the one it runs on now;
-    empty where the platform does not tell both."""
-    try:
-        cpus = os.sched_getaffinity(0)
-        with open("/proc/thread-self/stat", "rb") as fh:
-            # the processor field, 39th; the name before it may hold spaces
-            current = int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (AttributeError, OSError, IndexError, ValueError):
-        return []
-    return sorted(cpus - {current})
+def _in_threads(starts: range, cpus: list, work) -> None:
+    """Call ``work(i, start)`` once for each start in ``starts`` on
+    len(cpus) threads (1 <= len(cpus) <= len(starts)) while this thread
+    waits; thread i keeps to CPU ``cpus[i]`` where that is not None.  Each
+    thread takes one start at a time from one shared iterator, so one that
+    runs late takes fewer blocks, not its share of them.  Once every thread
+    has finished, an error of any call is raised here, so none can fail
+    unseen; the others claim no more blocks after it.  With one CPU the
+    calls run in this thread, which starts and pins nothing.
 
-
-def _in_threads(starts: range, n: int, work) -> None:
-    """Call ``work(i, claims)`` for i = 0..n-1 (1 <= n <= len(starts)): i = 0
-    in this thread, each other one on a thread of its own.  The ``claims``
-    of all calls draw from one iterator over ``starts``, so each start goes
-    to exactly one call, to whichever asks first: a thread that runs late
-    takes fewer blocks, not half of them.  Once every thread has finished,
-    an error of any call is raised here, so none can fail unseen; the
-    others claim no more blocks after it.
-
-    Each new thread keeps to one CPU other than the one this thread is on:
-    a kernel that does not balance threads across CPUs would otherwise
-    leave it on this thread's CPU, where it can only take turns."""
+    Threads are pinned because a kernel that does not balance threads
+    across CPUs would otherwise leave them on one CPU, taking turns."""
+    if len(cpus) == 1:
+        for start in starts:
+            work(0, start)
+        return
     remaining = iter(starts)
     lock = threading.Lock()
     errors = []
-    others = _other_cpus() if n > 1 else []
-
-    def claims():
-        while not errors:
-            with lock:
-                start = next(remaining, None)
-            if start is None:
-                return
-            yield start
 
     def run(i):
-        if i and others:
-            try:
-                os.sched_setaffinity(0, {others[(i - 1) % len(others)]})
-            except OSError:  # that CPU went offline, or pinning is refused
-                pass
         try:
-            work(i, claims())
+            if cpus[i] is not None:
+                try:
+                    os.sched_setaffinity(0, {cpus[i]})
+                except OSError:  # that CPU went offline, or pinning is refused
+                    pass
+            while not errors:
+                with lock:
+                    start = next(remaining, None)
+                if start is None:
+                    return
+                work(i, start)
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
 
     threads = []
     try:
-        for i in range(1, n):
+        for i in range(len(cpus)):
             thread = threading.Thread(target=run, args=(i,))
             thread.start()
             threads.append(thread)
-        run(0)
     finally:
         for thread in threads:
             thread.join()
@@ -318,14 +305,14 @@ def _tpc_rows(mask, table: _TpcTable) -> np.ndarray:
     # took would stay resident.
     h = mask.shape[0]
     nc = table.sw // 2 + 1
-    n_threads = min(_usable_cpus(), -(-max(h, nc) // table.block))
-    block = max(1, table.block // n_threads)
-    rows = _tpc_column_rows(_tpc_half_spectrum(mask, table.sw, block, n_threads),
-                            table.sh, table.pairs.size, block, n_threads)
+    cpus = _usable_cpus()[:-(-max(h, nc) // table.block)]
+    block = max(1, table.block // len(cpus))
+    rows = _tpc_column_rows(_tpc_half_spectrum(mask, table.sw, block, cpus),
+                            table.sh, table.pairs.size, block, cpus)
     return np.fft.irfft(rows, n=table.sw, axis=1)
 
 
-def _tpc_half_spectrum(mask, sw: int, block: int, n_threads: int) -> np.ndarray:
+def _tpc_half_spectrum(mask, sw: int, block: int, cpus: list) -> np.ndarray:
     """The (h, sw//2+1) x transform of ``mask`` zero-padded to width sw, in
     row blocks; the padding rows are never built."""
     # each block is copied into a reused contiguous buffer whose zero
@@ -333,19 +320,19 @@ def _tpc_half_spectrum(mask, sw: int, block: int, n_threads: int) -> np.ndarray:
     h, w = mask.shape
     half = np.empty((h, sw // 2 + 1), dtype=complex)
     starts = range(0, h, block)
-    padded = np.zeros((min(n_threads, len(starts)), min(block, h), sw))
+    cpus = cpus[:len(starts)]
+    padded = np.zeros((len(cpus), min(block, h), sw))
 
-    def fill(i, claims):
-        for r0 in claims:
-            n = min(block, h - r0)
-            padded[i, :n, :w] = mask[r0:r0 + n]
-            np.fft.rfft(padded[i, :n], axis=1, out=half[r0:r0 + n])
+    def fill(i, r0):
+        n = min(block, h - r0)
+        padded[i, :n, :w] = mask[r0:r0 + n]
+        np.fft.rfft(padded[i, :n], axis=1, out=half[r0:r0 + n])
 
-    _in_threads(starts, len(padded), fill)
+    _in_threads(starts, cpus, fill)
     return half
 
 
-def _tpc_column_rows(half, sh: int, n_dy: int, block: int, n_threads: int) -> np.ndarray:
+def _tpc_column_rows(half, sh: int, n_dy: int, block: int, cpus: list) -> np.ndarray:
     """The rows dy = 0..n_dy-1 of the y inverse of |Y|^2, Y the length-sh y
     transform of ``half``'s zero-padded columns, in column blocks."""
     # each column block goes through its y transform, the power and a real
@@ -355,24 +342,24 @@ def _tpc_column_rows(half, sh: int, n_dy: int, block: int, n_threads: int) -> np
     h, nc = half.shape
     rows = np.empty((n_dy, nc), dtype=complex)
     starts = range(0, nc, block)
-    col = np.zeros((min(n_threads, len(starts)), min(block, nc), sh), dtype=complex)
+    cpus = cpus[:len(starts)]
+    col = np.zeros((len(cpus), min(block, nc), sh), dtype=complex)
     spec = np.empty_like(col)
     power, square = np.empty(col.shape), np.empty(col.shape)
     inv = np.empty((*col.shape[:2], sh // 2 + 1), dtype=complex)
 
-    def fill(i, claims):
-        for c0 in claims:
-            n = min(block, nc - c0)
-            for r0 in range(0, h, _TPC_TILE):
-                r1 = min(r0 + _TPC_TILE, h)
-                col[i, :n, r0:r1] = half[r0:r1, c0:c0 + n].T
-            np.fft.fft(col[i, :n], axis=1, out=spec[i, :n])
-            np.square(spec[i, :n].real, out=power[i, :n])
-            power[i, :n] += np.square(spec[i, :n].imag, out=square[i, :n])
-            np.fft.ihfft(power[i, :n], axis=1, out=inv[i, :n])
-            rows[:, c0:c0 + n] = inv[i, :n, :n_dy].T
+    def fill(i, c0):
+        n = min(block, nc - c0)
+        for r0 in range(0, h, _TPC_TILE):
+            r1 = min(r0 + _TPC_TILE, h)
+            col[i, :n, r0:r1] = half[r0:r1, c0:c0 + n].T
+        np.fft.fft(col[i, :n], axis=1, out=spec[i, :n])
+        np.square(spec[i, :n].real, out=power[i, :n])
+        power[i, :n] += np.square(spec[i, :n].imag, out=square[i, :n])
+        np.fft.ihfft(power[i, :n], axis=1, out=inv[i, :n])
+        rows[:, c0:c0 + n] = inv[i, :n, :n_dy].T
 
-    _in_threads(starts, len(col), fill)
+    _in_threads(starts, cpus, fill)
     return rows
 
 

@@ -515,6 +515,28 @@ class TestDescriptor:
         assert [row[0] for row in rows] == ["a,b"] * 5 + ['say "hi"'] * 5
         assert all(len(row) == 4 for row in rows)
 
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_tpc_bytes_on_one_cpu_and_on_every_cpu(self, tmp_path):
+        # a 600 x 700 image at r_max 60 spans several row and column blocks,
+        # which run on one thread per usable CPU of the child process
+        img = tmp_path / "a.pgm"
+        write_pgm(img, np.random.default_rng(5).integers(0, 256, size=(600, 700)))
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        one_cpu = min(os.sched_getaffinity(0))
+        for name, confine in (("one", lambda: os.sched_setaffinity(0, {one_cpu})),
+                              ("every", None)):
+            done = subprocess.run(
+                [sys.executable, "-m", "degramix", "descriptor", "tpc", "--image", str(img),
+                 "--r-max", "60", "--out", str(tmp_path / name)],
+                capture_output=True, text=True, env=env, timeout=120, preexec_fn=confine)
+            assert done.returncode == 0, done.stderr
+        curves = (tmp_path / "every" / "curves.csv").read_bytes()
+        assert curves.count(b"\n") == 1 + 61
+        assert (tmp_path / "one" / "curves.csv").read_bytes() == curves
+
 
 def _tpc_without_image(tmp_path):
     return ["descriptor", "tpc", "--r-max", "3"]

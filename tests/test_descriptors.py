@@ -587,13 +587,14 @@ def rfft_threads(monkeypatch, n):
 
 class TestTpcThreads:
     # the row and column blocks run on one thread per usable CPU;
-    # _usable_cpus is patched, so several threads run on any host
+    # _usable_cpus is patched to unpinned slots, so several threads run on
+    # any host
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_threads_match_direct_bitwise(self, small_blocks, monkeypatch, periodic, cpus):
         # more threads than cores, switching every few bytecodes: a thread
         # writing outside the blocks it claimed would change a count
-        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None] * cpus)
         seen = rfft_threads(monkeypatch, cpus)
         rng = np.random.default_rng(61 + cpus)
         interval = sys.getswitchinterval()
@@ -614,48 +615,70 @@ class TestTpcThreads:
 
     def test_a_late_thread_takes_fewer_blocks(self, small_blocks, monkeypatch):
         # blocks go to whichever thread asks first, so a thread held up on
-        # its first block leaves the rest to the others, not half of them
-        blocks, rfft = {}, np.fft.rfft
+        # every block leaves the rest to the others, not half of them; the
+        # calling thread only waits
+        blocks, rfft, late = {}, np.fft.rfft, []
 
         def late_worker(*args, **kwargs):
-            name = threading.current_thread().name
-            blocks[name] = blocks.get(name, 0) + 1
-            if threading.current_thread() is not threading.main_thread():
+            thread = threading.current_thread()
+            blocks[thread] = blocks.get(thread, 0) + 1
+            with lock:
+                if not late:
+                    late.append(thread)
+            if thread is late[0]:
                 time.sleep(0.05)
             return rfft(*args, **kwargs)
 
-        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 2)
+        lock = threading.Lock()
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None, None])
         monkeypatch.setattr(np.fft, "rfft", late_worker)
         mask = np.random.default_rng(66).random((60, 70)) < 0.5
         dys, dxs, _ = _half_plane_displacements(20)
         got = _tpc_counts_fft(mask, _tpc_table(60, 70, 20, False))
         assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, False)[0])
-        assert sum(blocks.values()) == 60
-        assert blocks["MainThread"] > 60 // 2
+        assert threading.main_thread() not in blocks
+        assert len(blocks) == 2 and sum(blocks.values()) == 60
+        assert blocks[late[0]] < 60 // 2
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                         reason="needs two usable CPUs")
-    def test_new_threads_keep_off_the_callers_cpu(self, small_blocks, monkeypatch):
-        # a kernel that never moves a thread would leave a new thread on the
-        # caller's CPU, taking turns with it
+    def test_each_thread_keeps_to_its_own_usable_cpu(self, small_blocks, monkeypatch):
+        # a kernel that never moves a thread would leave the threads on one
+        # CPU, taking turns; the caller's own affinity stays as it was
         usable = os.sched_getaffinity(0)
-        others = descriptors._other_cpus()
-        assert len(others) == len(usable) - 1 and set(others) < usable
-        monkeypatch.setattr(descriptors, "_other_cpus", lambda: others)
-        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 3)
-        rfft_threads(monkeypatch, 3)  # every thread takes a block
+        cpus = descriptors._usable_cpus()
+        assert cpus == sorted(usable)
+        cpus = cpus[:3]
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: cpus)
+        rfft_threads(monkeypatch, len(cpus))  # every thread takes a block
         affinity, rfft = {}, np.fft.rfft
 
         def spy(*args, **kwargs):
-            affinity.setdefault(threading.current_thread().name, os.sched_getaffinity(0))
+            affinity.setdefault(threading.current_thread(), os.sched_getaffinity(0))
             return rfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", spy)
         _tpc_counts_fft(np.ones((40, 50), dtype=bool), _tpc_table(40, 50, 10, False))
-        assert affinity.pop("MainThread") == usable == os.sched_getaffinity(0)
-        assert sorted(min(a) for a in affinity.values()) == sorted(
-            others[i % len(others)] for i in range(2))
-        assert all(len(a) == 1 for a in affinity.values())
+        assert threading.main_thread() not in affinity
+        assert os.sched_getaffinity(0) == usable
+        assert sorted(affinity.values(), key=min) == [{cpu} for cpu in cpus]
+
+    def test_without_cpu_affinity_threads_run_unpinned(self, small_blocks, monkeypatch):
+        # a platform with no affinity calls has os.cpu_count() threads; with
+        # both calls gone, a thread that tried to pin itself would fail
+        for name in ("sched_getaffinity", "sched_setaffinity"):
+            monkeypatch.delattr(os, name, raising=False)
+        rng, rfft = np.random.default_rng(67), np.fft.rfft
+        for n in (2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: n)
+            assert descriptors._usable_cpus() == [None] * n
+            monkeypatch.setattr(np.fft, "rfft", rfft)
+            seen = rfft_threads(monkeypatch, n)
+            mask = rng.random((50, 60)) < 0.5
+            dys, dxs, _ = _half_plane_displacements(15)
+            got = _tpc_counts_fft(mask, _tpc_table(50, 60, 15, False))
+            assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, False)[0])
+            assert len(seen) == n and threading.main_thread().name not in seen
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_rows_are_the_same_bytes_for_one_and_two_threads(self, monkeypatch, periodic):
@@ -665,42 +688,46 @@ class TestTpcThreads:
         table = _tpc_table(400, 530, 60, periodic)
         rows = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(descriptors, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None] * cpus)
             rows[cpus] = _tpc_rows(mask, table)
         assert rows[1].tobytes() == rows[2].tobytes()
 
     def test_one_block_image_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started for a one-block image")
+            raise AssertionError("a thread was started or pinned for a one-block image")
 
-        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [0, 1, 2, 3])
         monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(os, "sched_setaffinity", no_thread, raising=False)
         mask = np.random.default_rng(63).random((128, 128)) < 0.5
         dys, dxs, _ = _half_plane_displacements(20)
         got = _tpc_counts_fft(mask, _tpc_table(128, 128, 20, False))
         assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, False)[0])
 
-    @pytest.mark.parametrize("fails", ["second call", "calling thread"])
+    @pytest.mark.parametrize("fails", ["second call", "last thread"])
     def test_thread_error_is_raised_after_every_thread_ends(self, small_blocks, monkeypatch,
                                                             fails):
         # a thread that failed unseen would leave its blocks of the rows
         # unwritten, giving wrong counts without an error.  Every other
         # transform sleeps first, so other threads are still running when
-        # the failure comes; they claim no block after it
+        # the failure comes; they claim no block after it.  The last thread
+        # to take a block fails on its first one, after the others began
         calls, ihfft = [], np.fft.ihfft
 
         def fails_once(*args, **kwargs):
-            calls.append(threading.current_thread())
-            if fails == "second call":
-                failing = len(calls) == 2
-            else:
-                failing = calls[-1] is threading.main_thread()
+            with lock:
+                calls.append(threading.current_thread())
+                if fails == "second call":
+                    failing = len(calls) == 2
+                else:
+                    failing = calls.count(calls[-1]) == 1 and len(set(calls)) == 3
             if failing:
                 raise FloatingPointError("injected")
             time.sleep(0.005)
             return ihfft(*args, **kwargs)
 
-        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 3)
+        lock = threading.Lock()
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None] * 3)
         monkeypatch.setattr(np.fft, "ihfft", fails_once)
         baseline = threading.active_count()
         mask = np.random.default_rng(64).random((60, 70)) < 0.5
@@ -719,7 +746,7 @@ class TestTpcThreads:
         table = _tpc_table(1024, 1024, 100, False)
         peaks = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(descriptors, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None] * cpus)
             tracemalloc.start()
             try:
                 _tpc_counts_fft(mask, table)

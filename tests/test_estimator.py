@@ -592,6 +592,19 @@ class TestErrorPaths:
                            match="^non-finite log-likelihood at iteration 0$"):
             fit_em(ds, config, scores=truth.scores)
 
+    @pytest.mark.parametrize("wrong", ["zeta", "sigma_gamma"])
+    def test_init_of_the_wrong_shape_is_rejected(self, wrong):
+        # numpy would fail inside the first E-step, naming neither
+        spec = default_spec(seed=29, n_units=12, n_obs=6)
+        ds, truth = generate_dataset(spec)
+        ols = init_params(build_design_matrices(ds, spec.config, scores=truth.scores))
+        p, d = ols.zeta.size, ols.sigma_gamma.shape[0]
+        init = Parameters(np.append(ols.zeta, 0.0) if wrong == "zeta" else ols.zeta,
+                          ols.sigma_eps2, np.eye(d + (wrong == "sigma_gamma")))
+        with pytest.raises(ValueError, match=rf"^init must have zeta of length {p} and "
+                                             rf"a {d} x {d} sigma_gamma, got"):
+            fit_em(ds, spec.config, scores=truth.scores, init=init)
+
 
 BOUNDARY_CONFIG = table1_variants(k=2)["Model7"].config
 
