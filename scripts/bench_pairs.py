@@ -11,13 +11,14 @@ BENCHMARK.json's ``run_seconds`` once in that checkout and once in the
 working tree (uncommitted edits included), the parent first on even seeds.
 Each side runs the benchmark files of its own checkout.  Every run's
 details and result lines go to ``BENCH_<pr>.json`` at the repository root,
-rewritten after each pair, with the run's wall time and the CPU time its
-processes used.  A summary per workload gives the pairs attempted, the runs
-that crashed and the operations that failed on each side, each side's
-median CPU time per wall second (about 1.0 where threads took turns on one
-CPU), and per end-to-end metric each side's median and quartiles over the
-complete pairs, the number of them the change won (ties count for neither
-side) and the verdict ``verdict`` gives.
+rewritten after each pair, with the run's wall time, the CPU time its
+processes used and the part of it spent in the kernel.  A summary per
+workload gives the pairs attempted, the runs that crashed and the operations
+that failed on each side, each side's median CPU time per wall second (about
+1.0 where threads took turns on one CPU) and system CPU time per wall second
+(page faults and other kernel work), and per end-to-end metric each side's
+median and quartiles over the complete pairs, the number of them the change
+won (ties count for neither side) and the verdict ``verdict`` gives.
 """
 
 from __future__ import annotations
@@ -53,20 +54,24 @@ def export(rev: str, dest: Path) -> None:
             raise RuntimeError(f"git archive {rev} exited with {git.returncode}")
 
 
-def _children_cpu_s() -> float:
-    """User plus system CPU time of the child processes waited for so far."""
+def _children_times() -> tuple:
+    """The user plus system CPU time, and the system CPU time, of the child
+    processes waited for so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+    return usage.ru_utime + usage.ru_stime, usage.ru_stime
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its exit code, its wall time ``wall_s``, the CPU
-    time ``cpu_s`` of its processes, and its details and result lines."""
+    time ``cpu_s`` of its processes and the system part of it ``sys_s``, and
+    its details and result lines."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    cpu, wall = _children_cpu_s(), time.perf_counter()
+    (cpu, system), wall = _children_times(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
-    times = {"cpu_s": _children_cpu_s() - cpu, "wall_s": time.perf_counter() - wall}
+    wall = time.perf_counter() - wall
+    cpu_end, system_end = _children_times()
+    times = {"cpu_s": cpu_end - cpu, "sys_s": system_end - system, "wall_s": wall}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"returncode": proc.returncode, **times, "details": None, "result": None}
@@ -106,9 +111,10 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per workload: pairs attempted, crashed runs and failed operations per
-    side, each side's median cpu/wall over its runs that did not crash, and
-    per metric each side's median and quartiles over the complete pairs, the
-    pairs in which the change read better and the verdict."""
+    side, each side's median cpu/wall and sys/wall over its runs that did
+    not crash, and per metric each side's median and quartiles over the
+    complete pairs, the pairs in which the change read better and the
+    verdict."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -126,10 +132,12 @@ def summarize(runs: list, metrics: list) -> dict:
                                  if r["side"] == side and r["result"] is not None)
                        for side in SIDES},
         }
-        ratios = {side: [r["cpu_s"] / r["wall_s"] for r in mine
-                         if r["side"] == side and r["result"] is not None] for side in SIDES}
-        rows["cpu_per_wall"] = {side: statistics.median(v) if v else None
-                                for side, v in ratios.items()}
+        for kind in ("cpu", "sys"):
+            ratios = {side: [r[f"{kind}_s"] / r["wall_s"] for r in mine
+                             if r["side"] == side and r["result"] is not None]
+                      for side in SIDES}
+            rows[f"{kind}_per_wall"] = {side: statistics.median(v) if v else None
+                                        for side, v in ratios.items()}
         if len(both) < 2:
             continue
         for m in metrics:

@@ -22,6 +22,8 @@ from . import __version__
 from .data import (
     ModelConfig,
     center_baseline,
+    check_fve_threshold,
+    check_truncation,
     config_from_dict,
     config_to_dict,
     json_array,
@@ -528,6 +530,26 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _checked(parse, check):
+    """An argparse ``type=``: ``parse`` the flag's text, then hold the value
+    to the library's ``check``, whose ValueError text argparse prints after
+    the flag's name, before any file is read."""
+    def convert(text):
+        value = parse(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    convert.__name__ = parse.__name__  # unparsable text reads "invalid int value"
+    return convert
+
+
+_K = _checked(int, check_truncation)
+_FVE = _checked(float, check_fve_threshold)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="degramix",
                      description="Degradation modeling with mixed covariates")
@@ -552,8 +574,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fpca", help="fit FPCA on functional covariates")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--fve", type=float)
+    p.add_argument("--k", type=_K)
+    p.add_argument("--fve", type=_FVE)
     p.add_argument("--out", required=True)
 
     def fit_args(p):
@@ -561,8 +583,8 @@ def build_parser() -> _Parser:
         model = p.add_mutually_exclusive_group()
         model.add_argument("--config")
         model.add_argument("--variant")
-        p.add_argument("--k", type=int)
-        p.add_argument("--fve", type=float)
+        p.add_argument("--k", type=_K)
+        p.add_argument("--fve", type=_FVE)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", type=int, default=500)
         p.add_argument("--center", action=argparse.BooleanOptionalAction, default=None,
@@ -589,8 +611,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="fit the model-comparison family")
     p.add_argument("--data", required=True)
     p.add_argument("--variant", action="append")
-    p.add_argument("--k", type=int)
-    p.add_argument("--fve", type=float)
+    p.add_argument("--k", type=_K)
+    p.add_argument("--fve", type=_FVE)
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=500)

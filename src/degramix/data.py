@@ -209,6 +209,19 @@ class DegradationDataset:
         return self.take(np.asarray(keep, dtype=bool)[self.unit_rows])
 
 
+def check_truncation(k) -> None:
+    """ModelConfig's rule for the functional truncation ``k``: None (chosen
+    by FVE) or at least 1."""
+    if k is not None and k < 1:
+        raise ValueError("functional truncation k must be >= 1")
+
+
+def check_fve_threshold(fve_threshold) -> None:
+    """ModelConfig's rule for the FVE threshold: it lies in (0, 1]."""
+    if not (0.0 < fve_threshold <= 1.0):
+        raise ValueError("fve_threshold must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Model structure switches: which coefficient-level terms are active.
@@ -235,10 +248,9 @@ class ModelConfig:
             raise ValueError("at least one model component must be included")
         if self.include_interaction and not (self.include_scalar and self.include_functional):
             raise ValueError("interaction terms require both scalar and functional covariates")
-        if self.include_functional and self.k is not None and self.k < 1:
-            raise ValueError("functional truncation k must be >= 1")
-        if not (0.0 < self.fve_threshold <= 1.0):
-            raise ValueError("fve_threshold must lie in (0, 1]")
+        if self.include_functional:
+            check_truncation(self.k)
+        check_fve_threshold(self.fve_threshold)
         if self.center_baseline and self.basis.order < 1:
             raise ValueError("centered baseline leaves no coefficient level for order-0 basis")
 

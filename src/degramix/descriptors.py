@@ -35,6 +35,12 @@ _P2_NON_DIGIT = re.compile(rb"[^\s0-9]")
 _TPC_BLOCK_BYTES = 2 ** 20
 # rows of one tile of the copy that transposes a column block
 _TPC_TILE = 256
+# the complex half-spectrum of every TPC, kept for the process at the size of
+# the largest so far: a fresh one at 2048² is 35 MiB, above glibc's mmap
+# threshold, so each TPC would page it in anew.  A TPC holds the lock from its
+# row stage to the end of its column stage, so concurrent ones never share it
+_tpc_half = np.empty(0, dtype=complex)
+_tpc_half_lock = threading.Lock()
 
 
 @dataclass(frozen=True, init=False)
@@ -307,18 +313,26 @@ def _tpc_rows(mask, table: _TpcTable) -> np.ndarray:
     nc = table.sw // 2 + 1
     cpus = _usable_cpus()[:-(-max(h, nc) // table.block)]
     block = max(1, table.block // len(cpus))
-    rows = _tpc_column_rows(_tpc_half_spectrum(mask, table.sw, block, cpus),
-                            table.sh, table.pairs.size, block, cpus)
+    with _tpc_half_lock:
+        rows = _tpc_column_rows(_tpc_half_spectrum(mask, table.sw, block, cpus),
+                                table.sh, table.pairs.size, block, cpus)
     return np.fft.irfft(rows, n=table.sw, axis=1)
 
 
 def _tpc_half_spectrum(mask, sw: int, block: int, cpus: list) -> np.ndarray:
     """The (h, sw//2+1) x transform of ``mask`` zero-padded to width sw, in
-    row blocks; the padding rows are never built."""
+    row blocks; the padding rows are never built.  It is a C-contiguous
+    prefix of the kept ``_tpc_half``, which grows first if it is smaller:
+    the caller holds ``_tpc_half_lock`` while it uses the result."""
     # each block is copied into a reused contiguous buffer whose zero
     # padding is written once, so the transform runs along contiguous lines
+    global _tpc_half
     h, w = mask.shape
-    half = np.empty((h, sw // 2 + 1), dtype=complex)
+    nc = sw // 2 + 1
+    if _tpc_half.size < h * nc:
+        _tpc_half = None  # the smaller buffer is freed before the larger is taken
+        _tpc_half = np.empty(h * nc, dtype=complex)
+    half = _tpc_half[:h * nc].reshape(h, nc)
     starts = range(0, h, block)
     cpus = cpus[:len(starts)]
     padded = np.zeros((len(cpus), min(block, h), sw))
@@ -387,9 +401,12 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
     is the same bytes whatever their number.  Peak memory is one
     (height, sw/2+1) complex half-spectrum, sw the padded width, plus the
     block buffers, sized from one 1 MiB budget for the whole call however
-    many threads share it.  The displacements, their buckets and the pair
-    counts depend on the mask's shape alone and are built once for
-    consecutive images of one shape.
+    many threads share it.  The half-spectrum's buffer is kept for the
+    process at the size of the largest one so far and reused by later
+    TPCs, which take it one at a time; everything else is allocated per
+    call.  The displacements, their buckets and the pair counts depend on
+    the mask's shape alone and are built once for consecutive images of
+    one shape.
     """
     if img.phase_mask is None:
         raise ValueError("compute_tpc requires a phase mask (binarize first)")

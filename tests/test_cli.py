@@ -87,7 +87,7 @@ class TestUsageAndErrors:
         # the simulated data hold one scalar column
         (["compare", "--variant", "Model6", "--micro-column", "3"],
          "--micro-column 3 out of range 1..1"),
-        (["fit", "--k", "0"], "functional truncation k must be >= 1"),
+        (["fit", "--k", "0"], "argument --k: functional truncation k must be >= 1"),
     ])
     def test_rejected_flag_exits_one(self, tmp_path, capsys, argv, message):
         data = simulate_into(tmp_path)
@@ -168,7 +168,7 @@ class TestEchoIsStrictJson:
          "dr must be finite, got -inf"),
         (["compare", "--split", "nan"], "split", "nan",
          "split fraction must lie in (0, 1), got nan"),
-        (["fit", "--fve", "nan"], None, None, "fve_threshold must lie in (0, 1]"),
+        (["fit", "--fve", "nan"], None, None, "argument --fve: fve_threshold must lie in (0, 1]"),
     ])
     def test_non_finite_flags(self, tmp_path, capsys, argv, key, text, error):
         if argv[0] == "descriptor":
@@ -182,7 +182,7 @@ class TestEchoIsStrictJson:
         err = capsys.readouterr().err
         assert f"error: {error}" in err
         lines = echoed(err, argv[0])
-        if key is None:  # rejected while the config is resolved, before the echo
+        if key is None:  # rejected by the parser, before the echo
             assert lines == []
         else:
             assert len(lines) == 1 and lines[0][key] == text
@@ -219,6 +219,21 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert f"{name} must" in err and "failed" not in err
         assert not (out / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "compare", "fpca"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--k", "functional truncation k must be >= 1"),
+        ("--fve", "fve_threshold must lie in (0, 1]"),
+    ])
+    def test_model_flags_are_checked_before_any_file(self, tmp_path, capsys, command, flag,
+                                                     message):
+        # --data names no directory, so an error about the data would come
+        # first if the flag were checked after the load
+        out = tmp_path / "out"
+        assert run([command, "--data", str(tmp_path / "missing"), flag, "0",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: argument {flag}: {message}"
+        assert not out.exists()
 
     def test_evaluate_rejects_zero_folds(self, tmp_path, capsys):
         # 0 folds reaches the fold check like 1 does, rather than skipping CV

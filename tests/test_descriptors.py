@@ -416,7 +416,7 @@ class TestFileFormats:
         assert grid.tobytes() == (pixels / maxval).tobytes()
         assert not grid.flags.writeable and img.intensities is grid
 
-    def test_tpc_pipeline_at_2048_peaks_below_64_mib(self, tmp_path):
+    def test_tpc_pipeline_at_2048_peaks_below_64_mib(self, tmp_path, cold_spectrum):
         # with a float grid alive through compute_tpc the peak is ~83 MiB
         path = tmp_path / "big.pgm"
         rng = np.random.default_rng(10)
@@ -542,7 +542,7 @@ class TestTpcBlocks:
         table = _tpc_table(128, 128, 20, False)
         assert table.block >= max(128, table.sw // 2 + 1)
 
-    def test_memory_is_one_half_spectrum(self):
+    def test_memory_is_one_half_spectrum(self, cold_spectrum):
         # the full-plane route peaks near 104 MiB here: a padded float plane,
         # a complex spectrum and its power; one half-spectrum is ~35 MiB
         rng = np.random.default_rng(21)
@@ -566,6 +566,18 @@ def small_blocks(monkeypatch):
     _tpc_table.cache_clear()
     yield
     _tpc_table.cache_clear()
+
+
+@pytest.fixture
+def cold_spectrum():
+    """Empties the half-spectrum buffer that TPC keeps between calls, so the
+    next TPC allocates its own and a memory bound measures a first call;
+    the fixture's value empties it again."""
+    def empty():
+        descriptors._tpc_half = np.empty(0, dtype=complex)
+
+    empty()
+    return empty
 
 
 def rfft_threads(monkeypatch, n):
@@ -735,18 +747,21 @@ class TestTpcThreads:
         with pytest.raises(FloatingPointError, match="injected"):
             compute_tpc(image_from_mask(mask), 20)
         assert threading.active_count() == baseline
+        assert not descriptors._tpc_half_lock.locked()
         assert len(calls) < (table.sw // 2 + 1) // 2  # of 46 column blocks
 
-    def test_memory_does_not_grow_with_the_threads(self, monkeypatch):
+    def test_memory_does_not_grow_with_the_threads(self, monkeypatch, cold_spectrum):
         # the peak falls in the column stage: the half-spectrum, the rows
         # and ~3.6 MB of column buffers, which two full-size blocks would
-        # double; the threads themselves add a few kB
+        # double; the threads themselves add a few kB.  Each call is a
+        # first one, which allocates the half-spectrum
         rng = np.random.default_rng(65)
         mask = rng.random((1024, 1024)) < 0.4
         table = _tpc_table(1024, 1024, 100, False)
         peaks = {}
         for cpus in (1, 2):
             monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None] * cpus)
+            cold_spectrum()
             tracemalloc.start()
             try:
                 _tpc_counts_fft(mask, table)
@@ -754,6 +769,79 @@ class TestTpcThreads:
             finally:
                 tracemalloc.stop()
         assert peaks[2] <= peaks[1] + 2 ** 16
+
+
+class TestTpcKeptSpectrum:
+    # one half-spectrum buffer is kept for the process, at the size of the
+    # largest TPC so far; a smaller TPC uses a prefix of it
+
+    def test_alternating_tpcs_match_direct_bitwise(self, small_blocks, cold_spectrum):
+        # the buffer grows, is reused by a smaller TPC right after a larger
+        # one, and never shrinks; small blocks run each TPC on every thread
+        rng = np.random.default_rng(70)
+        masks = {shape: rng.random(shape) < 0.45 for shape in ((40, 50), (120, 150), (90, 64))}
+        runs = [((40, 50), 12, False), ((120, 150), 30, False), ((40, 50), 12, False),
+                ((40, 50), 12, True), ((90, 64), 25, True), ((120, 150), 20, True),
+                ((90, 64), 25, False), ((120, 150), 30, False), ((40, 50), 8, False)]
+        largest = 0
+        for shape, r_max, periodic in runs:
+            table = _tpc_table(*shape, r_max, periodic)
+            dys, dxs, _ = _half_plane_displacements(r_max)
+            got = _tpc_counts_fft(masks[shape], table)
+            expected = tpc_counts_direct(masks[shape], dys, dxs, periodic)[0]
+            assert np.array_equal(got, expected), (shape, r_max, periodic)
+            largest = max(largest, shape[0] * (table.sw // 2 + 1))
+            assert descriptors._tpc_half.size == largest
+
+    def test_concurrent_tpcs_get_the_bytes_of_serial_calls(self, monkeypatch):
+        # both callers fit in the buffer a larger TPC left.  Each caller's
+        # column stage first waits up to 1 s for the other's: without the
+        # lock both would by then have written their row stage into the one
+        # buffer, each over the other; with it the first wait times out
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None])
+        rng = np.random.default_rng(71)
+        compute_tpc(image_from_mask(rng.random((400, 530)) < 0.5), 60)
+        cases = [(rng.random((300, 410)) < 0.4, 40, False),
+                 (rng.random((260, 350)) < 0.5, 40, True)]
+        serial = [compute_tpc(image_from_mask(mask), r_max, periodic).values.tobytes()
+                  for mask, r_max, periodic in cases]
+        both_in, column_rows = threading.Barrier(2), descriptors._tpc_column_rows
+
+        def spy(*args, **kwargs):
+            try:
+                both_in.wait(timeout=1)
+            except threading.BrokenBarrierError:
+                pass
+            return column_rows(*args, **kwargs)
+
+        monkeypatch.setattr(descriptors, "_tpc_column_rows", spy)
+        got = [None, None]
+
+        def run(i):
+            mask, r_max, periodic = cases[i]
+            got[i] = compute_tpc(image_from_mask(mask), r_max, periodic).values.tobytes()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert got == serial
+
+    def test_a_second_call_allocates_no_half_spectrum(self, cold_spectrum):
+        rng = np.random.default_rng(72)
+        mask = rng.random((1024, 1024)) < 0.4
+        table = _tpc_table(1024, 1024, 100, False)
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                _tpc_counts_fft(mask, table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] - 1024 * (table.sw // 2 + 1) * 16
 
 
 def rdf_matches_oracle(coords, window, r_max, dr):

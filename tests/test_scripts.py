@@ -154,9 +154,10 @@ def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):
 
 def _runs(workload, parent, change, failed=0):
     """Hand-made bench_pairs runs: one pair per seed, the pass time as given,
-    one CPU busy on the parent's side and two on the change's."""
+    one CPU busy on the parent's side and two on the change's, a tenth of
+    that time in the kernel."""
     return [{"workload": workload, "seed": seed, "side": side, "cpu_s": busy * 15.0,
-             "wall_s": 15.0,
+             "sys_s": busy * 1.5, "wall_s": 15.0,
              "result": {"failed": failed, "metrics": {"pass_s_p50": {"value": value}}}}
             for seed, pair in enumerate(zip(parent, change))
             for side, value, busy in zip(("parent", "change"), pair, (1.0, 2.0))]
@@ -191,30 +192,36 @@ def test_bench_pairs_states_a_verdict_per_metric_and_workload(monkeypatch):
     assert higher["w"]["pass_s_p50"]["change_wins"] == 0
 
 
-def test_bench_pairs_gives_each_sides_cpu_per_wall(monkeypatch):
+def test_bench_pairs_gives_each_sides_cpu_and_sys_per_wall(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from bench_pairs import summarize
 
     runs = _runs("w", [1.0] * 2, [0.6] * 2)
-    runs[0].update(cpu_s=9.0, wall_s=10.0)  # the parent of seed 0
-    runs[3].update(cpu_s=30.0, wall_s=10.0, result=None)  # a crashed change run
+    runs[0].update(cpu_s=9.0, sys_s=3.0, wall_s=10.0)  # the parent of seed 0
+    runs[3].update(cpu_s=30.0, sys_s=9.0, wall_s=10.0, result=None)  # a crashed change run
     metric = {"name": "pass_s_p50", "unit": "s", "better": "lower", "bound": 0.25}
-    assert summarize(runs, [metric])["w"]["cpu_per_wall"] == {
-        "parent": pytest.approx(0.95), "change": 2.0}
+    summary = summarize(runs, [metric])["w"]
+    assert summary["cpu_per_wall"] == {"parent": pytest.approx(0.95), "change": 2.0}
+    assert summary["sys_per_wall"] == {"parent": pytest.approx(0.2), "change": 0.2}
     crashed = [{**r, "result": None} if r["side"] == "change" else r for r in runs]
-    assert summarize(crashed, [metric])["w"]["cpu_per_wall"] == {
-        "parent": pytest.approx(0.95), "change": None}
+    summary = summarize(crashed, [metric])["w"]
+    assert summary["cpu_per_wall"] == {"parent": pytest.approx(0.95), "change": None}
+    assert summary["sys_per_wall"] == {"parent": pytest.approx(0.2), "change": None}
 
 
 def test_bench_pairs_times_each_run(tmp_path, monkeypatch):
-    # a stand-in benchmark that keeps a CPU busy for about 0.3 s
+    # a stand-in benchmark that keeps a CPU busy for about 0.3 s, at least
+    # 0.1 s of it in the kernel copying zeros out of /dev/zero
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from bench_pairs import run_once
 
     (tmp_path / "benchmark").mkdir()
     (tmp_path / "benchmark" / "run.py").write_text(
-        "import time\n"
-        "end = time.process_time() + 0.3\n"
+        "import os, time\n"
+        "with open('/dev/zero', 'rb', buffering=0) as zero:\n"
+        "    while os.times().system < 0.1:\n"
+        "        zero.read(2 ** 20)\n"
+        "end = time.process_time() + 0.2\n"
         "while time.process_time() < end:\n"
         "    pass\n"
         "print('{\"details\": 1}')\n"
@@ -222,3 +229,4 @@ def test_bench_pairs_times_each_run(tmp_path, monkeypatch):
     run = run_once(tmp_path, "w", 0, 1.0)
     assert run["returncode"] == 0 and run["result"] == {"failed": 0}
     assert 0.3 <= run["cpu_s"] <= run["wall_s"] * 1.05
+    assert 0.1 <= run["sys_s"] < run["cpu_s"]
