@@ -18,10 +18,12 @@ for every variant.  Last, ``run_predict`` fits Model7 and Model1 on two
 thirds of compare_cv's units and predicts all of them from each fit: the
 Model7 ``predict`` projects the curves of units its fit did not see, the
 Model1 one reads no curves (the workloads predict only units their fit
-saw).  Then ``run_descriptors`` runs the descriptor paths the micrograph
-workload skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call
-whose images take turns between two shapes, a P2 image, and ``descriptor
-rdf --particles`` on particle CSVs of every accepted form, on malformed
+saw).  ``run_escaped_ids`` fits both on all of 12 units whose ids JSON
+writes with ``\\u`` escapes and CSV quotes, and predicts them.  Then
+``run_descriptors`` runs the descriptor paths the micrograph workload
+skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call whose
+images take turns between two shapes, a P2 image, and ``descriptor rdf
+--particles`` on particle CSVs of every accepted form, on malformed
 ones and on ones at the edges of the accepted grammar.  Both sides write
 under the same path, so a path echoed into an output cannot differ between
 them.  The exit code of each invocation and the child's stderr (for
@@ -61,7 +63,8 @@ from pathlib import Path
 
 import degramix
 from degramix.cli import run
-from same_outputs import run_all_variants, run_descriptors, run_predict, run_ragged
+from same_outputs import (run_all_variants, run_descriptors, run_escaped_ids, run_predict,
+                          run_ragged)
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -78,6 +81,7 @@ for name, work in WORKLOADS.items():
 run_all_variants(root / "all_variants", root / "compare_cv" / "data", run)
 run_ragged(root / "ragged", seed, run)
 run_predict(root / "predict", root / "compare_cv" / "data", run)
+run_escaped_ids(root / "escaped_ids", seed, run)
 run_descriptors(root / "descriptors", seed, run)
 """
 
@@ -178,6 +182,13 @@ def run_predict(base: Path, data: Path, run) -> None:
         with open(train / name, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(
                 [header, *(row for row in rows if row and row[0] in keep)])
+    _fit_then_predict(base, train, data, run)
+
+
+def _fit_then_predict(base: Path, train: Path, data: Path, run) -> None:
+    """Under ``base``: fit Model7 and Model1 on the dataset in ``train`` and
+    predict every unit of the one in ``data`` from each fit, through the CLI
+    entry ``run``.  The exit codes go to ``exit_codes.txt``."""
     codes = []
     for model in ("Model7", "Model1"):
         fit = base / f"fit_{model}"
@@ -188,6 +199,30 @@ def run_predict(base: Path, data: Path, run) -> None:
                 "--out", str(base / f"predict_{model}")]
         codes.append(f"predict_{model} {run(argv)}")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+
+
+# unit ids JSON writes with \u escapes (non-ASCII, a surrogate pair, a
+# quote, a backslash) and CSV quotes (a comma, a quote)
+ESCAPED_IDS = ("ü1", 'q"2', "a,b3", "b\\4", "日5", "x 6", "é7", "ß8", "Ω9", "u10",
+               "\U0001f600" + "11", "z12")
+
+
+def run_escaped_ids(base: Path, seed: int, run) -> None:
+    """Under ``base``: generate, in process, a 12-unit dataset at ``seed``
+    whose units carry ``ESCAPED_IDS`` and write it to ``data``.  Then fit
+    Model7 and Model1 on it and predict its units from each fit
+    (``_fit_then_predict``)."""
+    from dataclasses import replace
+
+    from degramix.data import save_dataset
+    from degramix.simulate import default_spec, generate_dataset
+
+    ds, _ = generate_dataset(default_spec(seed=seed, n_units=len(ESCAPED_IDS)))
+    data = base / "data"
+    data.mkdir(parents=True)
+    save_dataset(replace(ds, unit_ids=ESCAPED_IDS), *(data / name for name in (
+        "responses.csv", "scalars.csv", "curves.csv")))
+    _fit_then_predict(base, data, data, run)
 
 
 def _random_pgm(rng: random.Random, width: int, height: int, ascii_form: bool = False) -> bytes:

@@ -33,6 +33,7 @@ from .data import (
     save_dataset,
     write_csv,
     write_curves_csv,
+    write_json,
 )
 from .descriptors import (
     binarize_image,
@@ -43,9 +44,10 @@ from .descriptors import (
     load_pgm,
 )
 from .design import stacked_design
-from .estimator import ConvergenceWarning, FitResult, NumericalError, fit_em
+from .estimator import ConvergenceWarning, FitResult, NumericalError, check_stopping, fit_em
 from .evaluation import (
     Metrics,
+    _check_fraction,
     _check_grid,
     compare_models,
     count_parameters,
@@ -74,22 +76,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _json_default(obj):
-    """What ``json`` cannot write itself: arrays and numpy scalars.  (An
-    ``np.float64`` is a ``float`` and never reaches this hook.)"""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
-                    encoding="utf-8")
-
-
 def _strict(value):
-    """``value`` with every non-finite float, such as a ``--split nan`` not
-    yet rejected, written as its text ("nan", "inf", "-inf"): RFC 8259 has
+    """``value`` with every non-finite float, such as a ``--threshold nan``
+    not yet rejected, written as its text ("nan", "inf", "-inf"): RFC 8259 has
     no NaN or Infinity."""
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
@@ -101,9 +90,7 @@ def _strict(value):
 
 
 def _echo_config(name: str, payload: dict) -> None:
-    print(f"[degramix {name}] " + json.dumps(_strict(payload), sort_keys=True,
-                                              default=_json_default),
-          file=sys.stderr)
+    print(f"[degramix {name}] " + json.dumps(_strict(payload), sort_keys=True), file=sys.stderr)
 
 
 def _out_dir(args) -> Path:
@@ -229,7 +216,7 @@ def _cmd_simulate(args) -> int:
     ds, truth = generate_dataset(spec)
     out = _out_dir(args)
     save_dataset(ds, out / "responses.csv", out / "scalars.csv", out / "curves.csv")
-    _write_json(out / "truth.json", {
+    write_json(out / "truth.json", {
         "zeta": truth.zeta,
         "zeta_names": truth.layout.names(),
         "sigma_eps2": truth.sigma_eps2,
@@ -289,7 +276,7 @@ def _cmd_fpca(args) -> int:
         report = [{**_fpca_record(m), "s": s + 1,
                    "scores": {"unit_ids": list(ds.unit_ids), "values": scores[:, s]}}
                   for s, m in enumerate(models)]
-    _write_json(_out_dir(args) / "fpca_report.json", {"covariates": report})
+    write_json(_out_dir(args) / "fpca_report.json", {"covariates": report})
     return 0
 
 
@@ -306,7 +293,7 @@ def _cmd_fit(args) -> int:
     ds = _prepare(ds, config, args)
     fit = fit_em(ds, config, max_iter=args.max_iter, tol=args.tol)
     out = _out_dir(args)
-    _write_json(out / "fit_report.json", _fit_report(fit))
+    write_json(out / "fit_report.json", _fit_report(fit))
     if args.dump_design:
         omega, lam = stacked_design(ds, config, fit.layout, fit.scores)
         write_csv(out / "design_omega.csv", fit.layout.names(), omega.T)
@@ -492,7 +479,7 @@ def _cmd_evaluate(args) -> int:
                                        max_iter=args.max_iter, tol=args.tol)
         payload["cv_seed"] = args.seed
     out = _out_dir(args)
-    _write_json(out / "metrics.json", payload)
+    write_json(out / "metrics.json", payload)
     # effects read only ids, scalars and curves, which the train split keeps
     effects = effect_decomposition(fit, ds)
     header = ["unit_id", "level", "marginal_effect", "interaction_effect", "latent_effect"]
@@ -548,6 +535,9 @@ def _checked(parse, check):
 
 _K = _checked(int, check_truncation)
 _FVE = _checked(float, check_fve_threshold)
+_TOL = _checked(float, lambda tol: check_stopping(0, tol))
+_MAX_ITER = _checked(int, lambda max_iter: check_stopping(max_iter, 0.0))
+_SPLIT = _checked(float, _check_fraction)
 
 
 def build_parser() -> _Parser:
@@ -585,8 +575,8 @@ def build_parser() -> _Parser:
         model.add_argument("--variant")
         p.add_argument("--k", type=_K)
         p.add_argument("--fve", type=_FVE)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=500)
+        p.add_argument("--tol", type=_TOL, default=1e-8)
+        p.add_argument("--max-iter", type=_MAX_ITER, default=500)
         p.add_argument("--center", action=argparse.BooleanOptionalAction, default=None,
                        help="apply baseline centering (default: follow config)")
         p.add_argument("--out", required=True)
@@ -604,7 +594,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="temporal-split metrics and effects")
     fit_args(p)
-    p.add_argument("--split", type=float, default=0.8)
+    p.add_argument("--split", type=_SPLIT, default=0.8)
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int, default=0)
 
@@ -613,9 +603,9 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", action="append")
     p.add_argument("--k", type=_K)
     p.add_argument("--fve", type=_FVE)
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--split", type=_SPLIT, default=0.8)
+    p.add_argument("--tol", type=_TOL, default=1e-8)
+    p.add_argument("--max-iter", type=_MAX_ITER, default=500)
     p.add_argument("--micro-column", type=int,
                    help="1-based scalar column used as the microstructure scalar (Model6)")
     p.add_argument("--out", required=True)

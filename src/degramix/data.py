@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress, islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -78,15 +80,24 @@ class UnitRecord:
         return self.times.size
 
 
-# per-unit rules in the order they are checked; a unit breaking several is
-# reported under the first
+# per-unit rules in the order they are checked, each with the dataset file
+# whose values it reads; a unit breaking several is reported under the first
 _UNIT_RULES = (
-    "unit {}: needs at least one measurement",
-    "non-increasing times for unit {}",
-    "unit {}: non-finite measurement",
-    "unit {}: non-finite scalar covariate",
-    "unit {}: non-finite functional covariate curve",
+    ("responses", "unit {}: needs at least one measurement"),
+    ("responses", "non-increasing times for unit {}"),
+    ("responses", "unit {}: non-finite measurement"),
+    ("scalars", "unit {}: non-finite scalar covariate"),
+    ("curves", "unit {}: non-finite functional covariate curve"),
 )
+
+
+class _UnitRuleError(ValueError):
+    """A broken per-unit rule; ``source`` names the file its values come
+    from when read ("responses", "scalars" or "curves")."""
+
+    def __init__(self, rule: int, unit_id: str):
+        self.source, text = _UNIT_RULES[rule]
+        super().__init__(text.format(unit_id))
 
 
 def _check_unit_rules(unit_ids, counts, times, responses, scalars, curves) -> None:
@@ -103,7 +114,7 @@ def _check_unit_rules(unit_ids, counts, times, responses, scalars, curves) -> No
     ])
     if broken.any():
         i = int(np.argmax(broken.any(axis=0)))
-        raise ValueError(_UNIT_RULES[int(np.argmax(broken[:, i]))].format(unit_ids[i]))
+        raise _UnitRuleError(int(np.argmax(broken[:, i])), unit_ids[i])
 
 
 @dataclass(frozen=True)
@@ -520,8 +531,8 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
     Units are returned sorted by unit id and observations sorted by time.
     Raises ValueError on malformed rows or a covariate index outside 1..S
     (naming the file and line), a unit listed twice in the scalars file,
-    mismatched unit ids, ragged grids (naming the curves file) or duplicate
-    (unit, time) rows.
+    mismatched unit ids, ragged grids (naming the curves file), or duplicate
+    (unit, time) rows and non-finite values (naming the file holding them).
 
     ``scored`` names the units whose FPCA scores the caller already holds:
     the curves file is parsed only when the responses file names a unit
@@ -601,21 +612,26 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
 
     # the first unit with a bad grid is named, unless a unit before it breaks
     # a per-unit rule or its own times do not rise; each unit before it holds
-    # S * G curve rows, which fixes its offset in z
-    bad = np.flatnonzero(grid.any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        m, size = int(counts[:i].sum()), n_s * n_r
-        _check_unit_rules(unit_ids[:i], counts[:i], t[:m], y[:m], x[:i],
-                          z[:i * size].reshape(i, n_s, n_r))
-        if not np.all(np.diff(t[m:m + counts[i]]) > 0):
-            raise ValueError(f"non-increasing times for unit {unit_ids[i]}")
-        si = int(np.argmax(grid[i] != 0))
-        where = f"{curves_file}: unit {unit_ids[i]}: ragged functional grid"
-        if grid[i, si] == 1:
-            raise ValueError(f"{where} (missing covariate s={si + 1})")
-        raise ValueError(f"{where} for covariate s={si + 1}")
-    return DegradationDataset(unit_ids, counts, t, y, x, z.reshape(n, n_s, n_r), r_grid)
+    # S * G curve rows, which fixes its offset in z.  A broken per-unit rule
+    # names the file its values were read from.
+    files = {"responses": responses_file, "scalars": scalars_file, "curves": curves_file}
+    try:
+        bad = np.flatnonzero(grid.any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            m, size = int(counts[:i].sum()), n_s * n_r
+            _check_unit_rules(unit_ids[:i], counts[:i], t[:m], y[:m], x[:i],
+                              z[:i * size].reshape(i, n_s, n_r))
+            if not np.all(np.diff(t[m:m + counts[i]]) > 0):
+                raise _UnitRuleError(1, unit_ids[i])
+            si = int(np.argmax(grid[i] != 0))
+            where = f"{curves_file}: unit {unit_ids[i]}: ragged functional grid"
+            if grid[i, si] == 1:
+                raise ValueError(f"{where} (missing covariate s={si + 1})")
+            raise ValueError(f"{where} for covariate s={si + 1}")
+        return DegradationDataset(unit_ids, counts, t, y, x, z.reshape(n, n_s, n_r), r_grid)
+    except _UnitRuleError as exc:
+        raise ValueError(f"{files[exc.source]}: {exc}") from None
 
 
 # rows formatted and written at a time: the writer's own memory holds one
@@ -688,3 +704,107 @@ def write_curves_csv(path, entries) -> None:
               [np.repeat(np.array(ids, dtype=object), sizes),
                np.repeat(np.array(s, dtype=np.int64), sizes),
                np.concatenate(r_grids, dtype=float), np.concatenate(values, dtype=float)])
+
+
+# JSON's names for the floats whose repr() it does not read
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOL_TEXTS = {False: "false", True: "true"}
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """An array of one or more dimensions as nested JSON arrays, its entries
+    starting ``level + a.ndim`` indents deep.  Each entry is formatted once,
+    from one flat ``tolist()``, and the brackets and separators between
+    entries are placed by slicing, so no Python code runs per entry."""
+    shape = a.shape
+    if 0 in shape:  # the lists at the first empty dimension are all "[]"
+        shape = shape[:shape.index(0)]
+        if not shape:
+            return "[]"
+        texts = ["[]"] * math.prod(shape)
+    else:
+        values = a.ravel().tolist()
+        kind = a.dtype.kind
+        if kind == "f":
+            texts = list(map(float.__repr__, values))
+            if not np.isfinite(a).all():
+                texts = [_NON_FINITE.get(t, t) for t in texts]
+        elif kind in "iu":
+            texts = list(map(int.__repr__, values))
+        elif kind == "b":
+            texts = list(map(_BOOL_TEXTS.__getitem__, values))
+        else:  # what tolist() gives, written as any other value
+            texts = [_json_text(v, level + a.ndim) for v in values]
+    k, n = len(shape), len(texts)
+    opens, closes, seps = _brackets(level, k)
+    if k == 1:
+        return opens[1] + seps[0].join(texts) + closes[1]
+    # between two entries, r lists close and as many open, where r is the
+    # number of trailing dimensions whose index wraps; set by slicing for each r
+    between = [seps[0]] * (n - 1)
+    for r in range(1, k):
+        period = math.prod(shape[k - r:])
+        between[period - 1::period] = [seps[r]] * ((n - 1) // period)
+    parts = [None] * (2 * n - 1)
+    parts[::2], parts[1::2] = texts, between
+    return opens[k] + "".join(parts) + closes[k]
+
+
+@cache
+def _brackets(level: int, k: int) -> tuple:
+    """For k nested lists whose entries sit ``level + k`` indents deep: the
+    texts that open and close the innermost r of them, for r = 0..k, and
+    the text between two entries where r lists close and open again."""
+    indent = ["\n" + "  " * (level + j) for j in range(k + 1)]
+    opens = tuple("".join("[" + indent[j] for j in range(k - r + 1, k + 1)) for r in range(k + 1))
+    closes = tuple("".join(indent[j] + "]" for j in range(k - 1, k - r - 1, -1))
+                   for r in range(k + 1))
+    seps = tuple(closes[r] + "," + indent[k - r] + opens[r] for r in range(k))
+    return opens, closes, seps
+
+
+def _json_text(value, level: int) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it
+    ``level`` indents deep, with a numpy array or scalar written as its
+    ``tolist()``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return _BOOL_TEXTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, np.ndarray) and value.ndim:
+        return _array_text(value, level)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _json_text(value.tolist(), level)
+    if isinstance(value, (list, tuple, dict)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+        if isinstance(value, dict):
+            texts = [encode_basestring_ascii(key) + ": " + _json_text(v, level + 1)
+                     for key, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(texts) + outer + "}"
+        texts = [_json_text(v, level + 1) for v in value]
+        return "[" + inner + ("," + inner).join(texts) + outer + "]"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` (dicts with str keys, lists, tuples, str, bool,
+    None, numbers, numpy arrays and scalars) as ``json.dumps(payload,
+    indent=2, sort_keys=True)`` plus a newline writes it, byte for byte:
+    2-space indents, sorted keys, non-ASCII text as ``\\u`` escapes, each
+    number by ``repr`` (NaN and infinities as ``NaN``, ``Infinity`` and
+    ``-Infinity``), and a numpy value as its ``tolist()``.  Anything else
+    raises TypeError.  (``json``'s C encoder cannot indent, and its
+    pure-Python one steps a generator per array entry; here each numpy
+    array is formatted in one pass.)"""
+    text = _json_text(payload, 0) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

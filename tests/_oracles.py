@@ -579,7 +579,7 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
     Units are returned sorted by unit id and observations sorted by time.
     Raises ValueError on malformed rows or a covariate index outside 1..S
     (naming the file and line), mismatched unit ids, ragged grids, duplicate
-    (unit, time) rows or non-finite values.
+    (unit, time) rows or non-finite values (naming the file holding them).
     """
     header = ["unit_id", "time", "y"]
     resp_rows = list(_numbered_rows(responses_file))
@@ -664,7 +664,7 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
         pairs = sorted(responses[uid])
         times = np.array([t for t, _ in pairs])
         if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError(f"non-increasing times for unit {uid}")
+            raise ValueError(f"{responses_file}: non-increasing times for unit {uid}")
         ys = np.array([y for _, y in pairs])
         curves = np.zeros((len(s_indices), r_grid.size))
         for si, s in enumerate(s_indices):
@@ -677,11 +677,11 @@ def load_dataset_rows(responses_file, scalars_file, curves_file) -> DegradationD
                 raise ValueError(f"{curves_file}: unit {uid}: ragged functional grid for covariate s={s}")
             curves[si] = [z for _, z in pts]
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(ys))):
-            raise ValueError(f"unit {uid}: non-finite measurement")
+            raise ValueError(f"{responses_file}: unit {uid}: non-finite measurement")
         if not np.all(np.isfinite(scalars[uid])):
-            raise ValueError(f"unit {uid}: non-finite scalar covariate")
+            raise ValueError(f"{scalars_file}: unit {uid}: non-finite scalar covariate")
         if not np.all(np.isfinite(curves)):
-            raise ValueError(f"unit {uid}: non-finite functional covariate curve")
+            raise ValueError(f"{curves_file}: unit {uid}: non-finite functional covariate curve")
         units.append(UnitRecord(uid, times, ys, scalars[uid], curves))
 
     return stack_units(units, r_grid)

@@ -126,8 +126,8 @@ class TestParserBuiltOnce:
     def test_second_run_builds_no_parser_and_carries_no_flags(self, tmp_path, monkeypatch,
                                                                capsys):
         data = str(simulate_into(tmp_path, n_units=8, n_obs=6))
-        # a split of 2 is rejected right after the echo, before any fit
-        compare = ["compare", "--data", data, "--k", "2", "--split", "2"]
+        # a third scalar column is rejected right after the echo, before any fit
+        compare = ["compare", "--data", data, "--k", "2", "--micro-column", "3"]
         assert run([*compare, "--variant", "Model1", "--variant", "Model2",
                     "--out", str(tmp_path / "a")]) == 1
         built = []
@@ -166,8 +166,8 @@ class TestEchoIsStrictJson:
          "descriptor tpc requires a whole-pixel --r-max, got inf"),
         (["descriptor", "rdf", "--r-max", "1", "--dr=-inf"], "dr", "-inf",
          "dr must be finite, got -inf"),
-        (["compare", "--split", "nan"], "split", "nan",
-         "split fraction must lie in (0, 1), got nan"),
+        (["compare", "--split", "nan"], None, None,
+         "argument --split: split fraction must lie in (0, 1), got nan"),
         (["fit", "--fve", "nan"], None, None, "argument --fve: fve_threshold must lie in (0, 1]"),
     ])
     def test_non_finite_flags(self, tmp_path, capsys, argv, key, text, error):
@@ -231,6 +231,22 @@ class TestNumericFlags:
         # first if the flag were checked after the load
         out = tmp_path / "out"
         assert run([command, "--data", str(tmp_path / "missing"), flag, "0",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: argument {flag}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        *((command, "--tol", value, f"tol must be a finite number >= 0, got {value}")
+          for command in ("fit", "evaluate", "compare") for value in ("nan", "-1.0", "inf")),
+        *((command, "--max-iter", "-1", "max_iter must be an integer >= 0, got -1")
+          for command in ("fit", "evaluate", "compare")),
+        *((command, "--split", value, f"split fraction must lie in (0, 1), got {value}")
+          for command in ("evaluate", "compare") for value in ("1.5", "0.0", "nan")),
+    ])
+    def test_stopping_and_split_flags_are_checked_before_any_file(self, tmp_path, capsys,
+                                                                  command, flag, value, message):
+        out = tmp_path / "out"
+        assert run([command, "--data", str(tmp_path / "missing"), flag, value,
                     "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error: argument {flag}: {message}"
         assert not out.exists()

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from _oracles import load_dataset_rows, stack_units, write_csv_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import degramix.data
 from degramix.data import (
@@ -26,6 +28,7 @@ from degramix.data import (
     load_dataset,
     save_dataset,
     write_csv,
+    write_json,
 )
 
 
@@ -260,8 +263,9 @@ class TestCsvRoundTrip:
         save_dataset(ds, *paths)
         with open(paths[0], "a") as fh:
             fh.write("u1,1.0,9.9\n")
-        with pytest.raises(ValueError, match="non-increasing times"):
+        with pytest.raises(ValueError) as err:
             load_dataset(*paths)
+        assert str(err.value) == f"{paths[0]}: non-increasing times for unit u1"
 
     def test_ragged_curve_grid(self, tmp_path):
         ds = make_dataset()
@@ -280,8 +284,24 @@ class TestCsvRoundTrip:
         assert fields[0] == "u2"
         fields[column] = "inf" if column == 1 else "nan"
         replace_line(paths[0], 6, ",".join(fields))
-        with pytest.raises(ValueError, match="^unit u2: non-finite measurement$"):
+        with pytest.raises(ValueError) as err:
             load_dataset(*paths)
+        assert str(err.value) == f"{paths[0]}: unit u2: non-finite measurement"
+
+    @pytest.mark.parametrize("which, index, column, message", [
+        (1, 2, 2, "unit u2: non-finite scalar covariate"),
+        (2, 13, 3, "unit u2: non-finite functional covariate curve"),
+    ])
+    def test_non_finite_covariate_names_its_file(self, tmp_path, which, index, column, message):
+        paths = saved_paths(tmp_path)
+        fields = paths[which].read_text().splitlines()[index].split(",")
+        assert fields[0] == "u2"
+        fields[column] = "nan"
+        replace_line(paths[which], index, ",".join(fields))
+        for loader in (load_dataset, load_dataset_rows):
+            with pytest.raises(ValueError) as err:
+                loader(*paths)
+            assert str(err.value) == f"{paths[which]}: {message}"
 
     def test_ids_that_need_quoting_reload_bit_exactly(self, tmp_path):
         ids = sorted(["a,b", 'say "hi"', "two\nlines", "cr\rid", "u1"], key=_unit_sort_key)
@@ -804,3 +824,53 @@ class TestLoaderReadsCurvesOnlyForUnscoredUnits:
         assert ds.n_functional == 0 and ds.curves.shape == (3, 0, 0) and ds.r_grid.size == 0
         with pytest.raises(FileNotFoundError):
             load_dataset(paths[0], paths[1], tmp_path / "absent.csv", scored=["u1", "u2"])
+
+
+def dumps_reference(payload) -> str:
+    """What ``write_json`` must write: ``json``'s own indented, key-sorted
+    text, with numpy values as their ``tolist()``."""
+    def default(obj):
+        if isinstance(obj, (np.ndarray, np.generic)):
+            return obj.tolist()
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return json.dumps(payload, indent=2, sort_keys=True, default=default) + "\n"
+
+
+JSON_TEXT = st.one_of(st.text(max_size=6),
+                      st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\x7f", "ü1", "日5",
+                                       "\u2028", "\U0001f600", 'q"2', "a,b3", "x 6"]))
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf, 0.1]))
+JSON_ARRAYS = st.one_of(
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+    st.sampled_from([(0,), (3, 0), (2, 0, 3), (0, 2)]).map(np.zeros),
+    hnp.arrays(np.float64, st.sampled_from([(2, 3), (3, 1, 2), (1, 1, 1)]), elements=JSON_FLOATS))
+JSON_LEAVES = st.one_of(
+    JSON_TEXT, st.booleans(), st.none(), st.integers(), JSON_FLOATS,
+    st.integers(-2**63, 2**63 - 1).map(np.int64), JSON_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32), JSON_ARRAYS)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=12)
+
+
+class TestWriteJson:
+    @given(JSON_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_json_dumps(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        write_json(path, payload)
+        assert path.read_bytes() == dumps_reference(payload).encode("ascii")
+
+    @pytest.mark.parametrize("bad", [object(), 1j, {1, 2}, b"x", np.array([1j]),
+                                     np.array([object()], dtype=object)])
+    def test_what_json_rejects_raises_type_error(self, tmp_path, bad):
+        payload = {"a": [1.5, {"b": bad}]}
+        with pytest.raises(TypeError):
+            dumps_reference(payload)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(tmp_path / "out.json", payload)

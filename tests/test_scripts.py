@@ -116,6 +116,23 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
         assert len(rows.splitlines()) == 1 + full.n_obs
 
 
+def test_same_outputs_runs_the_escaped_ids(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from degramix.cli import run
+    from same_outputs import ESCAPED_IDS, run_escaped_ids
+
+    base = tmp_path / "escaped_ids"
+    run_escaped_ids(base, 3, run)
+    assert (base / "exit_codes.txt").read_text() == (
+        "fit_Model7 0\npredict_Model7 0\nfit_Model1 0\npredict_Model1 0\n")
+    text = (base / "fit_Model7" / "fit_report.json").read_text(encoding="ascii")
+    assert '"\\u00fc1"' in text and '"q\\"2"' in text and '"\\ud83d\\ude0011"' in text
+    report = json.loads(text)
+    assert sorted(report["latent_posterior"]["unit_ids"]) == sorted(ESCAPED_IDS)
+    rows = (base / "predict_Model1" / "predictions.csv").read_text(encoding="utf-8")
+    assert '\n"q""2",' in rows and '\n"a,b3",' in rows and "\n日5," in rows
+
+
 def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from degramix.cli import run
