@@ -14,11 +14,13 @@ variants with a micro scalar, an order-2 ``evaluate`` (two effect levels
 per unit), a simulated dataset with two scalars and an order-2 basis,
 units with no more observations than latent levels, ``fit
 --dump-design``, an order-2 latent fit and a ``compare`` whose split fails
-for every variant.  Last, ``run_predict`` fits Model7 and Model1 on two
-thirds of compare_cv's units and predicts all of them from each fit: the
-Model7 ``predict`` projects the curves of units its fit did not see, the
-Model1 one reads no curves (the workloads predict only units their fit
-saw).  ``run_escaped_ids`` fits both on all of 12 units whose ids JSON
+for every variant.  Last, ``run_predict`` fits each of Model1-Model7, and
+an order-2 config with a diagonal Sigma_gamma and the ridge on, on two
+thirds of compare_cv's units and predicts all of them from each fit, so
+every layout of ``fit_report.json`` is written and read back: a functional
+fit's ``predict`` projects the curves of units it did not see, Model1's and
+Model6's read no curves (the workloads predict only units their fit saw).
+``run_escaped_ids`` fits Model7 and Model1 on all of 12 units whose ids JSON
 writes with ``\\u`` escapes and CSV quotes, and predicts them.  Then
 ``run_descriptors`` runs the descriptor paths the micrograph workload
 skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call whose
@@ -165,12 +167,18 @@ def write_order2_dataset(out: Path, seed: int) -> None:
         indent=1) + "\n", encoding="utf-8")
 
 
+# a config no variant has: two coefficient levels, a diagonal Sigma_gamma
+# and the ridge on
+ORDER2_DIAGONAL_RIDGE = {"basis_order": 2, "k": 2, "constrain_sigma_gamma_diagonal": True,
+                         "ridge_jitter": True}
+
+
 def run_predict(base: Path, data: Path, run) -> None:
     """Under ``base``: write to ``train`` the rows of every unit of the
-    dataset in ``data`` but each third one (in sorted id order), fit Model7
-    and Model1 on them, and predict every unit of ``data`` from each fit,
-    through the CLI entry ``run``.  The exit codes go to
-    ``exit_codes.txt``."""
+    dataset in ``data`` but each third one (in sorted id order), fit Model7,
+    Model1, Model2-Model6 and ``ORDER2_DIAGONAL_RIDGE`` on them, and predict
+    every unit of ``data`` from each fit, through the CLI entry ``run``.
+    The exit codes go to ``exit_codes.txt``."""
     train = base / "train"
     train.mkdir(parents=True)
     with open(data / "responses.csv", newline="", encoding="utf-8") as fh:
@@ -182,22 +190,28 @@ def run_predict(base: Path, data: Path, run) -> None:
         with open(train / name, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(
                 [header, *(row for row in rows if row and row[0] in keep)])
-    _fit_then_predict(base, train, data, run)
+    config = base / "order2_diagonal_ridge.json"
+    config.write_text(json.dumps(ORDER2_DIAGONAL_RIDGE), encoding="utf-8")
+    models = ("Model7", "Model1", "Model2", "Model3", "Model4", "Model5", "Model6")
+    _fit_then_predict(base, train, data, run, {
+        **{model: ["--variant", model, "--k", "2"] for model in models},
+        "order2_diagonal_ridge": ["--config", str(config)]})
 
 
-def _fit_then_predict(base: Path, train: Path, data: Path, run) -> None:
-    """Under ``base``: fit Model7 and Model1 on the dataset in ``train`` and
-    predict every unit of the one in ``data`` from each fit, through the CLI
-    entry ``run``.  The exit codes go to ``exit_codes.txt``."""
+def _fit_then_predict(base: Path, train: Path, data: Path, run, fits: dict) -> None:
+    """Under ``base``: per name in ``fits``, fit the dataset in ``train``
+    with that name's model flags and predict every unit of the one in
+    ``data`` from the fit, through the CLI entry ``run``.  The exit codes go
+    to ``exit_codes.txt``."""
     codes = []
-    for model in ("Model7", "Model1"):
-        fit = base / f"fit_{model}"
-        argv = ["fit", "--data", str(train), "--variant", model, "--k", "2",
-                "--max-iter", "500", "--tol", "1e-8", "--out", str(fit)]
-        codes.append(f"fit_{model} {run(argv)}")
+    for name, model in fits.items():
+        fit = base / f"fit_{name}"
+        argv = ["fit", "--data", str(train), *model, "--max-iter", "500", "--tol", "1e-8",
+                "--out", str(fit)]
+        codes.append(f"fit_{name} {run(argv)}")
         argv = ["predict", "--fit", str(fit / "fit_report.json"), "--data", str(data),
-                "--out", str(base / f"predict_{model}")]
-        codes.append(f"predict_{model} {run(argv)}")
+                "--out", str(base / f"predict_{name}")]
+        codes.append(f"predict_{name} {run(argv)}")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 
@@ -222,7 +236,8 @@ def run_escaped_ids(base: Path, seed: int, run) -> None:
     data.mkdir(parents=True)
     save_dataset(replace(ds, unit_ids=ESCAPED_IDS), *(data / name for name in (
         "responses.csv", "scalars.csv", "curves.csv")))
-    _fit_then_predict(base, data, data, run)
+    _fit_then_predict(base, data, data, run, {
+        model: ["--variant", model, "--k", "2"] for model in ("Model7", "Model1")})
 
 
 def _random_pgm(rng: random.Random, width: int, height: int, ascii_form: bool = False) -> bytes:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -37,18 +36,22 @@ from .data import (
 )
 from .descriptors import (
     binarize_image,
+    check_dr,
+    check_r_max,
+    check_threshold,
     compute_rdf,
     compute_tpc,
     extract_particles,
     load_particles_csv,
     load_pgm,
 )
-from .design import stacked_design
+from .design import layout_for, stacked_design
 from .estimator import ConvergenceWarning, FitResult, NumericalError, check_stopping, fit_em
 from .evaluation import (
     Metrics,
     _check_fraction,
     _check_grid,
+    check_folds,
     compare_models,
     count_parameters,
     effect_decomposition,
@@ -59,7 +62,7 @@ from .evaluation import (
     temporal_split,
 )
 from .fpca import FpcaModel, fit_scores
-from .simulate import default_spec, generate_dataset
+from .simulate import check_seed, default_spec, generate_dataset
 
 _DATA_FILES = ("responses.csv", "scalars.csv", "curves.csv")
 # the numbers of a comparison row, in field order
@@ -76,21 +79,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _strict(value):
-    """``value`` with every non-finite float, such as a ``--threshold nan``
-    not yet rejected, written as its text ("nan", "inf", "-inf"): RFC 8259 has
-    no NaN or Infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    if isinstance(value, dict):
-        return {key: _strict(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
-
-
 def _echo_config(name: str, payload: dict) -> None:
-    print(f"[degramix {name}] " + json.dumps(_strict(payload), sort_keys=True), file=sys.stderr)
+    print(f"[degramix {name}] " + json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
 def _out_dir(args) -> Path:
@@ -106,10 +96,6 @@ def _data_paths(args) -> list:
         if not p.exists():
             raise CliError(f"missing data file {p}")
     return paths
-
-
-def _load_data(args):
-    return load_dataset(*_data_paths(args))
 
 
 def _resolve_config(args) -> ModelConfig:
@@ -129,53 +115,88 @@ def _resolve_config(args) -> ModelConfig:
     return replace(config, **{key: v for key, v in updates.items() if v is not None})
 
 
-def _fpca_record(model) -> dict:
-    return {
-        "r_grid": model.r_grid,
-        "mean_curve": model.mean_curve,
-        "eigenfunctions": model.eigenfunctions[: model.k],
-        "eigenvalues": model.eigenvalues,
-        "fve_trace": model.fve_trace,
-        "k": model.k,
-    }
+def _unit_ids(name: str, ids) -> list:
+    """``ids`` when it is an array of distinct strings."""
+    if not (isinstance(ids, list) and all(isinstance(u, str) for u in ids)):
+        raise ValueError(f"{name} is not an array of strings")
+    seen = set()
+    for uid in ids:
+        if uid in seen:
+            raise ValueError(f"{name} names unit {uid!r} twice")
+        seen.add(uid)
+    return ids
 
 
-def _fit_report(fit: FitResult) -> dict:
-    layout = fit.layout
-    parts = layout.split(fit.params.zeta)
-    report = {
-        "config": config_to_dict(fit.config),
-        "layout": {
-            "levels": list(layout.levels),
-            "n_scalars": layout.n_scalars,
-            "n_functional": layout.n_functional,
-            "n_components": layout.n_components,
-            "size": layout.size,
-            "names": layout.names(),
-        },
-        "zeta": {
-            "values": fit.params.zeta,
-            "nu": parts["nu"],
-            "beta": parts["beta"],
-            "b": parts["b"],
-            "b_interaction": parts["b_int"],
-        },
-        "sigma_eps2": fit.params.sigma_eps2,
-        "sigma_gamma": fit.params.sigma_gamma,
-        "latent_posterior": {
-            "unit_ids": list(fit.unit_ids),
-            "mu": fit.posterior.mu,
-        },
-        "loglik_trace": fit.loglik_trace,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "stop_reason": fit.stop_reason,
-        "r_support": fit.r_support,
-    }
-    if fit.scores is not None:
-        report["scores"] = {"unit_ids": list(fit.unit_ids), "values": fit.scores}
-    if fit.fpca_models is not None:
-        report["fpca"] = [_fpca_record(m) for m in fit.fpca_models]
+def _positive(name: str, value) -> float:
+    """``value`` as a float when it is a positive JSON number."""
+    value = float(json_value(name, value, float))
+    if not value > 0.0:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+# one FPCA model's record, in fit_report.json's "fpca" array and in
+# fpca_report.json; g is the length of its r_grid, e of its eigenvalues
+_FPCA = (
+    (("r_grid",), "fpca r_grid", ("g",), lambda m: m.r_grid),
+    (("eigenvalues",), "fpca eigenvalues", ("e",), lambda m: m.eigenvalues),
+    (("mean_curve",), "fpca mean_curve", ("g",), lambda m: m.mean_curve),
+    (("eigenfunctions",), "fpca eigenfunctions", ("k", "g"), lambda m: m.eigenfunctions[: m.k]),
+    (("fve_trace",), "fpca fve_trace", ("e",), lambda m: m.fve_trace),
+    (("k",), None, None, lambda m: m.k),
+)
+
+# fit_report.json, one row per entry: its path, the name its errors give, its
+# kind, and its value in a FitResult.  A kind is a JSON type (json_value); a
+# shape (json_array) whose letters are lengths (n units, d latent levels, s
+# functional covariates, k components, z coefficients; a letter not yet known
+# takes the first length it meets); a reader of the name and the value; or
+# _FPCA, an array of s such records.  A row of no name and kind is written
+# for the file's readers and not read back.  The rows before the first shape
+# fix the layout; the entries under _FUNCTIONAL exist for functional fits only.
+_FIT_REPORT = (
+    (("config",), "config", lambda _, value: config_from_dict(value),
+     lambda fit: config_to_dict(fit.config)),
+    (("layout", "n_scalars"), "layout n_scalars", int, lambda fit: fit.layout.n_scalars),
+    (("layout", "n_functional"), "layout n_functional", int, lambda fit: fit.layout.n_functional),
+    (("layout", "n_components"), "layout n_components", int, lambda fit: fit.layout.n_components),
+    (("layout", "levels"), None, None, lambda fit: list(fit.layout.levels)),
+    (("layout", "size"), None, None, lambda fit: fit.layout.size),
+    (("layout", "names"), None, None, lambda fit: fit.layout.names()),
+    (("latent_posterior", "unit_ids"), "latent_posterior unit_ids", _unit_ids,
+     lambda fit: list(fit.unit_ids)),
+    (("scores", "unit_ids"), "scores unit_ids", _unit_ids, lambda fit: list(fit.unit_ids)),
+    (("scores", "values"), "scores", ("n", "s", "k"), lambda fit: fit.scores),
+    (("fpca",), "fpca", _FPCA, lambda fit: fit.fpca_models),
+    (("sigma_gamma",), "sigma_gamma", ("d", "d"), lambda fit: fit.params.sigma_gamma),
+    (("zeta", "values"), "zeta", ("z",), lambda fit: fit.params.zeta),
+    (("zeta", "nu"), None, None, lambda fit: fit.layout.split(fit.params.zeta)["nu"]),
+    (("zeta", "beta"), None, None, lambda fit: fit.layout.split(fit.params.zeta)["beta"]),
+    (("zeta", "b"), None, None, lambda fit: fit.layout.split(fit.params.zeta)["b"]),
+    (("zeta", "b_interaction"), None, None,
+     lambda fit: fit.layout.split(fit.params.zeta)["b_int"]),
+    (("sigma_eps2",), "sigma_eps2", _positive, lambda fit: fit.params.sigma_eps2),
+    (("latent_posterior", "mu"), "latent_posterior mu", ("n", "d"), lambda fit: fit.posterior.mu),
+    (("loglik_trace",), "loglik_trace", (None,), lambda fit: fit.loglik_trace),
+    (("iterations",), "iterations", int, lambda fit: fit.iterations),
+    (("converged",), "converged", bool, lambda fit: fit.converged),
+    (("stop_reason",), None, None, lambda fit: fit.stop_reason),
+    (("r_support",), "r_support", _positive, lambda fit: fit.r_support),
+)
+_FUNCTIONAL = ("scores", "fpca")
+
+
+def _report(rows, source) -> dict:
+    """The JSON object ``rows`` state for ``source``: a FitResult for
+    _FIT_REPORT, an FpcaModel for _FPCA."""
+    report = {}
+    for path, _, kind, value in rows:
+        if path[0] in _FUNCTIONAL and not source.config.include_functional:
+            continue
+        node = report
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = [_report(kind, m) for m in value(source)] if kind is _FPCA else value(source)
     return report
 
 
@@ -201,16 +222,13 @@ def _spec_overrides(path) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    source = args.spec  # what a failed read or SyntheticSpec check names
     try:
         overrides = _spec_overrides(args.spec) if args.spec else {}
         if args.seed is not None:
             overrides["seed"] = args.seed
-            if args.seed < 0:  # SyntheticSpec checks the seed first
-                source = "--seed"
         spec = default_spec(**overrides)
-    except ValueError as exc:
-        raise CliError(f"{source}: {exc}") from None
+    except ValueError as exc:  # only a --spec file can fail: --seed is checked
+        raise CliError(f"{args.spec}: {exc}") from None
     _echo_config("simulate", {"seed": spec.seed, "n_units": spec.n_units, "n_obs": spec.n_obs})
 
     ds, truth = generate_dataset(spec)
@@ -267,13 +285,13 @@ def _cmd_descriptor(args) -> int:
 
 
 def _cmd_fpca(args) -> int:
-    ds = _load_data(args)
+    ds = load_dataset(*_data_paths(args))
     config = _resolve_config(args)
     _echo_config("fpca", {"k": config.k, "fve": config.fve_threshold, "data": str(args.data)})
     report = []
     if ds.n_functional:
         models, scores = fit_scores(ds.curves, ds.r_grid, config.k, config.fve_threshold)
-        report = [{**_fpca_record(m), "s": s + 1,
+        report = [{**_report(_FPCA, m), "s": s + 1,
                    "scores": {"unit_ids": list(ds.unit_ids), "values": scores[:, s]}}
                   for s, m in enumerate(models)]
     write_json(_out_dir(args) / "fpca_report.json", {"covariates": report})
@@ -287,13 +305,13 @@ def _prepare(ds, config, args):
 
 
 def _cmd_fit(args) -> int:
-    ds = _load_data(args)
+    ds = load_dataset(*_data_paths(args))
     config = _resolve_config(args)
     _echo_config("fit", config_to_dict(config))
     ds = _prepare(ds, config, args)
     fit = fit_em(ds, config, max_iter=args.max_iter, tol=args.tol)
     out = _out_dir(args)
-    write_json(out / "fit_report.json", _fit_report(fit))
+    write_json(out / "fit_report.json", _report(_FIT_REPORT, fit))
     if args.dump_design:
         omega, lam = stacked_design(ds, config, fit.layout, fit.scores)
         write_csv(out / "design_omega.csv", fit.layout.names(), omega.T)
@@ -320,12 +338,37 @@ def _entry(report, *path):
     return node
 
 
-def _positive(name: str, value) -> float:
-    """``value`` as a float when it is a positive JSON number."""
-    value = float(json_value(name, value, float))
-    if not value > 0.0:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-    return value
+def _read(report, rows, lengths=None, prefix=()) -> dict:
+    """The entries ``rows`` state under ``prefix`` in ``report``, keyed by
+    path, each as its kind reads it; an entry of another kind raises
+    ValueError naming it, and a missing one KeyError (``_entry``)."""
+    got = {}
+    for path, name, kind, _ in rows:
+        if kind is None or path[0] in _FUNCTIONAL and not got["config",].include_functional:
+            continue
+        if isinstance(kind, tuple) and lengths is None:
+            # the rows before fix the layout, kept as the "layout" entry's value
+            sizes = [got["layout", key] for key in ("n_scalars", "n_functional", "n_components")]
+            if min(sizes) < 0:
+                raise ValueError(f"layout sizes must be nonnegative, got {sizes}")
+            layout = got["layout",] = layout_for(got["config",], *sizes)
+            lengths = {"n": len(got["latent_posterior", "unit_ids"]),
+                       "d": layout.latent_dim if got["config",].include_latent else 0,
+                       "s": layout.n_functional, "k": layout.n_components, "z": layout.size}
+        value = _entry(report, *prefix, *path)
+        if kind is _FPCA:
+            s = lengths["s"]
+            got[path] = [_read(report, _FPCA, dict(lengths), (*prefix, *path, i)) for i in range(s)]
+            if len(value) != s:
+                raise ValueError(f"{name} holds {len(value)} models, expected {s}")
+        elif isinstance(kind, tuple):
+            got[path] = json_array(name, value, tuple(lengths.get(x) for x in kind))
+            lengths.update((x, m) for x, m in zip(kind, got[path].shape) if x)
+        elif isinstance(kind, type):
+            got[path] = json_value(name, value, kind)
+        else:
+            got[path] = kind(name, value)
+    return got
 
 
 # how far a report's Sigma_gamma may be from symmetric, and its smallest
@@ -344,91 +387,39 @@ def _covariance(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _fpca_from_record(report, s: int, k: int) -> FpcaModel:
-    """The FpcaModel ``_fpca_record`` wrote for covariate ``s`` (from 0),
-    truncated to ``k`` components."""
-    def array(key, shape):
-        return json_array(f"fpca {key}", _entry(report, "fpca", s, key), shape)
-
-    r_grid = array("r_grid", (None,))
-    if r_grid.size < 2 or not np.all(np.diff(r_grid) > 0):
-        raise ValueError("fpca r_grid must rise strictly through at least two points")
-    eigenvalues = array("eigenvalues", (None,))
-    return FpcaModel(r_grid, array("mean_curve", r_grid.shape),
-                     array("eigenfunctions", (k, r_grid.size)), eigenvalues,
-                     array("fve_trace", eigenvalues.shape), k)
-
-
-def _unit_ids(report, key: str) -> list:
-    """The report's ``key.unit_ids`` when it is an array of distinct strings."""
-    ids = _entry(report, key, "unit_ids")
-    if not (isinstance(ids, list) and all(isinstance(u, str) for u in ids)):
-        raise ValueError(f"{key} unit_ids is not an array of strings")
-    seen = set()
-    for uid in ids:
-        if uid in seen:
-            raise ValueError(f"{key} unit_ids names unit {uid!r} twice")
-        seen.add(uid)
-    return ids
-
-
-def _fit_from_report(report) -> FitResult:
-    """The FitResult a fit report holds, each array in the shape the layout
-    fixes; sigma_eps2 and r_support must be positive, sigma_gamma a
-    covariance (``_covariance``), and the scores must name the units the
-    latent posterior names, in its order."""
-    from .design import layout_for
+def _load_fit(path) -> FitResult:
+    """The fit a fit_report.json records, its entries read by ``_read``:
+    sigma_gamma must be a covariance (``_covariance``), each FPCA r_grid
+    must rise strictly, and the scores must name the units the latent
+    posterior names, in its order.  A report that is not JSON, lacks an
+    entry or holds one that fails a check raises CliError naming the file."""
     from .estimator import LatentPosterior, Parameters
 
-    config = config_from_dict(_entry(report, "config"))
-    sizes = [json_value(f"layout {key}", _entry(report, "layout", key), int)
-             for key in ("n_scalars", "n_functional", "n_components")]
-    if min(sizes) < 0:
-        raise ValueError(f"layout sizes must be nonnegative, got {sizes}")
-    layout = layout_for(config, *sizes)
-    unit_ids = _unit_ids(report, "latent_posterior")
-    n, d = len(unit_ids), layout.latent_dim if config.include_latent else 0
-    s, k = layout.n_functional, layout.n_components
-    scores = fpca_models = None
-    if config.include_functional:
-        for got, want in zip(_unit_ids(report, "scores") + [None], unit_ids + [None]):
-            if got != want:
-                raise ValueError(f"scores unit_ids name {json.dumps(got)} where "
-                                 f"latent_posterior unit_ids name {json.dumps(want)}")
-        scores = json_array("scores", _entry(report, "scores", "values"), (n, s, k))
-        fpca_models = tuple(_fpca_from_record(report, i, k) for i in range(s))
-        if len(report["fpca"]) != s:
-            raise ValueError(f"fpca holds {len(report['fpca'])} models, expected {s}")
-    sigma_gamma = json_array("sigma_gamma", _entry(report, "sigma_gamma"), (d, d))
-    return FitResult(
-        params=Parameters(json_array("zeta", _entry(report, "zeta", "values"), (layout.size,)),
-                          _positive("sigma_eps2", _entry(report, "sigma_eps2")),
-                          _covariance("sigma_gamma", sigma_gamma)),
-        posterior=LatentPosterior(
-            mu=json_array("latent_posterior mu", _entry(report, "latent_posterior", "mu"), (n, d)),
-            v=np.zeros((n, d, d))),
-        loglik_trace=json_array("loglik_trace", _entry(report, "loglik_trace"), (None,)),
-        iterations=json_value("iterations", _entry(report, "iterations"), int),
-        converged=json_value("converged", _entry(report, "converged"), bool),
-        config=config,
-        layout=layout,
-        unit_ids=tuple(unit_ids),
-        r_support=_positive("r_support", _entry(report, "r_support")),
-        scores=scores,
-        fpca_models=fpca_models,
-    )
-
-
-def _load_fit(path) -> FitResult:
-    """The fit a fit_report.json records.  A report that is not JSON, lacks
-    an entry or holds one of the wrong type or shape raises CliError naming
-    the file."""
     try:
-        return _fit_from_report(json.loads(Path(path).read_text(encoding="utf-8")))
+        got = _read(json.loads(Path(path).read_text(encoding="utf-8")), _FIT_REPORT)
+        config, layout = got["config",], got["layout",]
+        unit_ids, mu = got["latent_posterior", "unit_ids"], got["latent_posterior", "mu"]
+        scores = fpca_models = None
+        if config.include_functional:
+            for have, want in zip(got["scores", "unit_ids"] + [None], unit_ids + [None]):
+                if have != want:
+                    raise ValueError(f"scores unit_ids name {json.dumps(have)} where "
+                                     f"latent_posterior unit_ids name {json.dumps(want)}")
+            scores, k = got["scores", "values"], layout.n_components
+            fpca_models = tuple(FpcaModel(**{key: v for (key,), v in r.items()}, k=k)
+                                for r in got["fpca",])
+            for model in fpca_models:
+                if model.r_grid.size < 2 or not np.all(np.diff(model.r_grid) > 0):
+                    raise ValueError("fpca r_grid must rise strictly through at least two points")
+        params = Parameters(got["zeta", "values"], got["sigma_eps2",],
+                            _covariance("sigma_gamma", got["sigma_gamma",]))
     except KeyError as exc:
         raise CliError(f"{path}: fit report has no {exc} entry") from None
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
+    return FitResult(params, LatentPosterior(mu, np.zeros((*mu.shape, mu.shape[1]))),
+                     got["loglik_trace",], got["iterations",], got["converged",], config, layout,
+                     tuple(unit_ids), got["r_support",], scores, fpca_models)
 
 
 def _cmd_predict(args) -> int:
@@ -462,7 +453,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ds = _load_data(args)
+    ds = load_dataset(*_data_paths(args))
     config = _resolve_config(args)
     _echo_config("evaluate", {**config_to_dict(config), "split": args.split, "folds": args.folds})
     ds = _prepare(ds, config, args)
@@ -488,7 +479,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    ds = _load_data(args)
+    ds = load_dataset(*_data_paths(args))
     registry = table1_variants(k=args.k, fve_threshold=args.fve)
     names = args.variant or [n for n in registry if n != "Model6"]
     unknown = [n for n in names if n not in registry]
@@ -498,7 +489,7 @@ def _cmd_compare(args) -> int:
     micro = None
     if args.micro_column is not None:
         col = args.micro_column - 1
-        if not (0 <= col < ds.n_scalars):
+        if col >= ds.n_scalars:
             raise CliError(f"--micro-column {args.micro_column} out of range 1..{ds.n_scalars}")
         micro = ds.scalars[:, col]
         ds = replace(ds, scalars=np.delete(ds.scalars, col, axis=1))
@@ -538,6 +529,13 @@ _FVE = _checked(float, check_fve_threshold)
 _TOL = _checked(float, lambda tol: check_stopping(0, tol))
 _MAX_ITER = _checked(int, lambda max_iter: check_stopping(max_iter, 0.0))
 _SPLIT = _checked(float, _check_fraction)
+_SEED = _checked(int, check_seed)
+
+
+def _check_column(column: int) -> None:
+    """--micro-column's lower bound; the upper one, the scalar count, needs the data."""
+    if column < 1:
+        raise ValueError(f"column must be >= 1, got {column}")
 
 
 def build_parser() -> _Parser:
@@ -548,16 +546,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--spec", help="JSON overrides of the default synthetic spec")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_SEED)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("descriptor", help="extract TPC/RDF descriptor curves")
     p.add_argument("kind", choices=["tpc", "rdf"])
     p.add_argument("--image", action="append")
     p.add_argument("--particles", action="append")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--r-max", type=float, required=True)
-    p.add_argument("--dr", type=float)
+    p.add_argument("--threshold", type=_checked(float, check_threshold), default=0.5)
+    p.add_argument("--r-max", type=_checked(float, check_r_max), required=True)
+    p.add_argument("--dr", type=_checked(float, check_dr))
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--s", type=int, default=1, help="functional covariate index")
     p.add_argument("--out", required=True)
@@ -595,8 +593,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="temporal-split metrics and effects")
     fit_args(p)
     p.add_argument("--split", type=_SPLIT, default=0.8)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    # n_units, the folds' upper bound, is known only after the load
+    p.add_argument("--folds", type=_checked(int, lambda k: check_folds(k, k)))
+    p.add_argument("--seed", type=_SEED, default=0)
 
     p = sub.add_parser("compare", help="fit the model-comparison family")
     p.add_argument("--data", required=True)
@@ -606,7 +605,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", type=_SPLIT, default=0.8)
     p.add_argument("--tol", type=_TOL, default=1e-8)
     p.add_argument("--max-iter", type=_MAX_ITER, default=500)
-    p.add_argument("--micro-column", type=int,
+    p.add_argument("--micro-column", type=_checked(int, _check_column),
                    help="1-based scalar column used as the microstructure scalar (Model6)")
     p.add_argument("--out", required=True)
 

@@ -159,6 +159,29 @@ class DescriptorCurve:
         object.__setattr__(self, "values", v)
 
 
+def check_threshold(threshold) -> None:
+    """binarize_image's rule for the threshold: it lies in (0, 1)."""
+    if not (0.0 < threshold < 1.0):
+        raise ValueError("threshold must lie in (0, 1)")
+
+
+def check_r_max(r_max) -> None:
+    """The rule compute_tpc and compute_rdf share for r_max that needs no
+    image or window: a finite number >= 0."""
+    if not np.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
+
+
+def check_dr(dr) -> None:
+    """compute_rdf's rule for the bin width: a finite number > 0."""
+    if not np.isfinite(dr):
+        raise ValueError(f"dr must be finite, got {dr}")
+    if dr <= 0:
+        raise ValueError("dr must be positive")
+
+
 def binarize_image(img: MicrostructureImage, threshold: float = 0.5) -> MicrostructureImage:
     """Set the phase mask to intensities >= threshold.
 
@@ -169,8 +192,7 @@ def binarize_image(img: MicrostructureImage, threshold: float = 0.5) -> Microstr
     table is False up to its first True level and True from there, and the
     mask is one comparison of the samples with that level.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
+    check_threshold(threshold)
     if img.maxval is None:
         mask = img.pixels >= threshold
     else:
@@ -410,9 +432,8 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
     """
     if img.phase_mask is None:
         raise ValueError("compute_tpc requires a phase mask (binarize first)")
+    check_r_max(r_max)
     r_max = int(r_max)
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
     if r_max >= min(img.width, img.height) / 2:
         raise ValueError("r_max must be below half the image's shorter side")
 
@@ -502,11 +523,8 @@ def compute_rdf(ps: ParticleSet, r_max: float, dr: float) -> DescriptorCurve:
     the overall number density.  Degenerate inputs (M <= 1 or no interior
     reference) yield an all-zero curve with the degenerate flag set.
     """
-    for name, value in (("r_max", r_max), ("dr", dr)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if dr <= 0:
-        raise ValueError("dr must be positive")
+    check_r_max(r_max)
+    check_dr(dr)
     if r_max <= dr:
         raise ValueError("r_max must exceed dr")
     w, h = ps.window

@@ -191,12 +191,17 @@ def temporal_split(ds: DegradationDataset, fraction: float) -> tuple:
     return ds.take(train), ds.take(~train)
 
 
+def check_folds(k: int, n_units: int) -> None:
+    """kfold_cv's rule for the fold count: 2 <= k <= n_units."""
+    if not (2 <= k <= n_units):
+        raise ValueError("folds must satisfy 2 <= k <= n_units")
+
+
 def kfold_cv(ds: DegradationDataset, config: ModelConfig, k: int, seed: int,
              max_iter: int = 500, tol: float = 1e-8) -> float:
     """Unit-level k-fold CV: total squared error predicting held-out units."""
     n = ds.n_units
-    if not (2 <= k <= n):
-        raise ValueError("folds must satisfy 2 <= k <= n_units")
+    check_folds(k, n)
     rng = np.random.default_rng(seed)
     folds = np.array_split(rng.permutation(n), k)
     total = 0.0

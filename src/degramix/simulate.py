@@ -19,6 +19,12 @@ from .fpca import inner_weights
 _ORTHO_TOL = 1e-8
 
 
+def check_seed(seed) -> None:
+    """SyntheticSpec's rule for the seed: it is nonnegative."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Everything needed to draw one dataset: sizes, truth, samplers, seed."""
@@ -42,8 +48,7 @@ class SyntheticSpec:
         for name in ("zeta", "sigma_gamma", "r_grid", "mean_curve", "modes",
                      "score_variances", "times"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
         if self.n_units < 1 or self.n_obs < 1:
             raise ValueError("n_units and n_obs must be positive")
         if self.sigma_eps2 < 0:

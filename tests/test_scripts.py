@@ -103,17 +103,30 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
     assert report["layout"]["levels"] == [1, 2] and report["config"]["basis_order"] == 2
     # fits on 40 of the 60 units, predicts from each fit every unit
     run_predict(tmp_path / "predict", base / "full", run)
-    assert (tmp_path / "predict" / "exit_codes.txt").read_text() == (
-        "fit_Model7 0\npredict_Model7 0\nfit_Model1 0\npredict_Model1 0\n")
+    fits = ["Model7", "Model1", "Model2", "Model3", "Model4", "Model5", "Model6",
+            "order2_diagonal_ridge"]
+    assert (tmp_path / "predict" / "exit_codes.txt").read_text() == "".join(
+        f"fit_{name} 0\npredict_{name} 0\n" for name in fits)
     train = load_dataset(*(tmp_path / "predict" / "train" / name
                            for name in ("responses.csv", "scalars.csv", "curves.csv")))
     full = load_dataset(*(base / "full" / name
                           for name in ("responses.csv", "scalars.csv", "curves.csv")))
     assert train.n_units == 40
     assert set(train.unit_ids) == {u for i, u in enumerate(sorted(full.unit_ids)) if i % 3 != 1}
-    for model in ("Model7", "Model1"):
-        rows = (tmp_path / "predict" / f"predict_{model}" / "predictions.csv").read_text()
+    for name in fits:
+        rows = (tmp_path / "predict" / f"predict_{name}" / "predictions.csv").read_text()
         assert len(rows.splitlines()) == 1 + full.n_obs
+    # every report layout: with and without scores and FPCA records, latent
+    # and not, one and two coefficient levels
+    reports = {name: json.loads((tmp_path / "predict" / f"fit_{name}" / "fit_report.json")
+                                .read_text()) for name in fits}
+    assert {name for name, r in reports.items() if "fpca" in r} == {
+        "Model2", "Model3", "Model4", "Model5", "Model7", "order2_diagonal_ridge"}
+    assert {name for name, r in reports.items() if r["sigma_gamma"]} == {
+        "Model7", "order2_diagonal_ridge"}
+    order2 = reports["order2_diagonal_ridge"]
+    assert order2["layout"]["levels"] == [1, 2] and order2["sigma_gamma"][0][1] == 0.0
+    assert order2["config"]["ridge_jitter"] is True
 
 
 def test_same_outputs_runs_the_escaped_ids(tmp_path, monkeypatch):
