@@ -21,7 +21,9 @@ every layout of ``fit_report.json`` is written and read back: a functional
 fit's ``predict`` projects the curves of units it did not see, Model1's and
 Model6's read no curves (the workloads predict only units their fit saw).
 ``run_escaped_ids`` fits Model7 and Model1 on all of 12 units whose ids JSON
-writes with ``\\u`` escapes and CSV quotes, and predicts them.  Then
+writes with ``\\u`` escapes and CSV quotes, and predicts them.
+``run_load_errors`` fits copies of one small dataset that break the
+loader's rules, so a change of which error ``fit`` prints shows too.  Then
 ``run_descriptors`` runs the descriptor paths the micrograph workload
 skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call whose
 images take turns between two shapes, a P2 image, and ``descriptor rdf
@@ -29,9 +31,9 @@ images take turns between two shapes, a P2 image, and ``descriptor rdf
 ones and on ones at the edges of the accepted grammar.  Both sides write
 under the same path, so a path echoed into an output cannot differ between
 them.  The exit code of each invocation and the child's stderr (for
-``run_descriptors``, each invocation's) are kept as files beside the
-outputs.  Every file that differs, or exists on one side only, is printed;
-the exit code is 1 if any does, else 0.  For a ``.json`` or ``.csv`` file
+``run_descriptors`` and ``run_load_errors``, each invocation's) are kept as
+files beside the outputs.  Every file that differs, or exists on one side
+only, is printed; the exit code is 1 if any does, else 0.  For a ``.json`` or ``.csv`` file
 on both sides, the line also says how far it moved: the largest relative
 difference over its numeric entries, and the entries that differ otherwise
 (a header, an id, an integer such as an iteration count).  Nothing under
@@ -65,8 +67,8 @@ from pathlib import Path
 
 import degramix
 from degramix.cli import run
-from same_outputs import (run_all_variants, run_descriptors, run_escaped_ids, run_predict,
-                          run_ragged)
+from same_outputs import (run_all_variants, run_descriptors, run_escaped_ids, run_load_errors,
+                          run_predict, run_ragged)
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -84,6 +86,7 @@ run_all_variants(root / "all_variants", root / "compare_cv" / "data", run)
 run_ragged(root / "ragged", seed, run)
 run_predict(root / "predict", root / "compare_cv" / "data", run)
 run_escaped_ids(root / "escaped_ids", seed, run)
+run_load_errors(root / "load_errors", seed, run)
 run_descriptors(root / "descriptors", seed, run)
 """
 
@@ -238,6 +241,65 @@ def run_escaped_ids(base: Path, seed: int, run) -> None:
         "responses.csv", "scalars.csv", "curves.csv")))
     _fit_then_predict(base, data, data, run, {
         model: ["--variant", model, "--k", "2"] for model in ("Model7", "Model1")})
+
+
+# broken copies of run_load_errors' dataset, each named for its faults
+LOAD_FAULTS = ("ragged_nan", "earlier_times", "missing_curve", "malformed_last_row")
+
+
+def run_load_errors(base: Path, seed: int, run) -> None:
+    """Under ``base``: generate, in process, a 6-unit dataset at ``seed``,
+    add a second functional covariate (half the first) and write it to
+    ``data``.  Then write one copy per ``LOAD_FAULTS`` entry:
+
+    - ``ragged_nan``: u4's s=1 curve loses its first point and its last y
+      is nan;
+    - ``earlier_times``: the same, and u2's second time repeats its first;
+    - ``missing_curve``: u4 has no s=2 curve;
+    - ``malformed_last_row``: the responses file's last y reads ``abc``.
+
+    Fit Model7 on each copy through the CLI entry ``run``.  Each
+    invocation's exit code goes to ``exit_codes.txt`` and its stderr to
+    ``<copy>.stderr.txt``."""
+    from dataclasses import replace
+
+    import numpy as np
+    from degramix.data import save_dataset
+    from degramix.simulate import default_spec, generate_dataset
+
+    ds, _ = generate_dataset(default_spec(seed=seed, n_units=6))
+    ds = replace(ds, curves=np.concatenate([ds.curves, 0.5 * ds.curves], axis=1))
+    names = ("responses.csv", "scalars.csv", "curves.csv")
+    (base / "data").mkdir(parents=True)
+    save_dataset(ds, *(base / "data" / name for name in names))
+    codes = []
+    for fault in LOAD_FAULTS:
+        tables = []
+        for name in names:
+            with open(base / "data" / name, newline="", encoding="utf-8") as fh:
+                tables.append(list(csv.reader(fh)))
+        responses, _, curves = tables
+        if fault in ("ragged_nan", "earlier_times"):
+            curves.remove(next(row for row in curves if row[:2] == ["u4", "1"]))
+            [row for row in responses if row[0] == "u4"][-1][2] = "nan"
+        if fault == "earlier_times":
+            first, second = [row for row in responses if row[0] == "u2"][:2]
+            second[1] = first[1]
+        if fault == "missing_curve":
+            tables[2] = [row for row in curves if row[:2] != ["u4", "2"]]
+        if fault == "malformed_last_row":
+            responses[-1][2] = "abc"
+        (base / fault).mkdir()
+        for name, rows in zip(names, tables):
+            with open(base / fault / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        argv = ["fit", "--data", str(base / fault), "--variant", "Model7", "--k", "2",
+                "--out", str(base / f"fit_{fault}")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            codes.append(f"{fault} {run(argv)}")
+        (base / f"{fault}.stderr.txt").write_text(err.getvalue(), encoding="utf-8")
+    (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 
 def _random_pgm(rng: random.Random, width: int, height: int, ascii_form: bool = False) -> bytes:

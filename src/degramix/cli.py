@@ -25,6 +25,7 @@ from .data import (
     check_truncation,
     config_from_dict,
     config_to_dict,
+    first_repeat,
     json_array,
     json_object,
     json_value,
@@ -39,6 +40,7 @@ from .descriptors import (
     check_dr,
     check_r_max,
     check_threshold,
+    check_tpc_r_max,
     compute_rdf,
     compute_tpc,
     extract_particles,
@@ -119,11 +121,9 @@ def _unit_ids(name: str, ids) -> list:
     """``ids`` when it is an array of distinct strings."""
     if not (isinstance(ids, list) and all(isinstance(u, str) for u in ids)):
         raise ValueError(f"{name} is not an array of strings")
-    seen = set()
-    for uid in ids:
-        if uid in seen:
-            raise ValueError(f"{name} names unit {uid!r} twice")
-        seen.add(uid)
+    twice = first_repeat(ids)
+    if twice is not None:
+        raise ValueError(f"{name} names unit {twice!r} twice")
     return ids
 
 
@@ -252,14 +252,14 @@ def _cmd_descriptor(args) -> int:
         "kind": args.kind, "r_max": args.r_max, "dr": args.dr,
         "threshold": args.threshold, "periodic": args.periodic,
     })
-    if args.s < 1:
-        raise CliError(f"descriptor requires --s >= 1, got {args.s}")
     entries = []
     if args.kind == "tpc":
         if not args.image:
             raise CliError("descriptor tpc requires at least one --image")
-        if not args.r_max.is_integer():
-            raise CliError(f"descriptor tpc requires a whole-pixel --r-max, got {args.r_max!r}")
+        try:
+            check_tpc_r_max(args.r_max)
+        except ValueError as exc:
+            raise CliError(f"argument --r-max: {exc}") from None
         for path in args.image:
             img = binarize_image(load_pgm(path), args.threshold)
             curve = compute_tpc(img, int(args.r_max), periodic=args.periodic)
@@ -454,6 +454,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ds = load_dataset(*_data_paths(args))
+    if args.folds is not None:
+        check_folds(args.folds, ds.n_units)
     config = _resolve_config(args)
     _echo_config("evaluate", {**config_to_dict(config), "split": args.split, "folds": args.folds})
     ds = _prepare(ds, config, args)
@@ -532,10 +534,13 @@ _SPLIT = _checked(float, _check_fraction)
 _SEED = _checked(int, check_seed)
 
 
-def _check_column(column: int) -> None:
-    """--micro-column's lower bound; the upper one, the scalar count, needs the data."""
-    if column < 1:
-        raise ValueError(f"column must be >= 1, got {column}")
+def _index(name: str):
+    """The lower bound of a 1-based index flag; the upper one (the scalar
+    count of --micro-column, the S of a dataset for --s) needs the data."""
+    def check(index: int) -> None:
+        if index < 1:
+            raise ValueError(f"{name} must be >= 1, got {index}")
+    return check
 
 
 def build_parser() -> _Parser:
@@ -557,7 +562,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r-max", type=_checked(float, check_r_max), required=True)
     p.add_argument("--dr", type=_checked(float, check_dr))
     p.add_argument("--periodic", action="store_true")
-    p.add_argument("--s", type=int, default=1, help="functional covariate index")
+    p.add_argument("--s", type=_checked(int, _index("covariate index s")), default=1,
+                   help="functional covariate index")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fpca", help="fit FPCA on functional covariates")
@@ -605,7 +611,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", type=_SPLIT, default=0.8)
     p.add_argument("--tol", type=_TOL, default=1e-8)
     p.add_argument("--max-iter", type=_MAX_ITER, default=500)
-    p.add_argument("--micro-column", type=_checked(int, _check_column),
+    p.add_argument("--micro-column", type=_checked(int, _index("column")),
                    help="1-based scalar column used as the microstructure scalar (Model6)")
     p.add_argument("--out", required=True)
 

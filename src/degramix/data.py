@@ -29,12 +29,6 @@ import numpy as np
 POLYNOMIAL = "polynomial"
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _unit_sort_key(unit_id: str):
     # natural order: digit runs compare numerically ("u2" before "u10")
     return tuple(
@@ -85,36 +79,49 @@ class UnitRecord:
 _UNIT_RULES = (
     ("responses", "unit {}: needs at least one measurement"),
     ("responses", "non-increasing times for unit {}"),
+    ("curves", "unit {}: ragged functional grid {}"),
     ("responses", "unit {}: non-finite measurement"),
     ("scalars", "unit {}: non-finite scalar covariate"),
     ("curves", "unit {}: non-finite functional covariate curve"),
 )
+# the grid rule's detail, by the grid code of the unit's first curve off the grid
+_GRID_FAULTS = (None, "(missing covariate s={})", "for covariate s={}")
 
 
 class _UnitRuleError(ValueError):
     """A broken per-unit rule; ``source`` names the file its values come
     from when read ("responses", "scalars" or "curves")."""
 
-    def __init__(self, rule: int, unit_id: str):
+    def __init__(self, rule: int, unit_id: str, detail: str = ""):
         self.source, text = _UNIT_RULES[rule]
-        super().__init__(text.format(unit_id))
+        super().__init__(text.format(unit_id, detail))
 
 
-def _check_unit_rules(unit_ids, counts, times, responses, scalars, curves) -> None:
-    """Raise for the first unit, in dataset order, that breaks a per-unit rule."""
+def _check_unit_rules(unit_ids, counts, times, responses, scalars, curves_finite, grid) -> None:
+    """Raise for the first unit, in dataset order, that breaks a per-unit
+    rule; ``grid`` (N, S) holds the grid codes 0 (ok), 1 (missing), 2 (ragged)."""
     n = len(unit_ids)
     rows = np.repeat(np.arange(n), counts)
     same_unit = rows[1:] == rows[:-1]
     broken = np.stack([
         counts < 1,
         np.bincount(rows[1:][same_unit & ~(np.diff(times) > 0)], minlength=n) > 0,
+        grid.any(axis=1),
         np.bincount(rows[~(np.isfinite(times) & np.isfinite(responses))], minlength=n) > 0,
         ~np.isfinite(scalars).all(axis=1),
-        ~np.isfinite(curves).all(axis=(1, 2)),
+        ~curves_finite,
     ])
     if broken.any():
         i = int(np.argmax(broken.any(axis=0)))
-        raise _UnitRuleError(int(np.argmax(broken[:, i])), unit_ids[i])
+        off = np.flatnonzero(grid[i])  # only the grid rule's text shows the detail
+        detail = _GRID_FAULTS[grid[i, off[0]]].format(off[0] + 1) if off.size else ""
+        raise _UnitRuleError(int(np.argmax(broken[:, i])), unit_ids[i], detail)
+
+
+def first_repeat(ids):
+    """The first id in ``ids`` met a second time, or None if no id repeats."""
+    seen = set()
+    return next((uid for uid in ids if uid in seen or seen.add(uid)), None)
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,8 @@ class DegradationDataset:
         for name, dtype, ndim in (("counts", np.int64, 1), ("times", float, 1),
                                   ("responses", float, 1), ("scalars", float, 2),
                                   ("curves", float, 3), ("r_grid", float, 1)):
-            arr = _frozen_array(getattr(self, name), dtype)
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
             if arr.ndim != ndim:
                 raise ValueError(f"{name} must be a {ndim}-d array")
             object.__setattr__(self, name, arr)
@@ -153,15 +161,14 @@ class DegradationDataset:
             raise ValueError("counts, scalars and curves need one entry per unit")
         if np.any(self.counts < 0) or self.counts.sum() != self.times.size:
             raise ValueError("counts must split the measurements into units")
-        _check_unit_rules(self.unit_ids, self.counts, self.times, self.responses,
-                          self.scalars, self.curves)
+        _check_unit_rules(self.unit_ids, self.counts, self.times, self.responses, self.scalars,
+                          np.isfinite(self.curves).all(axis=(1, 2)), np.zeros((n, 0), dtype=int))
         if self.curves.shape[2] != self.r_grid.size:
             raise ValueError(f"unit {self.unit_ids[0]}: ragged functional grid")
         if not np.all(np.diff(self.r_grid) > 0):
             raise ValueError("r_grid must be strictly increasing")
         if len(set(self.unit_ids)) < n:
-            dup = next(u for i, u in enumerate(self.unit_ids) if u in self.unit_ids[:i])
-            raise ValueError(f"duplicate unit id {dup}")
+            raise ValueError(f"duplicate unit id {first_repeat(self.unit_ids)}")
 
     @property
     def n_units(self) -> int:
@@ -409,14 +416,18 @@ def _ints(texts) -> np.ndarray:
     return np.repeat(texts[starts].astype(np.int64), lengths)
 
 
-def _parses(fields, kinds) -> bool:
-    """Whether a row's numeric fields read as ``kinds`` says: an int field as
-    ``_ints`` reads it, the float fields as np.loadtxt itself reads them."""
-    floats = ['"' + f.replace('"', '""') + '"' for f, kind in zip(fields, kinds) if kind is float]
+def _well_formed(block, header, kinds) -> bool:
+    """Whether each (line, row) of ``block`` has ``header``'s field count and
+    numeric fields that read as ``kinds`` says: its int fields in one
+    ``_ints`` call, its float fields in one np.loadtxt call."""
+    if any(len(row) != len(header) for _, row in block):
+        return False
     try:
-        _ints([f for f, kind in zip(fields, kinds) if kind is int])
-        if floats:
-            np.loadtxt([",".join(floats)], delimiter=",", comments=None, quotechar='"')
+        _ints([f for _, row in block for f, kind in zip(row[1:], kinds) if kind is int])
+        if float in kinds:
+            np.loadtxt([",".join('"' + f.replace('"', '""') + '"'
+                                 for f, kind in zip(row[1:], kinds) if kind is float)
+                        for _, row in block], delimiter=",", comments=None, quotechar='"')
     except (ValueError, OverflowError):
         return False
     return True
@@ -425,6 +436,8 @@ def _parses(fields, kinds) -> bool:
 # np.loadtxt opens a path with one of these suffixes through a decompressor
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _SCAN_BYTES = 1 << 20
+# rows written, or checked for a malformed one, at a time: memory holds one block's texts
+_BLOCK_ROWS = 1 << 15
 
 
 def _plain_text(path) -> bool:
@@ -448,8 +461,8 @@ def _read_table(path, header=None, kinds=()) -> tuple:
     int, int64 from the field's text as ``_ints`` reads it.  np.loadtxt gets
     the path, so its chunked reader runs, unless ``_plain_text`` says no; it
     then reads on from the open file, line by line.  A row either rejects is
-    found again with the csv module, and the error names the file and the
-    line.
+    found again with the csv module ``_BLOCK_ROWS`` rows at a time (row by
+    row only in a failing block), and the error names the file and line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -484,8 +497,10 @@ def _read_table(path, header=None, kinds=()) -> tuple:
                                  for f, kind in zip(dtype.names[1:], kinds)]
         except (ValueError, OverflowError) as exc:
             error = exc
-    for line, row in islice(_numbered_rows(path), 1, None):
-        if row and (len(row) != len(header) or not _parses(row[1:], kinds)):
+    rows = ((line, row) for line, row in islice(_numbered_rows(path), 1, None) if row)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        if not _well_formed(block, header, kinds):
+            line, row = next(item for item in block if not _well_formed([item], header, kinds))
             raise _malformed(path, line, row, header)
     raise ValueError(f"{path}: {error}")
 
@@ -531,8 +546,8 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
     Units are returned sorted by unit id and observations sorted by time.
     Raises ValueError on malformed rows or a covariate index outside 1..S
     (naming the file and line), a unit listed twice in the scalars file,
-    mismatched unit ids, ragged grids (naming the curves file), or duplicate
-    (unit, time) rows and non-finite values (naming the file holding them).
+    mismatched unit ids, or a unit breaking a rule of ``_UNIT_RULES`` (the
+    first such unit, under its first broken rule, naming that rule's file).
 
     ``scored`` names the units whose FPCA scores the caller already holds:
     the curves file is parsed only when the responses file names a unit
@@ -548,8 +563,7 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
     scal_id, columns = _read_table(scalars_file)
     scal_row = {uid: i for i, uid in enumerate(scal_id.tolist())}
     if len(scal_row) < scal_id.size:
-        twice = Counter(scal_id.tolist())
-        dup = min((u for u, n in twice.items() if n > 1), key=_unit_sort_key)
+        dup = min((u for u, k in Counter(scal_id.tolist()).items() if k > 1), key=_unit_sort_key)
         raise ValueError(f"{scalars_file}: unit {dup} is listed more than once")
     curv_id, z = (), np.zeros(0)
     if read_curves:
@@ -610,33 +624,18 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
         ragged = (curve_counts != n_r) | (np.bincount(group[off_grid], minlength=n * n_s) > 0)
         grid = np.where(curve_counts == 0, 1, np.where(ragged, 2, 0)).reshape(n, n_s)
 
-    # the first unit with a bad grid is named, unless a unit before it breaks
-    # a per-unit rule or its own times do not rise; each unit before it holds
-    # S * G curve rows, which fixes its offset in z.  A broken per-unit rule
-    # names the file its values were read from.
+    # curves off the grid fit no dataset, so every unit's rules are checked here;
+    # otherwise the dataset checks them.  A broken rule names its values' file.
     files = {"responses": responses_file, "scalars": scalars_file, "curves": curves_file}
     try:
-        bad = np.flatnonzero(grid.any(axis=1))
-        if bad.size:
-            i = int(bad[0])
-            m, size = int(counts[:i].sum()), n_s * n_r
-            _check_unit_rules(unit_ids[:i], counts[:i], t[:m], y[:m], x[:i],
-                              z[:i * size].reshape(i, n_s, n_r))
-            if not np.all(np.diff(t[m:m + counts[i]]) > 0):
-                raise _UnitRuleError(1, unit_ids[i])
-            si = int(np.argmax(grid[i] != 0))
-            where = f"{curves_file}: unit {unit_ids[i]}: ragged functional grid"
-            if grid[i, si] == 1:
-                raise ValueError(f"{where} (missing covariate s={si + 1})")
-            raise ValueError(f"{where} for covariate s={si + 1}")
+        if grid.any():
+            finite = np.bincount(group[~np.isfinite(z)] // n_s, minlength=n) == 0
+            _check_unit_rules(unit_ids, counts, t, y, x, finite, grid)
         return DegradationDataset(unit_ids, counts, t, y, x, z.reshape(n, n_s, n_r), r_grid)
     except _UnitRuleError as exc:
         raise ValueError(f"{files[exc.source]}: {exc}") from None
 
 
-# rows formatted and written at a time: the writer's own memory holds one
-# block's texts, whatever the size of the file
-_BLOCK_ROWS = 1 << 15
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 

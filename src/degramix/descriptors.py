@@ -174,6 +174,14 @@ def check_r_max(r_max) -> None:
         raise ValueError("r_max must be nonnegative")
 
 
+def check_tpc_r_max(r_max) -> None:
+    """compute_tpc's rule for r_max that needs no image: a whole number of
+    pixels >= 0."""
+    check_r_max(r_max)
+    if r_max != int(r_max):
+        raise ValueError(f"r_max must be a whole number of pixels, got {r_max}")
+
+
 def check_dr(dr) -> None:
     """compute_rdf's rule for the bin width: a finite number > 0."""
     if not np.isfinite(dr):
@@ -432,7 +440,7 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
     """
     if img.phase_mask is None:
         raise ValueError("compute_tpc requires a phase mask (binarize first)")
-    check_r_max(r_max)
+    check_tpc_r_max(r_max)
     r_max = int(r_max)
     if r_max >= min(img.width, img.height) / 2:
         raise ValueError("r_max must be below half the image's shorter side")

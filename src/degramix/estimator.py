@@ -15,7 +15,7 @@ decrease beyond rounding.  One exception is known: in an order-2 fit whose
 Sigma_gamma sits at its eigenvalue floor, the accepted fall-back step can
 lower the log-likelihood, by up to 1.4e-8 (4.6e-11 relative) in ragged
 60-unit fits at tol=0.  The tests gate their fits' traces at drops of
-1e-8; ROADMAP item 3c will mend the exception.
+1e-8; ROADMAP item 5c will mend the exception.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import check_fve_threshold
+
 _EIG_CLAMP = 1e-12
 
 
@@ -111,8 +113,7 @@ def fit_fpca(curves: np.ndarray, r_grid: np.ndarray) -> FpcaModel:
 
 def select_k_by_fve(model: FpcaModel, threshold: float) -> int:
     """Smallest truncation whose cumulative variance fraction meets threshold."""
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError("FVE threshold must lie in (0, 1]")
+    check_fve_threshold(threshold)
     reached = np.flatnonzero(model.fve_trace >= threshold - _EIG_CLAMP)
     return int(reached[0]) + 1
 

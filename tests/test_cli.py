@@ -271,6 +271,10 @@ class TestNumericFlags:
          "--dr", "dr must be positive"),
         (["descriptor", "rdf", "--r-max", "10", "--dr", "inf", "--particles", "{missing}"],
          "--dr", "dr must be finite, got inf"),
+        *((["descriptor", kind, "--r-max", "4", "--dr", "1", "--image", "{missing}", "--s", "0"],
+           "--s", "covariate index s must be >= 1, got 0") for kind in ("tpc", "rdf")),
+        (["descriptor", "tpc", "--r-max", "2.5", "--image", "{missing}"], "--r-max",
+         "r_max must be a whole number of pixels, got 2.5"),
     ])
     def test_flags_are_checked_before_their_input_is_read(self, tmp_path, capsys, argv, flag,
                                                            message):
@@ -280,6 +284,16 @@ class TestNumericFlags:
         argv = [str(tmp_path / "missing") if a == "{missing}" else a for a in argv]
         assert run([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error: argument {flag}: {message}"
+        assert not out.exists()
+
+    def test_evaluate_rejects_folds_above_the_unit_count_before_fitting(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--data", str(data), "--variant", "Model7", "--k", "2",
+                    "--max-iter", "1", "--folds", "13", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: folds must satisfy 2 <= k <= n_units"
+        assert "EM stopped" not in err
         assert not out.exists()
 
     def test_evaluate_rejects_zero_folds(self, tmp_path, capsys):

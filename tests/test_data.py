@@ -24,6 +24,7 @@ from degramix.data import (
     center_baseline,
     config_from_dict,
     config_to_dict,
+    first_repeat,
     _unit_sort_key,
     load_dataset,
     save_dataset,
@@ -140,6 +141,17 @@ class TestValidation:
         arrays[field][3] = value  # u2's last time, so its times still rise
         with pytest.raises(ValueError, match="^unit u2: non-finite measurement$"):
             DegradationDataset(**arrays)
+
+    def test_duplicate_id_is_the_first_met_twice(self):
+        n = 6
+        with pytest.raises(ValueError, match="^duplicate unit id b$"):
+            DegradationDataset(("a", "b", "c", "b", "a", "c"), np.ones(n, int), np.zeros(n),
+                               np.zeros(n), np.zeros((n, 1)), np.zeros((n, 0, 0)), np.zeros(0))
+
+    @given(st.lists(st.sampled_from("abcdef")))
+    def test_first_repeat_is_the_first_id_seen_before(self, ids):
+        seen_before = [u for i, u in enumerate(ids) if u in ids[:i]]
+        assert first_repeat(ids) == (seen_before[0] if seen_before else None)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="unit u9: needs at least one measurement"):
@@ -577,7 +589,8 @@ UNIT_IDS = st.one_of(
 # a repeated scalars row is left out, the one input the loaders differ on
 EDITS = {"drop": (0, 1, 2), "repeat": (0, 2), "drop_curve": (2,),
          "stray": (2,),  # a curve point with a covariate index outside 1..S
-         "shift": (2,)}  # a curve point moved off the grid
+         "shift": (2,),  # a curve point moved off the grid
+         "nonfinite": (0, 1, 2)}  # a y, a scalar or a z set to nan, inf or -inf
 
 
 # row orders of the drawn files: as save_dataset writes them (units in
@@ -598,10 +611,11 @@ def _number(value, style):
 @st.composite
 def dataset_files(draw, directory):
     """Three dataset CSVs as text: ragged series, blank lines, CRLF or LF
-    line ends, S in {0, 1, 2}; up to three edits to one unit's rows (a row
-    or a whole curve dropped, a row repeated, a curve point moved off the
-    grid or given a covariate index outside 1..S), so both loaders must also
-    reject alike.  The rows come in one of ``ROW_ORDERS``."""
+    line ends, S in {0, 1, 2}; up to three edits (a row or a whole curve
+    dropped, a row repeated, a curve point moved off the grid or given a
+    covariate index outside 1..S, all to one unit's rows; a y, a scalar or a
+    z of any unit made non-finite), so both loaders must also reject alike.
+    The rows come in one of ``ROW_ORDERS``."""
     ids = draw(st.lists(UNIT_IDS, min_size=1, max_size=5, unique=True))
     n_p, n_s, n_r = draw(st.integers(0, 2)), draw(st.sampled_from([0, 1, 2])), draw(st.integers(1, 4))
     finite = st.floats(-1e6, 1e6, allow_nan=False, width=64)
@@ -621,7 +635,9 @@ def dataset_files(draw, directory):
     victim = draw(st.sampled_from(ids))  # every edit hits one unit, so errors combine
     for edit in draw(st.lists(st.sampled_from(sorted(EDITS)), max_size=3)):
         which = draw(st.sampled_from(EDITS[edit]))
-        own = [row for row in tables[which] if row[0] == victim]
+        # a non-finite value may hit any unit, so the order of units counts too
+        unit = draw(st.sampled_from(ids)) if edit == "nonfinite" else victim
+        own = [row for row in tables[which] if row[0] == unit]
         if not own:
             continue
         row = draw(st.sampled_from(own))
@@ -631,6 +647,10 @@ def dataset_files(draw, directory):
             tables[which] = [r for r in tables[which] if r[:2] != row[:2]]
         elif edit == "repeat":
             tables[which].append(row)
+        elif edit == "nonfinite":
+            if len(row) > 1:  # y and z are last; a scalars row may hold none
+                column = draw(st.integers(1, len(row) - 1)) if which == 1 else -1
+                row[column] = draw(st.sampled_from(["nan", "inf", "-inf"]))
         elif edit == "stray":
             tables[which].append([row[0], str(draw(st.sampled_from([0, n_s + 1]))), *row[2:]])
         else:

@@ -191,6 +191,12 @@ class TestTpc:
         with pytest.raises(ValueError, match="half"):
             compute_tpc(image_from_mask(np.ones((8, 8))), 4)
 
+    @pytest.mark.parametrize("r_max", [2.5, np.float64(0.5)])
+    def test_fractional_r_max_is_rejected_not_truncated(self, r_max):
+        with pytest.raises(ValueError) as err:
+            compute_tpc(image_from_mask(np.ones((16, 16))), r_max)
+        assert str(err.value) == f"r_max must be a whole number of pixels, got {r_max}"
+
 
 class TestExtractParticles:
     def test_symmetric_block_centroid(self):

@@ -103,6 +103,13 @@ class TestSelectK:
         assert select_k_by_fve(model, 0.3) == 1
         assert select_k_by_fve(model, 1.0) == 1
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, float("nan")])
+    def test_threshold_outside_0_1_is_model_configs_rule(self, threshold):
+        model = self._model_with_spectrum([4.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError) as err:
+            select_k_by_fve(model, threshold)
+        assert str(err.value) == "fve_threshold must lie in (0, 1]"
+
     @given(st.integers(0, 10 ** 6), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_threshold(self, seed, t1, t2):

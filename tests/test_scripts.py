@@ -146,6 +146,27 @@ def test_same_outputs_runs_the_escaped_ids(tmp_path, monkeypatch):
     assert '\n"q""2",' in rows and '\n"a,b3",' in rows and "\n日5," in rows
 
 
+def test_same_outputs_runs_the_load_errors(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from degramix.cli import run
+    from same_outputs import LOAD_FAULTS, run_load_errors
+
+    base = tmp_path / "load_errors"
+    run_load_errors(base, 3, run)
+    assert (base / "exit_codes.txt").read_text() == "".join(f"{f} 1\n" for f in LOAD_FAULTS)
+    # each copy's first broken rule, by the loader's order of units and rules
+    assert {f: (base / f"{f}.stderr.txt").read_text() for f in LOAD_FAULTS} == {
+        "ragged_nan": f"error: {base / 'ragged_nan' / 'curves.csv'}: unit u4: "
+                      "ragged functional grid for covariate s=1\n",
+        "earlier_times": f"error: {base / 'earlier_times' / 'responses.csv'}: "
+                         "non-increasing times for unit u2\n",
+        "missing_curve": f"error: {base / 'missing_curve' / 'curves.csv'}: unit u4: "
+                         "ragged functional grid (missing covariate s=2)\n",
+        "malformed_last_row": f"error: {base / 'malformed_last_row' / 'responses.csv'}: "
+                              "line 181: non-numeric field in 'u6,3.0,abc'\n"}
+    assert not any(base.glob("fit_*"))
+
+
 def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from degramix.cli import run
