@@ -20,6 +20,9 @@ thirds of compare_cv's units and predicts all of them from each fit, so
 every layout of ``fit_report.json`` is written and read back: a functional
 fit's ``predict`` projects the curves of units it did not see, Model1's and
 Model6's read no curves (the workloads predict only units their fit saw).
+``run_unpinned`` fits Model7 on compare_cv's data and predicts its units
+through ``python -m degramix`` with no BLAS variable set, so the CLI's own
+pin decides the thread count: a revision that loses it differs there.
 ``run_escaped_ids`` fits Model7 and Model1 on all of 12 units whose ids JSON
 writes with ``\\u`` escapes and CSV quotes, and predicts them.
 ``run_load_errors`` fits copies of one small dataset that break the
@@ -59,6 +62,8 @@ from pathlib import Path
 from bench_pairs import ROOT, export
 
 SEED = 3
+# the BLAS thread variables: run_side pins each to 1, run_unpinned removes them
+_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # the child: argv is checkout, output root, seed
 _SIDE = """
@@ -68,7 +73,7 @@ from pathlib import Path
 import degramix
 from degramix.cli import run
 from same_outputs import (run_all_variants, run_descriptors, run_escaped_ids, run_load_errors,
-                          run_predict, run_ragged)
+                          run_predict, run_ragged, run_unpinned)
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -85,6 +90,7 @@ for name, work in WORKLOADS.items():
 run_all_variants(root / "all_variants", root / "compare_cv" / "data", run)
 run_ragged(root / "ragged", seed, run)
 run_predict(root / "predict", root / "compare_cv" / "data", run)
+run_unpinned(root / "unpinned", root / "compare_cv" / "data")
 run_escaped_ids(root / "escaped_ids", seed, run)
 run_load_errors(root / "load_errors", seed, run)
 run_descriptors(root / "descriptors", seed, run)
@@ -216,6 +222,19 @@ def _fit_then_predict(base: Path, train: Path, data: Path, run, fits: dict) -> N
                 "--out", str(base / f"predict_{name}")]
         codes.append(f"predict_{name} {run(argv)}")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+
+
+def run_unpinned(base: Path, data: Path) -> None:
+    """Under ``base``: fit Model7 on the dataset in ``data`` and predict its
+    units from the fit (``_fit_then_predict``), each in a fresh ``python -m
+    degramix`` process whose environment holds none of ``_THREADS``."""
+    env = {name: value for name, value in os.environ.items() if name not in _THREADS}
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "degramix", *argv], env=env).returncode
+
+    base.mkdir(parents=True)
+    _fit_then_predict(base, data, data, run, {"Model7": ["--variant", "Model7", "--k", "2"]})
 
 
 # unit ids JSON writes with \u escapes (non-ASCII, a surrogate pair, a
@@ -389,9 +408,6 @@ def run_descriptors(base: Path, seed: int, run) -> None:
             codes.append(f"{op} {run(argv)}")
         (base / f"{op}.stderr.txt").write_text(err.getvalue(), encoding="utf-8")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
-
-
-_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def run_side(checkout: Path, root: Path) -> None:

@@ -664,10 +664,3 @@ def run(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-
-def entrypoint() -> None:
-    sys.exit(run())
-
-
-if __name__ == "__main__":
-    entrypoint()

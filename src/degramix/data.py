@@ -30,11 +30,12 @@ POLYNOMIAL = "polynomial"
 
 
 def _unit_sort_key(unit_id: str):
-    # natural order: digit runs compare numerically ("u2" before "u10")
+    # natural order: digit runs compare numerically ("u2" before "u10"); ids
+    # that tie so ("u01", "u1") compare as text, so distinct ids never tie
     return tuple(
         (1, int(part), "") if part.isdigit() else (0, 0, part)
         for part in re.split(r"(\d+)", unit_id)
-    )
+    ), unit_id
 
 
 @dataclass(frozen=True)

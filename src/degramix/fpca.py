@@ -119,9 +119,15 @@ def select_k_by_fve(model: FpcaModel, threshold: float) -> int:
 
 
 def with_k(model: FpcaModel, k: int) -> FpcaModel:
-    if not (1 <= k <= model.eigenvalues.size):
-        raise ValueError(f"k must lie in 1..{model.eigenvalues.size}")
+    _check_k(model, k, 1)
     return replace(model, k=int(k))
+
+
+def _check_k(model: FpcaModel, k: int, least: int) -> None:
+    # a model read back from a fit report holds only its k eigenfunctions
+    held = model.eigenfunctions.shape[0]
+    if not least <= k <= held:
+        raise ValueError(f"k must lie in {least}..{held}, the eigenfunctions the model holds")
 
 
 def project_scores(model: FpcaModel, curves: np.ndarray) -> np.ndarray:
@@ -159,8 +165,7 @@ def reconstruct(model: FpcaModel, scores: np.ndarray, k: int | None = None) -> n
     """Mean curve plus the score-weighted sum of the first k eigenfunctions."""
     if k is None:
         k = model.k
-    if k > model.eigenvalues.size:
-        raise ValueError("k exceeds the number of fitted components")
+    _check_k(model, k, 0)
     s = np.atleast_2d(np.asarray(scores, dtype=float))
     if k == 0:
         return np.tile(model.mean_curve, (s.shape[0], 1))

@@ -336,6 +336,18 @@ class TestCsvRoundTrip:
         loaded = load_dataset(*paths)
         assert [u.unit_id for u in loaded.units] == [f"u{i}" for i in range(1, 12)]
 
+    def test_ids_equal_as_numbers_load_in_one_order(self, tmp_path):
+        # u001, u01 and u1 compare equal by number, so their text decides;
+        # the row oracle shares the sort key, so the order is written out here
+        units = [make_unit(uid, scalars=(float(i),)) for i, uid in
+                 enumerate(("u1", "u01", "u2", "u001"))]
+        for name, order in (("given", units), ("reversed", units[::-1])):
+            paths = tuple(tmp_path / f"{name}_{n}.csv" for n in ("r", "s", "c"))
+            save_dataset(stack_units(order, np.arange(5.0)), *paths)
+            loaded = load_dataset(*paths)
+            assert loaded.unit_ids == ("u001", "u01", "u1", "u2"), name
+            assert loaded.scalars[:, 0].tolist() == [3.0, 1.0, 0.0, 2.0], name
+
 
 class TestMismatchedFiles:
     def test_extra_scalar_unit_rejected(self, tmp_path):

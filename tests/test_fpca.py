@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degramix import cli, data, estimator
 from degramix.fpca import (
     fit_fpca,
     project_scores,
@@ -11,6 +14,7 @@ from degramix.fpca import (
     trapezoid_weights,
     with_k,
 )
+from degramix.simulate import default_spec, generate_dataset
 from _oracles import fine_grid_quadrature
 
 R_GRID = np.linspace(0.0, 10.0, 81)
@@ -207,3 +211,22 @@ class TestReconstruct:
         err_full = sum(weighted_norm(curves[i] - full[i], R_GRID) for i in range(n)) / (n - 1)
         err_drop = sum(weighted_norm(curves[i] - dropped[i], R_GRID) for i in range(n)) / (n - 1)
         assert err_drop - err_full == pytest.approx(model.eigenvalues[2], rel=1e-6)
+
+
+class TestModelReadBack:
+    def test_k_is_bounded_by_the_eigenfunctions_the_model_holds(self, tmp_path):
+        # fit_report.json keeps every eigenvalue of each model but only its
+        # k eigenfunctions
+        ds, _ = generate_dataset(default_spec(n_units=12, n_obs=6, seed=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", estimator.ConvergenceWarning)
+            fit = estimator.fit_em(ds, data.ModelConfig(k=2), max_iter=20)
+        data.write_json(tmp_path / "fit_report.json", cli._report(cli._FIT_REPORT, fit))
+        model = cli._load_fit(tmp_path / "fit_report.json").fpca_models[0]
+        assert model.eigenfunctions.shape[0] == 2 < model.eigenvalues.size
+        scores = project_scores(model, ds.curves[:, 0])
+        assert reconstruct(with_k(model, 2), scores).shape == ds.curves[:, 0].shape
+        with pytest.raises(ValueError, match=r"k must lie in 1\.\.2, the eigenfunctions"):
+            with_k(model, 3)
+        with pytest.raises(ValueError, match=r"k must lie in 0\.\.2, the eigenfunctions"):
+            reconstruct(model, np.ones((12, 3)), k=3)

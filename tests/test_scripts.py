@@ -129,6 +129,38 @@ def test_same_outputs_runs_the_ragged_paths(tmp_path, monkeypatch):
     assert order2["config"]["ridge_jitter"] is True
 
 
+def test_same_outputs_runs_the_cli_unpinned(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from degramix.cli import run
+    from degramix.data import load_dataset
+    from same_outputs import _THREADS, run_unpinned
+
+    assert run(["simulate", "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(path))
+    for name in _THREADS:
+        monkeypatch.setenv(name, "3")
+    envs, spawn = [], subprocess.run
+
+    def spy(args, **kwargs):
+        envs.append(kwargs["env"])
+        return spawn(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    base = tmp_path / "unpinned"
+    run_unpinned(base, tmp_path / "data")
+    assert (base / "exit_codes.txt").read_text() == "fit_Model7 0\npredict_Model7 0\n"
+    # each child gets the environment less the BLAS variables: the CLI pins
+    assert [env["PYTHONPATH"] for env in envs] == [os.environ["PYTHONPATH"]] * 2
+    assert not any(name in env for env in envs for name in _THREADS)
+    report = json.loads((base / "fit_Model7" / "fit_report.json").read_text())
+    assert report["config"]["k"] == 2 and report["sigma_gamma"]
+    ds = load_dataset(*(tmp_path / "data" / name
+                        for name in ("responses.csv", "scalars.csv", "curves.csv")))
+    rows = (base / "predict_Model7" / "predictions.csv").read_text().splitlines()
+    assert len(rows) == 1 + ds.n_obs
+
+
 def test_same_outputs_runs_the_escaped_ids(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from degramix.cli import run
