@@ -26,7 +26,9 @@ pin decides the thread count: a revision that loses it differs there.
 ``run_escaped_ids`` fits Model7 and Model1 on all of 12 units whose ids JSON
 writes with ``\\u`` escapes and CSV quotes, and predicts them.
 ``run_load_errors`` fits copies of one small dataset that break the
-loader's rules, so a change of which error ``fit`` prints shows too.  Then
+loader's rules, so a change of which error ``fit`` prints shows too, and
+``run_predict_errors`` predicts, from a fit on another, copies that break
+the fit's rules (scalar count, functional count, curve grid).  Then
 ``run_descriptors`` runs the descriptor paths the micrograph workload
 skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call whose
 images take turns between two shapes, a P2 image, and ``descriptor rdf
@@ -34,13 +36,14 @@ images take turns between two shapes, a P2 image, and ``descriptor rdf
 ones and on ones at the edges of the accepted grammar.  Both sides write
 under the same path, so a path echoed into an output cannot differ between
 them.  The exit code of each invocation and the child's stderr (for
-``run_descriptors`` and ``run_load_errors``, each invocation's) are kept as
-files beside the outputs.  Every file that differs, or exists on one side
-only, is printed; the exit code is 1 if any does, else 0.  For a ``.json`` or ``.csv`` file
-on both sides, the line also says how far it moved: the largest relative
-difference over its numeric entries, and the entries that differ otherwise
-(a header, an id, an integer such as an iteration count).  Nothing under
-``benchmark/`` is written.
+``run_descriptors``, ``run_load_errors`` and ``run_predict_errors``, each
+invocation's) are kept as files beside the outputs.  Every file that
+differs, or exists on one side only, is printed; the exit code is 1 if any
+does, else 0.  For a ``.json`` or ``.csv`` file on both sides, the line also
+says how far it moved: the largest difference over its numeric entries,
+each relative to the largest magnitude in its JSON array or CSV column, and
+the entries that differ otherwise (a header, an id, an integer such as an
+iteration count).  Nothing under ``benchmark/`` is written.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -73,7 +77,7 @@ from pathlib import Path
 import degramix
 from degramix.cli import run
 from same_outputs import (run_all_variants, run_descriptors, run_escaped_ids, run_load_errors,
-                          run_predict, run_ragged, run_unpinned)
+                          run_predict, run_predict_errors, run_ragged, run_unpinned)
 from workloads import SIZES, WORKLOADS
 
 checkout, root, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
@@ -93,6 +97,7 @@ run_predict(root / "predict", root / "compare_cv" / "data", run)
 run_unpinned(root / "unpinned", root / "compare_cv" / "data")
 run_escaped_ids(root / "escaped_ids", seed, run)
 run_load_errors(root / "load_errors", seed, run)
+run_predict_errors(root / "predict_errors", seed, run)
 run_descriptors(root / "descriptors", seed, run)
 """
 
@@ -176,6 +181,38 @@ def write_order2_dataset(out: Path, seed: int) -> None:
         indent=1) + "\n", encoding="utf-8")
 
 
+_DATA_FILES = ("responses.csv", "scalars.csv", "curves.csv")
+
+
+def _read_tables(data: Path) -> list:
+    """The rows of each dataset file in ``data``, in ``_DATA_FILES`` order."""
+    tables = []
+    for name in _DATA_FILES:
+        with open(data / name, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)))
+    return tables
+
+
+def _write_tables(data: Path, tables) -> None:
+    """Write ``tables``, rows per dataset file, into a new directory ``data``."""
+    data.mkdir(parents=True)
+    for name, rows in zip(_DATA_FILES, tables):
+        with open(data / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _units_but_each_third(tables) -> set:
+    """The ids of the units of ``tables`` but each third one in sorted order."""
+    ids = sorted({row[0] for row in tables[0][1:] if row})
+    return {uid for i, uid in enumerate(ids) if i % 3 != 1}
+
+
+def _only(tables, units) -> list:
+    """``tables`` with only the rows of ``units`` below each header."""
+    return [[header, *(row for row in rows if row and row[0] in units)]
+            for header, *rows in tables]
+
+
 # a config no variant has: two coefficient levels, a diagonal Sigma_gamma
 # and the ridge on
 ORDER2_DIAGONAL_RIDGE = {"basis_order": 2, "k": 2, "constrain_sigma_gamma_diagonal": True,
@@ -188,17 +225,9 @@ def run_predict(base: Path, data: Path, run) -> None:
     Model1, Model2-Model6 and ``ORDER2_DIAGONAL_RIDGE`` on them, and predict
     every unit of ``data`` from each fit, through the CLI entry ``run``.
     The exit codes go to ``exit_codes.txt``."""
+    tables = _read_tables(data)
     train = base / "train"
-    train.mkdir(parents=True)
-    with open(data / "responses.csv", newline="", encoding="utf-8") as fh:
-        ids = sorted({row[0] for row in list(csv.reader(fh))[1:] if row})
-    keep = {uid for i, uid in enumerate(ids) if i % 3 != 1}
-    for name in ("responses.csv", "scalars.csv", "curves.csv"):
-        with open(data / name, newline="", encoding="utf-8") as fh:
-            header, *rows = csv.reader(fh)
-        with open(train / name, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(
-                [header, *(row for row in rows if row and row[0] in keep)])
+    _write_tables(train, _only(tables, _units_but_each_third(tables)))
     config = base / "order2_diagonal_ridge.json"
     config.write_text(json.dumps(ORDER2_DIAGONAL_RIDGE), encoding="utf-8")
     models = ("Model7", "Model1", "Model2", "Model3", "Model4", "Model5", "Model6")
@@ -256,8 +285,7 @@ def run_escaped_ids(base: Path, seed: int, run) -> None:
     ds, _ = generate_dataset(default_spec(seed=seed, n_units=len(ESCAPED_IDS)))
     data = base / "data"
     data.mkdir(parents=True)
-    save_dataset(replace(ds, unit_ids=ESCAPED_IDS), *(data / name for name in (
-        "responses.csv", "scalars.csv", "curves.csv")))
+    save_dataset(replace(ds, unit_ids=ESCAPED_IDS), *(data / name for name in _DATA_FILES))
     _fit_then_predict(base, data, data, run, {
         model: ["--variant", model, "--k", "2"] for model in ("Model7", "Model1")})
 
@@ -288,15 +316,11 @@ def run_load_errors(base: Path, seed: int, run) -> None:
 
     ds, _ = generate_dataset(default_spec(seed=seed, n_units=6))
     ds = replace(ds, curves=np.concatenate([ds.curves, 0.5 * ds.curves], axis=1))
-    names = ("responses.csv", "scalars.csv", "curves.csv")
     (base / "data").mkdir(parents=True)
-    save_dataset(ds, *(base / "data" / name for name in names))
+    save_dataset(ds, *(base / "data" / name for name in _DATA_FILES))
     codes = []
     for fault in LOAD_FAULTS:
-        tables = []
-        for name in names:
-            with open(base / "data" / name, newline="", encoding="utf-8") as fh:
-                tables.append(list(csv.reader(fh)))
+        tables = _read_tables(base / "data")
         responses, _, curves = tables
         if fault in ("ragged_nan", "earlier_times"):
             curves.remove(next(row for row in curves if row[:2] == ["u4", "1"]))
@@ -308,16 +332,66 @@ def run_load_errors(base: Path, seed: int, run) -> None:
             tables[2] = [row for row in curves if row[:2] != ["u4", "2"]]
         if fault == "malformed_last_row":
             responses[-1][2] = "abc"
-        (base / fault).mkdir()
-        for name, rows in zip(names, tables):
-            with open(base / fault / name, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(rows)
+        _write_tables(base / fault, tables)
         argv = ["fit", "--data", str(base / fault), "--variant", "Model7", "--k", "2",
                 "--out", str(base / f"fit_{fault}")]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            codes.append(f"{fault} {run(argv)}")
-        (base / f"{fault}.stderr.txt").write_text(err.getvalue(), encoding="utf-8")
+        codes.append(f"{fault} {_run_keeping_stderr(run, argv, base / f'{fault}.stderr.txt')}")
+    (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+
+
+def _run_keeping_stderr(run, argv, path: Path) -> int:
+    """The exit code of ``run(argv)``, whose stderr is written to ``path``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    path.write_text(err.getvalue(), encoding="utf-8")
+    return code
+
+
+# edited copies of run_predict_errors' dataset, each named for its edit
+PREDICT_FAULTS = ("second_scalar", "second_covariate", "shifted_grid")
+
+
+def run_predict_errors(base: Path, seed: int, run) -> None:
+    """Under ``base``: generate, in process, a 9-unit dataset at ``seed``
+    and write it to ``data``, then fit Model7 on its units but each third
+    one.  Write one copy per ``PREDICT_FAULTS`` entry of the units the fit
+    saw and of the first it did not, edited so that it no longer matches
+    the fit:
+
+    - ``second_scalar``: a second scalar column, equal to the first;
+    - ``second_covariate``: a second functional covariate, equal to the first;
+    - ``shifted_grid``: each curve's grid moved by 0.25.
+
+    Predict each copy from the fit, through the CLI entry ``run``.  Each
+    invocation's exit code goes to ``exit_codes.txt`` and each predict's
+    stderr to ``<copy>.stderr.txt``."""
+    from degramix.data import save_dataset
+    from degramix.simulate import default_spec, generate_dataset
+
+    ds, _ = generate_dataset(default_spec(seed=seed, n_units=9))
+    (base / "data").mkdir(parents=True)
+    save_dataset(ds, *(base / "data" / name for name in _DATA_FILES))
+    tables = _read_tables(base / "data")
+    seen = _units_but_each_third(tables)
+    _write_tables(base / "train", _only(tables, seen))
+    report = base / "fit" / "fit_report.json"
+    argv = ["fit", "--data", str(base / "train"), "--variant", "Model7", "--k", "2",
+            "--out", str(report.parent)]
+    codes = [f"fit {run(argv)}"]
+    unseen = next(uid for uid in sorted(ds.unit_ids) if uid not in seen)
+    for fault in PREDICT_FAULTS:
+        responses, scalars, curves = _only(tables, {*seen, unseen})
+        if fault == "second_scalar":
+            scalars = [[*row, "x2" if i == 0 else row[1]] for i, row in enumerate(scalars)]
+        if fault == "second_covariate":
+            curves += [[u, "2", r, z] for u, _, r, z in curves[1:]]
+        if fault == "shifted_grid":
+            curves[1:] = [[u, s, repr(float(r) + 0.25), z] for u, s, r, z in curves[1:]]
+        _write_tables(base / fault, [responses, scalars, curves])
+        argv = ["predict", "--fit", str(report), "--data", str(base / fault),
+                "--out", str(base / f"predict_{fault}")]
+        codes.append(f"{fault} {_run_keeping_stderr(run, argv, base / f'{fault}.stderr.txt')}")
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 
@@ -401,12 +475,8 @@ def run_descriptors(base: Path, seed: int, run) -> None:
             (base / f"{prefix}_{name}.csv").write_bytes(content)
             calls.append((f"rdf_{name}", [*rdf, "--particles", str(base / f"{prefix}_{name}.csv"),
                                           "--out", str(base / f"rdf_{name}")]))
-    codes = []
-    for op, argv in calls:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            codes.append(f"{op} {run(argv)}")
-        (base / f"{op}.stderr.txt").write_text(err.getvalue(), encoding="utf-8")
+    codes = [f"{op} {_run_keeping_stderr(run, argv, base / f'{op}.stderr.txt')}"
+             for op, argv in calls]
     (base / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
 
 
@@ -462,27 +532,37 @@ def _csv_entries(path: Path) -> dict:
                 for i, cell in enumerate(row, 1)}
 
 
+def _group(suffix: str, key: str) -> str:
+    """The JSON array (its path less the indices it ends with, so a nested
+    array is one) or the CSV column (``column i``) of the entry at ``key``."""
+    return key.split(" ", 2)[2] if suffix == ".csv" else re.sub(r"(\[\d+\])+$", "", key)
+
+
 def drift(a: Path, b: Path) -> str:
     """How far a ``.json`` or ``.csv`` file moved between two trees: the
-    largest relative difference |x - y| / max(|x|, |y|) over the float
-    entries both hold, and the entries that differ otherwise; "" for other
-    files."""
+    largest difference |x - y| over the finite float entries both hold,
+    each relative to the largest magnitude either file holds in the entry's
+    JSON array or CSV column (``_group``), so that rounding noise next to
+    zero reads as small as it is; and the entries that differ otherwise.
+    "" for other files."""
     if a.suffix == ".json":
         old, new = (_json_entries(json.loads(p.read_text(encoding="utf-8"))) for p in (a, b))
     elif a.suffix == ".csv":
         old, new = _csv_entries(a), _csv_entries(b)
     else:
         return ""
-    largest, n_numbers, other = 0.0, 0, []
+    pairs, scale, other = {}, {}, []
     for key in dict.fromkeys([*old, *new]):
         x, y = old.get(key), new.get(key)
         if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
-            n_numbers += 1
-            if x != y:
-                largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+            pairs[key] = x, y
+            g = _group(a.suffix, key)
+            scale[g] = max(scale.get(g, 0.0), abs(x), abs(y))
         elif key not in old or key not in new or x != y:
             other.append(key)
-    text = f"largest relative difference {largest:.2g} over {n_numbers} numbers"
+    largest = max((abs(x - y) / scale[_group(a.suffix, key)]
+                   for key, (x, y) in pairs.items() if x != y), default=0.0)
+    text = f"largest relative difference {largest:.2g} over {len(pairs)} numbers"
     if other:
         shown = ", ".join(other[:3]) + (f" and {len(other) - 3} more" if len(other) > 3 else "")
         text += f"; other entries differ: {shown}"

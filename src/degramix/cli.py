@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    DatasetRuleError,
     ModelConfig,
     center_baseline,
     check_fve_threshold,
@@ -51,9 +52,8 @@ from .design import layout_for, stacked_design
 from .estimator import ConvergenceWarning, FitResult, NumericalError, check_stopping, fit_em
 from .evaluation import (
     Metrics,
-    _check_fraction,
-    _check_grid,
     check_folds,
+    check_fraction,
     compare_models,
     count_parameters,
     effect_decomposition,
@@ -353,7 +353,7 @@ def _read(report, rows, lengths=None, prefix=()) -> dict:
                 raise ValueError(f"layout sizes must be nonnegative, got {sizes}")
             layout = got["layout",] = layout_for(got["config",], *sizes)
             lengths = {"n": len(got["latent_posterior", "unit_ids"]),
-                       "d": layout.latent_dim if got["config",].include_latent else 0,
+                       "d": layout.n_levels if got["config",].include_latent else 0,
                        "s": layout.n_functional, "k": layout.n_components, "z": layout.size}
         value = _entry(report, *prefix, *path)
         if kind is _FPCA:
@@ -430,22 +430,12 @@ def _cmd_predict(args) -> int:
     functional = fit.config.include_functional
     ds = load_dataset(responses, scalars, curves if functional else None, scored=fit.unit_ids)
     _echo_config("predict", {"fit": str(args.fit), "use_latent": args.use_latent})
-    layout = fit.layout
-    if layout.include_scalar and ds.n_scalars != layout.n_scalars:
-        raise CliError(f"{scalars}: scalars shape {ds.scalars.shape} does not match layout "
-                       f"(P={layout.n_scalars}) of {args.fit}")
-    if functional and not set(fit.unit_ids).issuperset(ds.unit_ids):
-        # the curves of the units the fit did not see are projected on its basis
-        if ds.n_functional != layout.n_functional:
-            raise CliError(f"{curves}: S = {ds.n_functional} functional covariates against "
-                           f"the fit's S = {layout.n_functional}")
-        try:
-            for model in fit.fpca_models:
-                _check_grid(ds.r_grid, model.r_grid)
-        except ValueError as exc:
-            raise CliError(f"{curves}: {exc} (fit report {args.fit})") from None
     ds = _prepare(ds, fit.config, args)
-    pred = predict_unit(fit, ds, use_latent=args.use_latent)
+    try:
+        pred = predict_unit(fit, ds, use_latent=args.use_latent)
+    except DatasetRuleError as exc:  # the dataset breaks a rule of the fit's
+        files = {"responses": responses, "scalars": scalars, "curves": curves}
+        raise CliError(f"{files[exc.source]}: {exc} (fit report {args.fit})") from None
     ids = np.repeat(np.array(ds.unit_ids, dtype=object), ds.counts)
     write_csv(_out_dir(args) / "predictions.csv", ["unit_id", "time", "y", "y_hat"],
               [ids, ds.times, ds.responses, pred])
@@ -530,7 +520,7 @@ _K = _checked(int, check_truncation)
 _FVE = _checked(float, check_fve_threshold)
 _TOL = _checked(float, lambda tol: check_stopping(0, tol))
 _MAX_ITER = _checked(int, lambda max_iter: check_stopping(max_iter, 0.0))
-_SPLIT = _checked(float, _check_fraction)
+_SPLIT = _checked(float, check_fraction)
 _SEED = _checked(int, check_seed)
 
 

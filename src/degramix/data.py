@@ -89,13 +89,14 @@ _UNIT_RULES = (
 _GRID_FAULTS = (None, "(missing covariate s={})", "for covariate s={}")
 
 
-class _UnitRuleError(ValueError):
-    """A broken per-unit rule; ``source`` names the file its values come
-    from when read ("responses", "scalars" or "curves")."""
+class DatasetRuleError(ValueError):
+    """A dataset that breaks a rule, of its own or against a fit; ``source``
+    names the dataset file its values come from when read ("responses",
+    "scalars" or "curves")."""
 
-    def __init__(self, rule: int, unit_id: str, detail: str = ""):
-        self.source, text = _UNIT_RULES[rule]
-        super().__init__(text.format(unit_id, detail))
+    def __init__(self, source: str, text: str):
+        self.source = source
+        super().__init__(text)
 
 
 def _check_unit_rules(unit_ids, counts, times, responses, scalars, curves_finite, grid) -> None:
@@ -116,7 +117,8 @@ def _check_unit_rules(unit_ids, counts, times, responses, scalars, curves_finite
         i = int(np.argmax(broken.any(axis=0)))
         off = np.flatnonzero(grid[i])  # only the grid rule's text shows the detail
         detail = _GRID_FAULTS[grid[i, off[0]]].format(off[0] + 1) if off.size else ""
-        raise _UnitRuleError(int(np.argmax(broken[:, i])), unit_ids[i], detail)
+        source, text = _UNIT_RULES[int(np.argmax(broken[:, i]))]
+        raise DatasetRuleError(source, text.format(unit_ids[i], detail))
 
 
 def first_repeat(ids):
@@ -633,7 +635,7 @@ def load_dataset(responses_file, scalars_file, curves_file, scored=None) -> Degr
             finite = np.bincount(group[~np.isfinite(z)] // n_s, minlength=n) == 0
             _check_unit_rules(unit_ids, counts, t, y, x, finite, grid)
         return DegradationDataset(unit_ids, counts, t, y, x, z.reshape(n, n_s, n_r), r_grid)
-    except _UnitRuleError as exc:
+    except DatasetRuleError as exc:
         raise ValueError(f"{files[exc.source]}: {exc}") from None
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DegradationDataset, ModelConfig, basis_columns
+from .data import DatasetRuleError, DegradationDataset, ModelConfig, basis_columns
 
 
 # zeta's segments in order: (key, name prefix, index axes after the level,
@@ -50,10 +50,6 @@ class ZetaLayout:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
-
-    @property
-    def latent_dim(self) -> int:
-        return self.n_levels
 
     @cached_property
     def _segments(self) -> tuple:
@@ -96,7 +92,8 @@ class ZetaLayout:
         x = np.asarray(scalars, dtype=float)
         n = x.shape[0]
         if self.include_scalar and x.shape != (n, self.n_scalars):
-            raise ValueError(f"scalars shape {x.shape} does not match layout (P={self.n_scalars})")
+            raise DatasetRuleError("scalars", f"scalars shape {x.shape} does not match layout "
+                                   f"(P={self.n_scalars})")
         out = {"nu": np.ones((n, 1))}
         if self.include_scalar:
             out["beta"] = x
@@ -322,7 +319,7 @@ def build_design_matrices(
         n_components = 0
 
     layout = layout_for(config, ds.n_scalars, ds.n_functional, n_components)
-    d = layout.latent_dim
+    d = layout.n_levels
     tri, lam_gram = _compress_units(basis_columns(config.basis, ds.times, layout.levels),
                                     ds.responses, ds.counts)
     lam = tri[:, :, :d]

@@ -149,7 +149,7 @@ def init_params(dm: DesignMatrices) -> Parameters:
     """OLS start: zeta from least squares, residual variance, 0.1-scaled prior."""
     zeta0 = _solve_zeta(dm, dm.y)
     sigma0 = dm.residual(zeta0)[0] / dm.n_obs
-    d = dm.layout.latent_dim
+    d = dm.layout.n_levels
     sigma_gamma0 = 0.1 * max(sigma0, _SIGMA_EPS_FLOOR) * np.eye(d)
     return Parameters(zeta0, max(sigma0, _SIGMA_EPS_FLOOR), sigma_gamma0)
 
@@ -424,7 +424,7 @@ def _fit_em(ds, config, max_iter, tol, scores, init) -> FitResult:
     if init is None:
         params = init_params(dm)
     else:
-        p, d = dm.layout.size, dm.layout.latent_dim
+        p, d = dm.layout.size, dm.layout.n_levels
         if init.zeta.shape != (p,) or init.sigma_gamma.shape != (d, d):
             raise ValueError(f"init must have zeta of length {p} and a {d} x {d} sigma_gamma, "
                              f"got {init.zeta.shape} and {init.sigma_gamma.shape}")

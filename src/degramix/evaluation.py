@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import BasisFamily, DegradationDataset, ModelConfig, basis_columns
+from .data import BasisFamily, DatasetRuleError, DegradationDataset, ModelConfig, basis_columns
 from .estimator import FitResult, NumericalError, _linalg_failures, check_stopping, fit_em
 from .fpca import fit_scores, project_scores
 
@@ -81,7 +81,8 @@ def _check_grid(data_grid: np.ndarray, fit_grid: np.ndarray) -> None:
         detail = f"r[{i}] = {float(data_grid[i])!r} against the fit's {float(fit_grid[i])!r}"
     else:
         detail = f"{data_grid.size} points against the fit's {fit_grid.size}"
-    raise ValueError(f"the dataset's curve grid differs from the fit's FPCA grid: {detail}")
+    raise DatasetRuleError("curves",
+                           f"the dataset's curve grid differs from the fit's FPCA grid: {detail}")
 
 
 def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
@@ -99,8 +100,8 @@ def _unit_scores(fit: FitResult, ds: DegradationDataset) -> np.ndarray | None:
             raise ValueError(f"missing scores for unit {ds.unit_ids[int(np.argmin(known))]}: "
                              "fit carries no FPCA basis")
         if ds.n_functional != len(fit.fpca_models):
-            raise ValueError(f"the dataset holds S = {ds.n_functional} functional covariates "
-                             f"against the fit's S = {len(fit.fpca_models)}")
+            raise DatasetRuleError("curves", f"the dataset holds S = {ds.n_functional} functional "
+                                   f"covariates against the fit's S = {len(fit.fpca_models)}")
         for model in fit.fpca_models:
             _check_grid(ds.r_grid, model.r_grid)
         new = ds.curves[~known]
@@ -172,7 +173,8 @@ def count_parameters(fit: FitResult) -> int:
     return p
 
 
-def _check_fraction(fraction: float) -> None:
+def check_fraction(fraction: float) -> None:
+    """temporal_split's rule for the split fraction: 0 < fraction < 1."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"split fraction must lie in (0, 1), got {fraction!r}")
 
@@ -181,7 +183,7 @@ def temporal_split(ds: DegradationDataset, fraction: float) -> tuple:
     """(train, test): per unit, the first floor(fraction * m_i) observations
     train and the rest test.  As fraction < 1 leaves floor(fraction * m_i)
     < m_i, every unit lands in both halves."""
-    _check_fraction(fraction)
+    check_fraction(fraction)
     n_train = np.floor(fraction * ds.counts).astype(np.int64)
     if np.any(n_train < 1):
         uid = ds.unit_ids[int(np.argmax(n_train < 1))]
@@ -277,7 +279,7 @@ def compare_models(ds: DegradationDataset, variants, split_fraction: float = 0.8
     row, error included, that ``fit_and_score`` on its own split and FPCA
     would give it.
     """
-    _check_fraction(split_fraction)
+    check_fraction(split_fraction)
     check_stopping(max_iter, tol)
     shared = {}
     rows = []

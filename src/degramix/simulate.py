@@ -55,7 +55,7 @@ class SyntheticSpec:
             raise ValueError("sigma_eps2 must be nonnegative")
         if self.score_variances.size < 1 or np.any(self.score_variances < 0):
             raise ValueError("score_variances must be nonempty and nonnegative")
-        sg, d = self.sigma_gamma, self.layout.latent_dim
+        sg, d = self.sigma_gamma, self.layout.n_levels
         if sg.shape != (d, d):
             raise ValueError(f"sigma_gamma must be {d}x{d}")
         if np.any(np.linalg.eigvalsh((sg + sg.T) / 2.0) < -1e-12):
@@ -173,7 +173,7 @@ def generate_dataset(spec: SyntheticSpec):
     sg = (spec.sigma_gamma + spec.sigma_gamma.T) / 2.0
     evals, evecs = np.linalg.eigh(sg)
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    gamma = rng.standard_normal((spec.n_units, layout.latent_dim)) @ factor.T
+    gamma = rng.standard_normal((spec.n_units, layout.n_levels)) @ factor.T
     eta = sum(layout.components(spec.zeta, layout.features(scalars, scores, spec.r_support))
               .values()) + gamma
 

@@ -104,7 +104,7 @@ def test_criterion_3_m_step_stationarity():
         ds, truth = generate_dataset(spec)
         dm = build_design_matrices(ds, spec.config, scores=truth.scores)
         st = stacked_design_matrices(ds, spec.config, truth.scores)  # what the oracles read
-        d = dm.layout.latent_dim
+        d = dm.layout.n_levels
         a = rng.normal(size=(d, d))
         params = Parameters(truth.zeta + 0.3 * rng.normal(size=dm.layout.size),
                             float(rng.uniform(0.05, 0.5)),

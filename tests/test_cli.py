@@ -1245,6 +1245,15 @@ class TestColdStart:
         assert not found, found
 
 
+def test_cli_imports_no_private_library_name():
+    # the CLI holds the library's rules by their public names, not copies
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.lineno}: {alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert not private, private
+
+
 class TestNoPerUnitRecords:
     def test_commands_never_build_unit_records(self, tmp_path, monkeypatch):
         # every command works on the dataset's stacked arrays: building a
@@ -1387,8 +1396,10 @@ class TestPredictReadsCurvesOnlyToProject:
         edited = copy_data(data_dir, tmp_path / "edited", edit)
         code, err, _ = self.predict(monkeypatch, tmp, "Model7", edited, tmp_path / "pred")
         assert code == 1, err
-        assert (f"error: {edited / 'curves.csv'}: S = {n_functional} functional covariates "
-                f"against the fit's S = 1") in err
+        report = tmp / "Model7" / "fit_report.json"
+        assert err.endswith(f"\nerror: {edited / 'curves.csv'}: the dataset holds "
+                            f"S = {n_functional} functional covariates against the fit's S = 1 "
+                            f"(fit report {report})\n")
         # with no unit to project, the curves are not read
         trained = copy_data(train, tmp_path / "trained", edit)
         code, err, _ = self.predict(monkeypatch, tmp, "Model7", trained, tmp_path / "ok")
@@ -1436,8 +1447,81 @@ class TestPredictReadsCurvesOnlyToProject:
         code, err, _ = self.predict(monkeypatch, tmp, "Model7", edited, tmp_path / "pred")
         assert code == 1
         report = tmp / "Model7" / "fit_report.json"
-        assert (f"error: {edited / 'scalars.csv'}: scalars shape (12, 2) does not match "
-                f"layout (P=1) of {report}") in err
+        assert err.endswith(f"\nerror: {edited / 'scalars.csv'}: scalars shape (12, 2) does "
+                            f"not match layout (P=1) (fit report {report})\n")
         # Model2 has no scalar segment, so it reads no scalar column
         code, err, _ = self.predict(monkeypatch, tmp, "Model2", edited, tmp_path / "m2")
         assert code == 0, err
+
+
+def library_outputs(ds, config, out):
+    """The fit_report.json and predictions.csv the library gives for ``ds``
+    under ``config``, written into ``out``."""
+    fit = estimator.fit_em(ds, config)
+    out.mkdir()
+    data.write_json(out / "fit_report.json", cli._report(cli._FIT_REPORT, fit))
+    data.write_csv(out / "predictions.csv", ["unit_id", "time", "y", "y_hat"],
+                   [np.repeat(np.array(ds.unit_ids, dtype=object), ds.counts), ds.times,
+                    ds.responses, evaluation.predict_unit(fit, ds)])
+    return out
+
+
+class TestCenteringFlags:
+    # --center and --no-center override the config's center_baseline, for
+    # fit and predict alike; without either the config decides
+    @pytest.mark.parametrize("model,flags,centred", [
+        ({"center_baseline": True, "k": 2}, ["--no-center"], False),
+        ({"center_baseline": False, "k": 2}, ["--center"], True),
+        ({"center_baseline": False, "k": 2}, [], False),
+    ])
+    def test_fit_and_predict_write_the_library_outputs(self, tmp_path, model, flags, centred):
+        data_dir = simulate_into(tmp_path)
+        ds = load_dataset(*(data_dir / name for name in cli._DATA_FILES))
+        config = data.config_from_dict(model)
+        want = library_outputs(data.center_baseline(ds) if centred else ds, config,
+                               tmp_path / "want")
+        (tmp_path / "config.json").write_text(json.dumps(model))
+        assert run(["fit", "--data", str(data_dir), "--config", str(tmp_path / "config.json"),
+                    *flags, "--out", str(tmp_path / "fit")]) == 0
+        assert run(["predict", "--fit", str(tmp_path / "fit" / "fit_report.json"),
+                    "--data", str(data_dir), *flags, "--out", str(tmp_path / "pred")]) == 0
+        for got in (tmp_path / "fit" / "fit_report.json", tmp_path / "pred" / "predictions.csv"):
+            assert got.read_bytes() == (want / got.name).read_bytes()
+
+
+class TestDatasetWithoutCurves:
+    # a header-only curves.csv is a dataset of S = 0 functional covariates
+    @pytest.fixture
+    def curveless(self, tmp_path):
+        data_dir = simulate_into(tmp_path)
+        (data_dir / "curves.csv").write_text("unit_id,s,r,z\n")
+        return data_dir
+
+    def test_model1_fits_predicts_and_evaluates(self, tmp_path, curveless):
+        ds = load_dataset(*(curveless / name for name in cli._DATA_FILES))
+        assert ds.n_functional == 0 and ds.r_grid.size == 0 and ds.r_support == 1.0
+        config = table1_variants(k=2)["Model1"].config
+        want = library_outputs(data.center_baseline(ds), config, tmp_path / "want")
+        assert run(["fit", "--data", str(curveless), "--variant", "Model1", "--k", "2",
+                    "--out", str(tmp_path / "fit")]) == 0
+        report = tmp_path / "fit" / "fit_report.json"
+        assert json.loads(report.read_text())["r_support"] == 1.0
+        assert run(["predict", "--fit", str(report), "--data", str(curveless),
+                    "--out", str(tmp_path / "pred")]) == 0
+        for got in (report, tmp_path / "pred" / "predictions.csv"):
+            assert got.read_bytes() == (want / got.name).read_bytes()
+        assert run(["evaluate", "--data", str(curveless), "--variant", "Model1", "--k", "2",
+                    "--folds", "3", "--out", str(tmp_path / "ev")]) == 0
+        assert "cv_error" in json.loads((tmp_path / "ev" / "metrics.json").read_text())
+
+    def test_compare_fails_each_functional_variant(self, tmp_path, curveless):
+        code, err = run_quietly(["compare", "--data", str(curveless), "--k", "2",
+                                 "--out", str(tmp_path / "cmp")])
+        assert code == 0, err
+        functional = ("Model2", "Model3", "Model4", "Model5", "Model7")
+        assert [line for line in err.splitlines() if " failed: " in line] == [
+            f"[degramix compare] {name} failed: config includes functional covariates but "
+            "dataset has none" for name in functional]
+        header, model1, *failed = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
+        assert model1.startswith("Model1,") and "" not in model1.split(",")
+        assert failed == [f"{name},,,,,," for name in functional]

@@ -61,10 +61,10 @@ def test_updates_match_the_stacked_design(seed, order, ridge):
     ds, config, scores = ragged_case(seed, order, ridge)
     dm = build_design_matrices(ds, config, scores=scores)
     st = stacked_design_matrices(ds, config, scores)
-    assert min(ds.counts) <= dm.layout.latent_dim
-    assert dm.n_obs == st.n_obs == ds.n_obs and dm.y.size == ds.n_units * (dm.layout.latent_dim + 1)
+    assert min(ds.counts) <= dm.layout.n_levels
+    assert dm.n_obs == st.n_obs == ds.n_obs and dm.y.size == ds.n_units * (dm.layout.n_levels + 1)
     rng = np.random.default_rng(seed)
-    d = dm.layout.latent_dim
+    d = dm.layout.n_levels
     a = rng.normal(size=(d, d))
     params = Parameters(rng.normal(size=dm.layout.size), float(rng.uniform(0.05, 0.5)),
                         a @ a.T + 0.1 * np.eye(d))

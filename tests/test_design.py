@@ -116,7 +116,7 @@ class TestObservedDesign:
         cfg = ModelConfig(center_baseline=False)
         scores = rng.normal(size=(ds.n_units, 1, 3))
         dm = build_design_matrices(ds, cfg, scores=scores)
-        assert np.array_equal(dm.omega[..., :dm.layout.latent_dim], dm.lam)
+        assert np.array_equal(dm.omega[..., :dm.layout.n_levels], dm.lam)
 
     def test_score_shape_mismatch(self):
         # two covariates' scores for a dataset with one functional covariate
@@ -147,7 +147,7 @@ class TestMatchesPerUnitOracle:
         assert dm.layout == ref.layout and dm.unit_ids == ref.unit_ids
         omega, lam = stacked_design(ds, cfg, dm.layout, scores)
         assert np.array_equal(omega, ref.rows("omega")) and np.array_equal(lam, ref.rows("lam"))
-        rows = (ds.n_units, dm.layout.latent_dim + 1)
+        rows = (ds.n_units, dm.layout.n_levels + 1)
         assert dm.omega.shape[:2] == dm.lam.shape[:2] == dm.y.shape == rows
         assert dm.n_obs == ref.n_obs == ds.n_obs
         assert np.array_equal(dm.lam_gram, ref.lam_gram)

@@ -68,7 +68,7 @@ def synthetic_pair(seed=0, n_units=20, n_obs=10):
 
 
 def random_params(rng, dm):
-    d = dm.layout.latent_dim
+    d = dm.layout.n_levels
     a = rng.normal(size=(d, d))
     return Parameters(
         zeta=rng.normal(size=dm.layout.size),
@@ -105,7 +105,7 @@ class TestInitParams:
 class TestEStep:
     def test_vanishing_prior_collapses_posterior(self):
         dm, _, _ = synthetic_dm(seed=4, n_units=6, n_obs=5)
-        params = Parameters(np.zeros(dm.layout.size), 1.0, 1e-12 * np.eye(dm.layout.latent_dim))
+        params = Parameters(np.zeros(dm.layout.size), 1.0, 1e-12 * np.eye(dm.layout.n_levels))
         post = e_step(params, dm)
         assert np.max(np.abs(post.mu)) <= 1e-6
 
@@ -145,7 +145,7 @@ class TestEStep:
 class TestZetaUpdate:
     def test_zero_latent_mean_gives_ols(self):
         dm, st = synthetic_pair(seed=6)
-        d = dm.layout.latent_dim
+        d = dm.layout.n_levels
         post = LatentPosterior(np.zeros((dm.n_units, d)),
                                np.tile(np.eye(d), (dm.n_units, 1, 1)))
         zeta = update_zeta(post, dm)
@@ -180,7 +180,7 @@ class TestZetaUpdate:
         zeta = update_zeta(post, dm)
         omegas, lambdas, ys = split_units(st)
         shifted_y = [y + lam @ mu for y, lam, mu in zip(ys, lambdas, post.mu)]
-        dm_shifted = make_dm(omegas, lambdas, shifted_y, latent_dim=dm.layout.latent_dim)
+        dm_shifted = make_dm(omegas, lambdas, shifted_y, latent_dim=dm.layout.n_levels)
         zeta_shifted = update_zeta(post, dm_shifted)
         ols_on_y = np.linalg.lstsq(st.rows("omega"), st.rows("y"), rcond=None)[0]
         assert np.allclose(zeta_shifted, ols_on_y, atol=1e-10)
@@ -224,8 +224,8 @@ class TestSigmaEpsUpdate:
         # exact response surface with no latent contribution
         omegas, lambdas, _ = split_units(dm)
         ys = [om @ truth.zeta for om in omegas]
-        dm2 = make_dm(omegas, lambdas, ys, latent_dim=dm.layout.latent_dim)
-        d = dm.layout.latent_dim
+        dm2 = make_dm(omegas, lambdas, ys, latent_dim=dm.layout.n_levels)
+        d = dm.layout.n_levels
         post = LatentPosterior(np.zeros((dm.n_units, d)), np.zeros((dm.n_units, d, d)))
         assert update_sigma_eps(post, truth.zeta, dm2) == pytest.approx(1e-16)
 
@@ -233,7 +233,7 @@ class TestSigmaEpsUpdate:
         dm, st = synthetic_pair(seed=12, n_units=8, n_obs=6)
         rng = np.random.default_rng(12)
         zeta = rng.normal(size=dm.layout.size)
-        d = dm.layout.latent_dim
+        d = dm.layout.n_levels
         post = LatentPosterior(np.zeros((dm.n_units, d)), np.zeros((dm.n_units, d, d)))
         resid = st.rows("y") - st.rows("omega") @ zeta
         assert update_sigma_eps(post, zeta, dm) == pytest.approx(
@@ -260,7 +260,7 @@ class TestMarginalLoglik:
         rng = np.random.default_rng(14)
         zeta = rng.normal(size=dm.layout.size)
         sigma2 = 0.7
-        params = Parameters(zeta, sigma2, np.zeros((dm.layout.latent_dim,) * 2))
+        params = Parameters(zeta, sigma2, np.zeros((dm.layout.n_levels,) * 2))
         resid = st.rows("y") - st.rows("omega") @ zeta
         expected = float(np.sum(
             -0.5 * (np.log(2 * np.pi * sigma2) + resid ** 2 / sigma2)))
@@ -292,7 +292,7 @@ class TestMarginalLoglik:
         dm_p = make_dm([omegas[i] for i in perm],
                        [lambdas[i] for i in perm],
                        [ys[i] for i in perm],
-                       latent_dim=dm.layout.latent_dim)
+                       latent_dim=dm.layout.n_levels)
         assert marginal_loglik(params, dm) == pytest.approx(
             marginal_loglik(params, dm_p), rel=1e-13)
 
@@ -450,7 +450,7 @@ class TestFitEm:
             init = Parameters(
                 ols.zeta * rng.uniform(0.5, 1.5, size=ols.zeta.size),
                 ols.sigma_eps2 * float(rng.uniform(0.3, 3.0)),
-                float(rng.uniform(0.02, 1.0)) * ols.sigma_eps2 * np.eye(dm.layout.latent_dim),
+                float(rng.uniform(0.02, 1.0)) * ols.sigma_eps2 * np.eye(dm.layout.n_levels),
             )
             fit = fit_em(ds, spec.config, scores=truth.scores, init=init,
                          tol=1e-10, max_iter=5000)
@@ -571,7 +571,7 @@ class TestErrorPaths:
     def test_singular_sigma_gamma_after_flooring(self):
         dm, _, _ = synthetic_dm(seed=30, n_units=8, n_obs=4)
         params = Parameters(np.zeros(dm.layout.size), 1.0,
-                            np.zeros((dm.layout.latent_dim,) * 2))
+                            np.zeros((dm.layout.n_levels,) * 2))
         from degramix.estimator import NumericalError
         with pytest.raises(NumericalError, match="singular sigma_gamma"):
             e_step(params, dm)

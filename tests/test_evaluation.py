@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degramix import estimator, evaluation
-from degramix.data import BasisFamily, DegradationDataset, ModelConfig
+from degramix.data import BasisFamily, DatasetRuleError, DegradationDataset, ModelConfig
 from degramix.estimator import fit_em
 from degramix.evaluation import (
     compare_models,
@@ -82,8 +82,9 @@ class TestPredictUnit:
     def test_wrong_scalar_count_rejected(self):
         spec, ds, truth, fit = fitted_instance(seed=4, n_units=6, n_obs=5)
         extra = replace(ds, scalars=np.column_stack([ds.scalars, np.ones(ds.n_units)]))
-        with pytest.raises(ValueError, match="scalars shape"):
+        with pytest.raises(DatasetRuleError, match="scalars shape") as err:
             predict_unit(fit, extra)
+        assert err.value.source == "scalars"
 
     def test_unseen_unit_projects_scores(self):
         spec = default_spec(seed=5, n_units=12, n_obs=6)
@@ -95,14 +96,16 @@ class TestPredictUnit:
         assert np.all(np.isfinite(pred))
         # curves on another grid of the same length are not projected
         grid = replace(stranger, r_grid=stranger.r_grid ** 2 / 7.0)
-        with pytest.raises(ValueError, match=r"curve grid differs from the fit's FPCA grid: "
-                                             r"r\[1\] = 0\.00142857\d* against the fit's 0\.1$"):
+        moved = r"curve grid differs from the fit's FPCA grid: r\[1\] = 0\.00142857\d* against"
+        with pytest.raises(DatasetRuleError, match=moved + r" the fit's 0\.1$") as err:
             predict_unit(fit, grid)
+        assert err.value.source == "curves"
         # nor curves of another number of covariates, whose first matches
         twice = replace(stranger, curves=np.concatenate([stranger.curves] * 2, axis=1))
-        with pytest.raises(ValueError, match="^the dataset holds S = 2 functional covariates "
-                                             "against the fit's S = 1$"):
+        with pytest.raises(DatasetRuleError, match="^the dataset holds S = 2 functional "
+                                                   "covariates against the fit's S = 1$") as err:
             predict_unit(fit, twice)
+        assert err.value.source == "curves"
 
     @pytest.mark.parametrize("name", ["Model5", "Model7"])
     def test_batch_matches_each_unit_alone(self, name):

@@ -56,10 +56,19 @@ def test_same_outputs_says_how_far_a_file_moved(tmp_path, monkeypatch):
     (b / "r.json").write_text('{"zeta": [1.0, -2.000002], "iterations": 6, "ids": ["u1"]}')
     assert drift(a / "r.json", b / "r.json") == (
         "largest relative difference 1e-06 over 2 numbers; other entries differ: iterations")
+    # rounding noise next to zero, relative to the largest entry of its
+    # array; a nested array is one
+    (a / "e.json").write_text('{"eigenvalues": [1.25, 9.1e-19], "sigma_eps2": 0.5}')
+    (b / "e.json").write_text('{"eigenvalues": [1.25, 0.0], "sigma_eps2": 0.5}')
+    assert drift(a / "e.json", b / "e.json") == "largest relative difference 7.3e-19 over 3 numbers"
+    (a / "f.json").write_text('{"phi": [[4.0, 1.0], [3e-17, 0.5]]}')
+    (b / "f.json").write_text('{"phi": [[4.0, 1.0], [0.0, 0.5]]}')
+    assert drift(a / "f.json", b / "f.json") == "largest relative difference 7.5e-18 over 4 numbers"
     (a / "t.csv").write_text("unit_id,level,y\nu1,1,0.5\nu2,1,4.0\n")
     (b / "t.csv").write_text("unit_id,level,y\nu1,1,0.5000005\nu3,2,4.0\n")
+    # each difference is relative to the largest magnitude in its column
     assert drift(a / "t.csv", b / "t.csv") == (
-        "largest relative difference 1e-06 over 2 numbers; "
+        "largest relative difference 1.2e-07 over 2 numbers; "
         "other entries differ: line 3 column 1, line 3 column 2")
     (b / "t.csv").write_text("unit_id,lvl,y\nu1,1,0.5\n")
     assert drift(a / "t.csv", b / "t.csv") == (
@@ -197,6 +206,34 @@ def test_same_outputs_runs_the_load_errors(tmp_path, monkeypatch):
         "malformed_last_row": f"error: {base / 'malformed_last_row' / 'responses.csv'}: "
                               "line 181: non-numeric field in 'u6,3.0,abc'\n"}
     assert not any(base.glob("fit_*"))
+
+
+def test_same_outputs_runs_the_predict_errors(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from degramix.cli import run
+    from same_outputs import PREDICT_FAULTS, run_predict_errors
+
+    base = tmp_path / "predict_errors"
+    run_predict_errors(base, 3, run)
+    assert (base / "exit_codes.txt").read_text() == "fit 0\n" + "".join(
+        f"{f} 1\n" for f in PREDICT_FAULTS)
+    report = base / "fit" / "fit_report.json"
+    # each copy holds the six units the fit saw and one it did not
+    for fault in PREDICT_FAULTS:
+        ids = {line.split(",")[0] for line in
+               (base / fault / "responses.csv").read_text().splitlines()[1:]}
+        assert len(ids) == 7 and ids - set(json.loads(report.read_text())["scores"]["unit_ids"])
+    errors = {f: (base / f"{f}.stderr.txt").read_text().splitlines()[-1] for f in PREDICT_FAULTS}
+    assert errors == {
+        "second_scalar": f"error: {base / 'second_scalar' / 'scalars.csv'}: scalars shape (7, 2) "
+                         f"does not match layout (P=1) (fit report {report})",
+        "second_covariate": f"error: {base / 'second_covariate' / 'curves.csv'}: the dataset "
+                            f"holds S = 2 functional covariates against the fit's S = 1 "
+                            f"(fit report {report})",
+        "shifted_grid": f"error: {base / 'shifted_grid' / 'curves.csv'}: the dataset's curve "
+                        f"grid differs from the fit's FPCA grid: r[0] = 0.25 against the fit's "
+                        f"0.0 (fit report {report})"}
+    assert not any(base.glob("predict_*"))
 
 
 def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):

@@ -73,7 +73,7 @@ class TestGenerateDataset:
         spec = default_spec(seed=4)
         _, truth = generate_dataset(spec)
         assert truth.zeta.shape == (truth.layout.size,)
-        assert truth.gamma.shape == (spec.n_units, truth.layout.latent_dim)
+        assert truth.gamma.shape == (spec.n_units, truth.layout.n_levels)
         assert truth.scores.shape == (spec.n_units, 1, spec.n_components)
 
 
@@ -112,8 +112,8 @@ class TestGeneratorPredictorAgreement:
         ds, truth = generate_dataset(spec)
         params = Parameters(truth.zeta, 1.0, truth.sigma_gamma)
         posterior = LatentPosterior(
-            truth.gamma, np.zeros((spec.n_units, truth.layout.latent_dim,
-                                   truth.layout.latent_dim)))
+            truth.gamma, np.zeros((spec.n_units, truth.layout.n_levels,
+                                   truth.layout.n_levels)))
         fit = FitResult(
             params=params, posterior=posterior, loglik_trace=np.zeros(1),
             iterations=0, converged=True, config=spec.config, layout=truth.layout,
