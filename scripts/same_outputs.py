@@ -31,7 +31,8 @@ loader's rules, so a change of which error ``fit`` prints shows too, and
 the fit's rules (scalar count, functional count, curve grid).  Then
 ``run_descriptors`` runs the descriptor paths the micrograph workload
 skips: ``descriptor tpc --periodic``, one ``descriptor tpc`` call whose
-images take turns between two shapes, a P2 image, and ``descriptor rdf
+images take turns between two shapes, a P2 image, an image of odd height at
+the largest ``--r-max`` it allows, plain and periodic, and ``descriptor rdf
 --particles`` on particle CSVs of every accepted form, on malformed
 ones and on ones at the edges of the accepted grammar.  Both sides write
 under the same path, so a path echoed into an output cannot differ between
@@ -437,15 +438,17 @@ _EDGE_PARTICLES = {
 
 def run_descriptors(base: Path, seed: int, run) -> None:
     """Under ``base``: random P5 images of two shapes (a0 and a1 40 x 48,
-    b0 52 x 36), a P2 one, and particle CSVs of 300 random points in each
-    of ``_PARTICLE_FORMS`` after a blank line, with a blank line (a
-    whitespace-only one in the CRLF file) every 97 rows, a header-only one,
-    ``_MALFORMED_PARTICLES`` and ``_EDGE_PARTICLES``.  Then, through the CLI
-    entry ``run``, ``descriptor tpc`` on a0, b0, a1 and the P2 image, plain
-    and ``--periodic``; ``descriptor rdf --particles`` on every valid CSV in
-    one call and on each malformed or edge one alone.  Each invocation's
-    exit code goes to ``exit_codes.txt`` and its stderr to
-    ``<op>.stderr.txt``."""
+    b0 52 x 36), a P2 one, a 700 x 201 P5 one (odd), and particle CSVs of
+    300 random points in each of ``_PARTICLE_FORMS`` after a blank line,
+    with a blank line (a whitespace-only one in the CRLF file) every 97
+    rows, a header-only one, ``_MALFORMED_PARTICLES`` and
+    ``_EDGE_PARTICLES``.  Then, through the CLI entry ``run``, ``descriptor
+    tpc`` on a0, b0, a1 and the P2 image, and on odd at ``--r-max`` 100,
+    the largest below half its height, where a TPC's rows and their inverse
+    need more than its half-spectrum; each plain and ``--periodic``.  Then
+    ``descriptor rdf --particles`` on every valid CSV in one call and on
+    each malformed or edge one alone.  Each invocation's exit code goes to
+    ``exit_codes.txt`` and its stderr to ``<op>.stderr.txt``."""
     base.mkdir(parents=True)
     rng = random.Random(seed)
     images = []
@@ -453,6 +456,7 @@ def run_descriptors(base: Path, seed: int, run) -> None:
                                             ("a1", 40, 48, False), ("p2", 44, 44, True)):
         (base / f"{name}.pgm").write_bytes(_random_pgm(rng, width, height, ascii_form))
         images += ["--image", str(base / f"{name}.pgm")]
+    (base / "odd.pgm").write_bytes(_random_pgm(rng, 700, 201))
     points = [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)) for _ in range(300)]
     particles = []
     for name, (newline, form) in _PARTICLE_FORMS.items():
@@ -466,8 +470,12 @@ def run_descriptors(base: Path, seed: int, run) -> None:
     (base / "header_only.csv").write_bytes(b"# window 10 10\nx,y\n")
     rdf = ["descriptor", "rdf", "--r-max", "2", "--dr", "0.25"]
     tpc = ["descriptor", "tpc", "--r-max", "9", "--threshold", "0.5", *images]
+    odd = ["descriptor", "tpc", "--r-max", "100", "--threshold", "0.5",
+           "--image", str(base / "odd.pgm")]
     calls = [("tpc", [*tpc, "--out", str(base / "tpc")]),
              ("tpc_periodic", [*tpc, "--periodic", "--out", str(base / "tpc_periodic")]),
+             ("tpc_odd", [*odd, "--out", str(base / "tpc_odd")]),
+             ("tpc_odd_periodic", [*odd, "--periodic", "--out", str(base / "tpc_odd_periodic")]),
              ("rdf_particles", [*rdf, *particles, "--particles", str(base / "header_only.csv"),
                                 "--out", str(base / "rdf_particles")])]
     for prefix, files in (("bad", _MALFORMED_PARTICLES), ("edge", _EDGE_PARTICLES)):

@@ -260,17 +260,19 @@ def _cmd_descriptor(args) -> int:
             check_tpc_r_max(args.r_max)
         except ValueError as exc:
             raise CliError(f"argument --r-max: {exc}") from None
+        # no image is referenced past its own curve, so each is freed
+        # before the next is read
         for path in args.image:
-            img = binarize_image(load_pgm(path), args.threshold)
-            curve = compute_tpc(img, int(args.r_max), periodic=args.periodic)
+            curve = compute_tpc(binarize_image(load_pgm(path), args.threshold),
+                                int(args.r_max), periodic=args.periodic)
             entries.append((Path(path).stem, args.s, curve.r_grid, curve.values))
     else:
         if args.dr is None:
             raise CliError("descriptor rdf requires --dr")
         sources = []
         for path in args.image or []:
-            img = binarize_image(load_pgm(path), args.threshold)
-            sources.append((Path(path).stem, extract_particles(img)))
+            sources.append((Path(path).stem,
+                            extract_particles(binarize_image(load_pgm(path), args.threshold))))
         for path in args.particles or []:
             sources.append((Path(path).stem, load_particles_csv(path)))
         if not sources:

@@ -35,10 +35,11 @@ _P2_NON_DIGIT = re.compile(rb"[^\s0-9]")
 _TPC_BLOCK_BYTES = 2 ** 20
 # rows of one tile of the copy that transposes a column block
 _TPC_TILE = 256
-# the complex half-spectrum of every TPC, kept for the process at the size of
-# the largest so far: a fresh one at 2048² is 35 MiB, above glibc's mmap
-# threshold, so each TPC would page it in anew.  A TPC holds the lock from its
-# row stage to the end of its column stage, so concurrent ones never share it
+# the complex half-spectrum of every TPC, then its correlation rows and their
+# x inverse, kept for the process at the size of the largest so far: a fresh
+# one at 2048² is 35 MiB, above glibc's mmap threshold, so each TPC would page
+# it in anew.  A TPC holds the lock from its row stage until its hits are
+# gathered, so concurrent ones never share it
 _tpc_half = np.empty(0, dtype=complex)
 _tpc_half_lock = threading.Lock()
 
@@ -328,10 +329,14 @@ def _in_threads(starts: range, cpus: list, work) -> None:
 
 
 def _tpc_rows(mask, table: _TpcTable) -> np.ndarray:
-    """The (r_max + 1, sw) rows dy = 0..r_max of the mask's circular
-    autocorrelation on ``table``'s plane, unrounded."""
+    """The entries ``table.flat`` of the (r_max + 1, sw) rows dy = 0..r_max
+    of the mask's circular autocorrelation on ``table``'s plane, unrounded.
+    The rows are built in the kept ``_tpc_half``, under its lock, and only
+    the gathered entries leave it."""
     # Row blocks fill one (h, sw//2+1) half-spectrum; column blocks of it
-    # then give the rows.  Both stages run on one thread per usable CPU,
+    # then leave the y inverse's rows in its first r_max + 1 rows, and the
+    # x inverse goes into the part of the buffer after those, which no
+    # stage reads any more.  Both stages run on one thread per usable CPU,
     # never more than there are blocks; numpy's transforms release the GIL,
     # so the threads run at once.  Thread i works in its own buffers, of the
     # one block divided by the thread count, and writes only the slices of
@@ -340,29 +345,38 @@ def _tpc_rows(mask, table: _TpcTable) -> np.ndarray:
     # allocated in the calling thread: pages a thread's own malloc arena
     # took would stay resident.
     h = mask.shape[0]
-    nc = table.sw // 2 + 1
+    sw, n_dy = table.sw, table.pairs.size
+    nc = sw // 2 + 1
     cpus = _usable_cpus()[:-(-max(h, nc) // table.block)]
     block = max(1, table.block // len(cpus))
     with _tpc_half_lock:
-        rows = _tpc_column_rows(_tpc_half_spectrum(mask, table.sw, block, cpus),
-                                table.sh, table.pairs.size, block, cpus)
-    return np.fft.irfft(rows, n=table.sw, axis=1)
+        # the inverse's n_dy * sw floats fill ceil(n_dy * sw / 2) complex entries
+        kept = _tpc_kept(max(h * nc, n_dy * nc + -(-n_dy * sw // 2)))
+        half = _tpc_half_spectrum(mask, kept[:h * nc].reshape(h, nc), sw, block, cpus)
+        rows = _tpc_column_rows(half, table.sh, n_dy, block, cpus)
+        inverse = kept[n_dy * nc:].view(float)[:n_dy * sw].reshape(n_dy, sw)
+        return np.fft.irfft(rows, n=sw, axis=1, out=inverse).ravel()[table.flat]
 
 
-def _tpc_half_spectrum(mask, sw: int, block: int, cpus: list) -> np.ndarray:
-    """The (h, sw//2+1) x transform of ``mask`` zero-padded to width sw, in
-    row blocks; the padding rows are never built.  It is a C-contiguous
-    prefix of the kept ``_tpc_half``, which grows first if it is smaller:
-    the caller holds ``_tpc_half_lock`` while it uses the result."""
+def _tpc_kept(size: int) -> np.ndarray:
+    """The kept ``_tpc_half``, grown first if it holds fewer than ``size``
+    complex entries."""
+    global _tpc_half
+    if _tpc_half.size < size:
+        # the smaller buffer is freed before the larger is taken; if that
+        # allocation fails, an empty buffer is left for the next call
+        _tpc_half = np.empty(0, dtype=complex)
+        _tpc_half = np.empty(size, dtype=complex)
+    return _tpc_half
+
+
+def _tpc_half_spectrum(mask, half: np.ndarray, sw: int, block: int, cpus: list) -> np.ndarray:
+    """``half``, an (h, sw//2+1) complex array, filled with the x transform
+    of ``mask`` zero-padded to width sw, in row blocks; the padding rows are
+    never built."""
     # each block is copied into a reused contiguous buffer whose zero
     # padding is written once, so the transform runs along contiguous lines
-    global _tpc_half
     h, w = mask.shape
-    nc = sw // 2 + 1
-    if _tpc_half.size < h * nc:
-        _tpc_half = None  # the smaller buffer is freed before the larger is taken
-        _tpc_half = np.empty(h * nc, dtype=complex)
-    half = _tpc_half[:h * nc].reshape(h, nc)
     starts = range(0, h, block)
     cpus = cpus[:len(starts)]
     padded = np.zeros((len(cpus), min(block, h), sw))
@@ -378,13 +392,16 @@ def _tpc_half_spectrum(mask, sw: int, block: int, cpus: list) -> np.ndarray:
 
 def _tpc_column_rows(half, sh: int, n_dy: int, block: int, cpus: list) -> np.ndarray:
     """The rows dy = 0..n_dy-1 of the y inverse of |Y|^2, Y the length-sh y
-    transform of ``half``'s zero-padded columns, in column blocks."""
+    transform of ``half``'s zero-padded columns, in column blocks, written
+    over ``half``'s first n_dy rows, which they return."""
     # each column block goes through its y transform, the power and a real
     # inverse (the power is real, so its y inverse is Hermitian) while it is
     # in cache; it is copied into a contiguous buffer in tiles of _TPC_TILE
-    # rows, which stay in cache while they are transposed
+    # rows, which stay in cache while they are transposed.  A block writes
+    # its rows only into its own columns, which it has copied out by then
+    # and no other block reads
     h, nc = half.shape
-    rows = np.empty((n_dy, nc), dtype=complex)
+    rows = half[:n_dy]
     starts = range(0, nc, block)
     cpus = cpus[:len(starts)]
     col = np.zeros((len(cpus), min(block, nc), sh), dtype=complex)
@@ -412,7 +429,7 @@ def _tpc_counts_fft(mask, table: _TpcTable) -> np.ndarray:
     # circular autocorrelation; with >= r_max zero padding the wrap-free
     # region reproduces the windowed sums.  Counts are integers and the FFT
     # error is far below 0.5, so rounding recovers them exactly.
-    return np.rint(_tpc_rows(mask, table).ravel()[table.flat]).astype(np.int64)
+    return np.rint(_tpc_rows(mask, table)).astype(np.int64)
 
 
 def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) -> DescriptorCurve:
@@ -428,15 +445,18 @@ def compute_tpc(img: MicrostructureImage, r_max: int, periodic: bool = False) ->
     enumeration.  The autocorrelation runs in row and then column blocks
     that stay in cache, with a real inverse of the power spectrum.  The
     blocks run on one thread per CPU the process may run on, and the result
-    is the same bytes whatever their number.  Peak memory is one
-    (height, sw/2+1) complex half-spectrum, sw the padded width, plus the
-    block buffers, sized from one 1 MiB budget for the whole call however
-    many threads share it.  The half-spectrum's buffer is kept for the
-    process at the size of the largest one so far and reused by later
-    TPCs, which take it one at a time; everything else is allocated per
-    call.  The displacements, their buckets and the pair counts depend on
-    the mask's shape alone and are built once for consecutive images of
-    one shape.
+    is the same bytes whatever their number.  Peak memory is one buffer of
+    (height, sw/2+1) complex entries, sw the padded width, plus the block
+    buffers, sized from one 1 MiB budget for the whole call however many
+    threads share it.  The buffer holds the half-spectrum, then the
+    (r_max+1, sw/2+1) correlation rows in its first rows and their
+    (r_max+1, sw) real inverse after them; at an odd height and the largest
+    r_max those two need slightly more, and the buffer is that size.  It is
+    kept for the process at the size of the largest so far and reused by
+    later TPCs, which take it one at a time; the block buffers, the gathered
+    hits and the returned curve are allocated per call.  The displacements,
+    their buckets and the pair counts depend on the mask's shape alone and
+    are built once for consecutive images of one shape.
     """
     if img.phase_mask is None:
         raise ValueError("compute_tpc requires a phase mask (binarize first)")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -590,6 +591,35 @@ class TestDescriptor:
             rows = list(csv.reader(fh))[1:]
         assert [row[0] for row in rows] == ["a,b"] * 5 + ['say "hi"'] * 5
         assert all(len(row) == 4 for row in rows)
+
+    @pytest.mark.parametrize("kind, flags", [("tpc", ["--r-max", "8"]),
+                                             ("rdf", ["--r-max", "8", "--dr", "1"])])
+    def test_each_image_is_read_with_no_other_alive(self, tmp_path, monkeypatch, kind, flags):
+        # an image referenced past its own curve or particles would keep its
+        # samples and mask, 8 MB at 2048², while the next file is read
+        rng = np.random.default_rng(6)
+        images = []
+        for name in ("a", "b", "c"):
+            write_pgm(tmp_path / f"{name}.pgm", rng.integers(0, 256, size=(40, 40)))
+            images += ["--image", str(tmp_path / f"{name}.pgm")]
+        made, at_load = [], []  # weak references to every image built
+        load_pgm, binarize_image = cli.load_pgm, cli.binarize_image
+
+        def loading(path):
+            img = load_pgm(path)
+            made.append(weakref.ref(img))
+            at_load.append(sum(ref() is not None for ref in made))
+            return img
+
+        def binarizing(img, threshold):
+            binary = binarize_image(img, threshold)
+            made.append(weakref.ref(binary))
+            return binary
+
+        monkeypatch.setattr(cli, "load_pgm", loading)
+        monkeypatch.setattr(cli, "binarize_image", binarizing)
+        assert run(["descriptor", kind, *images, *flags, "--out", str(tmp_path / kind)]) == 0
+        assert at_load == [1, 1, 1]
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                         reason="needs two usable CPUs")

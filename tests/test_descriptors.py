@@ -699,15 +699,20 @@ class TestTpcThreads:
             assert len(seen) == n and threading.main_thread().name not in seen
 
     @pytest.mark.parametrize("periodic", [False, True])
-    def test_rows_are_the_same_bytes_for_one_and_two_threads(self, monkeypatch, periodic):
-        # at the default block size 400 x 530 spans several blocks
+    @pytest.mark.parametrize("h, w, r_max", [(400, 530, 60), (401, 530, 200)])
+    def test_rows_are_the_same_bytes_for_one_and_two_threads(self, monkeypatch, periodic,
+                                                             h, w, r_max):
+        # at the default block size both shapes span several blocks; at an
+        # odd height and the largest radius the rows and their inverse
+        # reach past the half-spectrum
         rng = np.random.default_rng(62)
-        mask = rng.random((400, 530)) < 0.45
-        table = _tpc_table(400, 530, 60, periodic)
+        mask = rng.random((h, w)) < 0.45
+        table = _tpc_table(h, w, r_max, periodic)
         rows = {}
         for cpus in (1, 2):
             monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None] * cpus)
             rows[cpus] = _tpc_rows(mask, table)
+        assert rows[1].shape == table.flat.shape
         assert rows[1].tobytes() == rows[2].tobytes()
 
     def test_one_block_image_starts_no_thread(self, monkeypatch):
@@ -757,10 +762,10 @@ class TestTpcThreads:
         assert len(calls) < (table.sw // 2 + 1) // 2  # of 46 column blocks
 
     def test_memory_does_not_grow_with_the_threads(self, monkeypatch, cold_spectrum):
-        # the peak falls in the column stage: the half-spectrum, the rows
-        # and ~3.6 MB of column buffers, which two full-size blocks would
-        # double; the threads themselves add a few kB.  Each call is a
-        # first one, which allocates the half-spectrum
+        # the peak falls in the column stage: the kept buffer, which also
+        # takes the rows and their inverse, and ~3.6 MB of column buffers,
+        # which two full-size blocks would double; the threads themselves
+        # add a few kB.  Each call is a first one, which allocates the buffer
         rng = np.random.default_rng(65)
         mask = rng.random((1024, 1024)) < 0.4
         table = _tpc_table(1024, 1024, 100, False)
@@ -777,17 +782,35 @@ class TestTpcThreads:
         assert peaks[2] <= peaks[1] + 2 ** 16
 
 
-class TestTpcKeptSpectrum:
-    # one half-spectrum buffer is kept for the process, at the size of the
-    # largest TPC so far; a smaller TPC uses a prefix of it
+def kept_entries(h, table):
+    """The complex entries a TPC of an h-row mask needs in the kept buffer:
+    its (h, sw/2+1) half-spectrum, or its (r_max+1, sw/2+1) rows followed by
+    their (r_max+1, sw) float inverse, whichever is larger."""
+    nc, n_dy = table.sw // 2 + 1, table.pairs.size
+    return max(h * nc, n_dy * nc + (n_dy * table.sw + 1) // 2)
 
-    def test_alternating_tpcs_match_direct_bitwise(self, small_blocks, cold_spectrum):
+
+class TestTpcKeptSpectrum:
+    # one buffer is kept for the process, at the size of the largest TPC so
+    # far: it holds the half-spectrum, then the rows in its first rows and
+    # their x inverse after them.  A smaller TPC uses a prefix of it
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_alternating_tpcs_match_direct_bitwise(self, small_blocks, cold_spectrum,
+                                                   monkeypatch, cpus):
         # the buffer grows, is reused by a smaller TPC right after a larger
-        # one, and never shrinks; small blocks run each TPC on every thread
+        # one, and never shrinks; small blocks run each TPC on all ``cpus``
+        # threads.  The TPCs of an odd height at the largest radius, the first among
+        # them, need more than their half-spectrum
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None] * cpus)
         rng = np.random.default_rng(70)
-        masks = {shape: rng.random(shape) < 0.45 for shape in ((40, 50), (120, 150), (90, 64))}
-        runs = [((40, 50), 12, False), ((120, 150), 30, False), ((40, 50), 12, False),
-                ((40, 50), 12, True), ((90, 64), 25, True), ((120, 150), 20, True),
+        odd = {(41, 60): 20, (57, 57): 28, (45, 90): 22}
+        shapes = (*odd, (40, 50), (120, 150), (90, 64))
+        masks = {shape: rng.random(shape) < 0.45 for shape in shapes}
+        runs = [((41, 60), 20, True), ((57, 57), 28, False), ((40, 50), 12, False),
+                ((45, 90), 22, True), ((120, 150), 30, False), ((40, 50), 12, False),
+                ((41, 60), 20, False), ((57, 57), 28, True), ((40, 50), 12, True),
+                ((90, 64), 25, True), ((45, 90), 22, False), ((120, 150), 20, True),
                 ((90, 64), 25, False), ((120, 150), 30, False), ((40, 50), 8, False)]
         largest = 0
         for shape, r_max, periodic in runs:
@@ -796,14 +819,61 @@ class TestTpcKeptSpectrum:
             got = _tpc_counts_fft(masks[shape], table)
             expected = tpc_counts_direct(masks[shape], dys, dxs, periodic)[0]
             assert np.array_equal(got, expected), (shape, r_max, periodic)
-            largest = max(largest, shape[0] * (table.sw // 2 + 1))
+            largest = max(largest, kept_entries(shape[0], table))
             assert descriptors._tpc_half.size == largest
+        for (h, w), r_max in odd.items():
+            for periodic in (False, True):
+                table = _tpc_table(h, w, r_max, periodic)
+                assert kept_entries(h, table) > h * (table.sw // 2 + 1)
+
+    def test_a_failed_allocation_leaves_a_usable_buffer(self, cold_spectrum, monkeypatch):
+        # the buffer is dropped before a larger one is taken; if taking it
+        # fails, the next TPC must still find a buffer to grow
+        empty = np.empty
+
+        def fails_once(shape, *args, **kwargs):
+            if np.prod(shape) > 0:
+                monkeypatch.setattr(np, "empty", empty)
+                raise MemoryError("injected")
+            return empty(shape, *args, **kwargs)
+
+        mask = np.random.default_rng(73).random((30, 40)) < 0.5
+        table = _tpc_table(30, 40, 10, False)
+        monkeypatch.setattr(np, "empty", fails_once)
+        with pytest.raises(MemoryError, match="injected"):
+            _tpc_counts_fft(mask, table)
+        assert np.empty is empty
+        assert not descriptors._tpc_half_lock.locked()
+        dys, dxs, _ = _half_plane_displacements(10)
+        got = _tpc_counts_fft(mask, table)
+        assert np.array_equal(got, tpc_counts_direct(mask, dys, dxs, False)[0])
+        assert descriptors._tpc_half.size == kept_entries(30, table)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_a_warm_call_allocates_neither_rows_nor_their_inverse(self, periodic):
+        # a wide image has large rows and small column blocks: its rows alone
+        # are ~1.7 MB and their inverse as much again, the row buffers 0.5 MiB
+        rng = np.random.default_rng(74)
+        mask = rng.random((256, 2048)) < 0.4
+        table = _tpc_table(256, 2048, 100, periodic)
+        rows_bytes = table.pairs.size * (table.sw // 2 + 1) * 16
+        _tpc_counts_fft(mask, table)
+        tracemalloc.start()
+        try:
+            _tpc_counts_fft(mask, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows_bytes
 
     def test_concurrent_tpcs_get_the_bytes_of_serial_calls(self, monkeypatch):
         # both callers fit in the buffer a larger TPC left.  Each caller's
         # column stage first waits up to 1 s for the other's: without the
         # lock both would by then have written their row stage into the one
-        # buffer, each over the other; with it the first wait times out
+        # buffer, each over the other; with it the first wait times out.
+        # The first caller's hits then wait for the second caller's: were
+        # they a view of the buffer, read once the lock is free, the second
+        # caller's stages would have overwritten them
         monkeypatch.setattr(descriptors, "_usable_cpus", lambda: [None])
         rng = np.random.default_rng(71)
         compute_tpc(image_from_mask(rng.random((400, 530)) < 0.5), 60)
@@ -811,16 +881,26 @@ class TestTpcKeptSpectrum:
                  (rng.random((260, 350)) < 0.5, 40, True)]
         serial = [compute_tpc(image_from_mask(mask), r_max, periodic).values.tobytes()
                   for mask, r_max, periodic in cases]
-        both_in, column_rows = threading.Barrier(2), descriptors._tpc_column_rows
+        both_in, both_out = threading.Barrier(2), threading.Barrier(2)
+        column_rows, rows = descriptors._tpc_column_rows, descriptors._tpc_rows
 
-        def spy(*args, **kwargs):
+        def wait(barrier):
             try:
-                both_in.wait(timeout=1)
+                barrier.wait(timeout=1)
             except threading.BrokenBarrierError:
                 pass
+
+        def column_spy(*args, **kwargs):
+            wait(both_in)
             return column_rows(*args, **kwargs)
 
-        monkeypatch.setattr(descriptors, "_tpc_column_rows", spy)
+        def rows_spy(*args, **kwargs):
+            hits = rows(*args, **kwargs)
+            wait(both_out)
+            return hits
+
+        monkeypatch.setattr(descriptors, "_tpc_column_rows", column_spy)
+        monkeypatch.setattr(descriptors, "_tpc_rows", rows_spy)
         got = [None, None]
 
         def run(i):

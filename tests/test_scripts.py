@@ -246,7 +246,8 @@ def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):
     base = tmp_path / "descriptors"
     run_descriptors(base, 3, run)
     codes = dict(line.split() for line in (base / "exit_codes.txt").read_text().splitlines())
-    assert codes == {"tpc": "0", "tpc_periodic": "0", "rdf_particles": "0",
+    assert codes == {"tpc": "0", "tpc_periodic": "0", "tpc_odd": "0", "tpc_odd_periodic": "0",
+                     "rdf_particles": "0",
                      **{f"rdf_{name}": "1" for name in _MALFORMED_PARTICLES},
                      **{f"rdf_{name}": "0" for name in _EDGE_PARTICLES},
                      "rdf_three_fields_after_whitespace": "1"}
@@ -266,6 +267,11 @@ def test_same_outputs_runs_the_descriptor_paths(tmp_path, monkeypatch):
     for out in ("tpc", "tpc_periodic"):
         rows = (base / out / "curves.csv").read_text().splitlines()[1:]
         assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == list(images)
+    # an odd height at the largest radius it allows
+    assert load_pgm(base / "odd.pgm").pixels.shape == (201, 700)
+    for out in ("tpc_odd", "tpc_odd_periodic"):
+        rows = (base / out / "curves.csv").read_text().splitlines()[1:]
+        assert len(rows) == 101 and rows[-1].startswith("odd,1,100.0,")
     # every accepted form holds the same 300 points
     coords = [load_particles_csv(base / f"{name}.csv").coordinates for name in _PARTICLE_FORMS]
     assert coords[0].shape == (300, 2)
